@@ -8,7 +8,9 @@
 //! 256-building fixture is sliced for the smaller sizes, and both
 //! stages run through the same order-preserving `thermal-par` maps
 //! the orchestrator uses — the numbers scale with `THERMAL_THREADS`
-//! exactly like production. Committed as `BENCH_fleet.json`.
+//! exactly like production. The repository benchmark's
+//! `fleet-onboard` and `serve` workloads (`perfbench/`) measure the
+//! same two paths end to end.
 
 // Benchmarks are fixture-driven: a panic on a broken fixture is the
 // right failure mode, so the panic-free-library lints are relaxed here.

@@ -4,7 +4,7 @@
 // right failure mode, so the panic-free-library lints are relaxed here.
 #![allow(missing_docs, clippy::expect_used, clippy::unwrap_used)]
 use criterion::{criterion_group, criterion_main, Criterion};
-use thermal_sim::{run, Drive, Layout, Scenario, ThermalParams, ZoneNetwork};
+use thermal_sim::{run, Drive, Layout, Rk4Buffers, Scenario, ThermalParams, ZoneNetwork};
 
 fn bench_derivative(c: &mut Criterion) {
     let net = ZoneNetwork::new(Layout::auditorium(), ThermalParams::default());
@@ -23,11 +23,12 @@ fn bench_rk4_day(c: &mut Criterion) {
     let mut drive = Drive::quiescent(net.node_count(), 20.0);
     drive.outlet_flow = [0.5, 0.5];
     drive.supply_temp = 14.0;
+    let mut buf = Rk4Buffers::new(net.state_len());
     c.bench_function("rk4_one_simulated_day", |b| {
         b.iter(|| {
             let mut state = net.initial_state(20.0);
             for _ in 0..1440 {
-                net.rk4_step(&mut state, &drive, 60.0);
+                net.rk4_step(&mut state, &drive, 60.0, &mut buf);
             }
             state
         })

@@ -57,5 +57,5 @@ pub use occupancy::{Event, OccupancyConfig, OccupancySchedule};
 pub use runner::{run, SimOutput};
 pub use scenario::Scenario;
 pub use sensors::{SensorConfig, SensorLayer};
-pub use thermal::{Drive, ThermalParams, ZoneNetwork, OUTLET_COUNT};
+pub use thermal::{Drive, Rk4Buffers, ThermalParams, ZoneNetwork, OUTLET_COUNT};
 pub use weather::{Weather, WeatherConfig};

@@ -12,7 +12,7 @@ use crate::hvac::{Hvac, VAV_COUNT};
 use crate::occupancy::OccupancySchedule;
 use crate::scenario::Scenario;
 use crate::sensors::SensorLayer;
-use crate::thermal::{Drive, ZoneNetwork};
+use crate::thermal::{Drive, Rk4Buffers, ZoneNetwork};
 use crate::weather::Weather;
 use crate::SimError;
 
@@ -153,6 +153,10 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
     let mut co2_ppm = scenario.thermal.co2_ambient_ppm;
 
     let mut drive = Drive::quiescent(n_nodes, scenario.initial_temp);
+    let mut rk4 = Rk4Buffers::new(network.state_len());
+    // Per-step decay of the capsule low-pass (exact discretisation of
+    // the first-order lag); `None` when the capsule has no lag.
+    let capsule_alpha = (tau_s > 0.0).then(|| (-scenario.integration_dt / tau_s).exp());
 
     for step in 0..total_steps {
         let t = Timestamp::from_minutes(thermal_linalg::cast::floor_to_i64(
@@ -179,8 +183,12 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
         drive.ambient = weather.ambient(t);
         drive.supply_temp = hvac.supply_temp(t, thermostat_mean);
         drive.outlet_flow = outlet_flow;
-        drive.occupant_watts = network.occupant_load(occ_count, occupancy.front_fraction_at(t));
-        drive.lighting_watts = network.lighting_load(lights);
+        network.occupant_load(
+            occ_count,
+            occupancy.front_fraction_at(t),
+            &mut drive.occupant_watts,
+        );
+        network.lighting_load(lights, &mut drive.lighting_watts);
         drive.disturbance_watts.clone_from(&disturbance);
         for (d, &front) in drive.disturbance_watts.iter_mut().zip(&node_is_front) {
             *d += if front { regional[0] } else { regional[1] };
@@ -200,7 +208,7 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
             co2_record.push(co2_ppm);
         }
 
-        network.rk4_step(&mut state, &drive, scenario.integration_dt);
+        network.rk4_step(&mut state, &drive, scenario.integration_dt, &mut rk4);
 
         // Advance the CO2 balance (explicit Euler is ample at this
         // time constant).
@@ -212,10 +220,8 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
             co2_ppm += dc * scenario.integration_dt;
         }
 
-        // Advance the capsule low-pass toward the new air temperature
-        // (exact discretisation of the first-order lag).
-        if tau_s > 0.0 {
-            let alpha = (-scenario.integration_dt / tau_s).exp();
+        // Advance the capsule low-pass toward the new air temperature.
+        if let Some(alpha) = capsule_alpha {
             for (c, z) in capsule.iter_mut().zip(&state[..n_zones]) {
                 *c = alpha * *c + (1.0 - alpha) * z;
             }

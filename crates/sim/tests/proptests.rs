@@ -4,8 +4,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
 use thermal_sim::{
-    Drive, Layout, OccupancyConfig, OccupancySchedule, SensorConfig, SensorLayer, ThermalParams,
-    Weather, WeatherConfig, ZoneNetwork,
+    Drive, Layout, OccupancyConfig, OccupancySchedule, Rk4Buffers, SensorConfig, SensorLayer,
+    ThermalParams, Weather, WeatherConfig, ZoneNetwork,
 };
 use thermal_timeseries::Timestamp;
 
@@ -40,9 +40,10 @@ proptest! {
             let mut state = net.initial_state(20.0);
             let mut drive = Drive::quiescent(net.node_count(), 20.0);
             drive.ambient = (20.0 - 0.8 * net.params().neighbor_temp) / 0.2;
-            drive.occupant_watts = net.occupant_load(people, 0.3);
+            net.occupant_load(people, 0.3, &mut drive.occupant_watts);
+            let mut buf = Rk4Buffers::new(net.state_len());
             for _ in 0..30 {
-                net.rk4_step(&mut state, &drive, 60.0);
+                net.rk4_step(&mut state, &drive, 60.0, &mut buf);
             }
             net.zone_temps(&state).to_vec()
         };
@@ -71,8 +72,9 @@ proptest! {
             z.iter().sum::<f64>() / z.len() as f64
         };
         let mut last = mean(&state);
+        let mut buf = Rk4Buffers::new(net.state_len());
         for _ in 0..steps {
-            net.rk4_step(&mut state, &drive, 60.0);
+            net.rk4_step(&mut state, &drive, 60.0, &mut buf);
             let now = mean(&state);
             prop_assert!(now <= last + 1e-9, "room warmed with cold surroundings");
             last = now;

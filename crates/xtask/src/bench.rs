@@ -9,8 +9,10 @@
 //! ```
 //!
 //! This module parses those lines and renders the machine-readable
-//! `BENCH_<label>.json` document the performance workflow commits
-//! alongside kernel changes (wall-times, thread count, git revision).
+//! `BENCH_<label>.json` document (wall-times, thread count, git
+//! revision) that `--compare` diffs between two builds. These are
+//! microbenchmarks; the repository benchmark with gated end-to-end
+//! metrics is `BENCHMARK.json` / `perfbench/`.
 //! Timings are informational, never a pass/fail gate: shared
 //! single-CPU runners are too noisy for thresholds, which is also why
 //! the shim reports medians rather than means.
@@ -135,7 +137,7 @@ impl std::fmt::Display for ReportError {
     }
 }
 
-/// Parses the bench entries out of a committed `BENCH_<label>.json`.
+/// Parses the bench entries out of a `BENCH_<label>.json` report.
 ///
 /// Line-oriented by design: the documents are written by
 /// [`render_json`] (one entry per line), and rejecting anything else —

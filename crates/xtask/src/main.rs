@@ -330,11 +330,12 @@ fn ci() -> ExitCode {
     if code != ExitCode::SUCCESS {
         return code;
     }
-    // Allocation-budget gate: the counting-allocator binary proves a
-    // warmed-up steady-state event performs zero heap allocations
-    // (see DESIGN.md § allocation budget). The full test step above
-    // already ran it; this dedicated step keeps the budget visible —
-    // and individually bisectable — in the CI log.
+    // Allocation-budget gate: the counting-allocator binaries prove a
+    // warmed-up steady-state stream event and a simulator step perform
+    // zero heap allocations (see DESIGN.md § allocation budget and
+    // § simulator design). The full test step above already ran them;
+    // this dedicated step keeps the budget visible — and individually
+    // bisectable — in the CI log.
     let code = run_steps(&[step(
         "alloc-free",
         &[
@@ -344,6 +345,8 @@ fn ci() -> ExitCode {
             "--release",
             "-p",
             "thermal-stream",
+            "-p",
+            "thermal-sim",
             "--test",
             "alloc_free",
         ],
@@ -417,8 +420,8 @@ fn ci() -> ExitCode {
     // Informational quick benches: surface the hot-path wall-times in
     // the CI log without gating on them — timings on shared runners
     // are too noisy to be a pass/fail criterion. The dedicated sweep
-    // smoke keeps the memoized Fig. 5 sweep (BENCH_sweep_pre/post
-    // pair) in its own report for the artifact upload.
+    // smoke keeps the memoized Fig. 5 sweep in its own report for the
+    // artifact upload.
     if bench(&["--label".to_owned(), "ci-quick".to_owned()]) != ExitCode::SUCCESS {
         eprintln!("xtask: quick bench failed (informational only, not gating CI)");
     }
