@@ -157,7 +157,15 @@ impl ReducedModel {
             member_idx.push(members.iter().map(|&m| dense_idx[m]).collect());
         }
 
-        let mut errors = Vec::new();
+        // One error per (predicted step, cluster); the truth means are
+        // summed out of one scratch row, in member order.
+        let warmup = self.model.spec().order.warmup();
+        let steps: usize = segments
+            .iter()
+            .map(|s| s.len().saturating_sub(warmup).min(horizon))
+            .sum();
+        let mut errors = Vec::with_capacity(steps * clusters.len());
+        let mut truth_vals = vec![0.0; member_idx.iter().map(Vec::len).max().unwrap_or(0)];
         let mut segments_used = 0usize;
         for seg in segments {
             let Ok(pred) = predict_segment(&self.model, dataset, seg, Some(horizon)) else {
@@ -165,16 +173,16 @@ impl ReducedModel {
             };
             segments_used += 1;
             for (row, &grid_idx) in pred.indices.iter().enumerate() {
-                for (c, cols) in rep_cols.iter().enumerate() {
+                for (cols, members) in rep_cols.iter().zip(&member_idx) {
                     let predicted: f64 =
                         cols.iter().map(|&j| pred.predicted[(row, j)]).sum::<f64>()
                             / cols.len() as f64;
-                    let truth_vals =
-                        dataset
-                            .values_at(grid_idx, &member_idx[c])
-                            .ok_or(CoreError::Internal {
-                                context: "segmentation admitted a missing sample",
-                            })?;
+                    let truth_vals = &mut truth_vals[..members.len()];
+                    if !dataset.gather(grid_idx, members, truth_vals) {
+                        return Err(CoreError::Internal {
+                            context: "segmentation admitted a missing sample",
+                        });
+                    }
                     let truth: f64 = truth_vals.iter().sum::<f64>() / truth_vals.len() as f64;
                     errors.push((predicted - truth).abs());
                 }

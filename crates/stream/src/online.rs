@@ -38,7 +38,7 @@ use thermal_ckpt::snapshot::{get_nested, get_nested_list, put_nested, put_nested
 use thermal_ckpt::{run_cell, CellOutcome, CellPolicy, CheckpointStore, CkptError, Snapshot};
 use thermal_core::{FallbackAction, ModelHealth};
 use thermal_linalg::Matrix;
-use thermal_sysid::{ModelSpec, RlsConfig, RlsEstimator, ThermalModel};
+use thermal_sysid::{regressors, ModelSpec, RlsConfig, RlsEstimator, ThermalModel};
 
 use crate::drift::{DriftConfig, DriftMachine, DriftStats};
 use crate::{Result, StreamError};
@@ -425,22 +425,22 @@ impl OnlineIdentifier {
         let p = self.estimator.spec().output_count();
         let mut x = std::mem::take(&mut self.x_scratch);
         x.clear();
+        x.resize(self.estimator.spec().regressor_width(), 0.0);
         let ok = 'assemble: {
             let Some(t_now) = self.prev_rows.back() else {
                 break 'assemble false;
             };
-            x.extend_from_slice(t_now);
-            if warmup == 2 {
-                let Some(t_prev) = self.prev_rows.front() else {
-                    break 'assemble false;
-                };
-                for (a, b) in t_now.iter().zip(t_prev) {
-                    x.push(a - b);
-                }
-            }
-            x.extend_from_slice(&self.prev_inputs);
+            let t_prev = match (warmup, self.prev_rows.front()) {
+                (2, Some(t_prev)) => Some(t_prev.as_slice()),
+                (2, None) => break 'assemble false,
+                _ => None,
+            };
             debug_assert_eq!(row.len(), p);
-            self.estimator.ingest(&x, row).is_ok()
+            // The row layout is sysid's: batch identification writes
+            // its rows through the same function, so the live and
+            // batch layouts cannot drift apart.
+            let written = regressors::write_regressor(t_now, t_prev, &self.prev_inputs, &mut x);
+            written && self.estimator.ingest(&x, row).is_ok()
         };
         self.x_scratch = x;
         if ok {

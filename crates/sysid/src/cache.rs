@@ -38,7 +38,7 @@
 use thermal_linalg::{CholeskyDecomposition, Matrix};
 use thermal_timeseries::{segments_from_mask, Dataset, Mask};
 
-use crate::regressors::resolve_spec;
+use crate::regressors::{resolve_spec, write_transitions};
 use crate::{FitConfig, ModelSpec, Result, SysidError, ThermalModel};
 
 /// FNV-1a 64-bit offset basis.
@@ -323,40 +323,6 @@ fn range_difference(new: &[(usize, usize)], old: &[(usize, usize)]) -> Option<Ve
     Some(out)
 }
 
-/// Builds the regressor row `x = [T(k); (ΔT(k)); u(k)]` and target
-/// `y = T(k+1)` for transition `k`, exactly as
-/// [`crate::regressors::assemble`] does.
-fn build_row(
-    dataset: &Dataset,
-    outputs: &[usize],
-    inputs: &[usize],
-    warmup: usize,
-    k: usize,
-    x: &mut Vec<f64>,
-    y: &mut Vec<f64>,
-) -> Result<()> {
-    let missing = || SysidError::Internal {
-        context: "segmentation admitted a missing sample",
-    };
-    let t_now = dataset.values_at(k, outputs).ok_or_else(missing)?;
-    let u_now = dataset.values_at(k, inputs).ok_or_else(missing)?;
-    let t_next = dataset.values_at(k + 1, outputs).ok_or_else(missing)?;
-    x.clear();
-    x.extend_from_slice(&t_now);
-    if warmup == 2 {
-        let t_prev = dataset
-            .values_at(k.wrapping_sub(1), outputs)
-            .ok_or_else(missing)?;
-        for (now, prev) in t_now.iter().zip(&t_prev) {
-            x.push(now - prev);
-        }
-    }
-    x.extend_from_slice(&u_now);
-    y.clear();
-    y.extend_from_slice(&t_next);
-    Ok(())
-}
-
 /// Accumulates one transition into normal-equation storage:
 /// `gram += x xᵀ`, `cross += x yᵀ`.
 fn accumulate(gram: &mut [f64], cross: &mut [f64], x: &[f64], y: &[f64]) {
@@ -405,9 +371,9 @@ pub(crate) struct SweepEngine<'a> {
     ingested: Vec<(usize, usize)>,
     /// Scratch for the rank-1 Givens sweeps.
     workspace: Vec<f64>,
-    /// Scratch regressor row.
+    /// Scratch regressor rows of the range being ingested.
     row_x: Vec<f64>,
-    /// Scratch target row.
+    /// Scratch target rows, aligned with `row_x`.
     row_y: Vec<f64>,
 }
 
@@ -455,8 +421,8 @@ impl<'a> SweepEngine<'a> {
             chol: None,
             ingested: Vec::new(),
             workspace: Vec::with_capacity(width),
-            row_x: Vec::with_capacity(width),
-            row_y: Vec::with_capacity(p),
+            row_x: Vec::new(),
+            row_y: Vec::new(),
         })
     }
 
@@ -482,65 +448,46 @@ impl<'a> SweepEngine<'a> {
             .collect())
     }
 
+    /// Writes the regressor and target rows of transitions `[a, b)`
+    /// into the engine's scratch rows.
+    fn write_rows(&mut self, a: usize, b: usize) -> Result<()> {
+        let rows = b.saturating_sub(a);
+        self.row_x.resize(rows * self.width, 0.0);
+        self.row_y.resize(rows * self.p, 0.0);
+        write_transitions(
+            self.dataset,
+            &self.outputs,
+            &self.inputs,
+            self.spec.order,
+            (a, b),
+            &mut self.row_x,
+            &mut self.row_y,
+        )
+    }
+
     /// Ingests `[a, b)` row by row, rank-1-updating the live Cholesky
     /// factor alongside the normal-equation accumulation.
     fn ingest_rows_rank_one(&mut self, a: usize, b: usize) -> Result<()> {
-        let mut x = std::mem::take(&mut self.row_x);
-        let mut y = std::mem::take(&mut self.row_y);
-        let mut w = std::mem::take(&mut self.workspace);
-        let mut result = Ok(());
-        for k in a..b {
-            if let Err(e) = build_row(
-                self.dataset,
-                &self.outputs,
-                &self.inputs,
-                self.warmup,
-                k,
-                &mut x,
-                &mut y,
-            ) {
-                result = Err(e);
-                break;
-            }
-            accumulate(&mut self.gram, &mut self.cross, &x, &y);
+        self.write_rows(a, b)?;
+        let rows = self.row_x.chunks_exact(self.width);
+        for (x, y) in rows.zip(self.row_y.chunks_exact(self.p)) {
+            accumulate(&mut self.gram, &mut self.cross, x, y);
             if let Some(chol) = self.chol.as_mut() {
-                if let Err(e) = chol.rank_one_update_with(&x, &mut w) {
-                    result = Err(e.into());
-                    break;
-                }
+                chol.rank_one_update_with(x, &mut self.workspace)?;
             }
         }
-        self.row_x = x;
-        self.row_y = y;
-        self.workspace = w;
-        result
+        Ok(())
     }
 
     /// Computes the memoizable block of `[a, b)` from scratch.
     fn compute_block(&mut self, a: usize, b: usize) -> Result<GramBlock> {
+        self.write_rows(a, b)?;
         let mut gram = vec![0.0; self.width * self.width];
         let mut cross = vec![0.0; self.width * self.p];
-        let mut x = std::mem::take(&mut self.row_x);
-        let mut y = std::mem::take(&mut self.row_y);
-        let mut result = Ok(());
-        for k in a..b {
-            if let Err(e) = build_row(
-                self.dataset,
-                &self.outputs,
-                &self.inputs,
-                self.warmup,
-                k,
-                &mut x,
-                &mut y,
-            ) {
-                result = Err(e);
-                break;
-            }
-            accumulate(&mut gram, &mut cross, &x, &y);
+        let rows = self.row_x.chunks_exact(self.width);
+        for (x, y) in rows.zip(self.row_y.chunks_exact(self.p)) {
+            accumulate(&mut gram, &mut cross, x, y);
         }
-        self.row_x = x;
-        self.row_y = y;
-        result?;
         Ok(GramBlock {
             gram,
             cross,
@@ -671,7 +618,9 @@ pub fn identify_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, Case};
     use crate::{identify, ModelOrder};
+    use proptest::prelude::*;
     use thermal_timeseries::{Channel, TimeGrid, Timestamp};
 
     fn synth(n: usize) -> Dataset {
@@ -704,6 +653,47 @@ mod tests {
         (0..r)
             .flat_map(|i| c.row(i)[..w].iter().map(|v| v.to_bits()))
             .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The engine's transition ranges, memoizable blocks and
+        /// row-by-row ingest match the reference rows bit for bit.
+        #[test]
+        fn engine_blocks_match_reference(
+            shape in (1usize..=3, 1usize..=2, 12usize..90),
+            second in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let order = if second { ModelOrder::Second } else { ModelOrder::First };
+            let (p, m, n) = shape;
+            let Case { dataset, spec, mask, .. } = Case::draw(p, m, n, order, seed).unwrap();
+            let mut engine = SweepEngine::new(&dataset, &spec, &FitConfig::default()).unwrap();
+            let ranges = engine.transition_ranges(&mask).unwrap();
+            let warmup = order.warmup();
+            let want: Vec<(usize, usize)> = reference::usable_segments(&dataset, &spec, &mask)
+                .unwrap()
+                .iter()
+                .map(|s| (s.start + warmup - 1, s.end - 1))
+                .collect();
+            prop_assert_eq!(&ranges, &want);
+
+            let (w, p) = (spec.regressor_width(), spec.output_count());
+            let (mut gram, mut cross) = (vec![0.0; w * w], vec![0.0; w * p]);
+            for &(a, b) in &ranges {
+                let block = engine.compute_block(a, b).unwrap();
+                let (mut g, mut c) = (vec![0.0; w * w], vec![0.0; w * p]);
+                reference::accumulate_rows(&dataset, &spec, (a, b), &mut g, &mut c).unwrap();
+                prop_assert_eq!(reference::bits(&block.gram), reference::bits(&g));
+                prop_assert_eq!(reference::bits(&block.cross), reference::bits(&c));
+                reference::accumulate_rows(&dataset, &spec, (a, b), &mut gram, &mut cross)
+                    .unwrap();
+                engine.ingest_rows_rank_one(a, b).unwrap();
+            }
+            prop_assert_eq!(reference::bits(&engine.gram), reference::bits(&gram));
+            prop_assert_eq!(reference::bits(&engine.cross), reference::bits(&cross));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use thermal_linalg::Matrix;
 use thermal_timeseries::{Dataset, Mask};
 
-use crate::regressors::{resolve_spec, usable_segments};
+use crate::regressors::{resolve_spec, usable_segments, write_transitions};
 use crate::{Result, SysidError, ThermalModel};
 
 /// One-step-ahead residuals of a model over the usable segments of a
@@ -143,36 +143,23 @@ pub fn residual_report(
     let (outputs, inputs) = resolve_spec(dataset, spec)?;
     let segments = usable_segments(dataset, spec, mask)?;
     let warmup = spec.order.warmup();
+    let width = spec.regressor_width();
     let p = outputs.len();
 
-    let mut residuals: Vec<Vec<f64>> = vec![Vec::new(); p];
+    let total: usize = segments.iter().map(|s| s.transition_count(warmup)).sum();
+    let mut residuals: Vec<Vec<f64>> = vec![Vec::with_capacity(total); p];
+    let (mut x, mut y) = (Vec::new(), Vec::new());
+    let mut predicted = Vec::with_capacity(p);
     for seg in segments {
-        for k in (seg.start + warmup - 1)..(seg.end - 1) {
-            let t_now = dataset.values_at(k, &outputs).ok_or(SysidError::Internal {
-                context: "segmentation admitted a missing sample",
-            })?;
-            let u_now = dataset.values_at(k, &inputs).ok_or(SysidError::Internal {
-                context: "segmentation admitted a missing sample",
-            })?;
-            let t_prev = if warmup == 2 {
-                Some(
-                    dataset
-                        .values_at(k - 1, &outputs)
-                        .ok_or(SysidError::Internal {
-                            context: "segmentation admitted a missing sample",
-                        })?,
-                )
-            } else {
-                None
-            };
-            let predicted = model.predict_next(&t_now, t_prev.as_deref(), &u_now)?;
-            let actual = dataset
-                .values_at(k + 1, &outputs)
-                .ok_or(SysidError::Internal {
-                    context: "segmentation admitted a missing sample",
-                })?;
-            for s in 0..p {
-                residuals[s].push(actual[s] - predicted[s]);
+        let rows = seg.transition_count(warmup);
+        x.resize(rows * width, 0.0);
+        y.resize(rows * p, 0.0);
+        let run = (seg.start + warmup - 1, seg.end - 1);
+        write_transitions(dataset, &outputs, &inputs, spec.order, run, &mut x, &mut y)?;
+        for (xr, actual) in x.chunks_exact(width).zip(y.chunks_exact(p)) {
+            model.predict_regressor_into(xr, &mut predicted);
+            for ((series, a), f) in residuals.iter_mut().zip(actual).zip(&predicted) {
+                series.push(a - f);
             }
         }
     }

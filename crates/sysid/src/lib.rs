@@ -71,6 +71,9 @@ pub mod regressors;
 pub mod rls;
 pub mod sweep;
 
+#[cfg(test)]
+mod reference;
+
 pub use cache::{identify_with_cache, CacheStats, GramCache};
 pub use error::SysidError;
 pub use fit::{identify, identify_from_data, FitConfig};

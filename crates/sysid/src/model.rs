@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use thermal_linalg::{Matrix, Vector};
 
+use crate::regressors::write_regressor;
 use crate::{Result, SysidError};
 
 /// Dynamic order of the identified thermal model.
@@ -227,40 +228,38 @@ impl ThermalModel {
                 actual: u.len(),
             });
         }
-        regressor.clear();
-        regressor.extend_from_slice(t);
-        if self.spec.order == ModelOrder::Second {
-            let prev = t_prev.ok_or(SysidError::DimensionMismatch {
+        let t_prev = match self.spec.order {
+            ModelOrder::First => None,
+            ModelOrder::Second => Some(t_prev.ok_or(SysidError::DimensionMismatch {
                 what: "previous state (second-order model)",
                 expected: p,
                 actual: 0,
-            })?;
-            if prev.len() != p {
-                return Err(SysidError::DimensionMismatch {
-                    what: "previous state",
-                    expected: p,
-                    actual: prev.len(),
-                });
-            }
-            for (a, b) in t.iter().zip(prev) {
-                regressor.push(a - b);
-            }
+            })?),
+        };
+        regressor.clear();
+        regressor.resize(self.spec.regressor_width(), 0.0);
+        // `t` and `u` fit the spec, so only a mis-sized `t_prev` can
+        // leave the row unwritten.
+        if !write_regressor(t, t_prev, u, regressor) {
+            return Err(SysidError::DimensionMismatch {
+                what: "previous state",
+                expected: p,
+                actual: t_prev.map_or(0, <[f64]>::len),
+            });
         }
-        regressor.extend_from_slice(u);
+        self.predict_regressor_into(regressor, out);
+        Ok(())
+    }
+
+    /// `out = Θ · x` for an already-written regressor row `x` (see
+    /// [`crate::regressors::write_regressor`]).
+    pub(crate) fn predict_regressor_into(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
-        for r in 0..p {
+        for r in 0..self.spec.output_count() {
             // Same ascending zip-sum as `Matrix::matvec`, so both
             // prediction entry points stay bitwise identical.
-            out.push(
-                self.coef
-                    .row(r)
-                    .iter()
-                    .zip(regressor.iter())
-                    .map(|(a, b)| a * b)
-                    .sum(),
-            );
+            out.push(self.coef.row(r).iter().zip(x).map(|(a, b)| a * b).sum());
         }
-        Ok(())
     }
 
     /// Open-loop simulation: starting from the measured initial
@@ -292,27 +291,25 @@ impl ThermalModel {
                 actual: inputs.cols(),
             });
         }
+        let second = self.spec.order == ModelOrder::Second;
         let mut out = Matrix::zeros(inputs.rows(), p);
-        let mut prev: Vec<f64> = if self.spec.order == ModelOrder::Second {
+        // Three state rows rotate through one step: T(k−1), T(k) and
+        // the prediction T(k+1), plus one regressor row — no step
+        // allocates.
+        let mut prev: Vec<f64> = if second {
             initial.row(0).to_vec()
         } else {
             vec![0.0; p]
         };
         let mut cur: Vec<f64> = initial.row(initial.rows() - 1).to_vec();
+        let mut next = Vec::with_capacity(p);
+        let mut regressor = Vec::with_capacity(self.spec.regressor_width());
         for k in 0..inputs.rows() {
-            let u = inputs.row(k);
-            let next = self.predict_next(
-                &cur,
-                if self.spec.order == ModelOrder::Second {
-                    Some(&prev)
-                } else {
-                    None
-                },
-                u,
-            )?;
-            out.row_mut(k).copy_from_slice(next.as_slice());
-            prev = std::mem::take(&mut cur);
-            cur = next.into_inner();
+            let t_prev = second.then_some(prev.as_slice());
+            self.predict_next_into(&cur, t_prev, inputs.row(k), &mut regressor, &mut next)?;
+            out.row_mut(k).copy_from_slice(&next);
+            std::mem::swap(&mut prev, &mut cur);
+            std::mem::swap(&mut cur, &mut next);
         }
         Ok(out)
     }

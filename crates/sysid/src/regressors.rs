@@ -6,12 +6,13 @@
 //! present, each admissible index `k` contributes one row
 //! `x = [T(k); (ΔT(k)); u(k)]` and one target row `y = T(k+1)`.
 //! Rows never straddle segment boundaries, which is exactly what makes
-//! the objective *piece-wise*.
+//! the objective *piece-wise*. [`write_regressor`] is the only place
+//! that layout is written down.
 
 use thermal_linalg::Matrix;
 use thermal_timeseries::{segments_from_mask, Dataset, Mask, Segment};
 
-use crate::{ModelSpec, Result, SysidError};
+use crate::{ModelOrder, ModelSpec, Result, SysidError};
 
 /// The assembled regression problem.
 #[derive(Debug, Clone)]
@@ -65,6 +66,89 @@ pub fn usable_segments(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Resu
     Ok(segments_from_mask(&usable, spec.order.warmup() + 1))
 }
 
+/// Writes the regressor of one transition, `x = [T(k); (T(k) − T(k−1));
+/// u(k)]`, into `x`; the transition's target is the measured `T(k+1)`.
+///
+/// This is the one definition of the regressor layout: batch assembly,
+/// the sweep engine, residual diagnostics, one-step prediction and the
+/// live recursive estimator all write their rows through it.
+/// `t_prev = Some(T(k−1))` writes a second-order row
+/// (`x.len() == 2p + m`), `None` a first-order one (`x.len() == p + m`).
+///
+/// Returns `false`, leaving `x` untouched, when the lengths do not fit
+/// that layout.
+pub fn write_regressor(t_now: &[f64], t_prev: Option<&[f64]>, u: &[f64], x: &mut [f64]) -> bool {
+    let p = t_now.len();
+    let state_len = if t_prev.is_some() { 2 * p } else { p };
+    if x.len() != state_len + u.len() || t_prev.is_some_and(|prev| prev.len() != p) {
+        return false;
+    }
+    let (state, inputs) = x.split_at_mut(state_len);
+    let (level, increment) = state.split_at_mut(p);
+    level.copy_from_slice(t_now);
+    if let Some(prev) = t_prev {
+        for ((d, now), before) in increment.iter_mut().zip(t_now).zip(prev) {
+            *d = now - before;
+        }
+    }
+    inputs.copy_from_slice(u);
+    true
+}
+
+/// Writes transitions `k ∈ [a, b)` of one gap-free run into `x`
+/// (`b − a` regressor rows, row-major) and `y` (their targets).
+///
+/// The slots the run reads, `a + 1 − warmup ..= b`, are extracted
+/// column by column through [`Dataset::matrix`]; every row then goes
+/// through [`write_regressor`]. Allocation scales with the number of
+/// runs, not with their length in samples.
+///
+/// # Errors
+///
+/// * propagated extraction failures when a read slot is missing or out
+///   of range,
+/// * [`SysidError::Internal`] when `x`/`y` do not hold `b − a` rows or
+///   the run starts before its warmup.
+pub(crate) fn write_transitions(
+    dataset: &Dataset,
+    outputs: &[usize],
+    inputs: &[usize],
+    order: ModelOrder,
+    (a, b): (usize, usize),
+    x: &mut [f64],
+    y: &mut [f64],
+) -> Result<()> {
+    let mismatch = SysidError::Internal {
+        context: "transition buffers do not match the run",
+    };
+    let p = outputs.len();
+    let width = order.state_blocks() * p + inputs.len();
+    let rows = b.saturating_sub(a);
+    let Some(first) = (a + 1).checked_sub(order.warmup()) else {
+        return Err(mismatch);
+    };
+    if p == 0 || x.len() != rows * width || y.len() != rows * p {
+        return Err(mismatch);
+    }
+    if rows == 0 {
+        return Ok(());
+    }
+    let slots = Segment::new(first, b + 1);
+    let t = dataset.matrix(slots, outputs)?;
+    let u = dataset.matrix(slots, inputs)?;
+    let rows = x.chunks_exact_mut(width).zip(y.chunks_exact_mut(p));
+    for (r, (xr, yr)) in rows.enumerate() {
+        // Row of T(k) within the extracted slots.
+        let now = r + order.warmup() - 1;
+        let t_prev = (order == ModelOrder::Second).then(|| t.row(now - 1));
+        if !write_regressor(t.row(now), t_prev, u.row(now), xr) {
+            return Err(mismatch);
+        }
+        yr.copy_from_slice(t.row(now + 1));
+    }
+    Ok(())
+}
+
 /// Assembles the stacked regression problem over the usable segments
 /// of `mask`.
 ///
@@ -89,68 +173,41 @@ pub fn assemble(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<Regr
     }
 
     let p = outputs.len();
-    // Each segment assembles its own row block independently (the rows
-    // a segment contributes depend only on that segment), so the
-    // blocks fan out over the configured thread count and are stitched
-    // together in segment order afterwards — bitwise identical to the
-    // sequential walk for any thread count.
-    let blocks = thermal_par::try_parallel_map(&segments, |seg| {
+    let mut x = vec![0.0_f64; total * width];
+    let mut y = vec![0.0_f64; total * p];
+    // Each segment writes its own row block of X and Y (the rows a
+    // segment contributes depend only on that segment), so the blocks
+    // fan out over the configured thread count — bitwise identical to
+    // the sequential walk for any thread count.
+    let mut blocks = Vec::with_capacity(segments.len());
+    let (mut x_rest, mut y_rest) = (x.as_mut_slice(), y.as_mut_slice());
+    for seg in &segments {
         let count = seg.transition_count(warmup);
-        let mut xs = vec![0.0_f64; count * width];
-        let mut ys = vec![0.0_f64; count * p];
-        for (r, k) in ((seg.start + warmup - 1)..(seg.end - 1)).enumerate() {
-            let t_now = dataset.values_at(k, &outputs).ok_or(SysidError::Internal {
-                context: "segmentation admitted a missing sample",
-            })?;
-            let u_now = dataset.values_at(k, &inputs).ok_or(SysidError::Internal {
-                context: "segmentation admitted a missing sample",
-            })?;
-            let t_next = dataset
-                .values_at(k + 1, &outputs)
-                .ok_or(SysidError::Internal {
-                    context: "segmentation admitted a missing sample",
-                })?;
-            let xr = &mut xs[r * width..(r + 1) * width];
-            xr[..p].copy_from_slice(&t_now);
-            let mut col = p;
-            if warmup == 2 {
-                let t_prev = dataset
-                    .values_at(k - 1, &outputs)
-                    .ok_or(SysidError::Internal {
-                        context: "segmentation admitted a missing sample",
-                    })?;
-                for i in 0..p {
-                    xr[col + i] = t_now[i] - t_prev[i];
-                }
-                col += p;
-            }
-            xr[col..col + inputs.len()].copy_from_slice(&u_now);
-            ys[r * p..(r + 1) * p].copy_from_slice(&t_next);
-        }
-        Ok::<(Vec<f64>, Vec<f64>), SysidError>((xs, ys))
-    })?;
-
-    let mut x = Matrix::zeros(total, width);
-    let mut y = Matrix::zeros(total, p);
-    let mut row = 0usize;
-    for (xs, ys) in &blocks {
-        let count = xs.len() / width;
-        for r in 0..count {
-            x.row_mut(row + r)
-                .copy_from_slice(&xs[r * width..(r + 1) * width]);
-            y.row_mut(row + r).copy_from_slice(&ys[r * p..(r + 1) * p]);
-        }
-        row += count;
+        let (xb, xt) = std::mem::take(&mut x_rest).split_at_mut(count * width);
+        let (yb, yt) = std::mem::take(&mut y_rest).split_at_mut(count * p);
+        (x_rest, y_rest) = (xt, yt);
+        blocks.push((*seg, xb, yb, Ok(())));
     }
-    debug_assert_eq!(row, total);
+    thermal_par::parallel_chunks_mut(&mut blocks, 1, |_, chunk| {
+        for (seg, xb, yb, status) in chunk {
+            let run = (seg.start + warmup - 1, seg.end - 1);
+            *status = write_transitions(dataset, &outputs, &inputs, spec.order, run, xb, yb);
+        }
+    });
+    for (_, _, _, status) in blocks {
+        status?;
+    }
 
-    Ok(RegressionData { x, y, segments })
+    Ok(RegressionData {
+        x: Matrix::from_vec(total, width, x)?,
+        y: Matrix::from_vec(total, p, y)?,
+        segments,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ModelOrder;
     use thermal_timeseries::{Channel, TimeGrid, Timestamp};
 
     fn dataset() -> Dataset {

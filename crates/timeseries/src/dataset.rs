@@ -131,34 +131,45 @@ impl Dataset {
             .collect()
     }
 
+    /// Checks every index in `channel_indices` before any sample is
+    /// read, naming `op` in the error.
+    fn check_channels(&self, op: &'static str, channel_indices: &[usize]) -> Result<()> {
+        match channel_indices.iter().find(|&&c| c >= self.channels.len()) {
+            Some(&index) => Err(TimeSeriesError::OutOfRange {
+                op,
+                index,
+                len: self.channels.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Mask of slots where *all* the given channels are present.
+    ///
+    /// Streams each channel's sample buffer once, one channel at a
+    /// time.
     ///
     /// # Errors
     ///
     /// Returns [`TimeSeriesError::OutOfRange`] for a bad channel
     /// index.
     pub fn presence_mask(&self, channel_indices: &[usize]) -> Result<Mask> {
-        for &c in channel_indices {
-            if c >= self.channels.len() {
-                return Err(TimeSeriesError::OutOfRange {
-                    op: "presence_mask",
-                    index: c,
-                    len: self.channels.len(),
-                });
+        self.check_channels("presence_mask", channel_indices)?;
+        let mut bits = vec![true; self.grid.len()];
+        for channel in channel_indices.iter().filter_map(|&c| self.channels.get(c)) {
+            for (bit, v) in bits.iter_mut().zip(channel.values()) {
+                *bit &= v.is_some();
             }
         }
-        let bits = (0..self.grid.len())
-            .map(|i| {
-                channel_indices
-                    .iter()
-                    .all(|&c| self.channels[c].is_present(i))
-            })
-            .collect();
         Ok(Mask::from_bits(bits))
     }
 
     /// Extracts a dense `segment.len() × channels` matrix for the given
     /// channels over a segment.
+    ///
+    /// Channel indices are checked before any sample is read; each
+    /// channel's samples over the segment are then copied into its
+    /// column in one pass.
     ///
     /// # Errors
     ///
@@ -175,35 +186,43 @@ impl Dataset {
                 len: self.grid.len(),
             });
         }
-        let mut data = Vec::with_capacity(segment.len() * channel_indices.len());
-        for i in segment.indices() {
-            for &c in channel_indices {
-                let ch = self.channel_at(c)?;
-                match ch.value(i) {
-                    Some(v) => data.push(v),
-                    None => {
-                        return Err(TimeSeriesError::Empty {
-                            op: "matrix extraction over a gap",
-                        })
-                    }
-                }
+        self.check_channels("matrix", channel_indices)?;
+        let width = channel_indices.len();
+        let mut data = vec![0.0; segment.len() * width];
+        for (j, channel) in channel_indices
+            .iter()
+            .filter_map(|&c| self.channels.get(c))
+            .enumerate()
+        {
+            let column = data.iter_mut().skip(j).step_by(width);
+            for (dst, v) in column.zip(&channel.values()[segment.start..segment.end]) {
+                *dst = v.ok_or(TimeSeriesError::Empty {
+                    op: "matrix extraction over a gap",
+                })?;
             }
         }
-        Matrix::from_vec(segment.len(), channel_indices.len(), data).map_err(|_| {
-            TimeSeriesError::Empty {
-                op: "matrix extraction",
-            }
+        Matrix::from_vec(segment.len(), width, data).map_err(|_| TimeSeriesError::Empty {
+            op: "matrix extraction",
         })
     }
 
-    /// Dense values of the given channels at one slot.
+    /// Writes the values of the given channels at slot `i` into `out`,
+    /// in `channel_indices` order, without allocating.
     ///
-    /// Returns `None` when any channel is missing at `i`.
-    pub fn values_at(&self, i: usize, channel_indices: &[usize]) -> Option<Vec<f64>> {
-        channel_indices
-            .iter()
-            .map(|&c| self.channels.get(c).and_then(|ch| ch.value(i)))
-            .collect()
+    /// Returns `false` when any channel is missing at `i` or out of
+    /// range, or when `out.len()` differs from `channel_indices.len()`;
+    /// `out` then holds an unspecified prefix of the values.
+    pub fn gather(&self, i: usize, channel_indices: &[usize], out: &mut [f64]) -> bool {
+        out.len() == channel_indices.len()
+            && channel_indices.iter().zip(out.iter_mut()).all(|(&c, dst)| {
+                match self.channels.get(c).and_then(|ch| ch.value(i)) {
+                    Some(v) => {
+                        *dst = v;
+                        true
+                    }
+                    None => false,
+                }
+            })
     }
 
     /// Sub-dataset containing only the named channels (order
@@ -277,15 +296,7 @@ impl Dataset {
     /// Returns [`TimeSeriesError::OutOfRange`] for a bad channel
     /// index.
     pub fn usable_days(&self, channel_indices: &[usize], min_coverage: f64) -> Result<Vec<i64>> {
-        for &c in channel_indices {
-            if c >= self.channels.len() {
-                return Err(TimeSeriesError::OutOfRange {
-                    op: "usable_days",
-                    index: c,
-                    len: self.channels.len(),
-                });
-            }
-        }
+        self.check_channels("usable_days", channel_indices)?;
         // slot counts and present counts per day
         let mut per_day: BTreeMap<i64, (usize, usize)> = BTreeMap::new();
         for (i, t) in self.grid.iter() {
@@ -386,11 +397,16 @@ mod tests {
     }
 
     #[test]
-    fn values_at() {
+    fn gather() {
         let ds = small();
-        assert_eq!(ds.values_at(0, &[1, 0]), Some(vec![10.0, 1.0]));
-        assert_eq!(ds.values_at(2, &[0, 1]), None);
-        assert_eq!(ds.values_at(0, &[5]), None);
+        let mut out = [0.0; 2];
+        assert!(ds.gather(0, &[1, 0], &mut out));
+        assert_eq!(out, [10.0, 1.0]);
+        assert!(!ds.gather(2, &[0, 1], &mut out));
+        assert!(!ds.gather(0, &[5], &mut out[..1]));
+        // The output must match the channel list exactly.
+        assert!(!ds.gather(0, &[0], &mut out));
+        assert!(ds.gather(0, &[], &mut []));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use thermal_timeseries::validate::{validate_channel, GapPolicy, ValidationConfig};
 use thermal_timeseries::{
-    csv, segments_from_mask, split, Channel, Dataset, Mask, TimeGrid, Timestamp,
+    csv, segments_from_mask, split, Channel, Dataset, Mask, TimeGrid, TimeSeriesError, Timestamp,
 };
 
 fn values_strategy(len: usize) -> impl Strategy<Value = Vec<Option<f64>>> {
@@ -115,13 +115,36 @@ proptest! {
     }
 
     #[test]
-    fn presence_mask_matches_channel_presence(v in values_strategy(30)) {
+    fn presence_mask_matches_channel_presence(
+        columns in prop::collection::vec(values_strategy(30), 1..5),
+        picks in prop::collection::vec(0usize..16, 0..7),
+    ) {
         let grid = TimeGrid::new(Timestamp::from_minutes(0), 5, 30).unwrap();
-        let ds = Dataset::new(grid, vec![Channel::new("x", v.clone()).unwrap()]).unwrap();
-        let mask = ds.presence_mask(&[0]).unwrap();
-        for (i, val) in v.iter().enumerate() {
-            prop_assert_eq!(mask.get(i), val.is_some());
+        let ch: Vec<Channel> = columns
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| Channel::new(format!("c{i}"), v).unwrap())
+            .collect();
+        let ds = Dataset::new(grid, ch.clone()).unwrap();
+        // A random subset in random order: possibly empty, usually
+        // with repeated indices.
+        let indices: Vec<usize> = picks.iter().map(|&k| k % ch.len()).collect();
+        for indices in [&indices[..], &[]] {
+            let mask = ds.presence_mask(indices).unwrap();
+            prop_assert_eq!(mask.len(), 30);
+            for i in 0..30 {
+                prop_assert_eq!(mask.get(i), indices.iter().all(|&c| ch[c].is_present(i)));
+            }
         }
+        // One index past the last channel, anywhere in the list, is
+        // rejected with the offending index.
+        let mut bad = indices.clone();
+        bad.insert(picks.first().map_or(0, |&k| k % (bad.len() + 1)), ch.len());
+        let err = ds.presence_mask(&bad).unwrap_err();
+        prop_assert!(
+            matches!(err, TimeSeriesError::OutOfRange { index, .. } if index == ch.len()),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -332,10 +332,11 @@ fn ci() -> ExitCode {
     }
     // Allocation-budget gate: the counting-allocator binaries prove a
     // warmed-up steady-state stream event and a simulator step perform
-    // zero heap allocations (see DESIGN.md § allocation budget and
-    // § simulator design). The full test step above already ran them;
-    // this dedicated step keeps the budget visible — and individually
-    // bisectable — in the CI log.
+    // zero heap allocations, and that batch assembly and open-loop
+    // prediction allocate per segment, never per sample (see DESIGN.md
+    // § allocation budget and § simulator design). The full test step
+    // above already ran them; this dedicated step keeps the budget
+    // visible — and individually bisectable — in the CI log.
     let code = run_steps(&[step(
         "alloc-free",
         &[
@@ -347,6 +348,8 @@ fn ci() -> ExitCode {
             "thermal-stream",
             "-p",
             "thermal-sim",
+            "-p",
+            "thermal-sysid",
             "--test",
             "alloc_free",
         ],
