@@ -3,7 +3,7 @@
 //! substitution ladder → live prediction).
 //!
 //! Timings here are informational (recorded in `BENCH_<label>.json`);
-//! correctness of the stream layer is gated by `cargo xtask soak`,
+//! correctness of the stream layer is gated by `cargo xtask soak stream`,
 //! which asserts bitwise-deterministic final state instead of
 //! wall-clock numbers.
 

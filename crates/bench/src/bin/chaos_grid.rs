@@ -5,8 +5,8 @@
 //! [`ThermalPipeline::fit_checkpointed`], run a fault-injection ×
 //! validation grid of supervised cells with [`thermal_ckpt::run_cell`],
 //! and commit a final `grid.csv` artifact — every byte on disk going
-//! through the atomic-write path. `cargo xtask chaos` runs this
-//! binary once cleanly to count durable writes, then re-runs it with
+//! through the atomic-write path. `cargo xtask soak grid --kill` runs
+//! this binary once cleanly to count durable writes, then re-runs it with
 //! `THERMAL_KILL_AT=k` for each k (crashing with exit code 86 at the
 //! k-th write), resumes, and asserts the final store is
 //! byte-identical to the uninterrupted run.

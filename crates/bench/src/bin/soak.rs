@@ -13,7 +13,7 @@
 //! The final state (health machines, runtime counters, per-cluster
 //! predictions) is written as canonical byte-stable JSON
 //! ([`thermal_stream::SoakReport`]) via the atomic-write path, so the
-//! `cargo xtask soak` driver can require bitwise-identical reports
+//! `cargo xtask soak stream` runner can require bitwise-identical reports
 //! across repeated runs and `THERMAL_THREADS` settings.
 //!
 //! ```sh
@@ -32,28 +32,24 @@
 //! snapshotted whole, and a re-launch after a mid-run kill restores
 //! the newest good snapshot and continues — producing a report
 //! byte-identical to an uninterrupted run (the restore-equivalence
-//! contract `cargo xtask chaos --stream` enforces at every kill
+//! contract `cargo xtask soak stream --kill` enforces at every kill
 //! point).
 
 use std::path::{Path, PathBuf};
 
+use thermal_bench::campaign::{fit_model, synth_dataset, SLOTS_PER_DAY};
 use thermal_ckpt::codec::Record;
 use thermal_ckpt::snapshot::{
     gc_snapshots, get_nested, latest_record_snapshot, put_nested, restore_from,
     save_record_snapshot, save_snapshot, snapshot_name,
 };
 use thermal_ckpt::CheckpointStore;
-use thermal_core::{
-    ClusterCount, FallbackAction, ModelOrder, ReducedModel, SelectorKind, ThermalPipeline,
-};
+use thermal_core::{FallbackAction, ReducedModel};
 use thermal_stream::{
     parse_csv_events, BackoffPolicy, FlakySource, ReplayConfig, SoakIntensityReport,
     SoakPrediction, SoakReport, StreamConfig, StreamService, TraceReplayer,
 };
-use thermal_timeseries::{csv, Channel, Dataset, Mask, TimeGrid, Timestamp};
-
-/// Event-loop slots per simulated day (5-minute telemetry).
-const SLOTS_PER_DAY: usize = 288;
+use thermal_timeseries::{csv, Channel, Dataset};
 
 /// Default corruption intensities, milli-units.
 const DEFAULT_INTENSITIES: &[u32] = &[0, 50, 150, 400];
@@ -242,52 +238,6 @@ impl SoakCkpt {
     fn save_intensity(&mut self, index: usize, report: &SoakIntensityReport) -> Result<(), String> {
         save_snapshot(&mut self.store, "intensity", index as u64, report).map_err(|e| e.to_string())
     }
-}
-
-/// The synthetic campaign: six sensors in two thermal families of
-/// three, driven by one shared input, `days` × 288 five-minute slots.
-/// Pure arithmetic — bit-identical on every run.
-fn synth_dataset(days: usize) -> Result<Dataset, String> {
-    let n = days * SLOTS_PER_DAY;
-    let u: Vec<f64> = (0..n)
-        .map(|k| 0.5 + 0.5 * (k as f64 * 0.11).sin())
-        .collect();
-    let mut channels = vec![Channel::from_values("u", u.clone()).map_err(|e| e.to_string())?];
-    let params = [
-        (1.0_f64, 20.0_f64),
-        (1.05, 20.1),
-        (1.1, 20.2),
-        (-1.0, 22.0),
-        (-0.95, 22.1),
-        (-0.9, 22.2),
-    ];
-    for (i, (gain, base)) in params.into_iter().enumerate() {
-        let mut t = vec![base];
-        for k in 0..n - 1 {
-            let wiggle = 0.01 * (((k * 31 + i * 7) % 17) as f64 / 17.0);
-            t.push(0.9 * t[k] + 0.1 * base + gain * 0.2 * u[k] + wiggle);
-        }
-        channels.push(Channel::from_values(format!("s{i}"), t).map_err(|e| e.to_string())?);
-    }
-    let grid = TimeGrid::new(Timestamp::from_minutes(0), 5, n).map_err(|e| e.to_string())?;
-    Dataset::new(grid, channels).map_err(|e| e.to_string())
-}
-
-fn fit_model(dataset: &Dataset, seed: u64) -> Result<ReducedModel, String> {
-    ThermalPipeline::builder()
-        .cluster_count(ClusterCount::Fixed(2))
-        .selector(SelectorKind::NearMean)
-        .model_order(ModelOrder::First)
-        .seed(seed)
-        .build()
-        .map_err(|e| e.to_string())?
-        .fit(
-            dataset,
-            &["s0", "s1", "s2", "s3", "s4", "s5"],
-            &["u"],
-            &Mask::all(dataset.grid()),
-        )
-        .map_err(|e| e.to_string())
 }
 
 /// Stable report label of a ladder action.

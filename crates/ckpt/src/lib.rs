@@ -36,9 +36,9 @@
 //!
 //! The workspace's bitwise-determinism contract (see `thermal-par`)
 //! plus canonical payload/manifest encodings give the crate its
-//! headline guarantee, enforced by `cargo xtask chaos`: a run killed
-//! at *any* durable write and then resumed produces final artifacts
-//! **byte-identical** to an uninterrupted run.
+//! headline guarantee, enforced by `cargo xtask soak grid --kill`: a
+//! run killed at *any* durable write and then resumed produces final
+//! artifacts **byte-identical** to an uninterrupted run.
 //!
 //! # Example
 //!

@@ -1,10 +1,10 @@
 //! Kill-point injection: deterministic process abort at the *k*-th
 //! durable write.
 //!
-//! The chaos harness (`cargo xtask chaos`) needs to crash the process
-//! at every point where on-disk state changes, then prove that a
-//! resumed run converges to the byte-identical final artifacts. This
-//! module is the crash trigger: `thermal-ckpt` calls
+//! The kill-point sweep (`cargo xtask soak <scenario> --kill`) needs to
+//! crash the process at every point where on-disk state changes, then
+//! prove that a resumed run converges to the byte-identical final
+//! artifacts. This module is the crash trigger: `thermal-ckpt` calls
 //! [`durable_write_tick`] immediately *before* each atomic commit
 //! (the rename that publishes a temp file), and when the process-wide
 //! write counter reaches the configured kill point the process exits

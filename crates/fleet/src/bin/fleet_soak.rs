@@ -15,7 +15,7 @@
 //!
 //! The workload asserts the blast radius internally — every targeted
 //! building must leave Healthy, no untargeted building may — and the
-//! `cargo xtask soak --fleet` driver additionally byte-compares the
+//! `cargo xtask soak fleet` runner additionally byte-compares the
 //! untargeted buildings' reports against a fault-free run and across
 //! `THERMAL_THREADS` settings.
 //!
@@ -33,7 +33,8 @@
 //! building's checkpoint store at every such slot boundary; a
 //! re-launch after a mid-run kill restores the newest good snapshots
 //! and produces byte-identical reports — the restore-equivalence
-//! contract `cargo xtask chaos --fleet` enforces at every kill point.
+//! contract `cargo xtask soak fleet --kill` enforces at every kill
+//! point.
 
 use std::path::{Path, PathBuf};
 

@@ -35,7 +35,7 @@
 //!   order-preserving `thermal-par` maps. Each building's report
 //!   depends only on its own inputs — the **blast-radius
 //!   guarantee** asserted byte-for-byte by `cargo xtask soak
-//!   --fleet`.
+//!   fleet`.
 //! * [`report`] — canonical byte-stable JSON: per-building reports
 //!   (building-local only), the fleet summary, and the quarantine
 //!   event log.

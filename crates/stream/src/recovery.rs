@@ -1,7 +1,7 @@
 //! Machine-readable drift-recovery reports with canonical,
 //! byte-stable JSON.
 //!
-//! The recovery-soak harness (`cargo xtask soak --recovery`) replays a
+//! The recovery soak (`cargo xtask soak recovery`) replays a
 //! trace with a deterministic mid-trace regime shift through a service
 //! running the online identification loop, and asserts the served
 //! model heals itself: the windowed residual RMSE must return to a

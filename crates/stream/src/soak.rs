@@ -1,6 +1,6 @@
 //! Machine-readable soak reports with canonical, byte-stable JSON.
 //!
-//! The chaos-soak harness (`cargo xtask soak`) replays a full trace
+//! The chaos soak (`cargo xtask soak stream`) replays a full trace
 //! through corrupted ingest at several intensities and asserts the
 //! final state is **bitwise identical** across repeated runs and
 //! thread counts. That comparison is done on the serialized report,

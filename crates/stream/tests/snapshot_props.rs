@@ -2,7 +2,7 @@
 //! (see DESIGN.md § restore-equivalence): for *any* driven history,
 //! `capture → restore onto a fresh instance → capture` must reproduce
 //! the snapshot bytes exactly. Byte identity is the contract the
-//! kill-point chaos harness (`cargo xtask chaos --stream`) stands on —
+//! kill-point sweep (`cargo xtask soak stream --kill`) stands on —
 //! a restored component that re-captures differently would diverge
 //! from the uninterrupted run at the next snapshot boundary.
 

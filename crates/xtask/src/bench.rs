@@ -17,6 +17,8 @@
 //! single-CPU runners are too noisy for thresholds, which is also why
 //! the shim reports medians rather than means.
 
+use crate::json::escape;
+
 /// One parsed benchmark measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
@@ -106,10 +108,6 @@ pub fn render_json(
     }
     json.push_str("  ]\n}\n");
     json
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Why a committed bench report cannot be compared.
@@ -287,6 +285,10 @@ bench malformed line without the shape
     fn json_escapes_quotes() {
         let json = render_json("a\"b", "rev", 1, "default", &[]);
         assert!(json.contains("a\\\"b"));
+        // A control character in the label must not reach the document raw.
+        let json = render_json("a\tb", "rev", 1, "default", &[]);
+        assert!(json.contains("\"label\": \"a\\tb\""), "{json}");
+        assert!(crate::json::parse(&json).is_ok());
     }
 
     #[test]

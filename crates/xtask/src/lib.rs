@@ -8,7 +8,6 @@
 pub mod allowlist;
 pub mod baseline;
 pub mod bench;
-pub mod chaos;
 pub mod checks;
 pub mod json;
 pub mod lexer;

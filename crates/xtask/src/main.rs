@@ -10,34 +10,19 @@
 //! - `cargo xtask fmt` — `cargo fmt --all`.
 //! - `cargo xtask ci` — fmt-check → clippy → lint → build → test →
 //!   fault-matrix smoke → allocation-budget gate → determinism smoke
-//!   → chaos smoke → soak smoke → quick bench + sweep smoke
-//!   (informational).
+//!   → soak smokes (one per scenario row, plain and `--kill`) → quick
+//!   bench + sweep smoke (informational).
 //! - `cargo xtask bench [--label L] [--full] [--only B]` — curated
 //!   criterion benches, written as machine-readable
 //!   `BENCH_<label>.json`; `--compare <a> <b>` prints per-bench
 //!   speedups between two reports (rejecting the retired `mean_ns`
 //!   schema).
-//! - `cargo xtask chaos [--stream|--fleet] [--smoke]` — kill-point
-//!   crash/resume harness: crash the checkpointed workload at every
-//!   durable write and require byte-identical recovery (see DESIGN.md
-//!   § crash recovery). `--stream` and `--fleet` drive the
-//!   snapshotting soak workloads instead and require the resumed final
-//!   reports byte-identical to an uninterrupted baseline — including
-//!   across `THERMAL_THREADS` settings and with torn or bit-flipped
-//!   snapshots on disk (see DESIGN.md § restore-equivalence).
-//! - `cargo xtask soak [--smoke] [--list] [--only <scenario>]` —
-//!   chaos-soak harness with a scenario registry. `stream` (default)
-//!   replays a full trace through corrupted, flaky, out-of-order
-//!   ingest and requires a bitwise-deterministic soak report across
-//!   repeated runs and thread counts (see DESIGN.md § streaming
-//!   runtime). `recovery` (shorthand `--recovery`) runs the
-//!   drift-recovery scenario: a mid-trace regime shift must be
-//!   detected, refitted, and healed within a bounded number of slots
-//!   (see DESIGN.md § online identification). `fleet` (shorthand
-//!   `--fleet`) runs the multi-building blast-radius soak: faults
-//!   injected into a chosen subset of a minted fleet must quarantine
-//!   exactly that subset, byte-for-byte (see DESIGN.md § fleet
-//!   serving).
+//! - `cargo xtask soak <scenario> [--smoke] [--kill]` / `--list` —
+//!   the table-driven robustness runner (see `xtask::soak`): byte
+//!   determinism across repeats and thread counts, the fleet blast
+//!   radius, and with `--kill` the kill-point crash/resume sweep with
+//!   corruption cases (see DESIGN.md § crash recovery and
+//!   § restore-equivalence).
 //! - `cargo xtask miri` — Miri over the `linalg`/`timeseries` unit
 //!   tests (skips with a notice when Miri is not installed).
 
@@ -80,7 +65,6 @@ fn main() -> ExitCode {
         "fmt" => run_steps(&[step("fmt", &["fmt", "--all"])]),
         "ci" => ci(),
         "bench" => bench(&args[1..]),
-        "chaos" => chaos(&args[1..]),
         "soak" => soak(&args[1..]),
         "miri" => miri(),
         "help" | "--help" | "-h" => {
@@ -106,21 +90,16 @@ fn print_help() {
          \x20                      (ratcheted: per-rule counts may only shrink)\n\
          \x20 fmt                  format the workspace (cargo fmt --all)\n\
          \x20 ci                   fmt-check, clippy, lint, build, test, fault-matrix,\n\
-         \x20                      determinism/chaos/soak smokes, quick bench (informational)\n\
+         \x20                      determinism and soak smokes, quick bench (informational)\n\
          \x20 bench [--label L]    curated hot-path benches -> BENCH_<L>.json\n\
          \x20       [--full]      (default: quick mode, {QUICK_BENCH_SAMPLES} samples per bench)\n\
          \x20       [--only B]     run a single curated bench binary\n\
          \x20       [--compare <before.json> <after.json>]  print per-bench speedups;\n\
          \x20                      rejects the retired `mean_ns` schema and mixed schemas\n\
-         \x20 chaos [--smoke]      kill-point crash/resume harness (--smoke: boundary\n\
-         \x20       [--stream]     kill points only; default: every durable write);\n\
-         \x20       [--fleet]      --stream/--fleet: snapshotting soak workloads with\n\
-         \x20                      report restore-equivalence + torn-snapshot recovery\n\
-         \x20 soak [--smoke]       chaos-soak harness: corrupted/flaky stream replay with\n\
-         \x20      [--only S]      a bitwise-deterministic report (--smoke: short sweep);\n\
-         \x20      [--list]        --only picks a scenario (stream|recovery|fleet),\n\
-         \x20      [--recovery]    --list prints the registry, --recovery/--fleet are\n\
-         \x20      [--fleet]       shorthands (fleet: multi-building blast-radius soak)\n\
+         \x20 soak <scenario>      robustness runner: determinism, blast radius\n\
+         \x20      [--smoke]       (short sweep / boundary kill points)\n\
+         \x20      [--kill]        kill-point crash/resume sweep + corruption cases\n\
+         \x20 soak --list          print the scenario table\n\
          \x20 miri                 Miri over linalg/timeseries unit tests\n\
          \x20 help                 show this message"
     );
@@ -361,64 +340,15 @@ fn ci() -> ExitCode {
     if code != ExitCode::SUCCESS {
         return code;
     }
-    // Crash-safety smoke: kill the checkpointed workload at the
-    // boundary durable writes and require byte-identical resume (the
-    // dedicated CI job sweeps every kill point).
-    eprintln!("xtask: chaos smoke");
-    let code = chaos(&["--smoke".to_owned()]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Live-serving crash-safety smokes: kill the snapshotting stream
-    // and fleet soaks at the boundary durable writes and require the
-    // resumed final reports byte-identical to an uninterrupted run
-    // (the dedicated CI jobs sweep every kill point).
-    eprintln!("xtask: chaos stream smoke");
-    let code = chaos(&["--stream".to_owned(), "--smoke".to_owned()]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    eprintln!("xtask: chaos fleet smoke");
-    let code = chaos(&["--fleet".to_owned(), "--smoke".to_owned()]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Streaming-robustness smoke: a short corrupted/flaky replay must
-    // finish panic-free with a bitwise-deterministic soak report (the
-    // dedicated CI job runs the full sweep).
-    eprintln!("xtask: soak smoke");
-    let code = soak(&[
-        "--smoke".to_owned(),
-        "--only".to_owned(),
-        "stream".to_owned(),
-    ]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Self-healing smoke: a mid-trace regime shift must be detected,
-    // refitted, and healed deterministically (the dedicated CI job
-    // runs the full two-day scenario).
-    eprintln!("xtask: drift-recovery smoke");
-    let code = soak(&[
-        "--smoke".to_owned(),
-        "--only".to_owned(),
-        "recovery".to_owned(),
-    ]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Fleet blast-radius smoke: a small fleet with two fault-targeted
-    // buildings must quarantine exactly those two and leave every
-    // other building's report byte-identical to a fault-free baseline
-    // (the dedicated CI job runs the full fleet sweep).
-    eprintln!("xtask: fleet-soak smoke");
-    let code = soak(&[
-        "--smoke".to_owned(),
-        "--only".to_owned(),
-        "fleet".to_owned(),
-    ]);
-    if code != ExitCode::SUCCESS {
-        return code;
+    // Robustness smokes, one per scenario row (the dedicated CI
+    // matrix job runs the full sweeps).
+    for (scenario, kill) in xtask::soak::ci_smokes() {
+        let flag = if kill { " --kill" } else { "" };
+        eprintln!("xtask: soak {} --smoke{flag}", scenario.name);
+        let code = run_soak(scenario, true, kill);
+        if code != ExitCode::SUCCESS {
+            return code;
+        }
     }
     // Informational quick benches: surface the hot-path wall-times in
     // the CI log without gating on them — timings on shared runners
@@ -650,119 +580,47 @@ fn bench_compare(before_path: &str, after_path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the kill-point chaos harness (see `xtask::chaos`). With no
-/// workload flag it drives the checkpointed fit grid; `--stream` and
-/// `--fleet` drive the snapshotting soak workloads and additionally
-/// prove restore-equivalence of the final report bytes.
-fn chaos(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut workload: Option<xtask::chaos::SnapshotWorkload> = None;
+/// `cargo xtask soak <scenario> [--smoke] [--kill]`, or `--list`.
+fn soak(args: &[String]) -> ExitCode {
+    let (mut smoke, mut kill, mut name) = (false, false, None);
     for arg in args {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--stream" if workload.is_none() => {
-                workload = Some(xtask::chaos::SnapshotWorkload::Stream);
+            "--kill" => kill = true,
+            "--list" => {
+                for s in xtask::soak::SCENARIOS {
+                    let flags = if s.kill.is_some() { "[--kill]" } else { "" };
+                    println!("{:<10} {:<9}{}", s.name, flags, s.about);
+                }
+                return ExitCode::SUCCESS;
             }
-            "--fleet" if workload.is_none() => {
-                workload = Some(xtask::chaos::SnapshotWorkload::Fleet);
-            }
-            _ => {
-                eprintln!("xtask chaos: expected [--stream|--fleet] [--smoke]");
+            other if name.is_none() && !other.starts_with('-') => name = Some(other),
+            other => {
+                eprintln!(
+                    "xtask soak: unexpected `{other}`; usage: soak <scenario> [--smoke] \
+                     [--kill] | soak --list"
+                );
                 return ExitCode::FAILURE;
             }
         }
     }
-    let root = workspace_root();
-    let outcome = match workload {
-        None => xtask::chaos::run(&root, smoke),
-        Some(w) => xtask::chaos::run_snapshots(&root, w, smoke),
+    let Some(name) = name else {
+        eprintln!("xtask soak: name a scenario (see --list)");
+        return ExitCode::FAILURE;
     };
-    match outcome {
-        Ok(()) => {
-            eprintln!("xtask chaos: clean");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask chaos: FAILED: {e}");
+    match xtask::soak::find(name) {
+        Some(scenario) => run_soak(scenario, smoke, kill),
+        None => {
+            eprintln!("xtask soak: unknown scenario `{name}` (see --list)");
             ExitCode::FAILURE
         }
     }
 }
 
-/// Runs one soak harness scenario, chosen from the registry in
-/// `xtask::soak::SCENARIOS` via `--only <scenario>` (default
-/// `stream`; `--recovery` and `--fleet` are shorthands). `--list`
-/// prints the registry and exits.
-fn soak(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut only: Option<String> = None;
-    let mut iter = args.iter();
-    let pick = |scenario: &str, only: &mut Option<String>| -> bool {
-        if let Some(prev) = only.as_deref() {
-            if prev != scenario {
-                eprintln!(
-                    "xtask soak: scenario already set to `{prev}`, cannot also run `{scenario}`"
-                );
-                return false;
-            }
-        }
-        *only = Some(scenario.to_owned());
-        true
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--list" => {
-                for &(name, description) in xtask::soak::SCENARIOS {
-                    println!("{name:<10} {description}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--recovery" => {
-                if !pick("recovery", &mut only) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--fleet" => {
-                if !pick("fleet", &mut only) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--only" => {
-                let Some(name) = iter.next() else {
-                    eprintln!("xtask soak: `--only` needs a scenario name (see --list)");
-                    return ExitCode::FAILURE;
-                };
-                if !pick(name, &mut only) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            _ => {
-                eprintln!(
-                    "xtask soak: expected `--smoke`, `--list`, `--only <scenario>`, \
-                     `--recovery`, or `--fleet`"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let scenario = only.as_deref().unwrap_or("stream");
-    let result = match scenario {
-        "stream" => xtask::soak::run(&workspace_root(), smoke),
-        "recovery" => xtask::soak::run_recovery(&workspace_root(), smoke),
-        "fleet" => xtask::soak::run_fleet(&workspace_root(), smoke),
-        other => {
-            let known: Vec<&str> = xtask::soak::SCENARIOS.iter().map(|&(n, _)| n).collect();
-            eprintln!(
-                "xtask soak: unknown scenario `{other}` (known: {})",
-                known.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    match result {
+fn run_soak(scenario: &xtask::soak::Scenario, smoke: bool, kill: bool) -> ExitCode {
+    match xtask::soak::run(&workspace_root(), scenario, smoke, kill) {
         Ok(()) => {
-            eprintln!("xtask soak: clean ({scenario})");
+            eprintln!("xtask soak: clean ({})", scenario.name);
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -1,430 +1,670 @@
-//! Chaos-soak harness driver — `cargo xtask soak`.
+//! Table-driven soak/chaos runner — `cargo xtask soak <scenario>
+//! [--smoke] [--kill]`.
 //!
-//! Proves the streaming runtime's robustness contract end-to-end with
-//! real processes replaying a full trace through corrupted ingest:
+//! Each robustness workload is one [`Scenario`] row in [`SCENARIOS`]:
+//! its binary and `<name>: ok` marker, its arguments, the artefacts
+//! whose bytes carry its contract, and, where it has them, a kill
+//! contract and fault targets. The engine makes every check once, for
+//! every row:
 //!
-//! 1. **Replay.** Run the `soak` workload (`thermal-bench`): a fitted
-//!    reduced model served live from a CSV trace that is corrupted at
-//!    several intensities, jumbled out of order, duplicated, and
-//!    delivered by a flaky source — while the scripted outage kills
-//!    the deployed representative mid-trace. The workload itself
-//!    asserts zero panics (exit code), a bounded buffered depth, and
-//!    a prediction for every cluster on every slot.
-//! 2. **Determinism.** Run the workload three times — twice with
-//!    `THERMAL_THREADS=1` and once with `THERMAL_THREADS=4` — and
-//!    require the three soak reports to be **byte-identical**: the
-//!    final health/prediction state may not depend on repetition or
-//!    thread count.
+//! 1. **Determinism.** Three runs (`THERMAL_THREADS=1`, a repeat, and
+//!    `THERMAL_THREADS=4`) must write byte-identical artefacts.
+//! 2. **Blast radius** (rows with `blast_radius`). A `--targets none`
+//!    baseline must quarantine nothing and each faulted run exactly its
+//!    targets; every untargeted building's report must equal the
+//!    baseline's byte for byte.
+//! 3. **Kill sweep** (`--kill`). A census run counts the durable writes
+//!    `N`, and a repeat and a `THERMAL_THREADS=4` run must match it. At
+//!    every kill point `k` (all of `1..=N`, or the boundary sample under
+//!    `--smoke`) a run dies with exit code 86 at its `k`-th durable
+//!    write, a rerun resumes, and the artefacts must equal the clean
+//!    run's. The row's corruption cases then damage a store and require
+//!    the same convergence, and a damaged snapshot must be named in the
+//!    store's quarantine log. `matrix.json` and `quarantine-log.txt`
+//!    record the sweep for the CI upload.
 //!
-//! Nothing here measures wall-clock time, so the harness is
-//! meaningful on a single-core CI runner. `--smoke` trims the sweep
-//! (one simulated day, two intensities) for the in-`ci` pass; the
-//! dedicated CI job runs the full sweep.
-//!
-//! `cargo xtask soak --recovery` drives the sibling `recovery`
-//! workload instead: a deterministic mid-trace regime shift replayed
-//! through the online identification loop, asserting the served model
-//! heals itself (drift alarm → supervised refit → residual RMSE back
-//! inside the tolerance band within the recovery budget) with the
-//! same three-run byte-compare determinism contract.
-//!
-//! `cargo xtask soak --fleet` drives the `fleet_soak` workload
-//! (`thermal-fleet`): a whole fleet of minted buildings served
-//! concurrently with fault plans injected into a chosen subset,
-//! asserting the **blast radius is exactly that subset** — every
-//! untargeted building's report byte-identical to a fault-free
-//! baseline, and all artifacts byte-identical across repeated runs
-//! and thread counts. `--list` prints the scenario registry;
-//! `--only <scenario>` picks one by name.
+//! Every run's exit code is checked (0, or 86 at a kill point), and
+//! every clean exit must print the row's `<name>: ok` marker. Nothing
+//! here measures wall-clock time, so the runner is meaningful on a
+//! single-core CI runner. Each invocation writes under
+//! `target/soak/<scenario>[-kill]/<case>/`.
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The scenario registry behind `--list` / `--only <scenario>`: one
-/// `(name, description)` row per soak harness this module can drive.
-pub const SCENARIOS: &[(&str, &str)] = &[
-    (
-        "stream",
-        "corrupted/flaky stream replay with a scripted outage (default)",
-    ),
-    (
-        "recovery",
-        "mid-trace regime shift healed by the online identification loop",
-    ),
-    (
-        "fleet",
-        "multi-building chaos soak asserting the bulkhead blast radius",
-    ),
+use crate::json;
+
+/// A workload command line, split at whitespace; `{dir}` stands for
+/// the run's case directory.
+pub type Args = &'static str;
+
+/// One robustness workload and the contract its bytes carry.
+#[derive(Debug)]
+pub struct Scenario {
+    /// Name on the command line.
+    pub name: &'static str,
+    /// One-line description for `--list`.
+    pub about: &'static str,
+    /// Cargo package of the workload binary.
+    pub package: &'static str,
+    /// Workload binary.
+    pub bin: &'static str,
+    /// Prefix of the workload's report lines (`<marker>: ok`).
+    pub marker: &'static str,
+    /// Arguments of the `--smoke` runs.
+    pub smoke: Args,
+    /// Arguments of the full runs.
+    pub full: Args,
+    /// Names in a case directory whose bytes carry the contract; a `*`
+    /// matches any run of characters.
+    pub artefacts: &'static [&'static str],
+    /// Whether the plain runs check the fleet blast radius against a
+    /// `--targets none` baseline.
+    pub blast_radius: bool,
+    /// The `--kill` contract, if the workload can resume after a crash.
+    pub kill: Option<Kill>,
+}
+
+/// What `--kill` sweeps for one scenario.
+#[derive(Debug)]
+pub struct Kill {
+    /// Arguments of every run of the sweep.
+    pub args: Args,
+    /// Checkpoint stores, relative to the case directory; a trailing
+    /// `/*` names every sub-directory.
+    pub stores: &'static str,
+    /// Whether each corruption case starts from a run killed at its
+    /// `N - 2`-th write (live snapshots on disk) instead of a clean run.
+    pub after_kill: bool,
+    /// The corruption cases, each on a fresh store: case name (output
+    /// directory and matrix row), the file to damage, and how.
+    pub corruptions: &'static [(&'static str, Victim, Damage)],
+}
+
+/// Which store file a corruption case damages.
+#[derive(Debug)]
+pub enum Victim {
+    /// The first `.ck` payload of the first store, in name order.
+    FirstPayload,
+    /// The newest payload whose name starts with one of these prefixes,
+    /// across every store; the quarantine log must name it.
+    NewestSnapshot(&'static [&'static str]),
+    /// The first store's manifest.
+    Manifest,
+}
+
+/// How a corruption case damages its victim.
+#[derive(Debug, Clone, Copy)]
+pub enum Damage {
+    /// Truncate it to half its length.
+    Truncate,
+    /// Flip its last byte.
+    Flip,
+}
+
+const STREAM_SNAPSHOTS: Victim = Victim::NewestSnapshot(&["progress-", "intensity-"]);
+const FLEET_SNAPSHOTS: Victim = Victim::NewestSnapshot(&["serve-"]);
+
+/// The scenario table. Every workload runs with seed 7: the runner
+/// compares bytes, so every run of a case must agree on it.
+pub const SCENARIOS: &[Scenario] = &[
+    Scenario {
+        name: "grid",
+        about: "checkpointed pipeline fit + supervised fault grid (chaos_grid)",
+        package: "thermal-bench",
+        bin: "chaos_grid",
+        marker: "chaos-grid",
+        smoke: "{dir} --seed 7",
+        full: "{dir} --seed 7",
+        artefacts: &["*"],
+        blast_radius: false,
+        kill: Some(Kill {
+            args: "{dir} --seed 7",
+            stores: "",
+            after_kill: false,
+            corruptions: &[
+                ("truncate-payload", Victim::FirstPayload, Damage::Truncate),
+                ("flip-byte", Victim::FirstPayload, Damage::Flip),
+                ("truncate-manifest", Victim::Manifest, Damage::Truncate),
+            ],
+        }),
+    },
+    Scenario {
+        name: "stream",
+        about: "corrupted/flaky stream replay with a scripted outage (soak)",
+        package: "thermal-bench",
+        bin: "soak",
+        marker: "soak",
+        smoke: "{dir}/report.json --seed 7 --days 1 --intensities 0,150",
+        full: "{dir}/report.json --seed 7 --days 3 --intensities 0,50,150,400",
+        artefacts: &["report.json"],
+        blast_radius: false,
+        kill: Some(Kill {
+            args: "{dir}/report.json --days 1 --seed 7 --intensities 0,150 \
+                   --ckpt {dir}/store --snap-every 29",
+            stores: "store",
+            after_kill: true,
+            corruptions: &[
+                ("bitflip-snapshot", STREAM_SNAPSHOTS, Damage::Flip),
+                ("truncate-snapshot", STREAM_SNAPSHOTS, Damage::Truncate),
+                ("truncate-manifest", Victim::Manifest, Damage::Truncate),
+            ],
+        }),
+    },
+    Scenario {
+        name: "recovery",
+        about: "mid-trace regime shift healed by the online identification loop (recovery)",
+        package: "thermal-bench",
+        bin: "recovery",
+        marker: "recovery",
+        smoke: "{dir}/report.json --seed 7 --days 1 --ckpt {dir}/ckpt",
+        full: "{dir}/report.json --seed 7 --days 2 --ckpt {dir}/ckpt",
+        artefacts: &["report.json"],
+        blast_radius: false,
+        // It clears its store on start, so a resume would test nothing.
+        kill: None,
+    },
+    Scenario {
+        name: "fleet",
+        about: "multi-building soak asserting the bulkhead blast radius (fleet_soak)",
+        package: "thermal-fleet",
+        bin: "fleet_soak",
+        marker: "fleet",
+        smoke: "{dir} --seed 7 --buildings 8 --days 1 --targets 2,5 --intensity 400",
+        full: "{dir} --seed 7 --buildings 16 --days 2 --targets 2,5,11 --intensity 400",
+        artefacts: &[
+            "building-*.json",
+            "quarantine-log.json",
+            "fleet-report.json",
+        ],
+        blast_radius: true,
+        kill: Some(Kill {
+            args: "{dir} --seed 7 --buildings 4 --days 1 --targets 1,2 --snap-every 64",
+            stores: "ckpt/*",
+            after_kill: true,
+            corruptions: &[
+                ("bitflip-snapshot", FLEET_SNAPSHOTS, Damage::Flip),
+                ("truncate-snapshot", FLEET_SNAPSHOTS, Damage::Truncate),
+                ("truncate-manifest", Victim::Manifest, Damage::Truncate),
+            ],
+        }),
+    },
 ];
 
-/// Fixed workload seed: the harness compares bytes, so every run must
-/// agree on it.
-const WORKLOAD_SEED: &str = "7";
+/// Exit code the workload dies with at a kill point (pinned in
+/// `thermal-faults`; redeclared here so the runner does not link the
+/// whole workspace).
+const KILL_EXIT_CODE: i32 = 86;
 
-/// Full-sweep parameters: three simulated days across four corruption
-/// intensities (milli-units).
-const FULL_DAYS: &str = "3";
-const FULL_INTENSITIES: &str = "0,50,150,400";
+/// Environment variable carrying the kill point to the workload.
+const KILL_AT_ENV: &str = "THERMAL_KILL_AT";
 
-/// Smoke parameters: one day, the clean and a heavy intensity.
-const SMOKE_DAYS: &str = "1";
-const SMOKE_INTENSITIES: &str = "0,150";
+/// Seeded-kill-point variable; cleared on every run.
+const KILL_SEED_ENV: &str = "THERMAL_KILL_SEED";
 
-/// Recovery-scenario sweep: the full run gives the shift a full day
-/// of pre-shift baseline and a full day to heal; smoke halves both.
-const RECOVERY_FULL_DAYS: &str = "2";
-const RECOVERY_SMOKE_DAYS: &str = "1";
+/// Thread-count variable, pinned or cleared per run.
+const THREADS_ENV: &str = "THERMAL_THREADS";
 
-/// Fleet-scenario sweep: the full run serves 16 minted buildings with
-/// fault plans injected into three of them; smoke trims to 8
-/// buildings / two targets and one simulated day.
-const FLEET_FULL_BUILDINGS: u32 = 16;
-const FLEET_FULL_TARGETS: &str = "2,5,11";
-const FLEET_FULL_DAYS: &str = "2";
-const FLEET_SMOKE_BUILDINGS: u32 = 8;
-const FLEET_SMOKE_TARGETS: &str = "2,5";
-const FLEET_SMOKE_DAYS: &str = "1";
-const FLEET_INTENSITY: &str = "400";
+/// Store subdirectory holding quarantined artefacts: crash debris that
+/// differs by crash point by design, so never compared.
+const QUARANTINE_DIR: &str = "quarantine";
 
-/// Runs the full harness.
+/// Determinism axes `(case, THERMAL_THREADS)` of the plain runs.
+const PLAIN_AXES: &[(&str, Option<&str>)] = &[
+    ("t1", Some("1")),
+    ("t1-repeat", Some("1")),
+    ("t4", Some("4")),
+];
+
+/// Determinism axes of a kill sweep; the first is the census run.
+const KILL_AXES: &[(&str, Option<&str>)] =
+    &[("clean", None), ("repeat", None), ("threads-4", Some("4"))];
+
+/// The scenario called `name`.
+pub fn find(name: &str) -> Option<&'static Scenario> {
+    SCENARIOS.iter().find(|s| s.name == name)
+}
+
+/// The smoke runs of `cargo xtask ci`, as `(scenario, kill)`: each
+/// row's plain smoke, then its kill smoke if it has a kill contract.
+/// A plain smoke is left out when the kill sweep takes the same
+/// arguments, since its clean, repeat and threads-4 runs already make
+/// the plain checks.
+pub fn ci_smokes() -> Vec<(&'static Scenario, bool)> {
+    let mut runs = Vec::new();
+    for s in SCENARIOS {
+        if s.kill.as_ref().is_none_or(|k| k.args != s.smoke) {
+            runs.push((s, false));
+        }
+        if s.kill.is_some() {
+            runs.push((s, true));
+        }
+    }
+    runs
+}
+
+/// Runs one scenario: the plain checks, or the kill sweep with `kill`.
 ///
 /// # Errors
 ///
-/// Returns a description of the first failed invariant: a workload
-/// run that exited non-zero (a panic or an in-process assertion), a
-/// missing `soak: ok` marker, or a report that differs between runs
-/// or thread counts.
-pub fn run(root: &Path, smoke: bool) -> Result<(), String> {
-    build_workload(root, "soak")?;
-    let bin = root
-        .join("target")
-        .join("release")
-        .join(format!("soak{}", std::env::consts::EXE_SUFFIX));
-    let base = root.join("target").join("soak");
-    let (days, intensities) = if smoke {
-        (SMOKE_DAYS, SMOKE_INTENSITIES)
-    } else {
-        (FULL_DAYS, FULL_INTENSITIES)
+/// Returns a description of the first failed check: a build failure,
+/// a run with the wrong exit code or no `ok` marker, artefacts that
+/// differ from their reference, a wrong quarantine set, or an
+/// unrecovered corruption.
+pub fn run(root: &Path, scenario: &Scenario, smoke: bool, kill: bool) -> Result<(), String> {
+    let name = scenario.name;
+    if kill && scenario.kill.is_none() {
+        return Err(format!("scenario `{name}` has no kill contract"));
+    }
+    let dir = format!("{name}{}", if kill { "-kill" } else { "" });
+    let harness = Harness {
+        scenario,
+        bin: build(root, scenario)?,
+        base: root.join("target").join("soak").join(dir),
     };
-
-    // One workload run per determinism axis: repetition (t1 vs
-    // t1-repeat) and thread count (t1 vs t4).
-    let runs: &[(&str, &str)] = &[("t1", "1"), ("t1-repeat", "1"), ("t4", "4")];
-    let mut reports: Vec<(String, Vec<u8>)> = Vec::new();
-    for &(label, threads) in runs {
-        let report = base.join(format!("report-{label}.json"));
-        remove_stale(&report)?;
-        eprintln!(
-            "xtask soak: run `{label}` (THERMAL_THREADS={threads}, days={days}, \
-             intensities={intensities})"
-        );
-        let stdout = run_workload(&bin, &report, threads, days, intensities)?;
-        if !stdout.lines().any(|l| l.trim() == "soak: ok") {
-            return Err(format!(
-                "run `{label}` exited cleanly but never printed `soak: ok`:\n{stdout}"
-            ));
-        }
-        if let Some(slots) = parse_marker(&stdout, "soak: slots = ") {
-            eprintln!("xtask soak: run `{label}` replayed {slots} slot(s) per intensity");
-        }
-        let bytes = fs::read(&report)
-            .map_err(|e| format!("run `{label}` left no report at {}: {e}", report.display()))?;
-        if bytes.is_empty() {
-            return Err(format!("run `{label}` wrote an empty report"));
-        }
-        reports.push((label.to_owned(), bytes));
+    reset_dir(&harness.base)?;
+    match scenario.kill.as_ref().filter(|_| kill) {
+        Some(contract) => harness.kill_sweep(contract, smoke),
+        None => harness.plain(smoke),
     }
-
-    let (ref_label, ref_bytes) = &reports[0];
-    for (label, bytes) in &reports[1..] {
-        if bytes != ref_bytes {
-            return Err(format!(
-                "soak report differs between run `{ref_label}` and run `{label}`: \
-                 final health/prediction state is not deterministic"
-            ));
-        }
-    }
-    eprintln!(
-        "xtask soak: {} byte-identical report(s) across repeated runs and thread counts",
-        reports.len()
-    );
-    Ok(())
 }
 
-/// Runs the drift-recovery harness: three `recovery` workload runs
-/// (repetition and thread-count axes), each of which must exit zero —
-/// the workload itself asserts the drift alarm, the supervised refit
-/// install, and the bounded-slot RMSE recovery — and all three
-/// recovery reports must be byte-identical.
-///
-/// # Errors
-///
-/// Returns a description of the first failed invariant: a workload
-/// run that exited non-zero (a panic or a violated self-healing
-/// assertion), a missing `recovery: ok` marker, or a report that
-/// differs between runs or thread counts.
-pub fn run_recovery(root: &Path, smoke: bool) -> Result<(), String> {
-    build_workload(root, "recovery")?;
-    let bin = root
-        .join("target")
-        .join("release")
-        .join(format!("recovery{}", std::env::consts::EXE_SUFFIX));
-    let base = root.join("target").join("recovery");
-    let days = if smoke {
-        RECOVERY_SMOKE_DAYS
-    } else {
-        RECOVERY_FULL_DAYS
-    };
-
-    let runs: &[(&str, &str)] = &[("t1", "1"), ("t1-repeat", "1"), ("t4", "4")];
-    let mut reports: Vec<(String, Vec<u8>)> = Vec::new();
-    for &(label, threads) in runs {
-        let report = base.join(format!("report-{label}.json"));
-        remove_stale(&report)?;
-        eprintln!("xtask soak: recovery run `{label}` (THERMAL_THREADS={threads}, days={days})");
-        let ckpt = base.join(format!("ckpt-{label}"));
-        let output = Command::new(&bin)
-            .arg(&report)
-            .args(["--seed", WORKLOAD_SEED])
-            .args(["--days", days])
-            .arg("--ckpt")
-            .arg(&ckpt)
-            .env("THERMAL_THREADS", threads)
-            .output()
-            .map_err(|e| format!("could not start {}: {e}", bin.display()))?;
-        if !output.status.success() {
-            return Err(format!(
-                "recovery run `{label}` (THERMAL_THREADS={threads}) exited with {:?}, \
-                 expected success\nstderr:\n{}",
-                output.status.code(),
-                String::from_utf8_lossy(&output.stderr)
-            ));
-        }
-        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-        if !stdout.lines().any(|l| l.trim() == "recovery: ok") {
-            return Err(format!(
-                "recovery run `{label}` exited cleanly but never printed `recovery: ok`:\n{stdout}"
-            ));
-        }
-        if let Some(slot) = parse_marker(&stdout, "recovery: shift_slot = ") {
-            eprintln!("xtask soak: recovery run `{label}` shifted regimes at slot {slot}");
-        }
-        let bytes = fs::read(&report).map_err(|e| {
-            format!(
-                "recovery run `{label}` left no report at {}: {e}",
-                report.display()
-            )
-        })?;
-        if bytes.is_empty() {
-            return Err(format!("recovery run `{label}` wrote an empty report"));
-        }
-        reports.push((label.to_owned(), bytes));
-    }
-
-    let (ref_label, ref_bytes) = &reports[0];
-    for (label, bytes) in &reports[1..] {
-        if bytes != ref_bytes {
-            return Err(format!(
-                "recovery report differs between run `{ref_label}` and run `{label}`: \
-                 the self-healing trajectory is not deterministic"
-            ));
-        }
-    }
-    eprintln!(
-        "xtask soak: {} byte-identical recovery report(s) across repeated runs and thread counts",
-        reports.len()
-    );
-    Ok(())
-}
-
-/// Runs the fleet chaos-soak harness: four `fleet_soak` workload runs
-/// — a fault-free baseline plus a faulted run repeated across the
-/// repetition and thread-count axes — and asserts the **blast-radius
-/// guarantee** byte-for-byte:
-///
-/// 1. Every faulted run exits zero and reports exactly the targeted
-///    buildings as having left `Healthy` (the workload also asserts
-///    this in-process; the harness re-checks the marker).
-/// 2. Every *untargeted* building's report in the faulted run is
-///    byte-identical to the same building's report in the fault-free
-///    baseline: fault injection in the targets perturbed nothing
-///    else, not even a float's last bit.
-/// 3. All faulted-run artifacts (per-building reports, quarantine
-///    event log, fleet summary) are byte-identical across repeated
-///    runs and `THERMAL_THREADS=1` vs `4`.
-///
-/// # Errors
-///
-/// Returns a description of the first failed invariant: a workload
-/// run that exited non-zero, a missing `fleet: ok` marker, a
-/// quarantine set differing from the target set, or any byte
-/// mismatch above.
-pub fn run_fleet(root: &Path, smoke: bool) -> Result<(), String> {
-    build_package_workload(root, "thermal-fleet", "fleet_soak")?;
-    let bin = root
-        .join("target")
-        .join("release")
-        .join(format!("fleet_soak{}", std::env::consts::EXE_SUFFIX));
-    let base = root.join("target").join("fleet-soak");
-    let (buildings, targets, days) = if smoke {
-        (FLEET_SMOKE_BUILDINGS, FLEET_SMOKE_TARGETS, FLEET_SMOKE_DAYS)
-    } else {
-        (FLEET_FULL_BUILDINGS, FLEET_FULL_TARGETS, FLEET_FULL_DAYS)
-    };
-
-    // The fault-free baseline, then the faulted run across the
-    // repetition and thread-count determinism axes.
-    let runs: &[(&str, &str, &str)] = &[
-        ("clean", "none", "1"),
-        ("t1", targets, "1"),
-        ("t1-repeat", targets, "1"),
-        ("t4", targets, "4"),
-    ];
-    for &(label, run_targets, threads) in runs {
-        let outdir = base.join(label);
-        remove_stale_dir(&outdir)?;
-        eprintln!(
-            "xtask soak: fleet run `{label}` (THERMAL_THREADS={threads}, \
-             buildings={buildings}, days={days}, targets={run_targets})"
-        );
-        let output = Command::new(&bin)
-            .arg(&outdir)
-            .args(["--seed", WORKLOAD_SEED])
-            .args(["--buildings", &buildings.to_string()])
-            .args(["--days", days])
-            .args(["--targets", run_targets])
-            .args(["--intensity", FLEET_INTENSITY])
-            .env("THERMAL_THREADS", threads)
-            .output()
-            .map_err(|e| format!("could not start {}: {e}", bin.display()))?;
-        if !output.status.success() {
-            return Err(format!(
-                "fleet run `{label}` (THERMAL_THREADS={threads}) exited with {:?}, \
-                 expected success\nstderr:\n{}",
-                output.status.code(),
-                String::from_utf8_lossy(&output.stderr)
-            ));
-        }
-        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-        if !stdout.lines().any(|l| l.trim() == "fleet: ok") {
-            return Err(format!(
-                "fleet run `{label}` exited cleanly but never printed `fleet: ok`:\n{stdout}"
-            ));
-        }
-        let quarantined = parse_marker(&stdout, "fleet: quarantined = ")
-            .ok_or_else(|| format!("fleet run `{label}` never printed its quarantine set"))?;
-        let expected = if run_targets == "none" {
-            "none".to_owned()
-        } else {
-            run_targets.to_owned()
-        };
-        if quarantined != expected {
-            return Err(format!(
-                "fleet run `{label}`: quarantine set `{quarantined}` differs from the \
-                 fault-target set `{expected}` — the blast radius is wrong"
-            ));
-        }
-    }
-
-    // Invariant 2: untargeted buildings are byte-identical between
-    // the fault-free baseline and the faulted run.
-    let target_ids: Vec<u32> = targets
-        .split(',')
-        .filter_map(|p| p.trim().parse().ok())
-        .collect();
-    let mut untouched = 0_u32;
-    for id in 0..buildings {
-        if target_ids.contains(&id) {
-            continue;
-        }
-        let name = format!("building-{id:03}.json");
-        compare_files(
-            &base.join("clean").join(&name),
-            &base.join("t1").join(&name),
-        )
-        .map_err(|e| format!("blast radius violated for untargeted building {id}: {e}"))?;
-        untouched += 1;
-    }
-    eprintln!(
-        "xtask soak: {untouched} untargeted building report(s) byte-identical to the \
-         fault-free baseline"
-    );
-
-    // Invariant 3: every faulted-run artifact is identical across
-    // repeated runs and thread counts.
-    let mut artifacts: Vec<String> = (0..buildings)
-        .map(|id| format!("building-{id:03}.json"))
-        .collect();
-    artifacts.push("quarantine-log.json".to_owned());
-    artifacts.push("fleet-report.json".to_owned());
-    for name in &artifacts {
-        for other in ["t1-repeat", "t4"] {
-            compare_files(&base.join("t1").join(name), &base.join(other).join(name))
-                .map_err(|e| format!("fleet artifact differs between `t1` and `{other}`: {e}"))?;
-        }
-    }
-    eprintln!(
-        "xtask soak: {} fleet artifact(s) byte-identical across repeated runs and \
-         thread counts",
-        artifacts.len()
-    );
-    Ok(())
-}
-
-/// Builds one workload binary, in release mode.
-fn build_workload(root: &Path, bin: &str) -> Result<(), String> {
-    build_package_workload(root, "thermal-bench", bin)
-}
-
-/// Builds one workload binary from `package`, in release mode.
-fn build_package_workload(root: &Path, package: &str, bin: &str) -> Result<(), String> {
-    eprintln!("xtask soak: building {bin} workload (release)");
+/// Builds a scenario's workload binary in release mode and returns its
+/// path.
+fn build(root: &Path, scenario: &Scenario) -> Result<PathBuf, String> {
+    eprintln!("xtask soak: building {} (release)", scenario.bin);
     let status = Command::new(env!("CARGO"))
-        .args([
-            "build",
-            "--release",
-            "--offline",
-            "-p",
-            package,
-            "--bin",
-            bin,
-        ])
+        .args(["build", "--release", "--offline", "-p", scenario.package])
+        .args(["--bin", scenario.bin])
         .current_dir(root)
         .status()
         .map_err(|e| format!("could not start cargo build: {e}"))?;
     if !status.success() {
-        return Err(format!("{bin} workload build failed with {status}"));
+        return Err(format!("{} build failed with {status}", scenario.bin));
     }
+    let exe = format!("{}{}", scenario.bin, std::env::consts::EXE_SUFFIX);
+    Ok(root.join("target").join("release").join(exe))
+}
+
+/// One scenario's workload binary and its invocation root.
+struct Harness<'a> {
+    scenario: &'a Scenario,
+    bin: PathBuf,
+    base: PathBuf,
+}
+
+impl Harness<'_> {
+    /// Determinism, and the blast radius for rows that have one.
+    fn plain(&self, smoke: bool) -> Result<(), String> {
+        let s = self.scenario;
+        let args = if smoke { s.smoke } else { s.full };
+        if !s.blast_radius {
+            return self.axes(args, PLAIN_AXES).map(drop);
+        }
+        let targets = arg(args, "--targets").ok_or("blast-radius arguments name no --targets")?;
+        let baseline = args.replace(&format!("--targets {targets}"), "--targets none");
+        let prefix = format!("{}: quarantined = ", s.marker);
+        let check = |case: &str, stdout: &str, expected: &str| {
+            let got = parse_marker(stdout, &prefix).unwrap_or_default();
+            if got == expected {
+                return Ok(());
+            }
+            Err(format!(
+                "run `{case}`: quarantine set `{got}` differs from the fault-target set \
+                 `{expected}`: the blast radius is wrong"
+            ))
+        };
+        let clean = self.fresh("clean")?;
+        check(
+            "clean",
+            &self.exec(&clean, &baseline, Some("1"), None)?,
+            "none",
+        )?;
+        let faulted = self.axes(args, PLAIN_AXES)?;
+        for (&(case, _), stdout) in PLAIN_AXES.iter().zip(&faulted) {
+            check(case, stdout, targets)?;
+        }
+        blast_radius(&clean, &self.base.join("t1"), args)
+    }
+
+    /// Census, determinism axes, kill sweep and corruption cases, then
+    /// the `matrix.json` and `quarantine-log.txt` artefacts.
+    fn kill_sweep(&self, contract: &Kill, smoke: bool) -> Result<(), String> {
+        let name = self.scenario.name;
+        let args = contract.args;
+        let outs = self.axes(args, KILL_AXES)?;
+        let writes = parse_durable_writes(outs.first().map_or("", String::as_str))?;
+        if writes < 4 {
+            return Err(format!(
+                "{name} committed only {writes} durable writes; the sweep would prove nothing"
+            ));
+        }
+        let clean = self.base.join("clean");
+        let mut cases: Vec<String> = vec!["repeat".to_owned(), "threads-4".to_owned()];
+
+        let points = select_kill_points(writes, smoke);
+        eprintln!("xtask soak: {name}: {writes} durable writes, kill points {points:?}");
+        for k in points {
+            let dir = self.fresh(&format!("k{k}"))?;
+            self.exec(&dir, args, None, Some(k))?;
+            self.exec(&dir, args, None, None)?;
+            self.same(&clean, &dir, &format!("kill point {k}"))?;
+            cases.push(format!("kill-{k}"));
+        }
+
+        let mut quarantine_log = String::new();
+        for (case, victim, how) in contract.corruptions {
+            let dir = self.fresh(case)?;
+            self.exec(&dir, args, None, contract.after_kill.then(|| writes - 2))?;
+            let stores = stores(&dir, contract.stores)?;
+            let path = pick_victim(victim, &stores)?;
+            damage(&path, *how)?;
+            eprintln!("xtask soak: {name}: `{case}` damaged {}", path.display());
+            self.exec(&dir, args, None, None)?;
+            self.same(&clean, &dir, &format!("corruption case `{case}`"))?;
+            let log = quarantine_logs(&stores);
+            let entry = format!("name={}", file_name(&path));
+            if matches!(victim, Victim::NewestSnapshot(_)) && !log.contains(&entry) {
+                return Err(format!(
+                    "corruption case `{case}`: quarantine log has no `{entry}` entry:\n{log}"
+                ));
+            }
+            quarantine_log.push_str(&format!("# case {case}\n{log}"));
+            cases.push((*case).to_owned());
+        }
+
+        let matrix = render_matrix(name, smoke, writes, &cases);
+        for (file, text) in [
+            ("matrix.json", matrix.as_str()),
+            ("quarantine-log.txt", quarantine_log.as_str()),
+        ] {
+            let path = self.base.join(file);
+            fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
+        }
+        eprintln!("xtask soak: {name}: matrix in {}", self.base.display());
+        Ok(())
+    }
+
+    /// Runs `args` once per axis, each in a fresh case directory, and
+    /// requires every later run's artefacts to equal the first's.
+    /// Returns each run's stdout.
+    fn axes(&self, args: &str, axes: &[(&str, Option<&str>)]) -> Result<Vec<String>, String> {
+        let mut outs = Vec::new();
+        for &(case, threads) in axes {
+            let dir = self.fresh(case)?;
+            outs.push(self.exec(&dir, args, threads, None)?);
+            if let Some(&(first, _)) = axes.first().filter(|&&(first, _)| first != case) {
+                self.same(&self.base.join(first), &dir, &format!("run `{case}`"))?;
+            }
+        }
+        eprintln!(
+            "xtask soak: {}: {} runs byte-identical",
+            self.scenario.name,
+            axes.len()
+        );
+        Ok(outs)
+    }
+
+    /// An empty case directory under the invocation root.
+    fn fresh(&self, case: &str) -> Result<PathBuf, String> {
+        let dir = self.base.join(case);
+        reset_dir(&dir)?;
+        Ok(dir)
+    }
+
+    /// Runs the workload on case directory `dir` with `THERMAL_THREADS`
+    /// pinned to `threads` (or unset) and, with `kill_at`, a kill point.
+    /// Requires exit code 86 at a kill point, otherwise 0 and the `ok`
+    /// marker. Returns stdout.
+    fn exec(
+        &self,
+        dir: &Path,
+        args: &str,
+        threads: Option<&str>,
+        kill_at: Option<u64>,
+    ) -> Result<String, String> {
+        let dir_text = dir.to_string_lossy();
+        let mut cmd = Command::new(&self.bin);
+        cmd.args(
+            args.split_whitespace()
+                .map(|a| a.replace("{dir}", &dir_text)),
+        )
+        .env_remove(KILL_AT_ENV)
+        .env_remove(KILL_SEED_ENV)
+        .env_remove(THREADS_ENV);
+        if let Some(t) = threads {
+            cmd.env(THREADS_ENV, t);
+        }
+        if let Some(k) = kill_at {
+            cmd.env(KILL_AT_ENV, k.to_string());
+        }
+        let output = cmd
+            .output()
+            .map_err(|e| format!("could not start {}: {e}", self.bin.display()))?;
+        let (code, dir) = (output.status.code(), dir.display());
+        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+        let expected = if kill_at.is_some() { KILL_EXIT_CODE } else { 0 };
+        let ok = format!("{}: ok", self.scenario.marker);
+        if code != Some(expected) {
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            return Err(format!(
+                "run on {dir} (THERMAL_THREADS={threads:?}, kill_at={kill_at:?}) exited with \
+                 {code:?}, expected {expected}\nstderr:\n{stderr}"
+            ));
+        }
+        if kill_at.is_none() && !stdout.lines().any(|l| l.trim() == ok) {
+            return Err(format!("run on {dir} never printed `{ok}`:\n{stdout}"));
+        }
+        Ok(stdout)
+    }
+
+    /// Byte-compares the scenario's artefacts in two case directories.
+    fn same(&self, reference: &Path, candidate: &Path, what: &str) -> Result<(), String> {
+        let keep = |n: &str| self.scenario.artefacts.iter().any(|p| glob(p, n));
+        compare_sets(reference, candidate, &keep).map_err(|e| format!("{what}: {e}"))
+    }
+}
+
+/// Requires every untargeted building's report in `faulted` to equal
+/// the fault-free baseline's, byte for byte, and `faulted` to hold a
+/// report for every building.
+fn blast_radius(clean: &Path, faulted: &Path, args: &str) -> Result<(), String> {
+    let buildings: usize = arg(args, "--buildings")
+        .and_then(|b| b.parse().ok())
+        .ok_or("blast-radius arguments name no --buildings")?;
+    let targets = target_ids(args);
+    let report = |id: usize| format!("building-{id:03}.json");
+    let untargeted: Vec<String> = (0..buildings)
+        .filter(|id| !targets.contains(id))
+        .map(report)
+        .collect();
+    compare_sets(clean, faulted, &|n| untargeted.iter().any(|u| u == n))
+        .map_err(|e| format!("blast radius violated for an untargeted building: {e}"))?;
+    let written = read_set(faulted, &|n| glob("building-*.json", n))?.len();
+    if written != buildings {
+        return Err(format!(
+            "faulted run wrote {written} building reports for a fleet of {buildings}"
+        ));
+    }
+    eprintln!(
+        "xtask soak: {} untargeted building reports byte-identical to the fault-free baseline",
+        untargeted.len()
+    );
     Ok(())
 }
 
-/// Runs the workload once; requires exit code 0 (anything else is a
-/// panic, abort, or violated in-process invariant). Returns stdout.
-fn run_workload(
-    bin: &Path,
-    report: &Path,
-    threads: &str,
-    days: &str,
-    intensities: &str,
-) -> Result<String, String> {
-    let output = Command::new(bin)
-        .arg(report)
-        .args(["--seed", WORKLOAD_SEED])
-        .args(["--days", days])
-        .args(["--intensities", intensities])
-        .env("THERMAL_THREADS", threads)
-        .output()
-        .map_err(|e| format!("could not start {}: {e}", bin.display()))?;
-    if !output.status.success() {
-        return Err(format!(
-            "workload (THERMAL_THREADS={threads}) exited with {:?}, expected success\n\
-             stderr:\n{}",
-            output.status.code(),
-            String::from_utf8_lossy(&output.stderr)
-        ));
+/// The value after `flag` in `args`.
+fn arg<'a>(args: &'a str, flag: &str) -> Option<&'a str> {
+    args.split_whitespace().skip_while(|a| *a != flag).nth(1)
+}
+
+/// The building ids after `--targets` (none for `none`).
+fn target_ids(args: &str) -> Vec<usize> {
+    arg(args, "--targets")
+        .unwrap_or("none")
+        .split(',')
+        .filter_map(|t| t.trim().parse().ok())
+        .collect()
+}
+
+/// Whether `name` matches `pattern`, where one `*` matches any run of
+/// characters.
+fn glob(pattern: &str, name: &str) -> bool {
+    match pattern.split_once('*') {
+        Some((head, tail)) => {
+            name.len() >= head.len() + tail.len() && name.starts_with(head) && name.ends_with(tail)
+        }
+        None => pattern == name,
     }
-    Ok(String::from_utf8_lossy(&output.stdout).into_owned())
+}
+
+/// Reads the files of `dir` whose names `keep` accepts into a sorted
+/// name → bytes map. `quarantine/` holds crash debris and is skipped;
+/// any other kept directory is an error.
+fn read_set(dir: &Path, keep: &dyn Fn(&str) -> bool) -> Result<BTreeMap<String, Vec<u8>>, String> {
+    let mut set = BTreeMap::new();
+    for path in entries(dir)? {
+        let name = file_name(&path);
+        if !keep(&name) || (path.is_dir() && name == QUARANTINE_DIR) {
+            continue;
+        }
+        if path.is_dir() {
+            return Err(format!("unexpected directory {}", path.display()));
+        }
+        let bytes = fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        set.insert(name, bytes);
+    }
+    Ok(set)
+}
+
+/// Requires the kept files of `candidate` to be exactly those of
+/// `reference`, byte for byte, and `reference` to hold at least one
+/// file and no empty one. The error names every offending file.
+fn compare_sets(
+    reference: &Path,
+    candidate: &Path,
+    keep: &dyn Fn(&str) -> bool,
+) -> Result<(), String> {
+    let lhs = read_set(reference, keep)?;
+    let rhs = read_set(candidate, keep)?;
+    if lhs.is_empty() {
+        return Err(format!("no artefacts in {}", reference.display()));
+    }
+    let mut diffs = Vec::new();
+    for (name, bytes) in &lhs {
+        match rhs.get(name) {
+            _ if bytes.is_empty() => diffs.push(format!("{name}: empty in the reference")),
+            Some(other) if other == bytes => {}
+            Some(_) => diffs.push(format!("{name}: bytes differ")),
+            None => diffs.push(format!("{name}: missing")),
+        }
+    }
+    diffs.extend(
+        rhs.keys()
+            .filter(|n| !lhs.contains_key(*n))
+            .map(|n| format!("{n}: extra")),
+    );
+    if diffs.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} differs from {}:\n  {}",
+        candidate.display(),
+        reference.display(),
+        diffs.join("\n  ")
+    ))
+}
+
+/// The checkpoint stores of a case: `pattern` relative to `dir`, where a
+/// trailing `/*` names every sub-directory, in name order.
+fn stores(dir: &Path, pattern: &str) -> Result<Vec<PathBuf>, String> {
+    match pattern.strip_suffix("/*") {
+        Some(parent) => Ok(entries(&dir.join(parent))?
+            .into_iter()
+            .filter(|p| p.is_dir())
+            .collect()),
+        None => Ok(vec![dir.join(pattern)]),
+    }
+}
+
+/// The file a corruption case damages.
+fn pick_victim(victim: &Victim, stores: &[PathBuf]) -> Result<PathBuf, String> {
+    let first = stores.first().ok_or("no checkpoint stores to damage")?;
+    let found = match victim {
+        Victim::Manifest => Some(first.join("manifest.txt")),
+        Victim::FirstPayload => entries(first)?
+            .into_iter()
+            .find(|p| p.extension().is_some_and(|ext| ext == "ck")),
+        Victim::NewestSnapshot(prefixes) => {
+            let mut snapshots = Vec::new();
+            for store in stores {
+                let live = entries(store)?.into_iter();
+                snapshots
+                    .extend(live.filter(|p| prefixes.iter().any(|x| file_name(p).starts_with(x))));
+            }
+            // On a tie, the first store in name order.
+            snapshots.into_iter().rev().max_by_key(|p| file_name(p))
+        }
+    };
+    found.ok_or_else(|| format!("no {victim:?} to damage under {}", first.display()))
+}
+
+/// Damages `victim` on disk.
+fn damage(victim: &Path, how: Damage) -> Result<(), String> {
+    let mut bytes = fs::read(victim).map_err(|e| format!("read {}: {e}", victim.display()))?;
+    match (how, bytes.last_mut()) {
+        (Damage::Truncate, _) => bytes.truncate(bytes.len() / 2),
+        (Damage::Flip, Some(last)) => *last ^= 0x01,
+        (Damage::Flip, None) => {}
+    }
+    fs::write(victim, &bytes).map_err(|e| format!("damage {}: {e}", victim.display()))
+}
+
+/// Concatenates every store's structured quarantine log.
+fn quarantine_logs(stores: &[PathBuf]) -> String {
+    stores
+        .iter()
+        .filter_map(|s| fs::read_to_string(s.join(QUARANTINE_DIR).join("log.txt")).ok())
+        .collect()
+}
+
+/// The kill-point matrix artefact of one sweep.
+fn render_matrix(scenario: &str, smoke: bool, writes: u64, cases: &[String]) -> String {
+    let row = |c: &String| {
+        format!(
+            "    {{\"case\": \"{}\", \"status\": \"ok\"}}",
+            json::escape(c)
+        )
+    };
+    let rows: Vec<String> = cases.iter().map(row).collect();
+    format!(
+        "{{\n  \"workload\": \"{}\",\n  \"smoke\": {smoke},\n  \"durable_writes\": {writes},\n  \
+         \"cases\": [\n{}\n  ]\n}}\n",
+        json::escape(scenario),
+        rows.join(",\n")
+    )
+}
+
+/// Every kill point, or the boundary sample in smoke mode: the first
+/// two writes (store creation), the middle, and the last two (final
+/// artefact + manifest), where off-by-one bugs live.
+fn select_kill_points(writes: u64, smoke: bool) -> Vec<u64> {
+    if !smoke {
+        return (1..=writes).collect();
+    }
+    let mut points = vec![1, 2, writes / 2, writes - 1, writes];
+    points.sort_unstable();
+    points.dedup();
+    points
+}
+
+/// Extracts `N` from the workload's `durable writes = N` report line.
+fn parse_durable_writes(stdout: &str) -> Result<u64, String> {
+    parse_marker(stdout, "durable writes = ")
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| format!("workload stdout had no parseable durable-write count:\n{stdout}"))
 }
 
 /// Extracts the value after `prefix` on the first matching stdout line.
@@ -435,51 +675,55 @@ fn parse_marker(stdout: &str, prefix: &str) -> Option<String> {
         .map(|v| v.trim().to_owned())
 }
 
-/// Requires two report files to exist and hold identical bytes.
-fn compare_files(a: &Path, b: &Path) -> Result<(), String> {
-    let bytes_a = fs::read(a).map_err(|e| format!("read {}: {e}", a.display()))?;
-    let bytes_b = fs::read(b).map_err(|e| format!("read {}: {e}", b.display()))?;
-    if bytes_a.is_empty() {
-        return Err(format!("{} is empty", a.display()));
-    }
-    if bytes_a != bytes_b {
-        return Err(format!(
-            "{} and {} differ ({} vs {} bytes)",
-            a.display(),
-            b.display(),
-            bytes_a.len(),
-            bytes_b.len()
-        ));
-    }
-    Ok(())
+/// The entries of `dir`, in name order.
+fn entries(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut paths = fs::read_dir(dir)
+        .and_then(|rd| {
+            rd.map(|e| e.map(|e| e.path()))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
+    paths.sort();
+    Ok(paths)
 }
 
-/// Deletes a stale output directory so a failed run cannot pass on
-/// old bytes, and re-creates it empty.
-fn remove_stale_dir(dir: &Path) -> Result<(), String> {
-    match fs::remove_dir_all(dir) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(format!("remove stale {}: {e}", dir.display())),
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
+/// Deletes and recreates a directory, so a failed run cannot pass on
+/// old bytes.
+fn reset_dir(dir: &Path) -> Result<(), String> {
+    if dir.exists() {
+        fs::remove_dir_all(dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
     }
     fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))
-}
-
-/// Deletes a stale report so a failed run cannot pass on old bytes.
-fn remove_stale(report: &Path) -> Result<(), String> {
-    if let Some(parent) = report.parent() {
-        fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
-    }
-    match fs::remove_file(report) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(format!("remove stale {}: {e}", report.display())),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn number(args: &str, flag: &str) -> u32 {
+        arg(args, flag).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn kill_point_selection_covers_boundaries() {
+        assert_eq!(select_kill_points(20, false).len(), 20);
+        assert_eq!(select_kill_points(20, true), vec![1, 2, 10, 19, 20]);
+        // Tiny write counts dedup instead of repeating points.
+        assert_eq!(select_kill_points(4, true), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn durable_write_count_is_parsed_from_report_line() {
+        let out = "chaos-grid: fit restored=[]\nchaos-grid: durable writes = 20\nchaos-grid: ok\n";
+        assert_eq!(parse_durable_writes(out), Ok(20));
+        assert!(parse_durable_writes("no report").is_err());
+    }
 
     #[test]
     fn marker_parsing_finds_values_and_tolerates_noise() {
@@ -490,13 +734,14 @@ mod tests {
 
     #[test]
     fn scenario_registry_is_unique_and_describes_every_entry() {
-        let mut names: Vec<&str> = SCENARIOS.iter().map(|&(n, _)| n).collect();
+        let mut names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), SCENARIOS.len());
         assert!(SCENARIOS
             .iter()
-            .all(|&(n, d)| !n.is_empty() && !d.is_empty()));
+            .all(|s| !s.name.is_empty() && !s.about.is_empty()));
+        assert!(names.contains(&"grid"));
         assert!(names.contains(&"stream"));
         assert!(names.contains(&"recovery"));
         assert!(names.contains(&"fleet"));
@@ -504,17 +749,18 @@ mod tests {
 
     #[test]
     fn fleet_sweep_parameters_shrink_under_smoke() {
-        const { assert!(FLEET_SMOKE_BUILDINGS < FLEET_FULL_BUILDINGS) }
-        assert!(FLEET_SMOKE_TARGETS.split(',').count() < FLEET_FULL_TARGETS.split(',').count());
+        let fleet = find("fleet").unwrap();
+        assert!(number(fleet.smoke, "--buildings") < number(fleet.full, "--buildings"));
+        assert!(target_ids(fleet.smoke).len() < target_ids(fleet.full).len());
         // Every target id must exist in its fleet, or the workload's
         // "targeted building never left healthy" assertion is vacuous.
-        for (targets, buildings) in [
-            (FLEET_SMOKE_TARGETS, FLEET_SMOKE_BUILDINGS),
-            (FLEET_FULL_TARGETS, FLEET_FULL_BUILDINGS),
-        ] {
-            for part in targets.split(',') {
-                let id: u32 = part.parse().unwrap();
-                assert!(id < buildings, "target {id} outside fleet of {buildings}");
+        for args in [fleet.smoke, fleet.full] {
+            let buildings = number(args, "--buildings");
+            for id in target_ids(args) {
+                assert!(
+                    id < buildings as usize,
+                    "target {id} outside fleet of {buildings}"
+                );
             }
         }
     }
@@ -523,9 +769,110 @@ mod tests {
     fn sweep_parameters_differ_between_smoke_and_full() {
         // The smoke sweep must be a strict subset of the work (fewer
         // days, fewer intensities), or ci would not be faster.
-        let smoke_days = SMOKE_DAYS.parse::<u32>().unwrap_or(u32::MAX);
-        let full_days = FULL_DAYS.parse::<u32>().unwrap_or(0);
-        assert!(smoke_days < full_days);
-        assert!(SMOKE_INTENSITIES.split(',').count() < FULL_INTENSITIES.split(',').count());
+        for s in SCENARIOS.iter().filter(|s| s.smoke != s.full) {
+            assert!(
+                number(s.smoke, "--days") < number(s.full, "--days"),
+                "{}",
+                s.name
+            );
+        }
+        let stream = find("stream").unwrap();
+        let count = |args: Args| arg(args, "--intensities").unwrap().split(',').count();
+        assert!(count(stream.smoke) < count(stream.full));
+    }
+
+    #[test]
+    fn ci_runs_the_six_smokes() {
+        let runs: Vec<String> = ci_smokes()
+            .iter()
+            .map(|(s, kill)| format!("{}{}", s.name, if *kill { " --kill" } else { "" }))
+            .collect();
+        let today = [
+            "grid --kill",
+            "stream --kill",
+            "fleet --kill",
+            "stream",
+            "recovery",
+            "fleet",
+        ];
+        assert_eq!(runs.len(), today.len());
+        assert!(
+            today.iter().all(|t| runs.contains(&(*t).to_owned())),
+            "{runs:?}"
+        );
+    }
+
+    #[test]
+    fn glob_matches_one_wildcard() {
+        assert!(glob("*", "manifest.txt"));
+        assert!(glob("building-*.json", "building-007.json"));
+        assert!(!glob("building-*.json", "fleet-report.json"));
+        assert!(!glob("report.json", "report.json.tmp"));
+    }
+
+    /// A fresh temp directory holding `files` (`name`, bytes).
+    fn store(tag: &str, files: &[(&str, &[u8])]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("xtask-soak-{tag}-{}", std::process::id()));
+        reset_dir(&dir).unwrap();
+        for (name, bytes) in files {
+            let path = dir.join(name);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, bytes).unwrap();
+        }
+        dir
+    }
+
+    const FILES: &[(&str, &[u8])] = &[("a.ck", b"alpha"), ("manifest.txt", b"a.ck 1\n")];
+
+    fn all(_: &str) -> bool {
+        true
+    }
+
+    #[test]
+    fn comparator_passes_identical_sets_and_skips_quarantine() {
+        let lhs = store("same-l", FILES);
+        let rhs = store(
+            "same-r",
+            &[FILES, &[("quarantine/a.ck.0", b"debris")]].concat(),
+        );
+        assert_eq!(compare_sets(&lhs, &rhs, &all), Ok(()));
+        assert_eq!(compare_sets(&rhs, &lhs, &all), Ok(()));
+    }
+
+    #[test]
+    fn comparator_names_every_offending_file() {
+        let clean = store("diff-clean", FILES);
+        let flipped = store(
+            "diff-flip",
+            &[("a.ck", b"alphA"), ("manifest.txt", b"a.ck 1\n")],
+        );
+        let missing = store("diff-missing", &FILES[..1]);
+        let extra = store("diff-extra", &[FILES, &[("b.ck", b"beta")]].concat());
+        for (dir, expected) in [
+            (flipped, "a.ck: bytes differ"),
+            (missing, "manifest.txt: missing"),
+            (extra, "b.ck: extra"),
+        ] {
+            let err = compare_sets(&clean, &dir, &all).unwrap_err();
+            assert!(err.contains(expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn comparator_rejects_other_directories_and_empty_references() {
+        let clean = store("dirs-clean", FILES);
+        let nested = store("dirs-nested", &[FILES, &[("cache/x", b"x")]].concat());
+        let err = compare_sets(&clean, &nested, &all).unwrap_err();
+        assert!(
+            err.contains("unexpected directory") && err.contains("cache"),
+            "{err}"
+        );
+        // A directory outside the artefact set is not part of it.
+        assert_eq!(compare_sets(&clean, &nested, &|n| n != "cache"), Ok(()));
+        let empty = store("dirs-empty", &[]);
+        assert!(compare_sets(&empty, &empty, &all).is_err());
+        let hollow = store("dirs-hollow", &[("report.json", b"")]);
+        let err = compare_sets(&hollow, &hollow, &all).unwrap_err();
+        assert!(err.contains("report.json"), "{err}");
     }
 }
