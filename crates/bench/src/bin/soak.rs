@@ -44,7 +44,7 @@ use thermal_ckpt::snapshot::{
     save_record_snapshot, save_snapshot, snapshot_name,
 };
 use thermal_ckpt::CheckpointStore;
-use thermal_core::{FallbackAction, ReducedModel};
+use thermal_core::ReducedModel;
 use thermal_stream::{
     parse_csv_events, BackoffPolicy, FlakySource, ReplayConfig, SoakIntensityReport,
     SoakPrediction, SoakReport, StreamConfig, StreamService, TraceReplayer,
@@ -237,17 +237,6 @@ impl SoakCkpt {
     /// Saves a completed intensity's report snapshot.
     fn save_intensity(&mut self, index: usize, report: &SoakIntensityReport) -> Result<(), String> {
         save_snapshot(&mut self.store, "intensity", index as u64, report).map_err(|e| e.to_string())
-    }
-}
-
-/// Stable report label of a ladder action.
-fn action_label(action: &FallbackAction) -> &'static str {
-    match action {
-        FallbackAction::Healthy => "healthy",
-        FallbackAction::Backup { .. } => "backup",
-        FallbackAction::ClusterMean { .. } => "cluster_mean",
-        FallbackAction::Unavailable => "unavailable",
-        _ => "unknown",
     }
 }
 
@@ -469,7 +458,6 @@ fn soak_intensity(
         }
     }
 
-    let final_prediction = service.predict();
     Ok(SoakIntensityReport {
         intensity_millis: millis,
         corrupted_lines: corruption_log.len() as u64,
@@ -479,14 +467,6 @@ fn soak_intensity(
         max_buffered_depth: max_depth,
         depth_bound,
         health: service.sensor_health(),
-        predictions: final_prediction
-            .clusters
-            .iter()
-            .map(|c| SoakPrediction {
-                cluster: c.cluster,
-                action: action_label(&c.action).to_owned(),
-                predicted: c.predicted,
-            })
-            .collect(),
+        predictions: SoakPrediction::from_live(&service.predict()),
     })
 }

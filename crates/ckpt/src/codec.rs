@@ -11,11 +11,12 @@
 //! * keys are emitted in insertion order and the encoder is the only
 //!   producer, so identical inputs yield identical bytes (the
 //!   property the chaos harness' byte-equality assertion rests on),
-//! * strings are percent-escaped only for the three characters the
-//!   format reserves (`%`, newline, space), keeping payloads
-//!   human-inspectable.
+//! * strings are percent-escaped only for the four characters the
+//!   format reserves (`%`, newline, space, and the list separator
+//!   `,`), keeping payloads human-inspectable.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 
 use crate::error::CkptError;
 
@@ -47,39 +48,47 @@ impl Record {
         self
     }
 
+    /// Appends any `Display` value (an integer, in practice) as its
+    /// text form. [`fields!`](crate::fields!) writes through this.
+    pub fn put_value(&mut self, key: &str, value: impl Display) -> &mut Self {
+        self.put(key, &value.to_string())
+    }
+
     /// Appends an unsigned integer field.
     pub fn put_u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.put(key, &value.to_string())
+        self.put_value(key, value)
     }
 
     /// Appends a usize field.
     pub fn put_usize(&mut self, key: &str, value: usize) -> &mut Self {
-        self.put(key, &value.to_string())
+        self.put_value(key, value)
     }
 
     /// Appends a signed integer field (timestamps in minutes).
     pub fn put_i64(&mut self, key: &str, value: i64) -> &mut Self {
-        self.put(key, &value.to_string())
+        self.put_value(key, value)
+    }
+
+    /// Appends a slice, each element rendered by `render`, comma-joined
+    /// (the joined text is escaped like any string field).
+    fn put_joined<T>(
+        &mut self,
+        key: &str,
+        values: &[T],
+        render: impl Fn(&T) -> String,
+    ) -> &mut Self {
+        let joined = values.iter().map(render).collect::<Vec<_>>().join(",");
+        self.put(key, &joined)
     }
 
     /// Appends a slice of `i64`s, comma-joined.
     pub fn put_i64_slice(&mut self, key: &str, values: &[i64]) -> &mut Self {
-        let joined = values
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        self.put(key, &joined)
+        self.put_joined(key, values, ToString::to_string)
     }
 
     /// Appends a slice of `u64`s, comma-joined.
     pub fn put_u64_slice(&mut self, key: &str, values: &[u64]) -> &mut Self {
-        let joined = values
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        self.put(key, &joined)
+        self.put_joined(key, values, ToString::to_string)
     }
 
     /// Appends an `f64` field, bit-exact (hex of `to_bits`).
@@ -87,24 +96,14 @@ impl Record {
         self.put(key, &f64_to_hex(value))
     }
 
-    /// Appends a slice of `f64`s, bit-exact, space-joined.
+    /// Appends a slice of `f64`s, bit-exact, comma-joined.
     pub fn put_f64_slice(&mut self, key: &str, values: &[f64]) -> &mut Self {
-        let joined = values
-            .iter()
-            .map(|&v| f64_to_hex(v))
-            .collect::<Vec<_>>()
-            .join(",");
-        self.put(key, &joined)
+        self.put_joined(key, values, |&v| f64_to_hex(v))
     }
 
     /// Appends a slice of usizes, comma-joined.
     pub fn put_usize_slice(&mut self, key: &str, values: &[usize]) -> &mut Self {
-        let joined = values
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        self.put(key, &joined)
+        self.put_joined(key, values, ToString::to_string)
     }
 
     /// Appends a list of strings, each percent-escaped, comma-joined.
@@ -118,122 +117,85 @@ impl Record {
         self
     }
 
-    /// First value for `key`, if present (unescaped raw form).
-    fn raw(&self, key: &str) -> Option<&str> {
+    /// First value for `key` (still escaped).
+    fn raw(&self, key: &str) -> Result<&str, CkptError> {
         self.fields
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+            .ok_or_else(|| CkptError::decode("record", format!("missing field {key:?}")))
     }
 
     /// Required string field (unescaped).
     pub fn get(&self, key: &str) -> Result<String, CkptError> {
-        let raw = self
-            .raw(key)
-            .ok_or_else(|| CkptError::decode("record", format!("missing field {key:?}")))?;
-        unescape(raw).map_err(|e| CkptError::decode("record", format!("field {key:?}: {e}")))
+        unescape(self.raw(key)?).map_err(|e| field_error(key, e))
+    }
+
+    /// Required field parsed with `FromStr` (an integer, in practice).
+    /// [`fields!`](crate::fields!) reads through this.
+    pub fn parse<T: FromStr>(&self, key: &str) -> Result<T, CkptError>
+    where
+        T::Err: Display,
+    {
+        parse_token(key, &self.get(key)?)
     }
 
     /// Required `u64` field.
     pub fn get_u64(&self, key: &str) -> Result<u64, CkptError> {
-        self.get(key)?
-            .parse()
-            .map_err(|e| CkptError::decode("record", format!("field {key:?} not a u64: {e}")))
+        self.parse(key)
     }
 
     /// Required `usize` field.
     pub fn get_usize(&self, key: &str) -> Result<usize, CkptError> {
-        self.get(key)?
-            .parse()
-            .map_err(|e| CkptError::decode("record", format!("field {key:?} not a usize: {e}")))
+        self.parse(key)
     }
 
     /// Required `i64` field.
     pub fn get_i64(&self, key: &str) -> Result<i64, CkptError> {
-        self.get(key)?
-            .parse()
-            .map_err(|e| CkptError::decode("record", format!("field {key:?} not an i64: {e}")))
+        self.parse(key)
+    }
+
+    /// Required comma-joined list, each element parsed with `FromStr`.
+    fn parse_list<T: FromStr>(&self, key: &str) -> Result<Vec<T>, CkptError>
+    where
+        T::Err: Display,
+    {
+        split_list(&self.get(key)?, |tok| parse_token(key, tok))
     }
 
     /// Required `i64`-slice field.
     pub fn get_i64_slice(&self, key: &str) -> Result<Vec<i64>, CkptError> {
-        let raw = self.get(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|tok| {
-                tok.parse().map_err(|e| {
-                    CkptError::decode("record", format!("field {key:?} element not an i64: {e}"))
-                })
-            })
-            .collect()
+        self.parse_list(key)
     }
 
     /// Required `u64`-slice field.
     pub fn get_u64_slice(&self, key: &str) -> Result<Vec<u64>, CkptError> {
-        let raw = self.get(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|tok| {
-                tok.parse().map_err(|e| {
-                    CkptError::decode("record", format!("field {key:?} element not a u64: {e}"))
-                })
-            })
-            .collect()
+        self.parse_list(key)
     }
 
     /// Required bit-exact `f64` field.
     pub fn get_f64(&self, key: &str) -> Result<f64, CkptError> {
-        f64_from_hex(&self.get(key)?)
-            .map_err(|e| CkptError::decode("record", format!("field {key:?}: {e}")))
+        f64_from_hex(&self.get(key)?).map_err(|e| field_error(key, e))
     }
 
     /// Required `f64`-slice field.
     pub fn get_f64_slice(&self, key: &str) -> Result<Vec<f64>, CkptError> {
-        let raw = self.get(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|tok| {
-                f64_from_hex(tok)
-                    .map_err(|e| CkptError::decode("record", format!("field {key:?}: {e}")))
-            })
-            .collect()
+        split_list(&self.get(key)?, |tok| {
+            f64_from_hex(tok).map_err(|e| field_error(key, e))
+        })
     }
 
     /// Required usize-slice field.
     pub fn get_usize_slice(&self, key: &str) -> Result<Vec<usize>, CkptError> {
-        let raw = self.get(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|tok| {
-                tok.parse().map_err(|e| {
-                    CkptError::decode("record", format!("field {key:?} element not a usize: {e}"))
-                })
-            })
-            .collect()
+        self.parse_list(key)
     }
 
     /// Required string-list field (each element unescaped).
     pub fn get_str_list(&self, key: &str) -> Result<Vec<String>, CkptError> {
-        let raw = self
-            .raw(key)
-            .ok_or_else(|| CkptError::decode("record", format!("missing field {key:?}")))?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|tok| {
-                unescape(tok)
-                    .map_err(|e| CkptError::decode("record", format!("field {key:?}: {e}")))
-            })
-            .collect()
+        // Elements were escaped one by one, so split the raw text.
+        split_list(self.raw(key)?, |tok| {
+            unescape(tok).map_err(|e| field_error(key, e))
+        })
     }
 
     /// Encodes the record to its canonical byte form.
@@ -277,6 +239,36 @@ impl Record {
         }
         Ok(Self { tag, fields })
     }
+}
+
+/// A decode error naming the offending field.
+fn field_error(key: &str, detail: impl Display) -> CkptError {
+    CkptError::decode("record", format!("field {key:?}: {detail}"))
+}
+
+/// Splits a comma-joined list (empty text is the empty list),
+/// decoding each element.
+fn split_list<T>(
+    text: &str,
+    decode: impl Fn(&str) -> Result<T, CkptError>,
+) -> Result<Vec<T>, CkptError> {
+    if text.is_empty() {
+        return Ok(Vec::new());
+    }
+    text.split(',').map(decode).collect()
+}
+
+/// Parses one token of field `key` as a `T`.
+fn parse_token<T: FromStr>(key: &str, token: &str) -> Result<T, CkptError>
+where
+    T::Err: Display,
+{
+    token.parse().map_err(|e| {
+        field_error(
+            key,
+            format_args!("not a {}: {e}", std::any::type_name::<T>()),
+        )
+    })
 }
 
 /// Hex of the IEEE-754 bits of `v` — the bit-exact wire form.

@@ -26,6 +26,11 @@
 //!   discipline,
 //! * [`codec`] — the hand-rolled, bit-exact text record format every
 //!   checkpoint payload uses (hex-of-bits `f64`s, canonical bytes),
+//! * [`json`] — the one canonical JSON writer every byte-compared
+//!   report goes through, and the string escaper `cargo xtask` shares,
+//! * [`fields!`] — one field list per counter struct, from which its
+//!   record capture, record restore and JSON members all derive
+//!   ([`Fields`]),
 //! * [`snapshot`] — the versioned, FNV-checksummed envelope and
 //!   [`Snapshot`] trait live serving state (queues, health machines,
 //!   RLS estimators, fleet shards) uses to checkpoint itself at slot
@@ -69,16 +74,19 @@
 mod atomic;
 mod breaker;
 mod error;
+mod fields;
 mod runner;
 mod store;
 
 pub mod codec;
+pub mod json;
 pub mod manifest;
 pub mod snapshot;
 
 pub use atomic::{fnv1a64, valid_name, write_atomic, Fnv64};
 pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 pub use error::CkptError;
+pub use fields::Fields;
 pub use manifest::SCHEMA_VERSION;
 pub use runner::{run_cell, CellOutcome, CellPolicy};
 pub use snapshot::Snapshot;

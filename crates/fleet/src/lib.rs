@@ -52,7 +52,7 @@ pub use error::FleetError;
 pub use orchestrator::{run_fleet, FleetConfig, FleetOutcome};
 pub use report::{
     BuildingDigest, BuildingReport, FitStatus, FleetReport, QuarantineEvent, QuarantineLog,
-    ServeOutcome, ServedPrediction, ShedDigest,
+    ServeOutcome, ShedDigest,
 };
 pub use shard::{BuildingShard, PhaseTransition, ShardCounters, ShardPhase, ShardPolicy};
 pub use spec::BuildingSpec;

@@ -30,13 +30,12 @@ use thermal_ckpt::snapshot::{
     gc_snapshots, get_nested, latest_record_snapshot, put_nested, save_record_snapshot,
 };
 use thermal_core::{
-    ClusterCount, FallbackAction, GramCache, ModelOrder, ReducedModel, SelectorKind,
-    ThermalPipeline,
+    ClusterCount, GramCache, ModelOrder, ReducedModel, SelectorKind, ThermalPipeline,
 };
 use thermal_sim::SimOutput;
 use thermal_stream::{
-    parse_csv_events, BackoffPolicy, FlakySource, ReplayConfig, StreamConfig, StreamService,
-    TraceReplayer,
+    parse_csv_events, BackoffPolicy, FlakySource, ReplayConfig, SoakPrediction, StreamConfig,
+    StreamService, TraceReplayer,
 };
 use thermal_timeseries::{csv, Channel, Dataset, Mask};
 
@@ -44,7 +43,7 @@ use crate::admission::{AdmissionPlan, AdmissionPolicy};
 use crate::error::{FleetError, Result};
 use crate::report::{
     BuildingDigest, BuildingReport, FitStatus, FleetReport, QuarantineEvent, QuarantineLog,
-    ServeOutcome, ServedPrediction, ShedDigest,
+    ServeOutcome, ShedDigest,
 };
 use crate::shard::{BuildingShard, ShardPolicy};
 use crate::spec::BuildingSpec;
@@ -178,7 +177,6 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome> {
                 for t in &s.transitions {
                     events.push(QuarantineEvent {
                         building: report.building,
-                        slot: t.slot,
                         transition: *t,
                     });
                 }
@@ -220,17 +218,6 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome> {
         quarantine_log: QuarantineLog { events },
         buildings,
     })
-}
-
-/// Stable report label of a ladder action.
-fn action_label(action: &FallbackAction) -> &'static str {
-    match action {
-        FallbackAction::Healthy => "healthy",
-        FallbackAction::Backup { .. } => "backup",
-        FallbackAction::ClusterMean { .. } => "cluster_mean",
-        FallbackAction::Unavailable => "unavailable",
-        _ => "unknown",
-    }
 }
 
 /// Runs one building end to end. Pure in `(config, plan, spec)`;
@@ -454,7 +441,6 @@ fn serve_building(
         _ => shard.serve_all()?,
     }
 
-    let final_served = shard.serve();
     Ok(ServeOutcome {
         slots,
         final_phase: shard.phase().label().to_owned(),
@@ -468,15 +454,7 @@ fn serve_building(
         source: shard.source_stats(),
         service: shard.service_stats(),
         health: shard.sensor_health(),
-        predictions: final_served
-            .clusters
-            .iter()
-            .map(|c| ServedPrediction {
-                cluster: c.cluster,
-                action: action_label(&c.action).to_owned(),
-                predicted: c.predicted,
-            })
-            .collect(),
+        predictions: SoakPrediction::from_live(&shard.serve()),
     })
 }
 

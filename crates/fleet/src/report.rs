@@ -10,26 +10,21 @@
 //!   predictions. Fleet-level facts (which buildings were targeted,
 //!   what was shed elsewhere) live in [`FleetReport`] and the
 //!   [`QuarantineLog`], which are allowed to differ between runs;
-//! * serialization is canonical: fixed field order, floats rendered
-//!   as the hex of their IEEE-754 bits (with a rounded echo), no
-//!   locale- or platform-dependent formatting (same contract as
-//!   `thermal_stream::SoakReport`).
+//! * serialization is canonical: every document goes through the
+//!   workspace's one writer, [`thermal_ckpt::json`] (fixed field
+//!   order, floats as the hex of their IEEE-754 bits with a rounded
+//!   echo), and the sections a building shares with a soak intensity
+//!   are written by `thermal_stream`'s own functions
+//!   ([`counters_json`], [`final_state_json`]).
 
-use std::fmt::Write as _;
-
-use thermal_stream::{IngestStats, SensorHealth, ServiceStats, SourceStats};
+use thermal_ckpt::json::{JsonWriter, Layout};
+use thermal_ckpt::Fields;
+use thermal_stream::{
+    counters_json, final_state_json, IngestStats, SensorHealth, ServiceStats, SoakPrediction,
+    SourceStats,
+};
 
 use crate::shard::{PhaseTransition, ShardCounters};
-
-/// Canonical rendering of one float: exact bits plus a readable echo.
-fn push_f64(out: &mut String, key: &str, value: f64) {
-    let _ = write!(
-        out,
-        "\"{key}\": {{\"bits\": \"{:016x}\", \"approx\": \"{:.4}\"}}",
-        value.to_bits(),
-        value
-    );
-}
 
 /// How a building's cluster→select→identify stage ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,18 +47,6 @@ pub enum FitStatus {
         /// Which budget refused it (stable label).
         reason: String,
     },
-}
-
-/// One cluster's final served prediction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedPrediction {
-    /// Cluster index.
-    pub cluster: usize,
-    /// Ladder action label (`healthy`, `backup`, `cluster_mean`,
-    /// `unavailable`).
-    pub action: String,
-    /// Served value; `None` under structured blackout.
-    pub predicted: Option<f64>,
 }
 
 /// Everything measured while serving one building.
@@ -95,7 +78,7 @@ pub struct ServeOutcome {
     pub health: Vec<SensorHealth>,
     /// Final served per-cluster predictions (blackout-overridden
     /// while quarantined).
-    pub predictions: Vec<ServedPrediction>,
+    pub predictions: Vec<SoakPrediction>,
 }
 
 /// One building's complete, building-local soak report.
@@ -132,162 +115,66 @@ impl BuildingReport {
     /// bit-exact floats, trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"building\": {},\n  \"fingerprint\": \"{:016x}\",\n  \"seed\": {},",
-            self.building, self.fingerprint, self.seed
-        );
-        let _ = writeln!(
-            out,
-            "  \"targeted\": {},\n  \"intensity_millis\": {},",
-            self.targeted, self.intensity_millis
-        );
-        let _ = writeln!(
-            out,
-            "  \"spec\": {{\"rows\": {}, \"cols\": {}, \"capacity\": {}, \"cluster_count\": {}}},",
-            self.rows, self.cols, self.capacity, self.cluster_count
-        );
-        out.push_str("  \"fit\": ");
-        match &self.fit {
-            FitStatus::Fitted { clusters, selected } => {
-                let _ = write!(
-                    out,
-                    "{{\"status\": \"fitted\", \"clusters\": {}, \"selected\": [",
-                    clusters
-                );
-                for (i, name) in selected.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "\"{name}\"");
+        JsonWriter::document(|w| {
+            w.key("building").num(self.building);
+            w.key("fingerprint")
+                .str(&format!("{:016x}", self.fingerprint));
+            w.key("seed").num(self.seed);
+            w.key("targeted").bool(self.targeted);
+            w.key("intensity_millis").num(self.intensity_millis);
+            w.key("spec").object(Layout::Inline, |w| {
+                w.key("rows").num(self.rows);
+                w.key("cols").num(self.cols);
+                w.key("capacity").num(self.capacity);
+                w.key("cluster_count").num(self.cluster_count);
+            });
+            w.key("fit").object(Layout::Inline, |w| match &self.fit {
+                FitStatus::Fitted { clusters, selected } => {
+                    w.key("status").str("fitted");
+                    w.key("clusters").num(clusters);
+                    w.key("selected").array(Layout::Inline, |w| {
+                        for name in selected {
+                            w.item().str(name);
+                        }
+                    });
                 }
-                out.push_str("]}");
-            }
-            FitStatus::Failed { reason } => {
-                let _ = write!(
-                    out,
-                    "{{\"status\": \"failed\", \"reason\": \"{}\"}}",
-                    reason.replace('\\', "\\\\").replace('"', "\\\"")
-                );
-            }
-            FitStatus::Shed { reason } => {
-                let _ = write!(out, "{{\"status\": \"shed\", \"reason\": \"{reason}\"}}");
-            }
-        }
-        out.push_str(",\n  \"serve\": ");
-        match &self.serve {
-            None => out.push_str("null"),
-            Some(s) => Self::push_serve(&mut out, s),
-        }
-        out.push_str("\n}\n");
-        out
+                FitStatus::Failed { reason } => {
+                    w.key("status").str("failed");
+                    w.key("reason").str(reason);
+                }
+                FitStatus::Shed { reason } => {
+                    w.key("status").str("shed");
+                    w.key("reason").str(reason);
+                }
+            });
+            w.key("serve");
+            match &self.serve {
+                None => w.null(),
+                Some(s) => w.object(Layout::Block, |w| Self::serve_json(w, s)),
+            };
+        })
     }
 
-    fn push_serve(out: &mut String, s: &ServeOutcome) {
-        let _ = writeln!(
-            out,
-            "{{\n    \"slots\": {},\n    \"final_phase\": \"{}\",\n    \
-             \"ever_left_healthy\": {},",
-            s.slots, s.final_phase, s.ever_left_healthy
-        );
-        out.push_str("    \"transitions\": [");
-        for (i, t) in s.transitions.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+    fn serve_json(w: &mut JsonWriter, s: &ServeOutcome) {
+        w.key("slots").num(s.slots);
+        w.key("final_phase").str(&s.final_phase);
+        w.key("ever_left_healthy").bool(s.ever_left_healthy);
+        w.key("transitions").array(Layout::Inline, |w| {
+            for t in &s.transitions {
+                w.item().object(Layout::Inline, |w| {
+                    w.key("slot").num(t.slot);
+                    w.key("from").str(t.from.label());
+                    w.key("to").str(t.to.label());
+                });
             }
-            let _ = write!(
-                out,
-                "{{\"slot\": {}, \"from\": \"{}\", \"to\": \"{}\"}}",
-                t.slot,
-                t.from.label(),
-                t.to.label()
-            );
-        }
-        out.push_str("],\n");
-        let c = &s.counters;
-        let _ = writeln!(
-            out,
-            "    \"counters\": {{\"degraded_slots\": {}, \"blackout_slots\": {}, \
-             \"watchdog_trips\": {}, \"probes\": {}, \"probe_failures\": {}}},",
-            c.degraded_slots, c.blackout_slots, c.watchdog_trips, c.probes, c.probe_failures
-        );
-        let _ = writeln!(
-            out,
-            "    \"max_depth_seen\": {},\n    \"depth_bound\": {},\n    \
-             \"corrupted_lines\": {},",
-            s.max_depth_seen, s.depth_bound, s.corrupted_lines
-        );
-        let ing = &s.ingest;
-        let _ = writeln!(
-            out,
-            "    \"ingest\": {{\"parsed\": {}, \"non_finite\": {}, \"malformed\": {}, \
-             \"missing_fields\": {}, \"skipped_rows\": {}}},",
-            ing.parsed, ing.non_finite, ing.malformed, ing.missing_fields, ing.skipped_rows
-        );
-        let src = &s.source;
-        let _ = writeln!(
-            out,
-            "    \"source\": {{\"successes\": {}, \"failures\": {}, \"breaker_refusals\": {}, \
-             \"backoff_skips\": {}, \"breaker_trips\": {}}},",
-            src.successes, src.failures, src.breaker_refusals, src.backoff_skips, src.breaker_trips
-        );
-        let sv = &s.service;
-        let _ = writeln!(
-            out,
-            "    \"service\": {{\"steps\": {}, \"applied\": {}, \"implausible\": {}, \
-             \"unknown_channel\": {}, \"queue_accepted\": {}, \"queue_dropped\": {}, \
-             \"queue_high_water\": {}, \"reorder_released\": {}, \"reorder_duplicates\": {}, \
-             \"reorder_too_late\": {}, \"reorder_overflowed\": {}, \"healthy_outputs\": {}, \
-             \"backup_outputs\": {}, \"cluster_mean_outputs\": {}, \"unavailable_outputs\": {}}},",
-            sv.steps,
-            sv.applied,
-            sv.implausible,
-            sv.unknown_channel,
-            sv.queue.accepted,
-            sv.queue.dropped(),
-            sv.queue.high_water,
-            sv.reorder.released,
-            sv.reorder.duplicates,
-            sv.reorder.too_late,
-            sv.reorder.overflowed,
-            sv.healthy_outputs,
-            sv.backup_outputs,
-            sv.cluster_mean_outputs,
-            sv.unavailable_outputs
-        );
-        out.push_str("    \"health\": [");
-        for (i, h) in s.health.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"state\": \"{}\", \"transitions\": {}, \"implausible\": {}}}",
-                h.name,
-                h.state.label(),
-                h.transitions,
-                h.implausible
-            );
-        }
-        out.push_str("],\n    \"predictions\": [");
-        for (i, p) in s.predictions.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"cluster\": {}, \"action\": \"{}\", ",
-                p.cluster, p.action
-            );
-            match p.predicted {
-                Some(v) => push_f64(out, "predicted", v),
-                None => out.push_str("\"predicted\": null"),
-            }
-            out.push('}');
-        }
-        out.push_str("]\n  }");
+        });
+        w.key("counters")
+            .object(Layout::Inline, |w| s.counters.json_fields(w, ""));
+        w.key("max_depth_seen").num(s.max_depth_seen);
+        w.key("depth_bound").num(s.depth_bound);
+        w.key("corrupted_lines").num(s.corrupted_lines);
+        counters_json(w, &s.ingest, &s.source, &s.service);
+        final_state_json(w, &s.health, &s.predictions);
     }
 }
 
@@ -296,9 +183,7 @@ impl BuildingReport {
 pub struct QuarantineEvent {
     /// Building the phase change happened in.
     pub building: u32,
-    /// Event-loop slot it happened at.
-    pub slot: usize,
-    /// The transition.
+    /// The transition, with the slot it happened at.
     pub transition: PhaseTransition,
 }
 
@@ -314,25 +199,18 @@ impl QuarantineLog {
     /// Renders the canonical JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"events\": [\n");
-        for (i, e) in self.events.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"building\": {}, \"slot\": {}, \"from\": \"{}\", \"to\": \"{}\"}}",
-                e.building,
-                e.slot,
-                e.transition.from.label(),
-                e.transition.to.label()
-            );
-            out.push_str(if i + 1 < self.events.len() {
-                ",\n"
-            } else {
-                "\n"
+        JsonWriter::document(|w| {
+            w.key("events").array(Layout::Block, |w| {
+                for e in &self.events {
+                    w.item().object(Layout::Inline, |w| {
+                        w.key("building").num(e.building);
+                        w.key("slot").num(e.transition.slot);
+                        w.key("from").str(e.transition.from.label());
+                        w.key("to").str(e.transition.to.label());
+                    });
+                }
             });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        })
     }
 }
 
@@ -402,57 +280,42 @@ impl FleetReport {
     /// Renders the canonical JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"fleet_seed\": {},\n  \"buildings\": {},\n  \"days\": {},\n  \"slots\": {},",
-            self.fleet_seed, self.buildings, self.days, self.slots
-        );
-        out.push_str("  \"targets\": [");
-        for (i, t) in self.targets.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{t}");
-        }
-        let _ = writeln!(
-            out,
-            "],\n  \"intensity_millis\": {},",
-            self.intensity_millis
-        );
-        let _ = writeln!(
-            out,
-            "  \"admission\": {{\"admitted\": {}, \"admitted_units\": {}, \"budget_units\": {}}},",
-            self.admitted, self.admitted_units, self.budget_units
-        );
-        out.push_str("  \"shed\": [");
-        for (i, s) in self.shed.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"building\": {}, \"demand_units\": {}, \"reason\": \"{}\"}}",
-                s.building, s.demand_units, s.reason
-            );
-        }
-        out.push_str("],\n  \"digests\": [\n");
-        for (i, d) in self.digests.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"building\": {}, \"fingerprint\": \"{:016x}\", \"outcome\": \"{}\", \
-                 \"left_healthy\": {}}}",
-                d.building, d.fingerprint, d.outcome, d.left_healthy
-            );
-            out.push_str(if i + 1 < self.digests.len() {
-                ",\n"
-            } else {
-                "\n"
+        JsonWriter::document(|w| {
+            w.key("fleet_seed").num(self.fleet_seed);
+            w.key("buildings").num(self.buildings);
+            w.key("days").num(self.days);
+            w.key("slots").num(self.slots);
+            w.key("targets").array(Layout::Inline, |w| {
+                for t in &self.targets {
+                    w.item().num(t);
+                }
             });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            w.key("intensity_millis").num(self.intensity_millis);
+            w.key("admission").object(Layout::Inline, |w| {
+                w.key("admitted").num(self.admitted);
+                w.key("admitted_units").num(self.admitted_units);
+                w.key("budget_units").num(self.budget_units);
+            });
+            w.key("shed").array(Layout::Inline, |w| {
+                for s in &self.shed {
+                    w.item().object(Layout::Inline, |w| {
+                        w.key("building").num(s.building);
+                        w.key("demand_units").num(s.demand_units);
+                        w.key("reason").str(&s.reason);
+                    });
+                }
+            });
+            w.key("digests").array(Layout::Block, |w| {
+                for d in &self.digests {
+                    w.item().object(Layout::Inline, |w| {
+                        w.key("building").num(d.building);
+                        w.key("fingerprint").str(&format!("{:016x}", d.fingerprint));
+                        w.key("outcome").str(&d.outcome);
+                        w.key("left_healthy").bool(d.left_healthy);
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -494,12 +357,12 @@ mod tests {
                 service: ServiceStats::default(),
                 health: vec![],
                 predictions: vec![
-                    ServedPrediction {
+                    SoakPrediction {
                         cluster: 0,
                         action: "healthy".to_owned(),
                         predicted: Some(21.125),
                     },
-                    ServedPrediction {
+                    SoakPrediction {
                         cluster: 1,
                         action: "unavailable".to_owned(),
                         predicted: None,
@@ -509,9 +372,38 @@ mod tests {
         }
     }
 
+    /// The fixture's bytes as rendered before the reports moved onto
+    /// the shared JSON writer; only the `service` line has changed
+    /// since, to carry the snapshot record's counter keys.
+    const BUILDING_JSON: &str = r#"{
+  "building": 3,
+  "fingerprint": "00000000deadbeef",
+  "seed": 99,
+  "targeted": true,
+  "intensity_millis": 400,
+  "spec": {"rows": 3, "cols": 4, "capacity": 120, "cluster_count": 2},
+  "fit": {"status": "fitted", "clusters": 2, "selected": ["t05", "t09"]},
+  "serve": {
+    "slots": 576,
+    "final_phase": "quarantined",
+    "ever_left_healthy": true,
+    "transitions": [{"slot": 80, "from": "healthy", "to": "degraded"}],
+    "counters": {"degraded_slots": 0, "blackout_slots": 0, "watchdog_trips": 0, "probes": 0, "probe_failures": 0},
+    "max_depth_seen": 40,
+    "depth_bound": 4096,
+    "corrupted_lines": 17,
+    "ingest": {"parsed": 0, "non_finite": 0, "malformed": 0, "missing_fields": 0, "skipped_rows": 0},
+    "source": {"successes": 0, "failures": 0, "breaker_refusals": 0, "backoff_skips": 0, "breaker_trips": 0},
+    "service": {"queue_accepted": 0, "queue_rejected": 0, "queue_evicted": 0, "queue_high_water": 0, "reorder_released": 0, "reorder_duplicates": 0, "reorder_too_late": 0, "reorder_overflowed": 0, "reorder_high_water": 0, "unknown_channel": 0, "applied": 0, "implausible": 0, "steps": 0, "healthy_outputs": 0, "backup_outputs": 0, "cluster_mean_outputs": 0, "unavailable_outputs": 0, "refit_installs": 0},
+    "health": [],
+    "predictions": [{"cluster": 0, "action": "healthy", "predicted": {"bits": "4035200000000000", "approx": "21.1250"}}, {"cluster": 1, "action": "unavailable", "predicted": null}]
+  }
+}
+"#;
+
     #[test]
     fn building_json_is_byte_stable() {
-        assert_eq!(report().to_json(), report().to_json());
+        assert_eq!(report().to_json(), BUILDING_JSON);
     }
 
     #[test]
@@ -551,14 +443,49 @@ mod tests {
             reason: "singular \"G\"".to_owned(),
         };
         assert!(r.to_json().contains("singular \\\"G\\\""));
+        r.fit = FitStatus::Shed {
+            reason: "over \"memory\"".to_owned(),
+        };
+        assert!(r
+            .to_json()
+            .contains(r#"{"status": "shed", "reason": "over \"memory\""}"#));
+        r.fit = FitStatus::Failed {
+            reason: "line one\nline two".to_owned(),
+        };
+        assert!(r
+            .to_json()
+            .contains(r#"{"status": "failed", "reason": "line one\nline two"}"#));
     }
+
+    /// Both fixtures' bytes as rendered before the reports moved onto
+    /// the shared JSON writer.
+    const QUARANTINE_JSON: &str = r#"{
+  "events": [
+    {"building": 5, "slot": 80, "from": "degraded", "to": "quarantined"}
+  ]
+}
+"#;
+    const FLEET_JSON: &str = r#"{
+  "fleet_seed": 7,
+  "buildings": 8,
+  "days": 2,
+  "slots": 576,
+  "targets": [2, 5],
+  "intensity_millis": 400,
+  "admission": {"admitted": 8, "admitted_units": 100, "budget_units": 65536},
+  "shed": [{"building": 7, "demand_units": 900, "reason": "memory_budget"}],
+  "digests": [
+    {"building": 5, "fingerprint": "0000000000000001", "outcome": "quarantined", "left_healthy": true},
+    {"building": 6, "fingerprint": "00000000deadbeef", "outcome": "healthy", "left_healthy": false}
+  ]
+}
+"#;
 
     #[test]
     fn quarantine_log_and_fleet_report_are_byte_stable() {
         let log = QuarantineLog {
             events: vec![QuarantineEvent {
                 building: 5,
-                slot: 80,
                 transition: PhaseTransition {
                     slot: 80,
                     from: ShardPhase::Degraded,
@@ -566,8 +493,7 @@ mod tests {
                 },
             }],
         };
-        assert_eq!(log.to_json(), log.to_json());
-        assert!(log.to_json().contains("\"to\": \"quarantined\""));
+        assert_eq!(log.to_json(), QUARANTINE_JSON);
         let fleet = FleetReport {
             fleet_seed: 7,
             buildings: 8,
@@ -578,16 +504,27 @@ mod tests {
             admitted: 8,
             admitted_units: 100,
             budget_units: 65536,
-            shed: vec![],
-            digests: vec![BuildingDigest {
-                building: 5,
-                fingerprint: 1,
-                outcome: "quarantined".to_owned(),
-                left_healthy: true,
+            shed: vec![ShedDigest {
+                building: 7,
+                demand_units: 900,
+                reason: "memory_budget".to_owned(),
             }],
+            digests: vec![
+                BuildingDigest {
+                    building: 5,
+                    fingerprint: 1,
+                    outcome: "quarantined".to_owned(),
+                    left_healthy: true,
+                },
+                BuildingDigest {
+                    building: 6,
+                    fingerprint: 0xdead_beef,
+                    outcome: "healthy".to_owned(),
+                    left_healthy: false,
+                },
+            ],
         };
-        assert_eq!(fleet.to_json(), fleet.to_json());
+        assert_eq!(fleet.to_json(), FLEET_JSON);
         assert_eq!(fleet.left_healthy(), vec![5]);
-        assert!(fleet.to_json().contains("\"targets\": [2, 5]"));
     }
 }

@@ -32,7 +32,7 @@
 
 use thermal_ckpt::codec::Record;
 use thermal_ckpt::snapshot::{get_nested, put_nested};
-use thermal_ckpt::{BreakerPolicy, CircuitBreaker, CkptError, Snapshot};
+use thermal_ckpt::{BreakerPolicy, CircuitBreaker, CkptError, Fields, Snapshot};
 use thermal_core::{FallbackAction, ModelHealth};
 use thermal_stream::{
     ClusterPrediction, FlakySource, LivePrediction, SensorHealth, ServiceStats, SourceStats,
@@ -143,6 +143,9 @@ pub struct ShardCounters {
     /// Probes whose prediction was still degraded.
     pub probe_failures: u64,
 }
+
+thermal_ckpt::fields!(ShardCounters: degraded_slots, blackout_slots, watchdog_trips, probes,
+    probe_failures);
 
 /// One building's bulkhead: service, source, watchdog, error budget
 /// and the phase machine, all private to this building.
@@ -434,22 +437,18 @@ impl Snapshot for BuildingShard {
     const VERSION: u32 = 1;
 
     fn capture(&self, rec: &mut Record) {
-        rec.put_u64("building", u64::from(self.building));
+        rec.put_value("building", self.building);
         put_nested(rec, "service", &self.service);
         put_nested(rec, "source", &self.source);
         put_nested(rec, "breaker", &self.breaker);
         rec.put("phase", self.phase.label())
             .put_u64("ever_quarantined", u64::from(self.ever_quarantined))
-            .put_u64("consec_degraded", u64::from(self.consec_degraded))
-            .put_u64("consec_healthy", u64::from(self.consec_healthy))
-            .put_u64("budget_spent", u64::from(self.budget_spent))
-            .put_u64("consec_probe_ok", u64::from(self.consec_probe_ok))
-            .put_u64("degraded_slots", self.counters.degraded_slots)
-            .put_u64("blackout_slots", self.counters.blackout_slots)
-            .put_u64("watchdog_trips", self.counters.watchdog_trips)
-            .put_u64("probes", self.counters.probes)
-            .put_u64("probe_failures", self.counters.probe_failures)
-            .put_usize("max_depth_seen", self.max_depth_seen);
+            .put_value("consec_degraded", self.consec_degraded)
+            .put_value("consec_healthy", self.consec_healthy)
+            .put_value("budget_spent", self.budget_spent)
+            .put_value("consec_probe_ok", self.consec_probe_ok);
+        self.counters.put_fields(rec, "");
+        rec.put_usize("max_depth_seen", self.max_depth_seen);
         let slots: Vec<usize> = self.transitions.iter().map(|t| t.slot).collect();
         let from: Vec<String> = self
             .transitions
@@ -467,8 +466,8 @@ impl Snapshot for BuildingShard {
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
-        let building = rec.get_u64("building")?;
-        if building != u64::from(self.building) {
+        let building: u32 = rec.parse("building")?;
+        if building != self.building {
             return Err(CkptError::decode(
                 "shard snapshot",
                 format!(
@@ -485,20 +484,11 @@ impl Snapshot for BuildingShard {
         get_nested(rec, "breaker", &mut breaker)?;
         let phase = phase_from(&rec.get("phase")?)?;
         let ever_quarantined = rec.get_u64("ever_quarantined")? != 0;
-        let to_u32 = |v: u64| {
-            u32::try_from(v).map_err(|e| CkptError::decode("shard snapshot", e.to_string()))
-        };
-        let consec_degraded = to_u32(rec.get_u64("consec_degraded")?)?;
-        let consec_healthy = to_u32(rec.get_u64("consec_healthy")?)?;
-        let budget_spent = to_u32(rec.get_u64("budget_spent")?)?;
-        let consec_probe_ok = to_u32(rec.get_u64("consec_probe_ok")?)?;
-        let counters = ShardCounters {
-            degraded_slots: rec.get_u64("degraded_slots")?,
-            blackout_slots: rec.get_u64("blackout_slots")?,
-            watchdog_trips: rec.get_u64("watchdog_trips")?,
-            probes: rec.get_u64("probes")?,
-            probe_failures: rec.get_u64("probe_failures")?,
-        };
+        let consec_degraded = rec.parse("consec_degraded")?;
+        let consec_healthy = rec.parse("consec_healthy")?;
+        let budget_spent = rec.parse("budget_spent")?;
+        let consec_probe_ok = rec.parse("consec_probe_ok")?;
+        let counters = ShardCounters::get_fields(rec, "")?;
         let max_depth_seen = rec.get_usize("max_depth_seen")?;
         let slots = rec.get_usize_slice("transition_slots")?;
         let from = rec.get_str_list("transition_from")?;

@@ -28,7 +28,7 @@
 //! flap each other.
 
 use thermal_ckpt::codec::Record;
-use thermal_ckpt::{CkptError, Snapshot};
+use thermal_ckpt::{CkptError, Fields, Snapshot};
 use thermal_core::ModelHealth;
 
 use crate::{Result, StreamError};
@@ -188,6 +188,8 @@ pub struct DriftStats {
     /// Health-state transitions of any kind.
     pub transitions: u64,
 }
+
+thermal_ckpt::fields!(DriftStats: observed, alarms, refits, transitions);
 
 /// Per-cluster supervisor translating detector alarms into the
 /// [`ModelHealth`] lifecycle.
@@ -357,11 +359,8 @@ impl Snapshot for DriftMachine {
         rec.put("health", self.health.name());
         thermal_ckpt::snapshot::put_nested(rec, "detector", &self.detector);
         rec.put_u64("quiet", self.quiet)
-            .put_u64("dwell", self.dwell)
-            .put_u64("observed", self.stats.observed)
-            .put_u64("alarms", self.stats.alarms)
-            .put_u64("refits", self.stats.refits)
-            .put_u64("transitions", self.stats.transitions);
+            .put_u64("dwell", self.dwell);
+        self.stats.put_fields(rec, "");
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
@@ -373,12 +372,7 @@ impl Snapshot for DriftMachine {
         thermal_ckpt::snapshot::get_nested(rec, "detector", &mut detector)?;
         let quiet = rec.get_u64("quiet")?;
         let dwell = rec.get_u64("dwell")?;
-        let stats = DriftStats {
-            observed: rec.get_u64("observed")?,
-            alarms: rec.get_u64("alarms")?,
-            refits: rec.get_u64("refits")?,
-            transitions: rec.get_u64("transitions")?,
-        };
+        let stats = DriftStats::get_fields(rec, "")?;
         self.health = health;
         self.detector = detector;
         self.quiet = quiet;

@@ -77,7 +77,7 @@ pub use replay::{
 pub use service::{
     ClusterPrediction, LivePrediction, SensorHealth, ServiceStats, StreamConfig, StreamService,
 };
-pub use soak::{SoakIntensityReport, SoakPrediction, SoakReport};
+pub use soak::{counters_json, final_state_json, SoakIntensityReport, SoakPrediction, SoakReport};
 
 /// Convenient crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StreamError>;

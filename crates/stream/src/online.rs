@@ -35,7 +35,9 @@ use std::path::PathBuf;
 
 use thermal_ckpt::codec::Record;
 use thermal_ckpt::snapshot::{get_nested, get_nested_list, put_nested, put_nested_list};
-use thermal_ckpt::{run_cell, CellOutcome, CellPolicy, CheckpointStore, CkptError, Snapshot};
+use thermal_ckpt::{
+    run_cell, CellOutcome, CellPolicy, CheckpointStore, CkptError, Fields, Snapshot,
+};
 use thermal_core::{FallbackAction, ModelHealth};
 use thermal_linalg::Matrix;
 use thermal_sysid::{regressors, ModelSpec, RlsConfig, RlsEstimator, ThermalModel};
@@ -130,6 +132,9 @@ pub struct OnlineStats {
     /// old model serving.
     pub refits_quarantined: u64,
 }
+
+thermal_ckpt::fields!(OnlineStats: rows_ingested, rows_skipped, residual_slots, refit_attempts,
+    refits_completed, refits_quarantined);
 
 /// EWMA of a cluster's squared one-step residual — the scale behind
 /// the published uncertainty band.
@@ -584,13 +589,8 @@ impl Snapshot for OnlineIdentifier {
             .put_u64("prev_inputs_ready", u64::from(self.prev_inputs_ready))
             .put_u64("clean_streak", self.clean_streak)
             .put_u64("cooldown", self.cooldown)
-            .put_u64("refit_ordinal", self.refit_ordinal)
-            .put_u64("rows_ingested", self.stats.rows_ingested)
-            .put_u64("rows_skipped", self.stats.rows_skipped)
-            .put_u64("residual_slots", self.stats.residual_slots)
-            .put_u64("refit_attempts", self.stats.refit_attempts)
-            .put_u64("refits_completed", self.stats.refits_completed)
-            .put_u64("refits_quarantined", self.stats.refits_quarantined);
+            .put_u64("refit_ordinal", self.refit_ordinal);
+        self.stats.put_fields(rec, "");
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
@@ -648,14 +648,7 @@ impl Snapshot for OnlineIdentifier {
         let clean_streak = rec.get_u64("clean_streak")?;
         let cooldown = rec.get_u64("cooldown")?;
         let refit_ordinal = rec.get_u64("refit_ordinal")?;
-        let stats = OnlineStats {
-            rows_ingested: rec.get_u64("rows_ingested")?,
-            rows_skipped: rec.get_u64("rows_skipped")?,
-            residual_slots: rec.get_u64("residual_slots")?,
-            refit_attempts: rec.get_u64("refit_attempts")?,
-            refits_completed: rec.get_u64("refits_completed")?,
-            refits_quarantined: rec.get_u64("refits_quarantined")?,
-        };
+        let stats = OnlineStats::get_fields(rec, "")?;
         self.estimator = estimator;
         self.machines = machines;
         for (tracker, (&ms, &s)) in self

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use thermal_ckpt::codec::Record;
-use thermal_ckpt::{CkptError, Snapshot};
+use thermal_ckpt::{CkptError, Fields, Snapshot};
 use thermal_timeseries::Timestamp;
 
 use crate::event::Reading;
@@ -58,6 +58,8 @@ impl QueueStats {
         self.rejected + self.evicted
     }
 }
+
+thermal_ckpt::fields!(QueueStats: accepted, rejected, evicted, high_water);
 
 /// A fixed-capacity FIFO of readings with counted overflow.
 #[derive(Debug, Clone)]
@@ -151,11 +153,8 @@ impl Snapshot for BoundedQueue {
         let values: Vec<f64> = self.items.iter().map(|r| r.value).collect();
         rec.put_usize_slice("channels", &channels)
             .put_i64_slice("ats", &ats)
-            .put_f64_slice("values", &values)
-            .put_u64("accepted", self.stats.accepted)
-            .put_u64("rejected", self.stats.rejected)
-            .put_u64("evicted", self.stats.evicted)
-            .put_usize("high_water", self.stats.high_water);
+            .put_f64_slice("values", &values);
+        self.stats.put_fields(rec, "");
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
@@ -178,12 +177,7 @@ impl Snapshot for BoundedQueue {
                 ),
             ));
         }
-        let stats = QueueStats {
-            accepted: rec.get_u64("accepted")?,
-            rejected: rec.get_u64("rejected")?,
-            evicted: rec.get_u64("evicted")?,
-            high_water: rec.get_usize("high_water")?,
-        };
+        let stats = QueueStats::get_fields(rec, "")?;
         self.items = channels
             .into_iter()
             .zip(ats)

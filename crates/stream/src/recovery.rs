@@ -8,14 +8,15 @@
 //! tolerance band of the pre-shift baseline within a bounded number of
 //! slots. Like the chaos soak, the driver byte-compares whole reports
 //! across repeated runs and `THERMAL_THREADS` settings, so the
-//! serialization here is canonical: fixed field order, floats rendered
-//! as the hex of their IEEE-754 bits (with a rounded human-readable
-//! echo), trailing newline.
+//! serialization here is canonical: it goes through the workspace's
+//! one writer, [`thermal_ckpt::json`] (fixed field order, floats as
+//! the hex of their IEEE-754 bits with a rounded echo, trailing
+//! newline).
 
-use std::fmt::Write as _;
+use thermal_ckpt::json::{JsonWriter, Layout};
+use thermal_ckpt::Fields;
 
 use crate::online::OnlineStats;
-use crate::soak::push_f64;
 
 /// One cluster's drift-supervision summary in a recovery report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,58 +76,36 @@ impl RecoveryReport {
     /// Renders the canonical JSON document (stable field order,
     /// bit-exact floats, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"seed\": {},\n  \"days\": {},\n  \"slots\": {},\n  \"shift_slot\": {},",
-            self.seed, self.days, self.slots, self.shift_slot
-        );
-        let _ = writeln!(
-            out,
-            "  \"window\": {},\n  \"recovery_budget\": {},\n  \"tolerance_millis\": {},",
-            self.window, self.recovery_budget, self.tolerance_millis
-        );
-        out.push_str("  ");
-        push_f64(&mut out, "baseline_rmse", self.baseline_rmse);
-        out.push_str(",\n  ");
-        push_f64(&mut out, "peak_rmse", self.peak_rmse);
-        out.push_str(",\n  ");
-        push_f64(&mut out, "final_rmse", self.final_rmse);
-        out.push_str(",\n");
-        match self.recovered_after {
-            Some(slots) => {
-                let _ = writeln!(out, "  \"recovered_after\": {slots},");
-            }
-            None => out.push_str("  \"recovered_after\": null,\n"),
-        }
-        let o = &self.online;
-        let _ = writeln!(
-            out,
-            "  \"online\": {{\"rows_ingested\": {}, \"rows_skipped\": {}, \
-             \"residual_slots\": {}, \"refit_attempts\": {}, \"refits_completed\": {}, \
-             \"refits_quarantined\": {}}},",
-            o.rows_ingested,
-            o.rows_skipped,
-            o.residual_slots,
-            o.refit_attempts,
-            o.refits_completed,
-            o.refits_quarantined
-        );
-        let _ = writeln!(out, "  \"refit_installs\": {},", self.refit_installs);
-        out.push_str("  \"clusters\": [");
-        for (i, c) in self.clusters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"cluster\": {}, \"final_health\": \"{}\", \"alarms\": {}, \"refits\": {}}}",
-                c.cluster, c.final_health, c.alarms, c.refits
-            );
-        }
-        out.push_str("]\n}\n");
-        out
+        JsonWriter::document(|w| {
+            w.key("seed").num(self.seed);
+            w.key("days").num(self.days);
+            w.key("slots").num(self.slots);
+            w.key("shift_slot").num(self.shift_slot);
+            w.key("window").num(self.window);
+            w.key("recovery_budget").num(self.recovery_budget);
+            w.key("tolerance_millis").num(self.tolerance_millis);
+            w.key("baseline_rmse").f64(self.baseline_rmse);
+            w.key("peak_rmse").f64(self.peak_rmse);
+            w.key("final_rmse").f64(self.final_rmse);
+            w.key("recovered_after");
+            match self.recovered_after {
+                Some(slots) => w.num(slots),
+                None => w.null(),
+            };
+            w.key("online")
+                .object(Layout::Inline, |w| self.online.json_fields(w, ""));
+            w.key("refit_installs").num(self.refit_installs);
+            w.key("clusters").array(Layout::Inline, |w| {
+                for c in &self.clusters {
+                    w.item().object(Layout::Inline, |w| {
+                        w.key("cluster").num(c.cluster);
+                        w.key("final_health").str(&c.final_health);
+                        w.key("alarms").num(c.alarms);
+                        w.key("refits").num(c.refits);
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -173,9 +152,29 @@ mod tests {
         }
     }
 
+    /// The fixture's bytes as rendered before the report moved onto the
+    /// shared JSON writer.
+    const REPORT_JSON: &str = r#"{
+  "seed": 7,
+  "days": 2,
+  "slots": 576,
+  "shift_slot": 288,
+  "window": 48,
+  "recovery_budget": 144,
+  "tolerance_millis": 2500,
+  "baseline_rmse": {"bits": "3f8999999999999a", "approx": "0.0125"},
+  "peak_rmse": {"bits": "3fe8000000000000", "approx": "0.7500"},
+  "final_rmse": {"bits": "3f947ae147ae147b", "approx": "0.0200"},
+  "recovered_after": 96,
+  "online": {"rows_ingested": 570, "rows_skipped": 6, "residual_slots": 560, "refit_attempts": 2, "refits_completed": 2, "refits_quarantined": 0},
+  "refit_installs": 2,
+  "clusters": [{"cluster": 0, "final_health": "stable", "alarms": 1, "refits": 1}, {"cluster": 1, "final_health": "recovered", "alarms": 1, "refits": 1}]
+}
+"#;
+
     #[test]
     fn json_is_byte_stable_across_renders() {
-        assert_eq!(report().to_json(), report().to_json());
+        assert_eq!(report().to_json(), REPORT_JSON);
     }
 
     #[test]

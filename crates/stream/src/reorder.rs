@@ -13,7 +13,7 @@
 //! and counted, never silently absorbed into unbounded memory.
 
 use thermal_ckpt::codec::Record;
-use thermal_ckpt::{CkptError, Snapshot};
+use thermal_ckpt::{CkptError, Fields, Snapshot};
 use thermal_timeseries::Timestamp;
 
 use crate::event::Reading;
@@ -80,6 +80,8 @@ pub struct ReorderStats {
     /// Largest buffered depth ever observed.
     pub high_water: usize,
 }
+
+thermal_ckpt::fields!(ReorderStats: released, duplicates, too_late, overflowed, high_water);
 
 /// One channel's reorder buffer.
 ///
@@ -216,12 +218,8 @@ impl Snapshot for ReorderBuffer {
         let released: Vec<i64> = self.released_up_to.into_iter().collect();
         rec.put_i64_slice("pending_ats", &ats)
             .put_f64_slice("pending_values", &values)
-            .put_i64_slice("released_up_to", &released)
-            .put_u64("released", self.stats.released)
-            .put_u64("duplicates", self.stats.duplicates)
-            .put_u64("too_late", self.stats.too_late)
-            .put_u64("overflowed", self.stats.overflowed)
-            .put_usize("high_water", self.stats.high_water);
+            .put_i64_slice("released_up_to", &released);
+        self.stats.put_fields(rec, "");
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
@@ -260,13 +258,7 @@ impl Snapshot for ReorderBuffer {
                 ))
             }
         };
-        let stats = ReorderStats {
-            released: rec.get_u64("released")?,
-            duplicates: rec.get_u64("duplicates")?,
-            too_late: rec.get_u64("too_late")?,
-            overflowed: rec.get_u64("overflowed")?,
-            high_water: rec.get_usize("high_water")?,
-        };
+        let stats = ReorderStats::get_fields(rec, "")?;
         // Refill in place: the capacity reservation made at
         // construction survives restore.
         self.pending.clear();

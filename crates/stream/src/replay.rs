@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use thermal_ckpt::codec::Record;
-use thermal_ckpt::{BreakerPolicy, CircuitBreaker, CkptError, Snapshot};
+use thermal_ckpt::{BreakerPolicy, CircuitBreaker, CkptError, Fields, Snapshot};
 use thermal_timeseries::{TimeGrid, Timestamp};
 
 use crate::backoff::{Backoff, BackoffPolicy};
@@ -49,6 +49,8 @@ pub struct IngestStats {
     /// Whole rows skipped (unparseable timestamp or blank line).
     pub skipped_rows: u64,
 }
+
+thermal_ckpt::fields!(IngestStats: parsed, non_finite, malformed, missing_fields, skipped_rows);
 
 impl IngestStats {
     /// Total fields rejected at the ingest boundary.
@@ -305,6 +307,9 @@ pub struct SourceStats {
     pub breaker_trips: u64,
 }
 
+thermal_ckpt::fields!(SourceStats: successes, failures, breaker_refusals, backoff_skips,
+    breaker_trips);
+
 /// A deterministic flaky wrapper around a [`TraceReplayer`]:
 /// each poll fails with a seed-derived probability; failures delay
 /// delivery (batches accumulate until the next successful poll) and
@@ -449,12 +454,8 @@ impl Snapshot for FlakySource {
         thermal_ckpt::snapshot::put_nested(rec, "backoff", &self.backoff);
         thermal_ckpt::snapshot::put_nested(rec, "breaker", &self.breaker);
         rec.put_u64("resume_at", self.resume_at)
-            .put_u64("polls", self.polls)
-            .put_u64("successes", self.stats.successes)
-            .put_u64("failures", self.stats.failures)
-            .put_u64("breaker_refusals", self.stats.breaker_refusals)
-            .put_u64("backoff_skips", self.stats.backoff_skips)
-            .put_u64("breaker_trips", self.stats.breaker_trips);
+            .put_u64("polls", self.polls);
+        self.stats.put_fields(rec, "");
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
@@ -483,13 +484,7 @@ impl Snapshot for FlakySource {
         thermal_ckpt::snapshot::get_nested(rec, "breaker", &mut breaker)?;
         let resume_at = rec.get_u64("resume_at")?;
         let polls = rec.get_u64("polls")?;
-        let stats = SourceStats {
-            successes: rec.get_u64("successes")?,
-            failures: rec.get_u64("failures")?,
-            breaker_refusals: rec.get_u64("breaker_refusals")?,
-            backoff_skips: rec.get_u64("backoff_skips")?,
-            breaker_trips: rec.get_u64("breaker_trips")?,
-        };
+        let stats = SourceStats::get_fields(rec, "")?;
         self.cursor = cursor;
         self.staged = channels
             .into_iter()

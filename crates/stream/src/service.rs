@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 
 use thermal_ckpt::codec::Record;
 use thermal_ckpt::snapshot::{get_nested, get_nested_list, put_nested, put_nested_list};
-use thermal_ckpt::{CkptError, Snapshot};
+use thermal_ckpt::{CkptError, Fields, Snapshot};
 use thermal_core::{FallbackAction, ModelHealth, ReducedModel};
 use thermal_linalg::Matrix;
 use thermal_sysid::ThermalModel;
@@ -183,6 +183,11 @@ pub struct ServiceStats {
     /// Replacement models installed by the online identification loop.
     pub refit_installs: u64,
 }
+
+// `queue` and `reorder` are not listed: the service rebuilds them from
+// its nested queue and reorder buffers (`StreamService::stats`).
+thermal_ckpt::fields!(ServiceStats: unknown_channel, applied, implausible, steps, healthy_outputs,
+    backup_outputs, cluster_mean_outputs, unavailable_outputs, refit_installs, ..);
 
 /// Static wiring of one model output column.
 #[derive(Debug, Clone)]
@@ -944,16 +949,8 @@ impl Snapshot for StreamService {
             }
         }
         rec.put_f64_slice("forecast", &self.forecast)
-            .put_u64("forecast_ready", u64::from(self.forecast_ready))
-            .put_u64("unknown_channel", self.stats.unknown_channel)
-            .put_u64("applied", self.stats.applied)
-            .put_u64("implausible", self.stats.implausible)
-            .put_u64("steps", self.stats.steps)
-            .put_u64("healthy_outputs", self.stats.healthy_outputs)
-            .put_u64("backup_outputs", self.stats.backup_outputs)
-            .put_u64("cluster_mean_outputs", self.stats.cluster_mean_outputs)
-            .put_u64("unavailable_outputs", self.stats.unavailable_outputs)
-            .put_u64("refit_installs", self.stats.refit_installs);
+            .put_u64("forecast_ready", u64::from(self.forecast_ready));
+        self.stats.put_fields(rec, "");
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
@@ -1035,18 +1032,7 @@ impl Snapshot for StreamService {
             ));
         }
         let forecast_ready = rec.get_u64("forecast_ready")? != 0;
-        let stats = ServiceStats {
-            unknown_channel: rec.get_u64("unknown_channel")?,
-            applied: rec.get_u64("applied")?,
-            implausible: rec.get_u64("implausible")?,
-            steps: rec.get_u64("steps")?,
-            healthy_outputs: rec.get_u64("healthy_outputs")?,
-            backup_outputs: rec.get_u64("backup_outputs")?,
-            cluster_mean_outputs: rec.get_u64("cluster_mean_outputs")?,
-            unavailable_outputs: rec.get_u64("unavailable_outputs")?,
-            refit_installs: rec.get_u64("refit_installs")?,
-            ..ServiceStats::default()
-        };
+        let stats = ServiceStats::get_fields(rec, "")?;
         self.model
             .install_model(model)
             .map_err(|e| CkptError::decode("service snapshot", format!("install: {e}")))?;

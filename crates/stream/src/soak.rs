@@ -4,35 +4,27 @@
 //! through corrupted ingest at several intensities and asserts the
 //! final state is **bitwise identical** across repeated runs and
 //! thread counts. That comparison is done on the serialized report,
-//! so the serialization itself must be canonical: fields in a fixed
-//! order, floats rendered as the hex of their IEEE-754 bits (with a
-//! rounded human-readable echo), no platform- or locale-dependent
-//! formatting anywhere.
-
-use std::fmt::Write as _;
+//! so the serialization itself must be canonical; it goes through the
+//! workspace's one writer, [`thermal_ckpt::json`] (fixed member order,
+//! floats as the hex of their IEEE-754 bits with a rounded echo).
+//!
+//! The report sections a soak intensity shares with a fleet building
+//! report are written here once: [`counters_json`] (the `ingest`,
+//! `source` and `service` objects) and [`final_state_json`] (the
+//! `health` and `predictions` arrays).
 
 use thermal_ckpt::codec::Record;
-use thermal_ckpt::{CkptError, Snapshot};
+use thermal_ckpt::json::{JsonWriter, Layout};
+use thermal_ckpt::{CkptError, Fields, Snapshot};
+use thermal_core::FallbackAction;
 
 use crate::health::HealthState;
 use crate::queue::QueueStats;
 use crate::reorder::ReorderStats;
 use crate::replay::{IngestStats, SourceStats};
-use crate::service::{SensorHealth, ServiceStats};
+use crate::service::{LivePrediction, SensorHealth, ServiceStats};
 
-/// Canonical rendering of one float: exact bits plus a readable echo.
-/// Shared with the recovery report, which must obey the same
-/// byte-compare contract.
-pub(crate) fn push_f64(out: &mut String, key: &str, value: f64) {
-    let _ = write!(
-        out,
-        "\"{key}\": {{\"bits\": \"{:016x}\", \"approx\": \"{:.4}\"}}",
-        value.to_bits(),
-        value
-    );
-}
-
-/// One cluster's final prediction in a soak report.
+/// One cluster's final prediction in a soak or fleet report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakPrediction {
     /// Cluster index.
@@ -42,6 +34,79 @@ pub struct SoakPrediction {
     pub action: String,
     /// Predicted value; `None` under structured blackout.
     pub predicted: Option<f64>,
+}
+
+impl SoakPrediction {
+    /// One report row per cluster of `live`, labelling each ladder
+    /// action with its stable report label.
+    pub fn from_live(live: &LivePrediction) -> Vec<Self> {
+        live.clusters
+            .iter()
+            .map(|c| SoakPrediction {
+                cluster: c.cluster,
+                action: match c.action {
+                    FallbackAction::Healthy => "healthy",
+                    FallbackAction::Backup { .. } => "backup",
+                    FallbackAction::ClusterMean { .. } => "cluster_mean",
+                    FallbackAction::Unavailable => "unavailable",
+                    _ => "unknown",
+                }
+                .to_owned(),
+                predicted: c.predicted,
+            })
+            .collect()
+    }
+}
+
+/// Writes the `ingest`, `source` and `service` objects of a report.
+/// `service` carries the keys of the [`SoakIntensityReport`] snapshot
+/// record, in the same order.
+pub fn counters_json(
+    w: &mut JsonWriter,
+    ingest: &IngestStats,
+    source: &SourceStats,
+    service: &ServiceStats,
+) {
+    w.key("ingest")
+        .object(Layout::Inline, |w| ingest.json_fields(w, ""));
+    w.key("source")
+        .object(Layout::Inline, |w| source.json_fields(w, ""));
+    w.key("service").object(Layout::Inline, |w| {
+        service.queue.json_fields(w, "queue_");
+        service.reorder.json_fields(w, "reorder_");
+        service.json_fields(w, "");
+    });
+}
+
+/// Writes the `health` and `predictions` arrays of a report.
+pub fn final_state_json(
+    w: &mut JsonWriter,
+    health: &[SensorHealth],
+    predictions: &[SoakPrediction],
+) {
+    w.key("health").array(Layout::Inline, |w| {
+        for h in health {
+            w.item().object(Layout::Inline, |w| {
+                w.key("name").str(&h.name);
+                w.key("state").str(h.state.label());
+                w.key("transitions").num(h.transitions);
+                w.key("implausible").num(h.implausible);
+            });
+        }
+    });
+    w.key("predictions").array(Layout::Inline, |w| {
+        for p in predictions {
+            w.item().object(Layout::Inline, |w| {
+                w.key("cluster").num(p.cluster);
+                w.key("action").str(&p.action);
+                w.key("predicted");
+                match p.predicted {
+                    Some(v) => w.f64(v),
+                    None => w.null(),
+                };
+            });
+        }
+    });
 }
 
 /// Everything measured while soaking one corruption intensity.
@@ -86,106 +151,23 @@ impl SoakReport {
     /// Renders the canonical JSON document (stable field order,
     /// bit-exact floats, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"seed\": {},\n  \"days\": {},\n  \"slots\": {},",
-            self.seed, self.days, self.slots
-        );
-        out.push_str("  \"intensities\": [\n");
-        for (i, report) in self.intensities.iter().enumerate() {
-            Self::push_intensity(&mut out, report);
-            out.push_str(if i + 1 < self.intensities.len() {
-                ",\n"
-            } else {
-                "\n"
+        JsonWriter::document(|w| {
+            w.key("seed").num(self.seed);
+            w.key("days").num(self.days);
+            w.key("slots").num(self.slots);
+            w.key("intensities").array(Layout::Block, |w| {
+                for r in &self.intensities {
+                    w.item().object(Layout::Block, |w| {
+                        w.key("intensity_millis").num(r.intensity_millis);
+                        w.key("corrupted_lines").num(r.corrupted_lines);
+                        counters_json(w, &r.ingest, &r.source, &r.service);
+                        w.key("max_buffered_depth").num(r.max_buffered_depth);
+                        w.key("depth_bound").num(r.depth_bound);
+                        final_state_json(w, &r.health, &r.predictions);
+                    });
+                }
             });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    fn push_intensity(out: &mut String, r: &SoakIntensityReport) {
-        let _ = writeln!(
-            out,
-            "    {{\n      \"intensity_millis\": {},\n      \"corrupted_lines\": {},",
-            r.intensity_millis, r.corrupted_lines
-        );
-        let ing = &r.ingest;
-        let _ = writeln!(
-            out,
-            "      \"ingest\": {{\"parsed\": {}, \"non_finite\": {}, \"malformed\": {}, \
-             \"missing_fields\": {}, \"skipped_rows\": {}}},",
-            ing.parsed, ing.non_finite, ing.malformed, ing.missing_fields, ing.skipped_rows
-        );
-        let src = &r.source;
-        let _ = writeln!(
-            out,
-            "      \"source\": {{\"successes\": {}, \"failures\": {}, \"breaker_refusals\": {}, \
-             \"backoff_skips\": {}, \"breaker_trips\": {}}},",
-            src.successes, src.failures, src.breaker_refusals, src.backoff_skips, src.breaker_trips
-        );
-        let s = &r.service;
-        let _ = writeln!(
-            out,
-            "      \"service\": {{\"steps\": {}, \"applied\": {}, \"implausible\": {}, \
-             \"unknown_channel\": {}, \"queue_accepted\": {}, \"queue_dropped\": {}, \
-             \"queue_high_water\": {}, \"reorder_released\": {}, \"reorder_duplicates\": {}, \
-             \"reorder_too_late\": {}, \"reorder_overflowed\": {}, \"healthy_outputs\": {}, \
-             \"backup_outputs\": {}, \"cluster_mean_outputs\": {}, \"unavailable_outputs\": {}}},",
-            s.steps,
-            s.applied,
-            s.implausible,
-            s.unknown_channel,
-            s.queue.accepted,
-            s.queue.dropped(),
-            s.queue.high_water,
-            s.reorder.released,
-            s.reorder.duplicates,
-            s.reorder.too_late,
-            s.reorder.overflowed,
-            s.healthy_outputs,
-            s.backup_outputs,
-            s.cluster_mean_outputs,
-            s.unavailable_outputs
-        );
-        let _ = writeln!(
-            out,
-            "      \"max_buffered_depth\": {},\n      \"depth_bound\": {},",
-            r.max_buffered_depth, r.depth_bound
-        );
-        out.push_str("      \"health\": [");
-        for (i, h) in r.health.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"state\": \"{}\", \"transitions\": {}, \"implausible\": {}}}",
-                h.name,
-                h.state.label(),
-                h.transitions,
-                h.implausible
-            );
-        }
-        out.push_str("],\n      \"predictions\": [");
-        for (i, p) in r.predictions.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"cluster\": {}, \"action\": \"{}\", ",
-                p.cluster, p.action
-            );
-            match p.predicted {
-                Some(v) => push_f64(out, "predicted", v),
-                None => out.push_str("\"predicted\": null"),
-            }
-            out.push('}');
-        }
-        out.push_str("]\n    }");
+        })
     }
 }
 
@@ -198,37 +180,14 @@ impl Snapshot for SoakIntensityReport {
     const VERSION: u32 = 1;
 
     fn capture(&self, rec: &mut Record) {
-        rec.put_u64("intensity_millis", u64::from(self.intensity_millis))
-            .put_u64("corrupted_lines", self.corrupted_lines)
-            .put_u64("ingest_parsed", self.ingest.parsed)
-            .put_u64("ingest_non_finite", self.ingest.non_finite)
-            .put_u64("ingest_malformed", self.ingest.malformed)
-            .put_u64("ingest_missing_fields", self.ingest.missing_fields)
-            .put_u64("ingest_skipped_rows", self.ingest.skipped_rows)
-            .put_u64("source_successes", self.source.successes)
-            .put_u64("source_failures", self.source.failures)
-            .put_u64("source_breaker_refusals", self.source.breaker_refusals)
-            .put_u64("source_backoff_skips", self.source.backoff_skips)
-            .put_u64("source_breaker_trips", self.source.breaker_trips)
-            .put_u64("queue_accepted", self.service.queue.accepted)
-            .put_u64("queue_rejected", self.service.queue.rejected)
-            .put_u64("queue_evicted", self.service.queue.evicted)
-            .put_usize("queue_high_water", self.service.queue.high_water)
-            .put_u64("reorder_released", self.service.reorder.released)
-            .put_u64("reorder_duplicates", self.service.reorder.duplicates)
-            .put_u64("reorder_too_late", self.service.reorder.too_late)
-            .put_u64("reorder_overflowed", self.service.reorder.overflowed)
-            .put_usize("reorder_high_water", self.service.reorder.high_water)
-            .put_u64("unknown_channel", self.service.unknown_channel)
-            .put_u64("applied", self.service.applied)
-            .put_u64("implausible", self.service.implausible)
-            .put_u64("steps", self.service.steps)
-            .put_u64("healthy_outputs", self.service.healthy_outputs)
-            .put_u64("backup_outputs", self.service.backup_outputs)
-            .put_u64("cluster_mean_outputs", self.service.cluster_mean_outputs)
-            .put_u64("unavailable_outputs", self.service.unavailable_outputs)
-            .put_u64("refit_installs", self.service.refit_installs)
-            .put_usize("max_buffered_depth", self.max_buffered_depth)
+        rec.put_value("intensity_millis", self.intensity_millis)
+            .put_u64("corrupted_lines", self.corrupted_lines);
+        self.ingest.put_fields(rec, "ingest_");
+        self.source.put_fields(rec, "source_");
+        self.service.queue.put_fields(rec, "queue_");
+        self.service.reorder.put_fields(rec, "reorder_");
+        self.service.put_fields(rec, "");
+        rec.put_usize("max_buffered_depth", self.max_buffered_depth)
             .put_usize("depth_bound", self.depth_bound);
         let names: Vec<String> = self.health.iter().map(|h| h.name.clone()).collect();
         let states: Vec<String> = self
@@ -254,46 +213,14 @@ impl Snapshot for SoakIntensityReport {
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
-        let intensity_millis = u32::try_from(rec.get_u64("intensity_millis")?)
-            .map_err(|e| CkptError::decode("soak snapshot", e))?;
+        let intensity_millis = rec.parse("intensity_millis")?;
         let corrupted_lines = rec.get_u64("corrupted_lines")?;
-        let ingest = IngestStats {
-            parsed: rec.get_u64("ingest_parsed")?,
-            non_finite: rec.get_u64("ingest_non_finite")?,
-            malformed: rec.get_u64("ingest_malformed")?,
-            missing_fields: rec.get_u64("ingest_missing_fields")?,
-            skipped_rows: rec.get_u64("ingest_skipped_rows")?,
-        };
-        let source = SourceStats {
-            successes: rec.get_u64("source_successes")?,
-            failures: rec.get_u64("source_failures")?,
-            breaker_refusals: rec.get_u64("source_breaker_refusals")?,
-            backoff_skips: rec.get_u64("source_backoff_skips")?,
-            breaker_trips: rec.get_u64("source_breaker_trips")?,
-        };
+        let ingest = IngestStats::get_fields(rec, "ingest_")?;
+        let source = SourceStats::get_fields(rec, "source_")?;
         let service = ServiceStats {
-            queue: QueueStats {
-                accepted: rec.get_u64("queue_accepted")?,
-                rejected: rec.get_u64("queue_rejected")?,
-                evicted: rec.get_u64("queue_evicted")?,
-                high_water: rec.get_usize("queue_high_water")?,
-            },
-            reorder: ReorderStats {
-                released: rec.get_u64("reorder_released")?,
-                duplicates: rec.get_u64("reorder_duplicates")?,
-                too_late: rec.get_u64("reorder_too_late")?,
-                overflowed: rec.get_u64("reorder_overflowed")?,
-                high_water: rec.get_usize("reorder_high_water")?,
-            },
-            unknown_channel: rec.get_u64("unknown_channel")?,
-            applied: rec.get_u64("applied")?,
-            implausible: rec.get_u64("implausible")?,
-            steps: rec.get_u64("steps")?,
-            healthy_outputs: rec.get_u64("healthy_outputs")?,
-            backup_outputs: rec.get_u64("backup_outputs")?,
-            cluster_mean_outputs: rec.get_u64("cluster_mean_outputs")?,
-            unavailable_outputs: rec.get_u64("unavailable_outputs")?,
-            refit_installs: rec.get_u64("refit_installs")?,
+            queue: QueueStats::get_fields(rec, "queue_")?,
+            reorder: ReorderStats::get_fields(rec, "reorder_")?,
+            ..ServiceStats::get_fields(rec, "")?
         };
         let max_buffered_depth = rec.get_usize("max_buffered_depth")?;
         let depth_bound = rec.get_usize("depth_bound")?;
@@ -363,6 +290,7 @@ impl Snapshot for SoakIntensityReport {
 mod tests {
     use super::*;
     use crate::health::HealthState;
+    use thermal_ckpt::snapshot::snapshot_bytes;
 
     fn report() -> SoakReport {
         SoakReport {
@@ -386,7 +314,30 @@ mod tests {
                     backoff_skips: 20,
                     breaker_trips: 2,
                 },
-                service: ServiceStats::default(),
+                service: ServiceStats {
+                    queue: QueueStats {
+                        accepted: 11,
+                        rejected: 12,
+                        evicted: 13,
+                        high_water: 14,
+                    },
+                    reorder: ReorderStats {
+                        released: 21,
+                        duplicates: 22,
+                        too_late: 23,
+                        overflowed: 24,
+                        high_water: 25,
+                    },
+                    unknown_channel: 31,
+                    applied: 32,
+                    implausible: 33,
+                    steps: 34,
+                    healthy_outputs: 35,
+                    backup_outputs: 36,
+                    cluster_mean_outputs: 37,
+                    unavailable_outputs: 38,
+                    refit_installs: 39,
+                },
                 max_buffered_depth: 96,
                 depth_bound: 4096,
                 health: vec![SensorHealth {
@@ -411,10 +362,89 @@ mod tests {
         }
     }
 
+    /// The fixture's bytes as rendered before the report moved onto the
+    /// shared JSON writer; only the `service` line has changed since,
+    /// to carry the snapshot record's counter keys.
+    const REPORT_JSON: &str = r#"{
+  "seed": 42,
+  "days": 3,
+  "slots": 864,
+  "intensities": [
+    {
+      "intensity_millis": 50,
+      "corrupted_lines": 17,
+      "ingest": {"parsed": 1000, "non_finite": 3, "malformed": 2, "missing_fields": 1, "skipped_rows": 0},
+      "source": {"successes": 800, "failures": 64, "breaker_refusals": 10, "backoff_skips": 20, "breaker_trips": 2},
+      "service": {"queue_accepted": 11, "queue_rejected": 12, "queue_evicted": 13, "queue_high_water": 14, "reorder_released": 21, "reorder_duplicates": 22, "reorder_too_late": 23, "reorder_overflowed": 24, "reorder_high_water": 25, "unknown_channel": 31, "applied": 32, "implausible": 33, "steps": 34, "healthy_outputs": 35, "backup_outputs": 36, "cluster_mean_outputs": 37, "unavailable_outputs": 38, "refit_installs": 39},
+      "max_buffered_depth": 96,
+      "depth_bound": 4096,
+      "health": [{"name": "t0", "state": "live", "transitions": 2, "implausible": 5}],
+      "predictions": [{"cluster": 0, "action": "healthy", "predicted": {"bits": "4035200000000000", "approx": "21.1250"}}, {"cluster": 1, "action": "unavailable", "predicted": null}]
+    }
+  ]
+}
+"#;
+
     #[test]
     fn json_is_byte_stable_across_renders() {
-        assert_eq!(report().to_json(), report().to_json());
+        assert_eq!(report().to_json(), REPORT_JSON);
     }
+
+    /// The fixture intensity's snapshot, byte for byte as sealed before
+    /// its counters moved onto `fields!`: every prefixed counter key,
+    /// in order, with its value.
+    #[test]
+    fn intensity_snapshot_bytes_are_pinned() {
+        let bytes = snapshot_bytes(&report().intensities[0]);
+        assert_eq!(String::from_utf8(bytes).unwrap(), INTENSITY_SNAPSHOT);
+        let mut back = SoakIntensityReport::default();
+        thermal_ckpt::snapshot::restore_from(&mut back, INTENSITY_SNAPSHOT.as_bytes()).unwrap();
+        assert_eq!(back, report().intensities[0]);
+    }
+
+    const INTENSITY_SNAPSHOT: &str = r#"thermal-snapshot v1 stream-soak-intensity 1 878 6ef49dedd9e577e3
+record stream-soak-intensity
+intensity_millis 50
+corrupted_lines 17
+ingest_parsed 1000
+ingest_non_finite 3
+ingest_malformed 2
+ingest_missing_fields 1
+ingest_skipped_rows 0
+source_successes 800
+source_failures 64
+source_breaker_refusals 10
+source_backoff_skips 20
+source_breaker_trips 2
+queue_accepted 11
+queue_rejected 12
+queue_evicted 13
+queue_high_water 14
+reorder_released 21
+reorder_duplicates 22
+reorder_too_late 23
+reorder_overflowed 24
+reorder_high_water 25
+unknown_channel 31
+applied 32
+implausible 33
+steps 34
+healthy_outputs 35
+backup_outputs 36
+cluster_mean_outputs 37
+unavailable_outputs 38
+refit_installs 39
+max_buffered_depth 96
+depth_bound 4096
+health_names t0
+health_states live
+health_transitions 2
+health_implausible 5
+prediction_clusters 0%2c1
+prediction_actions healthy,unavailable
+prediction_mask 1%2c0
+prediction_values 4035200000000000%2c0000000000000000
+"#;
 
     #[test]
     fn json_carries_exact_float_bits() {

@@ -9,8 +9,9 @@
 //! pointable message.
 //!
 //! The writer side is canonical by construction — callers emit keys
-//! in a fixed order and the escaper is deterministic — which is what
-//! makes `cargo xtask lint --json` byte-identical across runs.
+//! in a fixed order and the escaper ([`escape`], the workspace's one,
+//! from `thermal_ckpt::json`) is deterministic — which is what makes
+//! `cargo xtask lint --json` byte-identical across runs.
 
 use std::fmt;
 
@@ -276,26 +277,9 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     Ok(value)
 }
 
-/// Escapes a string for embedding in JSON output (no surrounding
-/// quotes). Deterministic: the same input always yields the same
-/// bytes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// The workspace's one JSON string escaper, shared with every
+/// byte-compared report.
+pub use thermal_ckpt::json::escape;
 
 #[cfg(test)]
 mod tests {
