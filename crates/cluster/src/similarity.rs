@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use thermal_linalg::kernels::{self, dot};
 use thermal_linalg::{stats, Matrix};
 use thermal_timeseries::{Dataset, Mask};
 
@@ -107,8 +108,9 @@ pub fn trajectory_matrix(dataset: &Dataset, channels: &[&str], mask: &Mask) -> R
 /// Both similarity kernels are fused: per-trajectory statistics
 /// (squared norms for Euclidean; means and centred norms for Pearson)
 /// are computed once instead of once per pair, each upper-triangle
-/// entry reduces to a single row dot product, and the triangle rows
-/// fan out in parallel over the configured
+/// entry reduces to a single row dot product (four columns per pass
+/// over the row, see [`thermal_linalg::kernels`]), and the triangle
+/// rows fan out in parallel over the configured
 /// [`thermal_par::thread_count`]. Each row of the triangle is owned by
 /// exactly one task, so the output is bitwise identical for every
 /// thread count.
@@ -147,16 +149,12 @@ pub fn weight_matrix_with_threads(
             // d²(i, j) = ‖tᵢ‖² + ‖tⱼ‖² − 2⟨tᵢ, tⱼ⟩ with the squared
             // norms hoisted out of the pair loop; clamp at zero
             // against cancellation round-off.
-            let sq: Vec<f64> = (0..n)
-                .map(|i| dot(trajectories.row(i), trajectories.row(i)))
-                .collect();
+            let sq: Vec<f64> = trajectories.iter_rows().map(|t| dot(t, t)).collect();
             let tri: Vec<Vec<f64>> = thermal_par::parallel_map_with(threads, &rows, |&i| {
-                let ti = trajectories.row(i);
-                ((i + 1)..n)
-                    .map(|j| {
-                        let g = dot(ti, trajectories.row(j));
-                        (sq[i] + sq[j] - 2.0 * g).max(0.0).sqrt()
-                    })
+                upper_dots(trajectories, i)
+                    .into_iter()
+                    .zip(&sq[i + 1..])
+                    .map(|(g, sq_j)| (sq[i] + sq_j - 2.0 * g).max(0.0).sqrt())
                     .collect()
             });
             // Pairwise distances in (i, j)-ascending order for the
@@ -191,17 +189,16 @@ pub fn weight_matrix_with_threads(
                     *v -= mean;
                 }
             }
-            let sq: Vec<f64> = (0..n)
-                .map(|i| dot(centred.row(i), centred.row(i)))
-                .collect();
+            let sq: Vec<f64> = centred.iter_rows().map(|z| dot(z, z)).collect();
             let tri: Vec<Vec<f64>> = thermal_par::parallel_map_with(threads, &rows, |&i| {
-                let zi = centred.row(i);
-                ((i + 1)..n)
-                    .map(|j| {
-                        if sq[i] == 0.0 || sq[j] == 0.0 {
+                upper_dots(&centred, i)
+                    .into_iter()
+                    .zip(&sq[i + 1..])
+                    .map(|(g, &sq_j)| {
+                        if sq[i] == 0.0 || sq_j == 0.0 {
                             return 0.0;
                         }
-                        let r = dot(zi, centred.row(j)) / (sq[i].sqrt() * sq[j].sqrt());
+                        let r = g / (sq[i].sqrt() * sq_j.sqrt());
                         r.clamp(-1.0, 1.0).max(0.0)
                     })
                     .collect()
@@ -218,20 +215,119 @@ pub fn weight_matrix_with_threads(
     Ok(w)
 }
 
-/// Plain left-to-right dot product; the upper-triangle kernels above
-/// rely on its fixed accumulation order for bitwise determinism.
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
+/// `⟨m_i, m_j⟩` for every `j > i`, in `j` order: four columns per
+/// pass over row `i` ([`kernels::dot_rows_from`]), each one
+/// [`kernels::dot`] chain. The fixed accumulation order of those chains
+/// is what makes the weights bitwise deterministic.
+fn upper_dots(m: &Matrix, i: usize) -> Vec<f64> {
+    let width = m.cols();
+    let mut out = vec![0.0; m.rows() - i - 1];
+    kernels::dot_rows_from(
+        0.0,
+        m.row(i),
+        &m.as_slice()[(i + 1) * width..],
+        width,
+        &mut out,
+    );
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use thermal_timeseries::{Channel, TimeGrid, Timestamp};
+
+    /// The per-pair weight loop as it was before the four-column
+    /// kernel: one plain left-to-right dot per upper-triangle entry,
+    /// kept as the oracle of `weights_match_per_pair_reference`.
+    fn reference_weights(t: &Matrix, similarity: Similarity) -> Matrix {
+        fn dot(a: &[f64], b: &[f64]) -> f64 {
+            let mut acc = 0.0;
+            for (x, y) in a.iter().zip(b) {
+                acc += x * y;
+            }
+            acc
+        }
+        let (n, samples) = t.shape();
+        let mut w = Matrix::zeros(n, n);
+        match similarity {
+            Similarity::Euclidean { scale } => {
+                let sq: Vec<f64> = (0..n).map(|i| dot(t.row(i), t.row(i))).collect();
+                let mut tri = Vec::new();
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        let g = dot(t.row(i), t.row(j));
+                        tri.push((i, j, (sq[i] + sq[j] - 2.0 * g).max(0.0).sqrt()));
+                    }
+                }
+                let all: Vec<f64> = tri.iter().map(|&(_, _, d)| d).collect();
+                let sigma = match scale {
+                    Some(s) if s > 0.0 => s,
+                    _ => stats::median(&all).unwrap().max(f64::MIN_POSITIVE),
+                };
+                for (i, j, d) in tri {
+                    let v = (-d * d / (2.0 * sigma * sigma)).exp();
+                    w[(i, j)] = v;
+                    w[(j, i)] = v;
+                }
+            }
+            Similarity::Correlation => {
+                let mut centred = t.clone();
+                for i in 0..n {
+                    let row = centred.row_mut(i);
+                    let mean = row.iter().sum::<f64>() / samples as f64;
+                    for v in row.iter_mut() {
+                        *v -= mean;
+                    }
+                }
+                let sq: Vec<f64> = (0..n)
+                    .map(|i| dot(centred.row(i), centred.row(i)))
+                    .collect();
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        let v = if sq[i] == 0.0 || sq[j] == 0.0 {
+                            0.0
+                        } else {
+                            let r =
+                                dot(centred.row(i), centred.row(j)) / (sq[i].sqrt() * sq[j].sqrt());
+                            r.clamp(-1.0, 1.0).max(0.0)
+                        };
+                        w[(i, j)] = v;
+                        w[(j, i)] = v;
+                    }
+                }
+            }
+        }
+        w
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Both similarities equal the per-pair reference bit for bit,
+        /// for sensor and sample counts that are not multiples of four,
+        /// with a dead (zero-variance) sensor, at any thread count.
+        #[test]
+        fn weights_match_per_pair_reference(
+            n in 2usize..12,
+            samples in 2usize..40,
+            dead in 0usize..12,
+            threads in 1usize..4,
+            data in prop::collection::vec(-5.0_f64..5.0, 12 * 40),
+        ) {
+            let mut t = Matrix::from_fn(n, samples, |i, k| 20.0 + data[i * 40 + k]);
+            if dead < n {
+                t.row_mut(dead).fill(21.0);
+            }
+            for sim in [Similarity::euclidean(), Similarity::correlation()] {
+                let got = weight_matrix_with_threads(&t, sim, threads).unwrap();
+                let want = reference_weights(&t, sim);
+                let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+    }
 
     fn traj() -> Matrix {
         // Two nearly identical sensors, one very different.

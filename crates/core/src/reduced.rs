@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use thermal_cluster::Clustering;
 use thermal_linalg::stats::{self, EmpiricalCdf};
 use thermal_select::Selection;
-use thermal_sysid::{predict_segment, regressors, ThermalModel};
+use thermal_sysid::{regressors, SegmentPredictor, ThermalModel};
 use thermal_timeseries::{Channel, Dataset, Mask};
 
 use crate::degradation::{
@@ -167,8 +167,9 @@ impl ReducedModel {
         let mut errors = Vec::with_capacity(steps * clusters.len());
         let mut truth_vals = vec![0.0; member_idx.iter().map(Vec::len).max().unwrap_or(0)];
         let mut segments_used = 0usize;
+        let predictor = SegmentPredictor::new(&self.model, dataset)?;
         for seg in segments {
-            let Ok(pred) = predict_segment(&self.model, dataset, seg, Some(horizon)) else {
+            let Ok(pred) = predictor.predict(seg, Some(horizon)) else {
                 continue;
             };
             segments_used += 1;
@@ -388,8 +389,9 @@ impl ReducedModel {
 
         let mut errors = Vec::new();
         let mut segments_used = 0usize;
+        let predictor = SegmentPredictor::new(&self.model, &substituted)?;
         for seg in segments {
-            let Ok(pred) = predict_segment(&self.model, &substituted, seg, Some(horizon)) else {
+            let Ok(pred) = predictor.predict(seg, Some(horizon)) else {
                 continue;
             };
             segments_used += 1;

@@ -2,7 +2,18 @@
 //!
 //! Backs the ridge-regularised normal equations of the identification
 //! stage and the Gaussian-process mutual-information selector.
+//!
+//! One routine validates and factors, for [`CholeskyDecomposition::new`]
+//! and [`CholeskyDecomposition::refactor_principal`] alike, in place on
+//! the row-major buffer: every entry of `L` is one
+//! [`kernels`](crate::kernels) chain that starts from `a_ij` and
+//! subtracts `l_ik · l_jk` with `k` ascending, and column `j`'s
+//! sub-diagonal entries advance four rows at a time. The triangular
+//! solves follow the same rule, so both are bit-identical to the
+//! textbook one-entry-at-a-time loops (test references in
+//! `reference.rs`).
 
+use crate::kernels::{sub_dot4_from, sub_dot_from};
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// Cholesky decomposition `A = L Lᵀ` of a symmetric positive-definite
@@ -53,32 +64,32 @@ impl CholeskyDecomposition {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
-        let n = a.rows();
-        if n == 0 {
-            return Err(LinalgError::Empty { op: "cholesky" });
-        }
-        if !a.is_finite() {
-            return Err(LinalgError::NonFinite { op: "cholesky" });
-        }
-        let mut l = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut d = a[(j, j)];
-            for k in 0..j {
-                d -= l[(j, k)] * l[(j, k)];
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { index: j, pivot: d });
-            }
-            let dsqrt = d.sqrt();
-            l[(j, j)] = dsqrt;
-            for i in (j + 1)..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                l[(i, j)] = s / dsqrt;
-            }
-        }
+        let mut l = Matrix::zeros(0, 0);
+        factor_principal(&mut l, a, 0..a.rows())?;
+        Ok(CholeskyDecomposition { l })
+    }
+
+    /// The decomposition of the principal submatrix `a[idx, idx]`
+    /// (rows and columns in `idx` order), built in this
+    /// decomposition's storage.
+    ///
+    /// The result, errors included, is bit for bit that of
+    /// `CholeskyDecomposition::new(&a.submatrix(idx, idx)?)`, without
+    /// the submatrix copy or a fresh factor: a caller factoring many
+    /// conditioning sets of one covariance (GP selection) allocates
+    /// nothing once the storage has grown to its largest set. On error
+    /// the storage is dropped with `self`.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::InvalidData`] when an index is out of bounds,
+    /// * [`LinalgError::Empty`] for an empty `idx`,
+    /// * [`LinalgError::NonFinite`] for NaN/∞ entries of the submatrix,
+    /// * [`LinalgError::NotPositiveDefinite`] when a pivot is not
+    ///   strictly positive.
+    pub fn refactor_principal(self, a: &Matrix, idx: &[usize]) -> Result<Self> {
+        let mut l = self.l;
+        factor_principal(&mut l, a, idx.iter().copied())?;
         Ok(CholeskyDecomposition { l })
     }
 
@@ -134,6 +145,19 @@ impl CholeskyDecomposition {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when `b.len() != dim()`.
     pub fn solve(&self, b: &Vector) -> Result<Vector> {
+        let mut x = Vec::with_capacity(b.len());
+        self.solve_into(b.as_slice(), &mut x)?;
+        Ok(Vector::from(x))
+    }
+
+    /// Solves `A x = b` into a caller-owned buffer: `x` is cleared and
+    /// refilled, its capacity retained across calls. Arithmetic is
+    /// identical to [`CholeskyDecomposition::solve`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] when `b.len() != dim()`.
+    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -142,28 +166,14 @@ impl CholeskyDecomposition {
                 rhs: (b.len(), 1),
             });
         }
-        // Forward: L y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[i];
-            for k in 0..i {
-                s -= self.l[(i, k)] * y[k];
-            }
-            y[i] = s / self.l[(i, i)];
-        }
-        // Back: Lᵀ x = y.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for k in (i + 1)..n {
-                s -= self.l[(k, i)] * x[k];
-            }
-            x[i] = s / self.l[(i, i)];
-        }
-        Ok(Vector::from(x))
+        x.clear();
+        x.extend_from_slice(b);
+        substitute_in_place(self.l.as_slice(), n, x);
+        Ok(())
     }
 
-    /// Solves `A X = B` column by column.
+    /// Solves `A X = B` column by column, each column bit for bit one
+    /// [`CholeskyDecomposition::solve`].
     ///
     /// # Errors
     ///
@@ -177,11 +187,15 @@ impl CholeskyDecomposition {
                 rhs: b.shape(),
             });
         }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let x = self.solve(&b.column(j))?;
-            for i in 0..n {
-                out[(i, j)] = x[i];
+        let m = b.cols();
+        let mut out = Matrix::zeros(n, m);
+        let mut x = Vec::with_capacity(n);
+        for j in 0..m {
+            x.clear();
+            x.extend(b.iter_rows().map(|row| row[j]));
+            substitute_in_place(self.l.as_slice(), n, &mut x);
+            for (orow, v) in out.as_mut_slice().chunks_exact_mut(m).zip(&x) {
+                orow[j] = *v;
             }
         }
         Ok(out)
@@ -345,6 +359,127 @@ impl CholeskyDecomposition {
         }
         self.l = l;
         Ok(())
+    }
+}
+
+/// The checks of [`CholeskyDecomposition::new`] on the principal block
+/// `a[idx, idx]`, then its lower triangle copied into `l` (reshaped,
+/// storage reused) and factored in place. `idx` yields the block's
+/// rows, which are also its columns, in order; `new` passes `0..n`.
+fn factor_principal<I>(l: &mut Matrix, a: &Matrix, idx: I) -> Result<()>
+where
+    I: ExactSizeIterator<Item = usize> + Clone,
+{
+    if idx.clone().any(|r| r >= a.rows()) {
+        return Err(LinalgError::InvalidData {
+            reason: "row index out of bounds in submatrix",
+        });
+    }
+    if idx.clone().any(|c| c >= a.cols()) {
+        return Err(LinalgError::InvalidData {
+            reason: "column index out of bounds in submatrix",
+        });
+    }
+    let n = idx.len();
+    if n == 0 {
+        return Err(LinalgError::Empty { op: "cholesky" });
+    }
+    let finite = idx.clone().all(|r| {
+        let arow = a.row(r);
+        idx.clone().all(|c| arow[c].is_finite())
+    });
+    if !finite {
+        return Err(LinalgError::NonFinite { op: "cholesky" });
+    }
+    l.reset_zeros(n, n);
+    for (i, (lrow, r)) in l
+        .as_mut_slice()
+        .chunks_exact_mut(n)
+        .zip(idx.clone())
+        .enumerate()
+    {
+        let arow = a.row(r);
+        for (dst, c) in lrow[..=i].iter_mut().zip(idx.clone()) {
+            *dst = arow[c];
+        }
+    }
+    factor_in_place(l.as_mut_slice(), n)
+}
+
+/// The factorisation. On entry the row-major `n × n` buffer `l` holds
+/// `A`'s lower triangle (zeros above); on success it holds `L`.
+///
+/// Column `j` takes its pivot `a_jj − Σ_k l_jk²`, then its sub-diagonal
+/// entries `(a_ij − Σ_k l_ik · l_jk) / l_jj`, four rows per
+/// [`sub_dot4_from`] pass over the shared `l_j·` prefix. Row `i`'s
+/// entry `j` still holds `a_ij` when column `j` reads it, and every
+/// chain subtracts with `k` ascending, the order of the one-entry
+/// reference loop.
+fn factor_in_place(l: &mut [f64], n: usize) -> Result<()> {
+    for j in 0..n {
+        let (head, below) = l.split_at_mut((j + 1) * n);
+        let (lj, pivot) = head[j * n..].split_at_mut(j);
+        let d = sub_dot_from(pivot[0], &*lj, &*lj);
+        if d <= 0.0 || !d.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { index: j, pivot: d });
+        }
+        let dsqrt = d.sqrt();
+        pivot[0] = dsqrt;
+        let lj: &[f64] = lj;
+        let mut quads = below.chunks_exact_mut(4 * n);
+        for quad in &mut quads {
+            let (r0, rest) = quad.split_at_mut(n);
+            let (r1, rest) = rest.split_at_mut(n);
+            let (r2, r3) = rest.split_at_mut(n);
+            let s = sub_dot4_from(
+                [r0[j], r1[j], r2[j], r3[j]],
+                lj,
+                [&r0[..j], &r1[..j], &r2[..j], &r3[..j]],
+            );
+            for (row, s) in [r0, r1, r2, r3].into_iter().zip(s) {
+                row[j] = s / dsqrt;
+            }
+        }
+        for row in quads.into_remainder().chunks_exact_mut(n) {
+            let s = sub_dot_from(row[j], &row[..j], lj);
+            row[j] = s / dsqrt;
+        }
+    }
+    Ok(())
+}
+
+/// Solves `L Lᵀ x = b` in place: `x` holds `b` on entry, `x` on exit.
+///
+/// Forward, `y_i = (b_i − Σ_{k<i} l_ik y_k) / l_ii` advances four rows
+/// per pass over the solved prefix, then finishes their triangle.
+/// Back, `x_i = (y_i − Σ_{k>i} l_ki x_k) / l_ii` walks column `i`
+/// strided; each of its terms waits on the previous row's answer.
+fn substitute_in_place(l: &[f64], n: usize, x: &mut [f64]) {
+    let row = |i: usize| &l[i * n..(i + 1) * n];
+    let mut i = 0;
+    while i + 4 <= n {
+        let rows = [row(i), row(i + 1), row(i + 2), row(i + 3)];
+        let (y, block) = x.split_at_mut(i);
+        let s = sub_dot4_from(
+            [block[0], block[1], block[2], block[3]],
+            y,
+            rows.map(|r| &r[..i]),
+        );
+        for (lane, (r, s)) in rows.into_iter().zip(s).enumerate() {
+            let s = sub_dot_from(s, &r[i..i + lane], &block[..lane]);
+            block[lane] = s / r[i + lane];
+        }
+        i += 4;
+    }
+    for i in i..n {
+        let r = row(i);
+        let (y, rest) = x.split_at_mut(i);
+        rest[0] = sub_dot_from(rest[0], &r[..i], &*y) / r[i];
+    }
+    for i in (0..n).rev() {
+        let (head, solved) = x.split_at_mut(i + 1);
+        let column = l.iter().skip((i + 1) * n + i).step_by(n);
+        head[i] = sub_dot_from(head[i], column, &*solved) / l[i * n + i];
     }
 }
 

@@ -1,0 +1,229 @@
+//! Reduction kernels: the one definition of the accumulation order
+//! behind every dot-product-shaped chain of the identification path.
+//!
+//! # The rule
+//!
+//! A *chain* starts from a given value and folds in `a[t] * b[t]` with
+//! `t` ascending: one rounded multiply, then one rounded add (or
+//! subtract), per term. There is no reassociation, no fused
+//! multiply-add and no pairwise split, so a chain's result depends only
+//! on its start value, its operands and their order.
+//!
+//! * [`dot`] starts from `+0.0`.
+//! * [`dot_from`] starts from the caller's value. `Iterator::sum` over
+//!   `f64` folds from `-0.0`; a chain that must equal such a sum bit
+//!   for bit, signed zeros included, starts from `-0.0`.
+//! * `sub_dot_from` (crate-internal) subtracts the products instead:
+//!   the Cholesky and triangular-solve chains `s = a_ij; s -= l_ik · l_jk`.
+//!
+//! A *lane* is one independent chain. The four-lane forms
+//! (`dot4_from`, `sub_dot4_from`, crate-internal) advance four chains
+//! that share the operand `a` in one pass over it. Lane `l` equals the
+//! one-lane form on `b[l]` bit for bit, because IEEE multiplication
+//! commutes. Four lanes hide the add latency a single chain waits on;
+//! they never reorder a chain. Other crates reach them through
+//! [`dot_rows_from`]: one vector against consecutive rows, four rows
+//! per pass.
+//!
+//! Operands are zipped: a chain runs over the shorter of its two
+//! slices, and callers pass equal lengths.
+//!
+//! # Example
+//!
+//! ```
+//! use thermal_linalg::kernels::{dot, dot_rows_from};
+//!
+//! let a = [1.0, 2.0, 3.0];
+//! let rows = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.0, 0.0];
+//! let mut out = [0.0; 5];
+//! dot_rows_from(0.0, &a, &rows, 3, &mut out);
+//! assert_eq!(out, [1.0, 2.0, 3.0, 6.0, 2.0]);
+//! assert_eq!(out[3].to_bits(), dot(&a, &rows[9..12]).to_bits());
+//! ```
+
+/// `Σ a[t] · b[t]` from `+0.0`, `t` ascending.
+#[inline]
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    dot_from(0.0, a, b)
+}
+
+/// `acc + a[0]·b[0] + a[1]·b[1] + …`, added left to right.
+///
+/// The operands are any `&f64` sequences, so a strided column walk
+/// (`iter().step_by(n)`) folds by the same rule as a slice.
+#[inline]
+pub fn dot_from<'a>(
+    acc: f64,
+    a: impl IntoIterator<Item = &'a f64>,
+    b: impl IntoIterator<Item = &'a f64>,
+) -> f64 {
+    lane(acc, a, b, |s, p| s + p)
+}
+
+/// Four [`dot_from`] chains sharing `a`: lane `l` starts from `acc[l]`
+/// and is `dot_from(acc[l], a, b[l])` bit for bit.
+#[inline]
+pub(crate) fn dot4_from(acc: [f64; 4], a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
+    lanes4(acc, a, b, |s, p| s + p)
+}
+
+/// `acc − a[0]·b[0] − a[1]·b[1] − …`, subtracted left to right. Takes
+/// any `&f64` sequences, like [`dot_from`].
+#[inline]
+pub(crate) fn sub_dot_from<'a>(
+    acc: f64,
+    a: impl IntoIterator<Item = &'a f64>,
+    b: impl IntoIterator<Item = &'a f64>,
+) -> f64 {
+    lane(acc, a, b, |s, p| s - p)
+}
+
+/// Four [`sub_dot_from`] chains sharing `a`: lane `l` starts from
+/// `acc[l]` and is `sub_dot_from(acc[l], a, b[l])` bit for bit.
+#[inline]
+pub(crate) fn sub_dot4_from(acc: [f64; 4], a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
+    lanes4(acc, a, b, |s, p| s - p)
+}
+
+/// `out[r] = dot_from(acc, a, row_r)` for the consecutive `width`-wide
+/// rows `row_r` of the row-major buffer `rows`, four rows (four lanes)
+/// per pass over `a`: a matrix-vector product, or one row of
+/// `A·Bᵀ`. `rows` holds (at least) `out.len()` rows.
+#[inline]
+pub fn dot_rows_from(acc: f64, a: &[f64], rows: &[f64], width: usize, out: &mut [f64]) {
+    if width == 0 {
+        out.fill(acc);
+        return;
+    }
+    let mut rows = rows.chunks_exact(width);
+    let mut quads = out.chunks_exact_mut(4);
+    for o in &mut quads {
+        let (Some(r0), Some(r1), Some(r2), Some(r3)) =
+            (rows.next(), rows.next(), rows.next(), rows.next())
+        else {
+            return;
+        };
+        o.copy_from_slice(&dot4_from([acc; 4], a, [r0, r1, r2, r3]));
+    }
+    for (o, row) in quads.into_remainder().iter_mut().zip(rows) {
+        *o = dot_from(acc, a, row);
+    }
+}
+
+/// One chain: `fold(…fold(fold(acc, a[0]·b[0]), a[1]·b[1])…)`.
+#[inline(always)]
+fn lane<'a>(
+    acc: f64,
+    a: impl IntoIterator<Item = &'a f64>,
+    b: impl IntoIterator<Item = &'a f64>,
+    fold: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    let mut s = acc;
+    for (x, y) in a.into_iter().zip(b) {
+        s = fold(s, x * y);
+    }
+    s
+}
+
+/// Four independent chains over a shared `a`, advanced together.
+#[inline(always)]
+fn lanes4(acc: [f64; 4], a: &[f64], b: [&[f64]; 4], fold: impl Fn(f64, f64) -> f64) -> [f64; 4] {
+    let [mut s0, mut s1, mut s2, mut s3] = acc;
+    let [b0, b1, b2, b3] = b;
+    for ((((x, y0), y1), y2), y3) in a.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+        s0 = fold(s0, x * y0);
+        s1 = fold(s1, x * y1);
+        s2 = fold(s2, x * y2);
+        s3 = fold(s3, x * y3);
+    }
+    [s0, s1, s2, s3]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The chain every kernel must reproduce, written out.
+    fn reference(acc: f64, a: &[f64], b: &[f64], sub: bool) -> f64 {
+        let mut s = acc;
+        for t in 0..a.len().min(b.len()) {
+            if sub {
+                s -= a[t] * b[t];
+            } else {
+                s += a[t] * b[t];
+            }
+        }
+        s
+    }
+
+    /// `len` values from `seed` that exercise signed zeros and
+    /// cancellation as well as ordinary magnitudes.
+    fn values(len: usize, seed: u64) -> Vec<f64> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| match rng.gen_range(0..7) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range(-1e-300..1e-300),
+                _ => rng.gen_range(-1e3..1e3),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn lanes_equal_their_one_lane_chains(len in 0usize..23, seed in any::<u64>()) {
+            let data = values(5 * len + 4, seed);
+            let (a, rest) = data.split_at(len);
+            let b: Vec<&[f64]> = rest.chunks_exact(len.max(1)).take(4).map(|c| &c[..len]).collect();
+            let b4 = [b[0], b[1], b[2], b[3]];
+            let acc = [rest[4 * len], rest[4 * len + 1], rest[4 * len + 2], rest[4 * len + 3]];
+            let add = dot4_from(acc, a, b4);
+            let sub = sub_dot4_from(acc, a, b4);
+            for l in 0..4 {
+                prop_assert_eq!(add[l].to_bits(), reference(acc[l], a, b[l], false).to_bits());
+                prop_assert_eq!(add[l].to_bits(), dot_from(acc[l], a, b[l]).to_bits());
+                prop_assert_eq!(sub[l].to_bits(), reference(acc[l], a, b[l], true).to_bits());
+                prop_assert_eq!(sub[l].to_bits(), sub_dot_from(acc[l], a, b[l]).to_bits());
+                prop_assert_eq!(dot(a, b[l]).to_bits(), reference(0.0, a, b[l], false).to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn dot_rows_equal_row_by_row_chains(rows in 0usize..11, width in 0usize..9, seed in any::<u64>()) {
+            let data = values(rows * width + width + 1, seed);
+            let (a, rest) = data.split_at(width);
+            let (acc, m) = rest.split_at(1);
+            let mut out = vec![1.5; rows];
+            dot_rows_from(acc[0], a, m, width, &mut out);
+            for (r, o) in out.iter().enumerate() {
+                let row = &m[r * width..(r + 1) * width];
+                prop_assert_eq!(o.to_bits(), reference(acc[0], a, row, false).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn start_value_sets_the_sign_of_an_all_negative_zero_chain() {
+        let a = [-0.0, 1.0];
+        let b = [1.0, -0.0];
+        assert_eq!(dot(&a, &b).to_bits(), 0.0_f64.to_bits());
+        assert_eq!(dot_from(-0.0, &a, &b).to_bits(), (-0.0_f64).to_bits());
+        let summed: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+        assert_eq!(dot_from(-0.0, &a, &b).to_bits(), summed.to_bits());
+        assert_eq!(dot(&[], &[]).to_bits(), 0.0_f64.to_bits());
+    }
+
+    #[test]
+    fn subtraction_runs_left_to_right() {
+        // (1 − 1e16) − (−1e16) = 0, where 1 − (1e16 − 1e16) = 1.
+        let s = sub_dot_from(1.0, &[1e16, -1e16], &[1.0, 1.0]);
+        assert_eq!(s, 0.0);
+        assert_eq!(1.0 - dot(&[1e16, -1e16], &[1.0, 1.0]), 1.0);
+    }
+}

@@ -16,7 +16,9 @@
 //!   Laplacians of the spectral-clustering stage,
 //! * [`lstsq`] — least-squares solvers (plain and ridge),
 //! * [`stats`] — means, covariance and correlation matrices,
-//!   percentiles and empirical CDFs used throughout the evaluation.
+//!   percentiles and empirical CDFs used throughout the evaluation,
+//! * [`kernels`] — the dot-product chains (one- and four-lane) whose
+//!   fixed accumulation order every reduction above is built on.
 //!
 //! Everything is `f64`. The dense kernels on the identification hot
 //! path (`matmul`, `gram`, the Householder sweep) are cache-blocked
@@ -52,6 +54,7 @@
 pub mod cast;
 mod cholesky;
 mod error;
+pub mod kernels;
 mod lu;
 mod matrix;
 mod qr;
@@ -60,6 +63,9 @@ mod vector;
 
 pub mod lstsq;
 pub mod stats;
+
+#[cfg(test)]
+mod reference;
 
 pub use cholesky::CholeskyDecomposition;
 pub use error::LinalgError;

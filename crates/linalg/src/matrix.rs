@@ -7,7 +7,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{LinalgError, Result, Vector};
+use crate::{kernels, LinalgError, Result, Vector};
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -167,6 +167,20 @@ impl Matrix {
         self.data
     }
 
+    /// Mutably borrows the row-major backing storage.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Turns `self` into a `rows × cols` matrix of zeros, reusing its
+    /// allocation.
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Returns entry `(r, c)`, or `None` when out of bounds.
     pub fn get(&self, r: usize, c: usize) -> Option<f64> {
         if r < self.rows && c < self.cols {
@@ -309,10 +323,7 @@ impl Matrix {
             |p, panel| {
                 let i0 = p * panel_rows;
                 for (r, orow) in panel.chunks_mut(n).enumerate() {
-                    let arow = self.row(i0 + r);
-                    for (o, j) in orow.iter_mut().zip(0..n) {
-                        *o = dot(arow, rhs.row(j));
-                    }
+                    kernels::dot_rows_from(0.0, self.row(i0 + r), &rhs.data, rhs.cols, orow);
                 }
             },
         );
@@ -402,20 +413,35 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when `v.len() != cols`.
     pub fn matvec(&self, v: &Vector) -> Result<Vector> {
-        if self.cols != v.len() {
+        let mut out = Vec::with_capacity(self.rows);
+        self.matvec_into(v.as_slice(), &mut out)?;
+        Ok(Vector::from(out))
+    }
+
+    /// Matrix-vector product `self * x` into a caller-owned buffer, so
+    /// steady-state callers (model rollouts) avoid heap allocation.
+    ///
+    /// `out` is cleared and refilled with one entry per row; its
+    /// capacity is retained across calls. This is the arithmetic of
+    /// [`Matrix::matvec`]: every row is one
+    /// [`kernels::dot_from`](crate::kernels::dot_from) chain from
+    /// `-0.0` (the start of `Iterator::sum`), four rows per pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] when `x.len() != cols`.
+    pub fn matvec_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
+        if self.cols != x.len() {
             return Err(LinalgError::ShapeMismatch {
                 op: "matvec",
                 lhs: self.shape(),
-                rhs: (v.len(), 1),
+                rhs: (x.len(), 1),
             });
         }
-        Ok(Vector::from_fn(self.rows, |r| {
-            self.row(r)
-                .iter()
-                .zip(v.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        }))
+        out.clear();
+        out.resize(self.rows, 0.0);
+        kernels::dot_rows_from(-0.0, x, &self.data, self.cols, out);
+        Ok(())
     }
 
     /// `Aᵀ A` computed directly (used by normal-equation solvers).
@@ -640,15 +666,6 @@ fn matmul_panel(a: &Matrix, b: &Matrix, i0: usize, panel: &mut [f64]) {
             }
         }
     }
-}
-
-/// Dot product of two equal-length slices, accumulated left to right.
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
 }
 
 impl Index<(usize, usize)> for Matrix {

@@ -1,0 +1,414 @@
+//! The reductions as they were before the [`kernels`](crate::kernels)
+//! module, kept as a test-only oracle: per-entry dots through the
+//! asserting `(i, j)` index, `Iterator::sum` zip-sums, the
+//! observation-major covariance, the one-entry-at-a-time Cholesky and
+//! substitutions, and the index-by-index Jacobi sweep with strided
+//! eigenvector columns.
+//!
+//! The production kernels must match them bit for bit: the proptests
+//! below compare `to_bits` on random inputs — lengths and row counts
+//! that are not multiples of four, `n = 1` and `n = 2`, signed zeros,
+//! zero-variance columns, SPD matrices up to 64 × 64 and symmetric
+//! matrices with repeated eigenvalues.
+
+use crate::{LinalgError, Matrix, Result, Vector};
+
+/// Dot product accumulated left to right from `+0.0`.
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
+}
+
+/// `Vector::dot` and every `matvec` row: a zip-sum.
+pub(crate) fn zip_sum(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// `self * v`, one zip-sum per row.
+pub(crate) fn matvec(m: &Matrix, v: &[f64]) -> Vec<f64> {
+    (0..m.rows()).map(|r| zip_sum(m.row(r), v)).collect()
+}
+
+/// `a * bᵀ`, one [`dot`] per entry.
+pub(crate) fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| dot(a.row(i), b.row(j)))
+}
+
+/// Column covariance, accumulated observation by observation through
+/// the `(i, j)` index.
+pub(crate) fn covariance_matrix(data: &Matrix) -> Result<Matrix> {
+    let (n, p) = data.shape();
+    if n < 2 {
+        return Err(LinalgError::Empty { op: "covariance" });
+    }
+    let means: Vec<f64> = (0..p).map(|j| data.column(j).sum() / n as f64).collect();
+    let mut cov = Matrix::zeros(p, p);
+    for r in 0..n {
+        let row = data.row(r);
+        for i in 0..p {
+            let di = row[i] - means[i];
+            for j in i..p {
+                cov[(i, j)] += di * (row[j] - means[j]);
+            }
+        }
+    }
+    let denom = (n - 1) as f64;
+    for i in 0..p {
+        for j in i..p {
+            cov[(i, j)] /= denom;
+            cov[(j, i)] = cov[(i, j)];
+        }
+    }
+    Ok(cov)
+}
+
+/// The lower factor `L`, one entry at a time.
+pub(crate) fn cholesky(a: &Matrix) -> Result<Matrix> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare { shape: a.shape() });
+    }
+    let n = a.rows();
+    if n == 0 {
+        return Err(LinalgError::Empty { op: "cholesky" });
+    }
+    if !a.is_finite() {
+        return Err(LinalgError::NonFinite { op: "cholesky" });
+    }
+    let mut l = Matrix::zeros(n, n);
+    for j in 0..n {
+        let mut d = a[(j, j)];
+        for k in 0..j {
+            d -= l[(j, k)] * l[(j, k)];
+        }
+        if d <= 0.0 || !d.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { index: j, pivot: d });
+        }
+        let dsqrt = d.sqrt();
+        l[(j, j)] = dsqrt;
+        for i in (j + 1)..n {
+            let mut s = a[(i, j)];
+            for k in 0..j {
+                s -= l[(i, k)] * l[(j, k)];
+            }
+            l[(i, j)] = s / dsqrt;
+        }
+    }
+    Ok(l)
+}
+
+/// Forward then back substitution against the factor `l`.
+pub(crate) fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let n = l.rows();
+    let mut y = vec![0.0; n];
+    for i in 0..n {
+        let mut s = b[i];
+        for k in 0..i {
+            s -= l[(i, k)] * y[k];
+        }
+        y[i] = s / l[(i, i)];
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let mut s = y[i];
+        for k in (i + 1)..n {
+            s -= l[(k, i)] * x[k];
+        }
+        x[i] = s / l[(i, i)];
+    }
+    x
+}
+
+/// Cyclic Jacobi through the `(i, j)` index, eigenvector columns
+/// rotated in place; returns the sorted eigenvalues and eigenvectors.
+pub(crate) fn jacobi(mut m: Matrix) -> Result<(Vec<f64>, Matrix)> {
+    let n = m.rows();
+    let mut v = Matrix::identity(n);
+    let off_norm = |m: &Matrix| -> f64 {
+        let mut s = 0.0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                s += m[(i, j)] * m[(i, j)];
+            }
+        }
+        s.sqrt()
+    };
+    let frob = m.norm_frobenius().max(f64::MIN_POSITIVE);
+    let target = frob * 1e-14;
+    let mut converged = false;
+    for _sweep in 0..100 {
+        if off_norm(&m) <= target {
+            converged = true;
+            break;
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m[(p, q)];
+                if apq.abs() <= target / (n as f64) {
+                    continue;
+                }
+                let app = m[(p, p)];
+                let aqq = m[(q, q)];
+                let theta = (aqq - app) / (2.0 * apq);
+                let t = if theta >= 0.0 {
+                    1.0 / (theta + (1.0 + theta * theta).sqrt())
+                } else {
+                    1.0 / (theta - (1.0 + theta * theta).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = t * c;
+                for k in 0..n {
+                    let mkp = m[(k, p)];
+                    let mkq = m[(k, q)];
+                    m[(k, p)] = c * mkp - s * mkq;
+                    m[(k, q)] = s * mkp + c * mkq;
+                }
+                for k in 0..n {
+                    let mpk = m[(p, k)];
+                    let mqk = m[(q, k)];
+                    m[(p, k)] = c * mpk - s * mqk;
+                    m[(q, k)] = s * mpk + c * mqk;
+                }
+                for k in 0..n {
+                    let vkp = v[(k, p)];
+                    let vkq = v[(k, q)];
+                    v[(k, p)] = c * vkp - s * vkq;
+                    v[(k, q)] = s * vkp + c * vkq;
+                }
+            }
+        }
+    }
+    if !converged && off_norm(&m) > target {
+        return Err(LinalgError::NoConvergence {
+            algorithm: "jacobi eigensolver",
+            iterations: 100,
+        });
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| m[(i, i)].total_cmp(&m[(j, j)]));
+    let eigenvalues = order.iter().map(|&i| m[(i, i)]).collect();
+    Ok((eigenvalues, Matrix::from_fn(n, n, |r, c| v[(r, order[c])])))
+}
+
+/// Bit patterns of `values`.
+pub(crate) fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A random `rows × cols` matrix from `seed`: mostly uniform entries in
+/// `[-5, 5)`, with some exact and signed zeros.
+pub(crate) fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0..10) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.gen_range(-5.0..5.0),
+    })
+}
+
+/// A random SPD matrix `MᵀM + I/4` of order `n`.
+pub(crate) fn random_spd(n: usize, seed: u64) -> Matrix {
+    let mut g = random_matrix(n + 3, n, seed).gram();
+    for i in 0..n {
+        g[(i, i)] += 0.25;
+    }
+    g
+}
+
+/// `Q diag(λ) Qᵀ` for a random orthogonal `Q`, where `λ` repeats each of
+/// `distinct` values.
+pub(crate) fn repeated_spectrum(n: usize, distinct: usize, seed: u64) -> Matrix {
+    let q = crate::QrDecomposition::new(&random_matrix(n, n, seed))
+        .map(|qr| qr.q())
+        .unwrap_or_else(|_| Matrix::identity(n));
+    let lambda: Vec<f64> = (0..n).map(|i| (i % distinct.max(1)) as f64 - 1.5).collect();
+    let ql = Matrix::from_fn(n, n, |i, j| q[(i, j)] * lambda[j]);
+    ql.matmul_transpose_b(&q)
+        .unwrap_or_else(|_| Matrix::zeros(n, n))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{stats, CholeskyDecomposition, SymmetricEigen};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `matvec`, `matvec_into`, `matmul_transpose_b` (at any thread
+        /// count) and `Vector::dot` equal their per-entry references.
+        #[test]
+        fn products_match_reference(
+            rows in 0usize..11,
+            cols in 0usize..11,
+            other in 1usize..10,
+            threads in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            let a = random_matrix(rows, cols, seed);
+            let b = random_matrix(other, cols, seed ^ 1);
+            let v = random_matrix(1, cols, seed ^ 2).into_inner();
+            let want = matvec(&a, &v);
+            prop_assert_eq!(bits(a.matvec(&Vector::from_slice(&v)).unwrap().as_slice()), bits(&want));
+            let mut out = vec![7.0; 3];
+            a.matvec_into(&v, &mut out).unwrap();
+            prop_assert_eq!(bits(&out), bits(&want));
+            let got = a.matmul_transpose_b_with_threads(&b, threads).unwrap();
+            prop_assert_eq!(bits(got.as_slice()), bits(matmul_transpose_b(&a, &b).as_slice()));
+            let w = random_matrix(1, cols, seed ^ 3).into_inner();
+            let d = Vector::from_slice(&v).dot(&Vector::from_slice(&w)).unwrap();
+            prop_assert_eq!(d.to_bits(), zip_sum(&v, &w).to_bits());
+        }
+
+        /// Both covariance paths equal the observation-major reference,
+        /// including a zero-variance variable and two observations.
+        #[test]
+        fn covariance_matches_reference(
+            n in 2usize..40,
+            p in 1usize..11,
+            dead in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut data = random_matrix(n, p, seed);
+            if dead {
+                for r in 0..n {
+                    data[(r, p / 2)] = 21.5;
+                }
+            }
+            let want = covariance_matrix(&data).unwrap();
+            prop_assert_eq!(bits(stats::covariance_matrix(&data).unwrap().as_slice()), bits(want.as_slice()));
+            let rows = stats::row_covariance_matrix(&data.transpose()).unwrap();
+            prop_assert_eq!(bits(rows.as_slice()), bits(want.as_slice()));
+        }
+
+        /// `new`, `refactor_principal`, `solve` and `solve_into` equal
+        /// the one-entry reference on SPD matrices up to 64 × 64.
+        #[test]
+        fn cholesky_matches_reference(n in 1usize..65, seed in any::<u64>()) {
+            let a = random_spd(n, seed);
+            let want = cholesky(&a).unwrap();
+            let chol = CholeskyDecomposition::new(&a).unwrap();
+            prop_assert_eq!(bits(chol.l().as_slice()), bits(want.as_slice()));
+            let b = random_matrix(1, n, seed ^ 5).into_inner();
+            let x = cholesky_solve(&want, &b);
+            prop_assert_eq!(bits(chol.solve(&Vector::from_slice(&b)).unwrap().as_slice()), bits(&x));
+            let mut into = Vec::new();
+            chol.solve_into(&b, &mut into).unwrap();
+            prop_assert_eq!(bits(&into), bits(&x));
+            // Several right-hand sides, each column one solve.
+            let rhs = random_matrix(n, 1 + (seed % 10) as usize, seed ^ 7);
+            let solved = chol.solve_matrix(&rhs).unwrap();
+            for c in 0..rhs.cols() {
+                let col = cholesky_solve(&want, rhs.column(c).as_slice());
+                prop_assert_eq!(bits(solved.column(c).as_slice()), bits(&col), "column {}", c);
+            }
+
+            // A principal submatrix in scrambled order, refactored into
+            // storage that held a larger factor.
+            let idx: Vec<usize> = (0..n).rev().step_by(2).chain((0..n).skip(1).step_by(3)).collect();
+            let sub = a.submatrix(&idx, &idx).unwrap();
+            match (chol.clone().refactor_principal(&a, &idx), cholesky(&sub)) {
+                (Ok(got), Ok(l)) => prop_assert_eq!(bits(got.l().as_slice()), bits(l.as_slice())),
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
+
+        /// Indefinite and non-finite inputs fail with the reference's
+        /// error, through `new` and `refactor_principal` alike.
+        #[test]
+        fn cholesky_errors_match_reference(n in 1usize..12, shift in -40.0_f64..0.0, seed in any::<u64>()) {
+            let mut a = random_spd(n, seed);
+            a[(n - 1, n - 1)] += shift;
+            let idx: Vec<usize> = (0..n).collect();
+            let storage = || CholeskyDecomposition::new(&Matrix::identity(3)).unwrap();
+            match (CholeskyDecomposition::new(&a), cholesky(&a)) {
+                (Ok(c), Ok(l)) => {
+                    prop_assert_eq!(bits(c.l().as_slice()), bits(l.as_slice()));
+                    let got = storage().refactor_principal(&a, &idx).unwrap();
+                    prop_assert_eq!(bits(got.l().as_slice()), bits(l.as_slice()));
+                }
+                (got, want) => {
+                    let want = want.err();
+                    prop_assert_eq!(got.err(), want.clone());
+                    prop_assert_eq!(storage().refactor_principal(&a, &idx).err(), want);
+                }
+            }
+            a[(0, n - 1)] = f64::NAN;
+            prop_assert_eq!(storage().refactor_principal(&a, &idx).err(), cholesky(&a).err());
+            prop_assert!(storage().refactor_principal(&a, &[n]).is_err());
+            prop_assert_eq!(storage().refactor_principal(&a, &[]).err(), cholesky(&Matrix::zeros(0, 0)).err());
+        }
+
+        /// Eigenpairs equal the index-by-index sweep on random symmetric
+        /// matrices and on spectra with repeated eigenvalues.
+        #[test]
+        fn eigen_matches_reference(
+            n in 1usize..31,
+            distinct in 1usize..4,
+            repeated in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let a = if repeated {
+                repeated_spectrum(n, distinct, seed)
+            } else {
+                random_matrix(n, n, seed)
+            };
+            let sym = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
+            let (values, vectors) = jacobi(sym).unwrap();
+            let eig = SymmetricEigen::new_symmetrized(&a).unwrap();
+            prop_assert_eq!(bits(eig.eigenvalues()), bits(&values));
+            prop_assert_eq!(bits(eig.eigenvectors().as_slice()), bits(vectors.as_slice()));
+        }
+    }
+
+    #[test]
+    fn small_and_degenerate_shapes_match_reference() {
+        // n = 1 and n = 2 factors and solves.
+        for n in [1, 2] {
+            let a = random_spd(n, 11);
+            let chol = CholeskyDecomposition::new(&a).unwrap();
+            let l = cholesky(&a).unwrap();
+            assert_eq!(bits(chol.l().as_slice()), bits(l.as_slice()));
+            let b = [0.5, -2.0][..n].to_vec();
+            let x = chol.solve(&Vector::from_slice(&b)).unwrap();
+            assert_eq!(bits(x.as_slice()), bits(&cholesky_solve(&l, &b)));
+        }
+        // No variables: both covariances are 0 × 0.
+        let none = stats::row_covariance_matrix(&Matrix::zeros(0, 5)).unwrap();
+        assert_eq!(none, covariance_matrix(&Matrix::zeros(5, 0)).unwrap());
+        // A matrix without columns: every matvec row is an empty sum.
+        let empty = Matrix::zeros(3, 0);
+        let got = empty.matvec(&Vector::zeros(0)).unwrap();
+        assert_eq!(bits(got.as_slice()), bits(&matvec(&empty, &[])));
+        // All products −0.0: the start value decides the sign.
+        let m = Matrix::from_rows(&[&[-0.0, 1.0][..]]).unwrap();
+        let got = m.matvec(&Vector::from_slice(&[1.0, -0.0])).unwrap();
+        assert_eq!(bits(got.as_slice()), bits(&matvec(&m, &[1.0, -0.0])));
+        let t = m.matmul_transpose_b(&Matrix::from_rows(&[&[1.0, -0.0][..]]).unwrap());
+        assert_eq!(
+            t.unwrap()[(0, 0)].to_bits(),
+            dot(&[-0.0, 1.0], &[1.0, -0.0]).to_bits()
+        );
+        // A Laplacian of two components: a repeated zero eigenvalue.
+        let lap = Matrix::from_rows(&[
+            &[1.0, -1.0, 0.0, 0.0, 0.0][..],
+            &[-1.0, 2.0, -1.0, 0.0, 0.0][..],
+            &[0.0, -1.0, 1.0, 0.0, 0.0][..],
+            &[0.0, 0.0, 0.0, 1.0, -1.0][..],
+            &[0.0, 0.0, 0.0, -1.0, 1.0][..],
+        ])
+        .unwrap();
+        let (values, vectors) = jacobi(lap.clone()).unwrap();
+        let eig = SymmetricEigen::new(&lap).unwrap();
+        assert_eq!(bits(eig.eigenvalues()), bits(&values));
+        assert_eq!(
+            bits(eig.eigenvectors().as_slice()),
+            bits(vectors.as_slice())
+        );
+    }
+}

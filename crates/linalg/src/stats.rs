@@ -5,7 +5,7 @@
 //! table and figure is a percentile, an RMS, a CDF or a correlation
 //! map over temperature series, all computed here.
 
-use crate::{LinalgError, Matrix, Result};
+use crate::{kernels, LinalgError, Matrix, Result};
 
 /// Arithmetic mean of a slice.
 ///
@@ -235,26 +235,45 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64> {
 }
 
 /// Sample covariance matrix of the columns of `data`
-/// (`rows` = observations, `cols` = variables; denominator `n − 1`).
+/// (`rows` = observations, `cols` = variables; denominator `n − 1`):
+/// [`row_covariance_matrix`] of the transpose.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::Empty`] when fewer than two rows are given.
 pub fn covariance_matrix(data: &Matrix) -> Result<Matrix> {
-    let (n, p) = data.shape();
+    row_covariance_matrix(&data.transpose())
+}
+
+/// Sample covariance matrix of the rows of `data` (`rows` = variables,
+/// `cols` = observations; denominator `n − 1`).
+///
+/// Rows are centred once; entry `(i, j)` is then one [`kernels::dot`]
+/// of centred rows `i` and `j`, four columns `j` per pass over row `i`
+/// ([`kernels::dot_rows_from`]). Each entry sums `d_i · d_j` over the
+/// observations in order, from `+0.0`, as the observation-by-observation
+/// loop does.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::Empty`] when fewer than two columns are
+/// given.
+pub fn row_covariance_matrix(data: &Matrix) -> Result<Matrix> {
+    let (p, n) = data.shape();
     if n < 2 {
         return Err(LinalgError::Empty { op: "covariance" });
     }
-    let means: Vec<f64> = (0..p).map(|j| data.column(j).sum() / n as f64).collect();
-    let mut cov = Matrix::zeros(p, p);
-    for r in 0..n {
-        let row = data.row(r);
-        for i in 0..p {
-            let di = row[i] - means[i];
-            for j in i..p {
-                cov[(i, j)] += di * (row[j] - means[j]);
-            }
+    let mut centred = data.clone();
+    for row in centred.as_mut_slice().chunks_exact_mut(n) {
+        let mean = row.iter().sum::<f64>() / n as f64;
+        for x in row.iter_mut() {
+            *x -= mean;
         }
+    }
+    let z = centred.as_slice();
+    let mut cov = Matrix::zeros(p, p);
+    for (i, crow) in cov.as_mut_slice().chunks_exact_mut(p.max(1)).enumerate() {
+        kernels::dot_rows_from(0.0, centred.row(i), &z[i * n..], n, &mut crow[i..]);
     }
     let denom = (n - 1) as f64;
     for i in 0..p {

@@ -2,6 +2,15 @@
 //!
 //! Supplies the sorted Laplacian eigenpairs the spectral-clustering
 //! stage embeds sensors with.
+//!
+//! The sweep runs on flat row-major buffers. Each rotation updates
+//! columns `p` and `q` of the working matrix (a strided pass), then
+//! rows `p` and `q` (two contiguous rows). Eigenvectors accumulate
+//! transposed, so their rotation also touches two contiguous rows; one
+//! transpose after sorting restores column `j` ↔ eigenvalue `j`. Sweep
+//! order, thresholds and rotation formulas are those of the
+//! index-by-index reference loop in `reference.rs`, and the proptests
+//! there hold every eigenpair bit-identical to it.
 
 use crate::{LinalgError, Matrix, Result, Vector};
 
@@ -105,22 +114,23 @@ impl SymmetricEigen {
         Self::decompose(sym)
     }
 
-    fn decompose(mut m: Matrix) -> Result<Self> {
-        let n = m.rows();
-        let mut v = Matrix::identity(n);
+    fn decompose(a: Matrix) -> Result<Self> {
+        let n = a.rows();
+        let frob = a.norm_frobenius().max(f64::MIN_POSITIVE);
+        let target = frob * 1e-14;
+        let mut m = a.into_inner();
+        // Row `j` of `vt` is eigenvector column `j`.
+        let mut vt = Matrix::identity(n).into_inner();
 
-        let off_norm = |m: &Matrix| -> f64 {
+        let off_norm = |m: &[f64]| -> f64 {
             let mut s = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    s += m[(i, j)] * m[(i, j)];
+            for (i, row) in m.chunks_exact(n).enumerate() {
+                for x in &row[i + 1..] {
+                    s += x * x;
                 }
             }
             s.sqrt()
         };
-
-        let frob = m.norm_frobenius().max(f64::MIN_POSITIVE);
-        let target = frob * 1e-14;
 
         let mut converged = false;
         for _sweep in 0..MAX_SWEEPS {
@@ -130,12 +140,12 @@ impl SymmetricEigen {
             }
             for p in 0..n {
                 for q in (p + 1)..n {
-                    let apq = m[(p, q)];
+                    let apq = m[p * n + q];
                     if apq.abs() <= target / (n as f64) {
                         continue;
                     }
-                    let app = m[(p, p)];
-                    let aqq = m[(q, q)];
+                    let app = m[p * n + p];
+                    let aqq = m[q * n + q];
                     // Stable rotation computation (Golub & Van Loan).
                     let theta = (aqq - app) / (2.0 * apq);
                     let t = if theta >= 0.0 {
@@ -146,26 +156,16 @@ impl SymmetricEigen {
                     let c = 1.0 / (1.0 + t * t).sqrt();
                     let s = t * c;
 
-                    // Update rows/columns p and q of m.
-                    for k in 0..n {
-                        let mkp = m[(k, p)];
-                        let mkq = m[(k, q)];
-                        m[(k, p)] = c * mkp - s * mkq;
-                        m[(k, q)] = s * mkp + c * mkq;
+                    // Columns p and q of m, then rows p and q.
+                    for row in m.chunks_exact_mut(n) {
+                        let mkp = row[p];
+                        let mkq = row[q];
+                        row[p] = c * mkp - s * mkq;
+                        row[q] = s * mkp + c * mkq;
                     }
-                    for k in 0..n {
-                        let mpk = m[(p, k)];
-                        let mqk = m[(q, k)];
-                        m[(p, k)] = c * mpk - s * mqk;
-                        m[(q, k)] = s * mpk + c * mqk;
-                    }
-                    // Accumulate eigenvectors.
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
+                    rotate_rows(&mut m, n, p, q, c, s);
+                    // Accumulate eigenvectors (columns p and q of V).
+                    rotate_rows(&mut vt, n, p, q, c, s);
                 }
             }
         }
@@ -177,10 +177,11 @@ impl SymmetricEigen {
         }
 
         // Sort ascending by eigenvalue, permuting eigenvector columns.
+        let diag = |i: usize| m[i * n + i];
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| m[(i, i)].total_cmp(&m[(j, j)]));
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
-        let eigenvectors = Matrix::from_fn(n, n, |r, c| v[(r, order[c])]);
+        order.sort_by(|&i, &j| diag(i).total_cmp(&diag(j)));
+        let eigenvalues: Vec<f64> = order.iter().map(|&i| diag(i)).collect();
+        let eigenvectors = Matrix::from_fn(n, n, |r, c| vt[order[c] * n + r]);
 
         Ok(SymmetricEigen {
             eigenvalues,
@@ -224,6 +225,18 @@ impl SymmetricEigen {
         }
         let idx: Vec<usize> = (0..k).collect();
         self.eigenvectors.select_columns(&idx)
+    }
+}
+
+/// Rotates rows `p < q` of the row-major `n`-wide buffer `m`:
+/// `(r_p, r_q) ← (c·r_p − s·r_q, s·r_p + c·r_q)`.
+fn rotate_rows(m: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = m.split_at_mut(q * n);
+    let rp = &mut head[p * n..(p + 1) * n];
+    for (x, y) in rp.iter_mut().zip(&mut tail[..n]) {
+        let (xp, xq) = (*x, *y);
+        *x = c * xp - s * xq;
+        *y = s * xp + c * xq;
     }
 }
 

@@ -118,7 +118,9 @@ impl Vector {
                 rhs: (other.len(), 1),
             });
         }
-        Ok(self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum())
+        // From −0.0, as `Iterator::sum` folds: a sum of only −0.0
+        // products (or of none) stays −0.0.
+        Ok(crate::kernels::dot_from(-0.0, &self.data, &other.data))
     }
 
     /// Euclidean (L2) norm.

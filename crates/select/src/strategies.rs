@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use thermal_linalg::stats;
+use thermal_linalg::{kernels, stats, CholeskyDecomposition, Matrix};
 
 use crate::selection::{Selection, SelectionInput, Selector};
 use crate::{Result, SelectError};
@@ -184,6 +184,13 @@ impl Selector for FixedSelector {
 /// that maximise the mutual information between selected and
 /// unselected locations under the empirical covariance — then assigns
 /// them to clusters like the other cluster-blind baselines.
+///
+/// The covariance comes straight from the centred trajectory rows
+/// ([`stats::row_covariance_matrix`], no transpose). Each greedy step
+/// scores every remaining candidate by two conditional variances, each
+/// one Cholesky factorisation of a covariance block; all of them are
+/// refilled into one reused factor and solved into reused buffers, so
+/// a selection allocates nothing per candidate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GpSelector;
 
@@ -207,9 +214,9 @@ fn greedy_mutual_information(input: &SelectionInput<'_>, m: usize) -> Result<Vec
             reason: format!("cannot place {m} sensors among {n} candidates"),
         });
     }
-    // Empirical covariance over sensors (observations are time
-    // samples → transpose) with a jitter for conditioning.
-    let mut cov = stats::covariance_matrix(&input.trajectories.transpose())?;
+    // Empirical covariance over sensors (rows are sensors, columns
+    // time samples) with a jitter for conditioning.
+    let mut cov = stats::row_covariance_matrix(input.trajectories)?;
     let jitter = 1e-6 * (0..n).map(|i| cov[(i, i)]).sum::<f64>().max(1e-12) / n as f64;
     for i in 0..n {
         cov[(i, i)] += jitter;
@@ -217,14 +224,16 @@ fn greedy_mutual_information(input: &SelectionInput<'_>, m: usize) -> Result<Vec
 
     let mut chosen: Vec<usize> = Vec::with_capacity(m);
     let mut remaining: Vec<usize> = (0..n).collect();
+    let mut complement: Vec<usize> = Vec::with_capacity(n);
+    let mut conditioner = Conditioner::new(n)?;
     for _ in 0..m {
         let mut best: Option<(f64, usize)> = None;
         for (pos, &y) in remaining.iter().enumerate() {
             // Ā = all sensors except chosen and y.
-            let complement: Vec<usize> =
-                (0..n).filter(|i| *i != y && !chosen.contains(i)).collect();
-            let num = conditional_variance(&cov, y, &chosen)?;
-            let den = conditional_variance(&cov, y, &complement)?;
+            complement.clear();
+            complement.extend((0..n).filter(|i| *i != y && !chosen.contains(i)));
+            let num = conditioner.variance(&cov, y, &chosen)?;
+            let den = conditioner.variance(&cov, y, &complement)?;
             let gain = num / den.max(1e-12);
             if best.as_ref().is_none_or(|&(g, _)| gain > g) {
                 best = Some((gain, pos));
@@ -238,21 +247,49 @@ fn greedy_mutual_information(input: &SelectionInput<'_>, m: usize) -> Result<Vec
     Ok(chosen)
 }
 
-/// `σ²_{y|S} = Σ_yy − Σ_yS Σ_SS⁻¹ Σ_Sy`.
-fn conditional_variance(
-    cov: &thermal_linalg::Matrix,
-    y: usize,
-    conditioning: &[usize],
-) -> Result<f64> {
-    if conditioning.is_empty() {
-        return Ok(cov[(y, y)]);
+/// Workspace of `σ²_{y|S} = Σ_yy − Σ_yS Σ_SS⁻¹ Σ_Sy`, reused across the
+/// greedy loop: one Cholesky factor refilled from each conditioning
+/// block of the covariance, and the right-hand side and solution of
+/// its solve. Sized for `n` sensors up front, so no call allocates.
+struct Conditioner {
+    /// `None` only after a failed factorisation, whose error ends the
+    /// selection.
+    chol: Option<CholeskyDecomposition>,
+    sigma_sy: Vec<f64>,
+    x: Vec<f64>,
+}
+
+impl Conditioner {
+    fn new(n: usize) -> Result<Self> {
+        // The factor of an `n × n` identity: storage for every block.
+        Ok(Conditioner {
+            chol: Some(CholeskyDecomposition::from_factor(Matrix::identity(
+                n.max(1),
+            ))?),
+            sigma_sy: Vec::with_capacity(n),
+            x: Vec::with_capacity(n),
+        })
     }
-    let sigma_ss = cov.submatrix(conditioning, conditioning)?;
-    let sigma_sy: Vec<f64> = conditioning.iter().map(|&s| cov[(s, y)]).collect();
-    let chol = thermal_linalg::CholeskyDecomposition::new(&sigma_ss)?;
-    let x = chol.solve(&thermal_linalg::Vector::from_slice(&sigma_sy))?;
-    let quad: f64 = sigma_sy.iter().zip(x.as_slice()).map(|(a, b)| a * b).sum();
-    Ok((cov[(y, y)] - quad).max(0.0))
+
+    /// `σ²_{y|S}`, clamped at zero; `Σ_yy` for an empty `S`.
+    fn variance(&mut self, cov: &Matrix, y: usize, conditioning: &[usize]) -> Result<f64> {
+        if conditioning.is_empty() {
+            return Ok(cov[(y, y)]);
+        }
+        let storage = self.chol.take().ok_or(SelectError::Internal {
+            context: "GP conditioner used after a failed factorisation",
+        })?;
+        let chol = self
+            .chol
+            .insert(storage.refactor_principal(cov, conditioning)?);
+        self.sigma_sy.clear();
+        self.sigma_sy
+            .extend(conditioning.iter().map(|&s| cov[(s, y)]));
+        chol.solve_into(&self.sigma_sy, &mut self.x)?;
+        // From −0.0, as `Iterator::sum` folds.
+        let quad = kernels::dot_from(-0.0, &self.sigma_sy, &self.x);
+        Ok((cov[(y, y)] - quad).max(0.0))
+    }
 }
 
 /// Ranks every cluster's non-selected members as fallback sensors for
@@ -395,8 +432,105 @@ fn assign_to_clusters(input: &SelectionInput<'_>, chosen: &[usize]) -> Result<Se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
     use thermal_cluster::Clustering;
-    use thermal_linalg::Matrix;
+
+    /// The greedy loop as it was before the reused workspace: the
+    /// covariance of the transposed trajectories, and per candidate a
+    /// fresh complement list, covariance submatrices, factor and solve.
+    /// (`CholeskyDecomposition::new`/`solve` themselves are checked
+    /// against their one-entry references in `thermal-linalg`.)
+    fn reference_greedy(trajectories: &Matrix, m: usize) -> Result<Vec<usize>> {
+        fn conditional_variance(cov: &Matrix, y: usize, conditioning: &[usize]) -> Result<f64> {
+            if conditioning.is_empty() {
+                return Ok(cov[(y, y)]);
+            }
+            let sigma_ss = cov.submatrix(conditioning, conditioning)?;
+            let sigma_sy: Vec<f64> = conditioning.iter().map(|&s| cov[(s, y)]).collect();
+            let chol = CholeskyDecomposition::new(&sigma_ss)?;
+            let x = chol.solve(&thermal_linalg::Vector::from_slice(&sigma_sy))?;
+            let quad: f64 = sigma_sy.iter().zip(x.as_slice()).map(|(a, b)| a * b).sum();
+            Ok((cov[(y, y)] - quad).max(0.0))
+        }
+        let n = trajectories.rows();
+        let mut cov = stats::covariance_matrix(&trajectories.transpose())?;
+        let jitter = 1e-6 * (0..n).map(|i| cov[(i, i)]).sum::<f64>().max(1e-12) / n as f64;
+        for i in 0..n {
+            cov[(i, i)] += jitter;
+        }
+        let mut chosen: Vec<usize> = Vec::with_capacity(m);
+        let mut remaining: Vec<usize> = (0..n).collect();
+        for _ in 0..m {
+            let mut best: Option<(f64, usize)> = None;
+            for (pos, &y) in remaining.iter().enumerate() {
+                let complement: Vec<usize> =
+                    (0..n).filter(|i| *i != y && !chosen.contains(i)).collect();
+                let num = conditional_variance(&cov, y, &chosen)?;
+                let den = conditional_variance(&cov, y, &complement)?;
+                let gain = num / den.max(1e-12);
+                if best.as_ref().is_none_or(|&(g, _)| gain > g) {
+                    best = Some((gain, pos));
+                }
+            }
+            let (_, pos) = best.ok_or(SelectError::Internal {
+                context: "GP-MI greedy step found no candidate",
+            })?;
+            chosen.push(remaining.remove(pos));
+        }
+        Ok(chosen)
+    }
+
+    /// `n` trajectories of `samples` slots from `seed`: a few shared
+    /// thermal modes with per-sensor loadings and noise, and every
+    /// fifth sensor (from `dead_from`) dead flat.
+    fn trajectories(n: usize, samples: usize, dead_from: usize, seed: u64) -> Matrix {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let loads: Vec<[f64; 3]> = (0..n)
+            .map(|_| {
+                [
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                ]
+            })
+            .collect();
+        Matrix::from_fn(n, samples, |i, k| {
+            if i >= dead_from && (i - dead_from).is_multiple_of(5) {
+                return 21.0;
+            }
+            let t = k as f64;
+            let [a, b, c] = loads[i];
+            22.0 + a * (0.11 * t).sin()
+                + b * (0.37 * t).cos()
+                + c * (0.05 * t)
+                + 0.2 * rng.gen_range(-1.0..1.0)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// GP selections over 3–30 sensors equal the per-candidate
+        /// reference loop, including when it fails.
+        #[test]
+        fn gp_greedy_matches_reference(
+            n in 3usize..31,
+            samples in 2usize..70,
+            m in 1usize..7,
+            dead_from in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            let traj = trajectories(n, samples, dead_from, seed);
+            let m = m.min(n);
+            let clustering = Clustering::from_assignments(vec![0; n], 1).unwrap();
+            let input = SelectionInput { trajectories: &traj, clustering: &clustering, per_cluster: m, seed };
+            match (greedy_mutual_information(&input, m), reference_greedy(&traj, m)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
+    }
 
     /// Six sensors in two families: 0–2 trend up (with 1 the middle
     /// one), 3–5 trend down (4 in the middle).

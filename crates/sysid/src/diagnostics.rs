@@ -157,7 +157,7 @@ pub fn residual_report(
         let run = (seg.start + warmup - 1, seg.end - 1);
         write_transitions(dataset, &outputs, &inputs, spec.order, run, &mut x, &mut y)?;
         for (xr, actual) in x.chunks_exact(width).zip(y.chunks_exact(p)) {
-            model.predict_regressor_into(xr, &mut predicted);
+            model.predict_regressor_into(xr, &mut predicted)?;
             for ((series, a), f) in residuals.iter_mut().zip(actual).zip(&predicted) {
                 series.push(a - f);
             }

@@ -70,6 +70,9 @@ impl TracePrediction {
 /// Rolls `model` open-loop over one segment: the first `warmup`
 /// samples seed the state, measured inputs drive the rest.
 ///
+/// Resolves the model's channels by name on every call; callers that
+/// predict many segments resolve once with [`SegmentPredictor`].
+///
 /// # Errors
 ///
 /// * [`SysidError::InvalidSpec`] for channels missing from `dataset`,
@@ -82,37 +85,77 @@ pub fn predict_segment(
     segment: Segment,
     horizon: Option<usize>,
 ) -> Result<TracePrediction> {
-    let spec = model.spec();
-    let (outputs, inputs) = resolve_spec(dataset, spec)?;
-    let warmup = spec.order.warmup();
-    if segment.len() < warmup + 1 {
-        return Err(SysidError::InsufficientData {
-            available: segment.len(),
-            required: warmup + 1,
-        });
+    SegmentPredictor::new(model, dataset)?.predict(segment, horizon)
+}
+
+/// A model with its spec channels resolved against one dataset, so
+/// predicting many segments looks each channel name up once instead
+/// of once per segment. [`SegmentPredictor::predict`] is
+/// [`predict_segment`] bit for bit.
+#[derive(Debug)]
+pub struct SegmentPredictor<'a> {
+    model: &'a ThermalModel,
+    dataset: &'a Dataset,
+    outputs: Vec<usize>,
+    inputs: Vec<usize>,
+}
+
+impl<'a> SegmentPredictor<'a> {
+    /// Resolves `model`'s output and input channels in `dataset`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SysidError::InvalidSpec`] for channels missing from
+    /// `dataset`.
+    pub fn new(model: &'a ThermalModel, dataset: &'a Dataset) -> Result<Self> {
+        let (outputs, inputs) = resolve_spec(dataset, model.spec())?;
+        Ok(SegmentPredictor {
+            model,
+            dataset,
+            outputs,
+            inputs,
+        })
     }
-    let steps = (segment.len() - warmup).min(horizon.unwrap_or(usize::MAX));
-    let init = dataset.matrix(
-        Segment::new(segment.start, segment.start + warmup),
-        &outputs,
-    )?;
-    let input_rows = dataset.matrix(
-        Segment::new(
-            segment.start + warmup - 1,
-            segment.start + warmup - 1 + steps,
-        ),
-        &inputs,
-    )?;
-    let predicted = model.simulate(&init, &input_rows)?;
-    let measured = dataset.matrix(
-        Segment::new(segment.start + warmup, segment.start + warmup + steps),
-        &outputs,
-    )?;
-    Ok(TracePrediction {
-        indices: (segment.start + warmup..segment.start + warmup + steps).collect(),
-        measured,
-        predicted,
-    })
+
+    /// Rolls the model open-loop over `segment`, as
+    /// [`predict_segment`] does.
+    ///
+    /// # Errors
+    ///
+    /// * [`SysidError::InsufficientData`] when the segment is shorter
+    ///   than the warmup plus one step,
+    /// * propagated extraction failures when the segment contains gaps.
+    pub fn predict(&self, segment: Segment, horizon: Option<usize>) -> Result<TracePrediction> {
+        let warmup = self.model.spec().order.warmup();
+        if segment.len() < warmup + 1 {
+            return Err(SysidError::InsufficientData {
+                available: segment.len(),
+                required: warmup + 1,
+            });
+        }
+        let steps = (segment.len() - warmup).min(horizon.unwrap_or(usize::MAX));
+        let init = self.dataset.matrix(
+            Segment::new(segment.start, segment.start + warmup),
+            &self.outputs,
+        )?;
+        let input_rows = self.dataset.matrix(
+            Segment::new(
+                segment.start + warmup - 1,
+                segment.start + warmup - 1 + steps,
+            ),
+            &self.inputs,
+        )?;
+        let predicted = self.model.simulate(&init, &input_rows)?;
+        let measured = self.dataset.matrix(
+            Segment::new(segment.start + warmup, segment.start + warmup + steps),
+            &self.outputs,
+        )?;
+        Ok(TracePrediction {
+            indices: (segment.start + warmup..segment.start + warmup + steps).collect(),
+            measured,
+            predicted,
+        })
+    }
 }
 
 /// Aggregate evaluation results.
@@ -199,6 +242,7 @@ pub fn evaluate(
     let warmup = spec.order.warmup();
     let p = spec.output_count();
 
+    let predictor = SegmentPredictor::new(model, dataset)?;
     let mut sq_sum = vec![0.0_f64; p];
     let mut count = 0usize;
     let mut n_segments = 0usize;
@@ -206,7 +250,7 @@ pub fn evaluate(
         if seg.len() < config.min_segment_len.max(warmup + 1) {
             continue;
         }
-        let pred = predict_segment(model, dataset, seg, config.horizon)?;
+        let pred = predictor.predict(seg, config.horizon)?;
         for i in 0..pred.measured.rows() {
             for j in 0..p {
                 let e = pred.measured[(i, j)] - pred.predicted[(i, j)];

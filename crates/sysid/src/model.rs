@@ -247,19 +247,21 @@ impl ThermalModel {
                 actual: t_prev.map_or(0, <[f64]>::len),
             });
         }
-        self.predict_regressor_into(regressor, out);
-        Ok(())
+        self.predict_regressor_into(regressor, out)
     }
 
     /// `out = Θ · x` for an already-written regressor row `x` (see
     /// [`crate::regressors::write_regressor`]).
-    pub(crate) fn predict_regressor_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        for r in 0..self.spec.output_count() {
-            // Same ascending zip-sum as `Matrix::matvec`, so both
-            // prediction entry points stay bitwise identical.
-            out.push(self.coef.row(r).iter().zip(x).map(|(a, b)| a * b).sum());
-        }
+    ///
+    /// This is [`Matrix::matvec_into`], four coefficient rows per pass
+    /// over `x`, so it stays bitwise identical to `Matrix::matvec`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SysidError::Linalg`] when `x` is not one regressor
+    /// wide.
+    pub(crate) fn predict_regressor_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
+        Ok(self.coef.matvec_into(x, out)?)
     }
 
     /// Open-loop simulation: starting from the measured initial

@@ -101,12 +101,14 @@ pub const SNAPSHOT_MODULES: &[&str] = &[
 ];
 
 /// Path prefixes where reachable panics are findings (rule family B):
-/// the streaming ingest path and the dense kernels.
+/// the streaming ingest path, the dense kernels and the reduction
+/// kernels they share.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/stream/src/service.rs",
     "crates/stream/src/reorder.rs",
     "crates/stream/src/health.rs",
     "crates/linalg/src/matrix.rs",
+    "crates/linalg/src/kernels.rs",
     "crates/par/src/lib.rs",
 ];
 
