@@ -19,23 +19,10 @@
 //! day) so `spec.scenario(days)` can only fail on a bug, not on an
 //! unlucky seed.
 
+use thermal_ckpt::Fnv64;
 use thermal_sim::{HvacConfig, Layout, OccupancyConfig, Scenario, SensorConfig, VAV_COUNT};
 
 use crate::error::{FleetError, Result};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a running hash.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// splitmix64: the generator's only source of randomness.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -148,23 +135,23 @@ impl BuildingSpec {
     /// runs, so it doubles as the building's sysid-cache namespace.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv1a(h, &self.id.to_le_bytes());
-        h = fnv1a(h, &self.seed.to_le_bytes());
-        h = fnv1a(h, &(self.rows as u64).to_le_bytes());
-        h = fnv1a(h, &(self.cols as u64).to_le_bytes());
-        h = fnv1a(h, &self.width.to_bits().to_le_bytes());
-        h = fnv1a(h, &self.depth.to_bits().to_le_bytes());
-        h = fnv1a(h, &self.height.to_bits().to_le_bytes());
-        h = fnv1a(h, &self.capacity.to_le_bytes());
+        let mut h = Fnv64::new();
+        h.update(&self.id.to_le_bytes());
+        h.update(&self.seed.to_le_bytes());
+        h.update(&(self.rows as u64).to_le_bytes());
+        h.update(&(self.cols as u64).to_le_bytes());
+        h.update(&self.width.to_bits().to_le_bytes());
+        h.update(&self.depth.to_bits().to_le_bytes());
+        h.update(&self.height.to_bits().to_le_bytes());
+        h.update(&self.capacity.to_le_bytes());
         for w in &self.box_weights {
-            h = fnv1a(h, &w.to_bits().to_le_bytes());
+            h.update(&w.to_bits().to_le_bytes());
         }
-        h = fnv1a(h, &self.on_minute.to_le_bytes());
-        h = fnv1a(h, &self.off_minute.to_le_bytes());
-        h = fnv1a(h, &self.setpoint.to_bits().to_le_bytes());
-        h = fnv1a(h, &(self.cluster_count as u64).to_le_bytes());
-        let mut state = h;
+        h.update(&self.on_minute.to_le_bytes());
+        h.update(&self.off_minute.to_le_bytes());
+        h.update(&self.setpoint.to_bits().to_le_bytes());
+        h.update(&(self.cluster_count as u64).to_le_bytes());
+        let mut state = h.finish();
         splitmix64(&mut state)
     }
 
@@ -234,6 +221,16 @@ mod tests {
         let b = BuildingSpec::generate(7, 42);
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_value_is_pinned() {
+        // The building's sysid-cache namespace: a change to the hash
+        // must show up here, not as silently moved cache slots.
+        assert_eq!(
+            BuildingSpec::generate(7, 42).fingerprint(),
+            0xf9e5_ecea_61ad_8297
+        );
     }
 
     #[test]

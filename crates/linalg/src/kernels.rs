@@ -23,7 +23,9 @@
 //! commutes. Four lanes hide the add latency a single chain waits on;
 //! they never reorder a chain. Other crates reach them through
 //! [`dot_rows_from`]: one vector against consecutive rows, four rows
-//! per pass.
+//! per pass. Its crate-internal form `dot_rows_acc` continues each
+//! chain from its own running value, so `Matrix::gram` and
+//! `Matrix::transpose_matmul` can feed one chain panel by panel.
 //!
 //! Operands are zipped: a chain runs over the shorter of its two
 //! slices, and callers pass equal lengths.
@@ -91,8 +93,26 @@ pub(crate) fn sub_dot4_from(acc: [f64; 4], a: &[f64], b: [&[f64]; 4]) -> [f64; 4
 /// `A·Bᵀ`. `rows` holds (at least) `out.len()` rows.
 #[inline]
 pub fn dot_rows_from(acc: f64, a: &[f64], rows: &[f64], width: usize, out: &mut [f64]) {
+    rows_from(a, rows, width, out, |_| acc);
+}
+
+/// [`dot_rows_from`] where each chain continues from its own entry:
+/// `out[r] = dot_from(out[r], a, row_r)`. A chain split over
+/// consecutive pieces of `a` (and of its rows) therefore folds exactly
+/// as one pass over the whole would.
+#[inline]
+pub(crate) fn dot_rows_acc(a: &[f64], rows: &[f64], width: usize, out: &mut [f64]) {
+    rows_from(a, rows, width, out, |o| o);
+}
+
+/// The pass behind [`dot_rows_from`] and [`dot_rows_acc`]: chain `r`
+/// starts from `start(out[r])`.
+#[inline(always)]
+fn rows_from(a: &[f64], rows: &[f64], width: usize, out: &mut [f64], start: impl Fn(f64) -> f64) {
     if width == 0 {
-        out.fill(acc);
+        for o in out.iter_mut() {
+            *o = start(*o);
+        }
         return;
     }
     let mut rows = rows.chunks_exact(width);
@@ -103,10 +123,14 @@ pub fn dot_rows_from(acc: f64, a: &[f64], rows: &[f64], width: usize, out: &mut 
         else {
             return;
         };
-        o.copy_from_slice(&dot4_from([acc; 4], a, [r0, r1, r2, r3]));
+        let mut acc = [0.0; 4];
+        for (s, v) in acc.iter_mut().zip(o.iter()) {
+            *s = start(*v);
+        }
+        o.copy_from_slice(&dot4_from(acc, a, [r0, r1, r2, r3]));
     }
     for (o, row) in quads.into_remainder().iter_mut().zip(rows) {
-        *o = dot_from(acc, a, row);
+        *o = dot_from(start(*o), a, row);
     }
 }
 
@@ -204,6 +228,19 @@ mod tests {
             for (r, o) in out.iter().enumerate() {
                 let row = &m[r * width..(r + 1) * width];
                 prop_assert_eq!(o.to_bits(), reference(acc[0], a, row, false).to_bits());
+            }
+            // Each chain continues from its own start, also when split
+            // into two pieces.
+            let starts = values(rows, seed ^ 9);
+            let mut acc_out = starts.clone();
+            let cut = width / 2;
+            let head: Vec<f64> = m.chunks_exact(width.max(1)).flat_map(|r| r[..cut].to_vec()).collect();
+            let tail: Vec<f64> = m.chunks_exact(width.max(1)).flat_map(|r| r[cut..].to_vec()).collect();
+            dot_rows_acc(&a[..cut], &head, cut, &mut acc_out);
+            dot_rows_acc(&a[cut..], &tail, width - cut, &mut acc_out);
+            for (r, o) in acc_out.iter().enumerate() {
+                let row = &m[r * width..(r + 1) * width];
+                prop_assert_eq!(o.to_bits(), reference(starts[r], a, row, false).to_bits());
             }
         }
     }

@@ -3,7 +3,7 @@
 //! The shared data structure under every kernel in this crate.
 
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, Index, IndexMut, Mul, Range, Sub};
 
 use serde::{Deserialize, Serialize};
 
@@ -228,7 +228,13 @@ impl Matrix {
 
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
+        let mut data = Vec::with_capacity(self.data.len());
+        columns_into(&self.data, self.cols, 0..self.cols, &mut data);
+        Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            data,
+        }
     }
 
     /// Matrix product `self * rhs`.
@@ -331,9 +337,22 @@ impl Matrix {
     }
 
     /// Product of the transpose of `self` with `rhs`: `selfᵀ * rhs`,
-    /// computed by streaming both operands row-major (no transpose is
-    /// ever materialised). This is the `AᵀB` half of the
-    /// normal-equation solvers.
+    /// the `AᵀB` half of the normal-equation solvers.
+    ///
+    /// Entry `(i, j)` is one [`kernels`] chain from `+0.0` over the
+    /// sample rows in ascending order: column `i` of `self` against
+    /// column `j` of `rhs`. Both operands are read in panels of 128
+    /// rows whose columns are first made contiguous;
+    /// each chain continues from panel to panel, four chains per pass.
+    /// Large products fan out over blocks of output rows, so the result
+    /// is bitwise identical at any worker count.
+    ///
+    /// On finite input this equals the row-streaming product that skips
+    /// exact-zero entries of `self`: a chain from `+0.0` never becomes
+    /// `-0.0`, so adding a zero product changes nothing. An entry whose
+    /// operands hold ±∞ or NaN may differ from it, e.g. NaN where
+    /// `0 · ∞` used to be skipped; the ridge solvers reject non-finite
+    /// input before calling this.
     ///
     /// # Errors
     ///
@@ -358,21 +377,26 @@ impl Matrix {
             &mut out.data,
             block_rows * q,
             |blk, out_block| {
-                let i0 = blk * block_rows;
+                let first = blk * block_rows;
                 let ni = out_block.len() / q;
-                // Accumulate over the sample rows in ascending order for
-                // every output entry — identical at any block partition.
-                for r in 0..self.rows {
-                    let srow = self.row(r);
-                    let rrow = rhs.row(r);
-                    for li in 0..ni {
-                        let a = srow[i0 + li];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        for (o, b) in out_block[li * q..(li + 1) * q].iter_mut().zip(rrow) {
-                            *o += a * b;
-                        }
+                // Row `j` of `acc` holds entries `(first.., j)`: each
+                // chain runs as a lane of column `j` of `rhs` against the
+                // block's columns of `self` (IEEE products commute), so
+                // the lanes stay four wide even for a single output.
+                let mut acc = vec![0.0; q * ni];
+                let (mut lhs, mut rcols) = (Vec::new(), Vec::new());
+                let panels = self.data.chunks(PANEL_ROWS * p);
+                for (panel, rpanel) in panels.zip(rhs.data.chunks(PANEL_ROWS * q)) {
+                    let n = panel.len() / p;
+                    columns_into(panel, p, first..first + ni, &mut lhs);
+                    columns_into(rpanel, q, 0..q, &mut rcols);
+                    for (arow, cj) in acc.chunks_exact_mut(ni).zip(rcols.chunks_exact(n)) {
+                        kernels::dot_rows_acc(cj, &lhs, n, arow);
+                    }
+                }
+                for (j, arow) in acc.chunks_exact(ni).enumerate() {
+                    for (o, v) in out_block.iter_mut().skip(j).step_by(q).zip(arow) {
+                        *o = *v;
                     }
                 }
             },
@@ -446,9 +470,21 @@ impl Matrix {
 
     /// `Aᵀ A` computed directly (used by normal-equation solvers).
     ///
-    /// Only the upper triangle is accumulated (then mirrored), each
-    /// entry in ascending sample order, so the symmetric result is
-    /// bitwise identical at any worker count.
+    /// Upper-triangle entry `(i, j)` is one [`kernels`] chain from
+    /// `+0.0` over the sample rows in ascending order, column `i`
+    /// against column `j`; the lower triangle is its mirror. The rows
+    /// are read in panels of 128 whose columns are first made
+    /// contiguous, each chain continues from panel to panel, and
+    /// four entries of a row advance per pass. Large problems fan out
+    /// over blocks of output rows, so the result is bitwise identical
+    /// at any worker count.
+    ///
+    /// On finite input this equals the row-streaming accumulation that
+    /// skips exact-zero entries: a chain from `+0.0` never becomes
+    /// `-0.0`, so adding a zero product changes nothing. An entry whose
+    /// column holds ±∞ or NaN may differ from it, e.g. NaN where
+    /// `0 · ∞` used to be skipped; the ridge solvers reject non-finite
+    /// input before calling this.
     pub fn gram(&self) -> Matrix {
         // Upper-triangular work: rows * cols² / 2 multiply-adds.
         let work = self.rows * self.cols * self.cols / 2;
@@ -469,30 +505,30 @@ impl Matrix {
             &mut out.data,
             block_rows * p,
             |blk, out_block| {
-                let i0 = blk * block_rows;
-                let ni = out_block.len() / p;
-                // One streaming pass over the sample rows per output block;
-                // every (i, j) accumulates in ascending row order.
-                for r in 0..self.rows {
-                    let row = self.row(r);
-                    for li in 0..ni {
-                        let i = i0 + li;
-                        let a = row[i];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let orow = &mut out_block[li * p..(li + 1) * p];
-                        for j in i..p {
-                            orow[j] += a * row[j];
-                        }
+                let first = blk * block_rows;
+                let mut cols = Vec::new();
+                for panel in self.data.chunks(PANEL_ROWS * p) {
+                    let n = panel.len() / p;
+                    columns_into(panel, p, first..p, &mut cols);
+                    // Output row `i` continues the chains of column `i`
+                    // against columns `i..`, the front of `tail`.
+                    let mut tail = cols.as_slice();
+                    for (orow, i) in out_block.chunks_exact_mut(p).zip(first..) {
+                        let (_, upper) = orow.split_at_mut(i);
+                        let (column, rest) = tail.split_at(n);
+                        kernels::dot_rows_acc(column, tail, n, upper);
+                        tail = rest;
                     }
                 }
             },
         );
-        // Mirror the upper triangle.
-        for i in 0..p {
-            for j in 0..i {
-                out.data[i * p + j] = out.data[j * p + i];
+        // Mirror the upper triangle: row `i` takes column `i` of the
+        // rows above it.
+        for i in 1..p {
+            let (above, from_i) = out.data.split_at_mut(i * p);
+            let column = above.iter().skip(i).step_by(p);
+            for (dst, src) in from_i.iter_mut().take(i).zip(column) {
+                *dst = *src;
             }
         }
         out
@@ -635,6 +671,25 @@ impl Matrix {
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
         self.data.chunks_exact(self.cols.max(1))
+    }
+}
+
+/// Sample rows per panel of [`Matrix::gram`] and
+/// [`Matrix::transpose_matmul`]: a panel's columns, made contiguous,
+/// take at most `PANEL_ROWS × cols` scratch entries (61 KiB at 61
+/// columns) instead of a full transposed copy.
+const PANEL_ROWS: usize = 128;
+
+/// Appends columns `columns` of the row-major `rows` (each row `width`
+/// entries) to `out` after clearing it: column after column, each one
+/// contiguous run of `rows.len() / width` entries.
+fn columns_into(rows: &[f64], width: usize, columns: Range<usize>, out: &mut Vec<f64>) {
+    out.clear();
+    if width == 0 {
+        return;
+    }
+    for c in columns {
+        out.extend(rows.iter().skip(c).step_by(width));
     }
 }
 

@@ -1,6 +1,7 @@
 //! The reductions as they were before the [`kernels`](crate::kernels)
 //! module, kept as a test-only oracle: per-entry dots through the
 //! asserting `(i, j)` index, `Iterator::sum` zip-sums, the
+//! row-streaming Gram and `AᵀB` products that skip exact zeros, the
 //! observation-major covariance, the one-entry-at-a-time Cholesky and
 //! substitutions, and the index-by-index Jacobi sweep with strided
 //! eigenvector columns.
@@ -8,8 +9,9 @@
 //! The production kernels must match them bit for bit: the proptests
 //! below compare `to_bits` on random inputs — lengths and row counts
 //! that are not multiples of four, `n = 1` and `n = 2`, signed zeros,
-//! zero-variance columns, SPD matrices up to 64 × 64 and symmetric
-//! matrices with repeated eigenvalues.
+//! zero-variance columns, SPD matrices up to 64 × 64, symmetric
+//! matrices with repeated eigenvalues, and the 3,000 × 61 normal
+//! equations.
 
 use crate::{LinalgError, Matrix, Result, Vector};
 
@@ -35,6 +37,53 @@ pub(crate) fn matvec(m: &Matrix, v: &[f64]) -> Vec<f64> {
 /// `a * bᵀ`, one [`dot`] per entry.
 pub(crate) fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_fn(a.rows(), b.rows(), |i, j| dot(a.row(i), b.row(j)))
+}
+
+/// `aᵀ a` as one streaming pass over the sample rows, skipping exact
+/// zeros: every upper entry `(i, j)` accumulates `row[i] · row[j]` in
+/// ascending row order from `+0.0`, then the lower triangle mirrors it.
+pub(crate) fn gram(a: &Matrix) -> Matrix {
+    let p = a.cols();
+    let mut out = Matrix::zeros(p, p);
+    for r in 0..a.rows() {
+        let row = a.row(r);
+        for i in 0..p {
+            let x = row[i];
+            if x == 0.0 {
+                continue;
+            }
+            for j in i..p {
+                out[(i, j)] += x * row[j];
+            }
+        }
+    }
+    for i in 0..p {
+        for j in 0..i {
+            out[(i, j)] = out[(j, i)];
+        }
+    }
+    out
+}
+
+/// `aᵀ b` as one streaming pass over the sample rows, skipping exact
+/// zeros of `a`: entry `(i, j)` accumulates `a[r][i] · b[r][j]` in
+/// ascending row order from `+0.0`.
+pub(crate) fn transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let (p, q) = (a.cols(), b.cols());
+    let mut out = Matrix::zeros(p, q);
+    for r in 0..a.rows() {
+        let (arow, brow) = (a.row(r), b.row(r));
+        for i in 0..p {
+            let x = arow[i];
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..q {
+                out[(i, j)] += x * brow[j];
+            }
+        }
+    }
+    out
 }
 
 /// Column covariance, accumulated observation by observation through
@@ -265,6 +314,46 @@ mod tests {
             prop_assert_eq!(d.to_bits(), zip_sum(&v, &w).to_bits());
         }
 
+        /// `gram` and `transpose_matmul` equal the row-streaming
+        /// products at any worker count: exact and signed zeros, one
+        /// row or one column, widths that are not multiples of four,
+        /// and row counts on both sides of a panel boundary.
+        #[test]
+        fn normal_equations_match_reference(
+            tall in 1usize..400,
+            short in any::<bool>(),
+            cols in 1usize..14,
+            other in 1usize..7,
+            threads in 1usize..4,
+            sparse in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let rows = if short { 1 + tall % 5 } else { tall };
+            let mut a = random_matrix(rows, cols, seed);
+            let b = random_matrix(rows, other, seed ^ 1);
+            if sparse {
+                // Whole zero columns and rows, of both signs.
+                for r in 0..rows {
+                    a[(r, cols / 2)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                for c in 0..cols {
+                    a[(rows / 2, c)] = -0.0;
+                }
+            }
+            let want = gram(&a);
+            prop_assert_eq!(bits(a.gram().as_slice()), bits(want.as_slice()));
+            prop_assert_eq!(bits(a.gram_with_threads(threads).as_slice()), bits(want.as_slice()));
+            let got = a.transpose_matmul(&b).unwrap();
+            prop_assert_eq!(bits(got.as_slice()), bits(transpose_matmul(&a, &b).as_slice()));
+            let t = a.transpose();
+            prop_assert_eq!(t.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    prop_assert_eq!(t[(c, r)].to_bits(), a[(r, c)].to_bits());
+                }
+            }
+        }
+
         /// Both covariance paths equal the observation-major reference,
         /// including a zero-variance variable and two observations.
         #[test]
@@ -364,6 +453,52 @@ mod tests {
             prop_assert_eq!(bits(eig.eigenvalues()), bits(&values));
             prop_assert_eq!(bits(eig.eigenvectors().as_slice()), bits(vectors.as_slice()));
         }
+    }
+
+    #[test]
+    fn normal_equations_match_reference_at_paper_shape() {
+        // The dense second-order problem: 3,000 samples of 61
+        // regressors and 27 outputs, over 23 panels at 1 to 4 workers.
+        let a = random_matrix(3_000, 61, 17);
+        let b = random_matrix(3_000, 27, 18);
+        let want = gram(&a);
+        for threads in 1..=4 {
+            assert_eq!(
+                bits(a.gram_with_threads(threads).as_slice()),
+                bits(want.as_slice())
+            );
+        }
+        let got = a.transpose_matmul(&b).unwrap();
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(transpose_matmul(&a, &b).as_slice())
+        );
+    }
+
+    #[test]
+    fn normal_equations_of_tiny_and_empty_shapes_match_reference() {
+        for (rows, cols) in [(1, 1), (1, 5), (9, 1), (0, 3), (3, 0)] {
+            let a = random_matrix(rows, cols, 5);
+            let b = random_matrix(rows, 2, 6);
+            assert_eq!(bits(a.gram().as_slice()), bits(gram(&a).as_slice()));
+            let got = a.transpose_matmul(&b).unwrap();
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(transpose_matmul(&a, &b).as_slice())
+            );
+            assert_eq!(a.transpose().shape(), (cols, rows));
+        }
+        // Every product −0.0: the chain's `+0.0` start wins, as in the
+        // zero-skipping reference.
+        let a = Matrix::from_rows(&[&[-0.0, 1.0][..], &[1.0, -0.0][..]]).unwrap();
+        assert_eq!(bits(a.gram().as_slice()), bits(gram(&a).as_slice()));
+        let b = Matrix::from_rows(&[&[-0.0][..], &[-0.0][..]]).unwrap();
+        let got = a.transpose_matmul(&b).unwrap();
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(transpose_matmul(&a, &b).as_slice())
+        );
+        assert_eq!(got[(0, 0)].to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

@@ -35,28 +35,15 @@
 //! keep the numerically robust QR full-refit path of
 //! [`crate::identify`].
 
+use thermal_ckpt::Fnv64;
 use thermal_linalg::{CholeskyDecomposition, Matrix};
 use thermal_timeseries::{segments_from_mask, Dataset, Mask};
 
 use crate::regressors::{resolve_spec, write_transitions};
 use crate::{FitConfig, ModelSpec, Result, SysidError, ThermalModel};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a running hash.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// The splitmix64 finalizer: spreads FNV's weak low bits before the
-/// hash picks a cache slot.
+/// hash picks a cache slot, and folds a channel's sample lanes.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -67,18 +54,64 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Fingerprint of the model spec: output/input channel names and the
 /// model order (which fixes `warmup` and the regressor width).
 fn fingerprint_spec(spec: &ModelSpec) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     for name in &spec.outputs {
-        h = fnv1a(h, name.as_bytes());
-        h = fnv1a(h, &[0xff]);
+        h.update(name.as_bytes());
+        h.update(&[0xff]);
     }
-    h = fnv1a(h, &[0xfe]);
+    h.update(&[0xfe]);
     for name in &spec.inputs {
-        h = fnv1a(h, name.as_bytes());
-        h = fnv1a(h, &[0xff]);
+        h.update(name.as_bytes());
+        h.update(&[0xff]);
     }
-    h = fnv1a(h, &(spec.order.warmup() as u64).to_le_bytes());
-    splitmix64(h)
+    h.update(&(spec.order.warmup() as u64).to_le_bytes());
+    splitmix64(h.finish())
+}
+
+/// The word a gap contributes to [`fingerprint_samples`]: a quiet NaN.
+/// [`thermal_timeseries::Channel`] rejects non-finite samples, so no
+/// stored sample has this bit pattern.
+const GAP_WORD: u64 = 0x7ff8_dead_beef_0a9f;
+
+/// Odd multiplier of a [`fingerprint_samples`] lane step.
+const LANE_MUL: u64 = 0x9fb2_1c65_1e98_df25;
+
+/// Digest of a channel's samples, one 64-bit word per sample: a
+/// present sample contributes its `to_bits()`, a gap [`GAP_WORD`].
+///
+/// Sample `t` goes to lane `t % 4`, and each lane steps
+/// `s ← rotl((s ⊕ w) · LANE_MUL, 23)`. For a fixed word that step is a
+/// bijection of the lane state, so changing any one sample changes its
+/// lane's final state. The lanes are independent chains, so four of
+/// them advance together. Each channel's lanes are folded through
+/// splitmix64 together with the sample count.
+fn fingerprint_samples(values: &[Option<f64>]) -> u64 {
+    let step = |s: u64, v: &Option<f64>| {
+        (s ^ v.map_or(GAP_WORD, f64::to_bits))
+            .wrapping_mul(LANE_MUL)
+            .rotate_left(23)
+    };
+    // Distinct starting states (hex digits of π).
+    let mut lanes = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let mut quads = values.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, v) in lanes.iter_mut().zip(quad) {
+            *lane = step(*lane, v);
+        }
+    }
+    for (lane, v) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = step(*lane, v);
+    }
+    lanes
+        .iter()
+        .fold(splitmix64(values.len() as u64), |h, &lane| {
+            splitmix64(h ^ lane)
+        })
 }
 
 /// Fingerprint of the dataset *as the spec sees it*: the time grid
@@ -86,30 +119,22 @@ fn fingerprint_spec(spec: &ModelSpec) -> u64 {
 /// channel, in spec resolution order.
 fn fingerprint_dataset(dataset: &Dataset, channels: &[usize]) -> u64 {
     let grid = dataset.grid();
-    let mut h = FNV_OFFSET;
-    h = fnv1a(h, &grid.start().as_minutes().to_le_bytes());
-    h = fnv1a(h, &u64::from(grid.step_minutes()).to_le_bytes());
-    h = fnv1a(h, &(grid.len() as u64).to_le_bytes());
+    let mut h = Fnv64::new();
+    h.update(&grid.start().as_minutes().to_le_bytes());
+    h.update(&u64::from(grid.step_minutes()).to_le_bytes());
+    h.update(&(grid.len() as u64).to_le_bytes());
     for &c in channels {
         let Ok(channel) = dataset.channel_at(c) else {
             // Unresolvable index: fold the index itself so the key
             // still differs from a dataset where it resolves.
-            h = fnv1a(h, &(c as u64).to_le_bytes());
+            h.update(&(c as u64).to_le_bytes());
             continue;
         };
-        h = fnv1a(h, channel.name().as_bytes());
-        h = fnv1a(h, &[0xff]);
-        for v in channel.values() {
-            match v {
-                Some(x) => {
-                    h = fnv1a(h, &[1]);
-                    h = fnv1a(h, &x.to_bits().to_le_bytes());
-                }
-                None => h = fnv1a(h, &[0]),
-            }
-        }
+        h.update(channel.name().as_bytes());
+        h.update(&[0xff]);
+        h.update(&fingerprint_samples(channel.values()).to_le_bytes());
     }
-    splitmix64(h)
+    splitmix64(h.finish())
 }
 
 /// Cache key of one memoized block: dataset and spec fingerprints
@@ -136,12 +161,17 @@ pub struct BlockKey {
 impl BlockKey {
     /// Slot hash: all fields mixed through splitmix64.
     fn slot_hash(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, &self.namespace.to_le_bytes());
-        h = fnv1a(h, &self.dataset.to_le_bytes());
-        h = fnv1a(h, &self.spec.to_le_bytes());
-        h = fnv1a(h, &self.start.to_le_bytes());
-        h = fnv1a(h, &self.end.to_le_bytes());
-        splitmix64(h)
+        let mut h = Fnv64::new();
+        for field in [
+            self.namespace,
+            self.dataset,
+            self.spec,
+            self.start,
+            self.end,
+        ] {
+            h.update(&field.to_le_bytes());
+        }
+        splitmix64(h.finish())
     }
 }
 
@@ -693,6 +723,84 @@ mod tests {
             }
             prop_assert_eq!(reference::bits(&engine.gram), reference::bits(&gram));
             prop_assert_eq!(reference::bits(&engine.cross), reference::bits(&cross));
+        }
+    }
+
+    #[test]
+    fn spec_and_slot_hashes_are_pinned() {
+        let spec = ModelSpec::new(
+            vec!["t1".into(), "t2".into()],
+            vec!["u".into(), "occ".into()],
+            ModelOrder::Second,
+        )
+        .unwrap();
+        assert_eq!(fingerprint_spec(&spec), 0x5adc_008d_07ac_d35f);
+        let key = BlockKey {
+            namespace: 3,
+            dataset: 0x1234,
+            spec: 0x5678,
+            start: 10,
+            end: 99,
+        };
+        assert_eq!(key.slot_hash(), 0x3b93_7e23_78d7_fb96);
+    }
+
+    /// Datasets that differ in exactly one of the things the dataset
+    /// fingerprint covers get different fingerprints.
+    #[test]
+    fn dataset_fingerprint_separates_single_differences() {
+        let grid = TimeGrid::new(Timestamp::from_minutes(-30), 5, 9).unwrap();
+        let t: Vec<Option<f64>> = (0..9)
+            .map(|k| (k != 4).then_some(20.0 + 0.1 * k as f64))
+            .collect();
+        let u: Vec<Option<f64>> = (0..9).map(|k| Some(0.5 - 0.05 * k as f64)).collect();
+        let build = |grid: TimeGrid, t: &[Option<f64>], names: [&str; 2]| {
+            Dataset::new(
+                grid,
+                vec![
+                    Channel::new(names[0], t.to_vec()).unwrap(),
+                    Channel::new(names[1], u.clone()).unwrap(),
+                ],
+            )
+            .unwrap()
+        };
+        let base = build(grid, &t, ["t", "u"]);
+        let fp = |ds: &Dataset, order: &[usize]| fingerprint_dataset(ds, order);
+        let want = fp(&base, &[0, 1]);
+        assert_eq!(want, fp(&build(grid, &t, ["t", "u"]), &[0, 1]));
+
+        let mut last_bit = t.clone();
+        last_bit[8] = t[8].map(|x| f64::from_bits(x.to_bits() ^ 1));
+        let mut gap_for_value = t.clone();
+        gap_for_value[3] = None;
+        let mut value_for_gap = t.clone();
+        value_for_gap[4] = Some(20.4);
+        let shifted = TimeGrid::new(Timestamp::from_minutes(-25), 5, 9).unwrap();
+        let restepped = TimeGrid::new(Timestamp::from_minutes(-30), 10, 9).unwrap();
+        let longer = TimeGrid::new(Timestamp::from_minutes(-30), 5, 10).unwrap();
+        let mut t10 = t.clone();
+        t10.push(None);
+        let long_u: Vec<Option<f64>> = u.iter().copied().chain([Some(0.0)]).collect();
+        let long = Dataset::new(
+            longer,
+            vec![
+                Channel::new("t", t10).unwrap(),
+                Channel::new("u", long_u).unwrap(),
+            ],
+        )
+        .unwrap();
+        let others = [
+            fp(&build(grid, &last_bit, ["t", "u"]), &[0, 1]),
+            fp(&build(grid, &gap_for_value, ["t", "u"]), &[0, 1]),
+            fp(&build(grid, &value_for_gap, ["t", "u"]), &[0, 1]),
+            fp(&base, &[1, 0]),
+            fp(&build(grid, &t, ["t2", "u"]), &[0, 1]),
+            fp(&build(shifted, &t, ["t", "u"]), &[0, 1]),
+            fp(&build(restepped, &t, ["t", "u"]), &[0, 1]),
+            fp(&long, &[0, 1]),
+        ];
+        for (i, other) in others.iter().enumerate() {
+            assert_ne!(*other, want, "variant {i} collides with the base");
         }
     }
 

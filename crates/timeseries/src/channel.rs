@@ -10,6 +10,11 @@ use crate::{Result, TimeSeriesError};
 /// portal outage), never NaN — construction rejects non-finite values
 /// so downstream numerics can trust every `Some`.
 ///
+/// Every constructor also records which slots are present as a bitset
+/// of 64-bit words, so joint presence over many channels
+/// ([`crate::Dataset::presence_mask`]) is one AND per 64 slots. The
+/// channel has no `&mut` API, so the words never go stale.
+///
 /// # Example
 ///
 /// ```
@@ -27,6 +32,10 @@ use crate::{Result, TimeSeriesError};
 pub struct Channel {
     name: String,
     values: Vec<Option<f64>>,
+    /// Bit `i % 64` of word `i / 64` is set iff `values[i]` is `Some`;
+    /// bits past the last slot are clear. A function of `values`, so
+    /// the derived `PartialEq` compares what it always did.
+    present: Vec<u64>,
 }
 
 impl Channel {
@@ -48,7 +57,26 @@ impl Channel {
                 }
             }
         }
-        Ok(Channel { name, values })
+        Ok(Channel::from_parts(name, values))
+    }
+
+    /// The one place a channel is assembled: derives the presence
+    /// words from `values`.
+    fn from_parts(name: String, values: Vec<Option<f64>>) -> Channel {
+        let present = values
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .rev()
+                    .fold(0, |word, v| (word << 1) | u64::from(v.is_some()))
+            })
+            .collect();
+        Channel {
+            name,
+            values,
+            present,
+        }
     }
 
     /// Creates a fully-present channel from plain values.
@@ -78,6 +106,12 @@ impl Channel {
     /// The raw samples.
     pub fn values(&self) -> &[Option<f64>] {
         &self.values
+    }
+
+    /// The presence words: bit `i % 64` of word `i / 64` is set iff
+    /// slot `i` holds a sample.
+    pub(crate) fn presence_words(&self) -> &[u64] {
+        &self.present
     }
 
     /// Sample at index `i`; `None` for a gap, and also `None` when `i`
@@ -161,18 +195,12 @@ impl Channel {
                 values[i] = None;
             }
         }
-        Channel {
-            name: self.name.clone(),
-            values,
-        }
+        Channel::from_parts(self.name.clone(), values)
     }
 
     /// Returns a copy renamed to `name`.
     pub fn renamed(&self, name: impl Into<String>) -> Channel {
-        Channel {
-            name: name.into(),
-            values: self.values.clone(),
-        }
+        Channel::from_parts(name.into(), self.values.clone())
     }
 
     /// Extracts the sub-channel covering slot range `start..end`.
@@ -189,10 +217,10 @@ impl Channel {
                 len: self.values.len(),
             });
         }
-        Ok(Channel {
-            name: self.name.clone(),
-            values: self.values[start..end].to_vec(),
-        })
+        Ok(Channel::from_parts(
+            self.name.clone(),
+            self.values[start..end].to_vec(),
+        ))
     }
 }
 

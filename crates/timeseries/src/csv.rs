@@ -165,7 +165,9 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Dataset> {
         });
     }
     let step = if stamps.len() >= 2 {
-        let s = stamps[1] - stamps[0];
+        // Saturating: a difference beyond `i64` is no valid step, and
+        // saturation keeps its sign for the checks below.
+        let s = stamps[1].saturating_sub(stamps[0]);
         if s <= 0 {
             return Err(TimeSeriesError::Csv {
                 line: 3,
@@ -173,7 +175,7 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Dataset> {
             });
         }
         for (i, w) in stamps.windows(2).enumerate() {
-            if w[1] - w[0] != s {
+            if w[1].saturating_sub(w[0]) != s {
                 return Err(TimeSeriesError::Csv {
                     line: i + 3,
                     reason: "non-uniform timestamp step".to_owned(),

@@ -146,8 +146,8 @@ impl Dataset {
 
     /// Mask of slots where *all* the given channels are present.
     ///
-    /// Streams each channel's sample buffer once, one channel at a
-    /// time.
+    /// ANDs the channels' presence words, 64 slots per word, and
+    /// expands the result into the mask once.
     ///
     /// # Errors
     ///
@@ -155,13 +155,14 @@ impl Dataset {
     /// index.
     pub fn presence_mask(&self, channel_indices: &[usize]) -> Result<Mask> {
         self.check_channels("presence_mask", channel_indices)?;
-        let mut bits = vec![true; self.grid.len()];
+        let len = self.grid.len();
+        let mut words = vec![u64::MAX; len.div_ceil(64)];
         for channel in channel_indices.iter().filter_map(|&c| self.channels.get(c)) {
-            for (bit, v) in bits.iter_mut().zip(channel.values()) {
-                *bit &= v.is_some();
+            for (word, present) in words.iter_mut().zip(channel.presence_words()) {
+                *word &= present;
             }
         }
-        Ok(Mask::from_bits(bits))
+        Ok(Mask::from_words(&words, len))
     }
 
     /// Extracts a dense `segment.len() × channels` matrix for the given
@@ -297,17 +298,13 @@ impl Dataset {
     /// index.
     pub fn usable_days(&self, channel_indices: &[usize], min_coverage: f64) -> Result<Vec<i64>> {
         self.check_channels("usable_days", channel_indices)?;
-        // slot counts and present counts per day
+        let present = self.presence_mask(channel_indices)?;
+        // slot counts and jointly present counts per day
         let mut per_day: BTreeMap<i64, (usize, usize)> = BTreeMap::new();
-        for (i, t) in self.grid.iter() {
+        for ((_, t), &joint) in self.grid.iter().zip(present.bits()) {
             let e = per_day.entry(t.day()).or_insert((0, 0));
             e.0 += 1;
-            if channel_indices
-                .iter()
-                .all(|&c| self.channels[c].is_present(i))
-            {
-                e.1 += 1;
-            }
+            e.1 += usize::from(joint);
         }
         let mut days: Vec<i64> = per_day
             .into_iter()
@@ -328,6 +325,7 @@ impl Dataset {
 mod tests {
     use super::*;
     use crate::Timestamp;
+    use proptest::prelude::*;
 
     fn small() -> Dataset {
         let grid = TimeGrid::new(Timestamp::from_minutes(0), 60, 6).unwrap();
@@ -474,5 +472,121 @@ mod tests {
         assert_eq!(once, twice);
         assert_eq!(once, vec![0, 1, 2, 3, 4]);
         assert!(once.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// The per-sample joint-presence loop that the word-wise
+    /// `presence_mask` replaced, kept as its oracle.
+    fn reference_presence(ds: &Dataset, channel_indices: &[usize]) -> Vec<bool> {
+        let mut bits = vec![true; ds.grid().len()];
+        for &c in channel_indices {
+            for (bit, v) in bits.iter_mut().zip(ds.channels()[c].values()) {
+                *bit &= v.is_some();
+            }
+        }
+        bits
+    }
+
+    /// The per-slot, per-channel `usable_days` loop that the
+    /// presence-mask version replaced, kept as its oracle.
+    fn reference_usable_days(
+        ds: &Dataset,
+        channel_indices: &[usize],
+        min_coverage: f64,
+    ) -> Vec<i64> {
+        let mut per_day: BTreeMap<i64, (usize, usize)> = BTreeMap::new();
+        for (i, t) in ds.grid().iter() {
+            let e = per_day.entry(t.day()).or_insert((0, 0));
+            e.0 += 1;
+            if channel_indices
+                .iter()
+                .all(|&c| ds.channels()[c].is_present(i))
+            {
+                e.1 += 1;
+            }
+        }
+        per_day
+            .into_iter()
+            .filter(|&(_, (slots, present))| present as f64 >= min_coverage * slots as f64)
+            .map(|(d, _)| d)
+            .collect()
+    }
+
+    /// A random gappy dataset of `len` slots whose channels come from
+    /// every `Channel` constructor: `new`, `from_values` + `with_gaps`,
+    /// `renamed` and `slice`.
+    fn gappy(len: usize, seed: u64) -> Dataset {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gap_rate = [0.0, 0.02, 0.3, 0.9, 1.0][rng.gen_range(0..5)];
+        let mut values = |n: usize| -> Vec<Option<f64>> {
+            (0..n)
+                .map(|_| (!rng.gen_bool(gap_rate)).then(|| rng.gen_range(-40.0..60.0)))
+                .collect()
+        };
+        let plain = Channel::new("new", values(len)).unwrap();
+        let renamed = Channel::new("x", values(len)).unwrap().renamed("renamed");
+        let offset = 1 + len % 7;
+        let sliced = Channel::new("slice", values(len + 2 * offset))
+            .unwrap()
+            .slice(offset, offset + len)
+            .unwrap();
+        let dense = Channel::from_values("dense", vec![21.5; len]).unwrap();
+        let gaps: Vec<usize> = (0..len + 3)
+            .filter(|i| (i * 31 + len).is_multiple_of(5))
+            .collect();
+        let gapped = Channel::from_values("gapped", vec![-3.25; len])
+            .unwrap()
+            .with_gaps(&gaps);
+        let step = [5, 60, 7][len % 3];
+        let grid = TimeGrid::new(Timestamp::from_minutes(-(len as i64) * 3), step, len).unwrap();
+        Dataset::new(grid, vec![plain, dense, gapped, renamed, sliced]).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `presence_mask` and `usable_days` equal the per-sample loops
+        /// on datasets from every constructor, after `restricted_to`
+        /// and after a CSV round trip, for the empty, single,
+        /// duplicated and full channel lists.
+        #[test]
+        fn presence_matches_reference(
+            pick in 0usize..6,
+            odd in 1usize..300,
+            first in 0usize..5,
+            second in 0usize..5,
+            min_coverage in 0.0_f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let len = [1, 63, 64, 65, 8_640, odd][pick];
+            let ds = gappy(len, seed);
+            let keep: Vec<bool> = (0..len).map(|i| !(i as u64 ^ seed).is_multiple_of(3)).collect();
+            let restricted = ds.restricted_to(&Mask::from_bits(keep)).unwrap();
+            let text = crate::csv::to_csv_string(&ds).unwrap();
+            let csv = crate::csv::read_csv(text.as_bytes()).unwrap();
+            let lists: [Vec<usize>; 5] =
+                [vec![], vec![first], vec![first, first], vec![first, second], (0..5).collect()];
+            for data in [&ds, &restricted, &csv] {
+                for ch in data.channels() {
+                    let words = ch.presence_words();
+                    prop_assert_eq!(words.len(), len.div_ceil(64));
+                    for (i, v) in ch.values().iter().enumerate() {
+                        prop_assert_eq!(words[i / 64] >> (i % 64) & 1 == 1, v.is_some());
+                    }
+                    if len % 64 != 0 {
+                        prop_assert_eq!(words[len / 64] >> (len % 64), 0);
+                    }
+                }
+                for list in &lists {
+                    let got = data.presence_mask(list).unwrap();
+                    prop_assert_eq!(got.bits(), &reference_presence(data, list)[..]);
+                    prop_assert_eq!(
+                        data.usable_days(list, min_coverage).unwrap(),
+                        reference_usable_days(data, list, min_coverage)
+                    );
+                }
+            }
+        }
     }
 }

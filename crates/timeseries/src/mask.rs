@@ -51,6 +51,19 @@ impl Mask {
         Mask { bits }
     }
 
+    /// Expands `len` slots of a bitset — slot `i` is bit `i % 64` of
+    /// `words[i / 64]` — into a mask. Slots past the last word are
+    /// unselected.
+    pub(crate) fn from_words(words: &[u64], len: usize) -> Self {
+        let mut bits = vec![false; len];
+        for (chunk, &word) in bits.chunks_mut(64).zip(words) {
+            for (bit, shift) in chunk.iter_mut().zip(0..) {
+                *bit = (word >> shift) & 1 == 1;
+            }
+        }
+        Mask { bits }
+    }
+
     /// Mask selecting slots whose minute-of-day lies in
     /// `[start_minute, end_minute)`.
     ///
