@@ -212,10 +212,14 @@ impl Record {
     }
 
     /// Decodes a record from bytes, verifying the expected tag.
+    ///
+    /// Lines end at `\n` only, as [`Record::encode`] writes them: a
+    /// `\r` before it belongs to the line (a string value may end in
+    /// one), so `\r\n` is not read as a line ending.
     pub fn decode(bytes: &[u8], expect_tag: &str) -> Result<Self, CkptError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|e| CkptError::decode("record", format!("not UTF-8: {e}")))?;
-        let mut lines = text.lines();
+        let mut lines = text.split_terminator('\n');
         let header = lines
             .next()
             .ok_or_else(|| CkptError::decode("record", "empty payload"))?;
@@ -391,6 +395,23 @@ mod tests {
         assert!(r.get("missing").is_err());
         assert!(r.get_u64("k").is_err());
         assert!(r.get_f64("k").is_err());
+    }
+
+    #[test]
+    fn values_ending_in_carriage_return_roundtrip() {
+        for value in ["a\r", "\r", "\r\r", "x\r\ny\r", "\n\r"] {
+            let mut r = Record::new("cr\r");
+            r.put("k", value)
+                .put_str_list("list", &[value.into(), "b".into()]);
+            let bytes = r.encode();
+            let d = Record::decode(&bytes, "cr\r").unwrap();
+            assert_eq!(d.get("k").unwrap(), value);
+            assert_eq!(
+                d.get_str_list("list").unwrap(),
+                vec![value.to_string(), "b".into()]
+            );
+            assert_eq!(d.encode(), bytes);
+        }
     }
 
     #[test]

@@ -16,10 +16,10 @@ use thermal_ckpt::snapshot::{restore_from, seal, snapshot_bytes, unseal};
 use thermal_ckpt::{BreakerPolicy, CircuitBreaker};
 
 /// Characters exercised in generated string values — every byte class
-/// the codec escapes (`%`, space, newline, comma) plus plain ASCII
-/// and non-ASCII text.
+/// the codec escapes (`%`, space, newline, comma), the carriage return
+/// it does not, plus plain ASCII and non-ASCII text.
 const PALETTE: &[char] = &[
-    'a', 'b', 'z', 'A', '0', '9', '_', '-', '.', '%', ' ', '\n', ',', '°', 'é', '/',
+    'a', 'b', 'z', 'A', '0', '9', '_', '-', '.', '%', ' ', '\n', '\r', ',', '°', 'é', '/',
 ];
 
 /// Arbitrary field value drawing from the full escape palette.
@@ -103,6 +103,22 @@ proptest! {
         prop_assert_eq!(&first, &seal("prop-test", 3, &rec));
         let decoded = unseal(&first, "prop-test", 3).unwrap();
         prop_assert_eq!(first, seal("prop-test", 3, &decoded));
+    }
+
+    /// Values ending in `\r`, or made of `\r` alone, unseal intact and
+    /// re-seal to the same bytes: the decoder splits lines on `\n`
+    /// only.
+    #[test]
+    fn carriage_returns_survive_a_round_trip(text in value_strategy(), crs in 1usize..3) {
+        for value in [format!("{text}{}", "\r".repeat(crs)), "\r".repeat(crs)] {
+            let mut rec = Record::new("prop-test");
+            rec.put("k", &value).put_str_list("l", &[value.clone(), text.clone()]);
+            let sealed = seal("prop-test", 1, &rec);
+            let decoded = unseal(&sealed, "prop-test", 1).unwrap();
+            prop_assert_eq!(decoded.get("k").unwrap(), value.clone());
+            prop_assert_eq!(decoded.get_str_list("l").unwrap(), vec![value.clone(), text.clone()]);
+            prop_assert_eq!(&sealed, &seal("prop-test", 1, &decoded));
+        }
     }
 
     /// Any single flipped bit anywhere in a sealed snapshot —

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use thermal_linalg::kernels::{self, dot};
+use thermal_linalg::kernels;
 use thermal_linalg::{stats, Matrix};
 use thermal_timeseries::{Dataset, Mask};
 
@@ -107,7 +107,8 @@ pub fn trajectory_matrix(dataset: &Dataset, channels: &[&str], mask: &Mask) -> R
 ///
 /// Both similarity kernels are fused: per-trajectory statistics
 /// (squared norms for Euclidean; means and centred norms for Pearson)
-/// are computed once instead of once per pair, each upper-triangle
+/// are computed once instead of once per pair, four trajectories per
+/// pass ([`stats::centre_rows`], [`kernels::dot_self_rows`]), each upper-triangle
 /// entry reduces to a single row dot product (four columns per pass
 /// over the row, see [`thermal_linalg::kernels`]), and the triangle
 /// rows fan out in parallel over the configured
@@ -149,7 +150,7 @@ pub fn weight_matrix_with_threads(
             // d²(i, j) = ‖tᵢ‖² + ‖tⱼ‖² − 2⟨tᵢ, tⱼ⟩ with the squared
             // norms hoisted out of the pair loop; clamp at zero
             // against cancellation round-off.
-            let sq: Vec<f64> = trajectories.iter_rows().map(|t| dot(t, t)).collect();
+            let sq = squared_norms(trajectories);
             let tri: Vec<Vec<f64>> = thermal_par::parallel_map_with(threads, &rows, |&i| {
                 upper_dots(trajectories, i)
                     .into_iter()
@@ -181,15 +182,8 @@ pub fn weight_matrix_with_threads(
             // ⟨zᵢ, zⱼ⟩ / (‖zᵢ‖·‖zⱼ‖) — the per-pair mean and norm
             // recomputation of `stats::pearson` drops out.
             // Zero-variance (dead) sensors keep the r = 0 convention.
-            let mut centred = trajectories.clone();
-            for i in 0..n {
-                let row = centred.row_mut(i);
-                let mean = row.iter().sum::<f64>() / samples as f64;
-                for v in row.iter_mut() {
-                    *v -= mean;
-                }
-            }
-            let sq: Vec<f64> = centred.iter_rows().map(|z| dot(z, z)).collect();
+            let centred = stats::centre_rows(trajectories);
+            let sq = squared_norms(&centred);
             let tri: Vec<Vec<f64>> = thermal_par::parallel_map_with(threads, &rows, |&i| {
                 upper_dots(&centred, i)
                     .into_iter()
@@ -213,6 +207,14 @@ pub fn weight_matrix_with_threads(
         }
     }
     Ok(w)
+}
+
+/// `⟨m_i, m_i⟩` of every row, each one [`kernels::dot`] chain, four
+/// rows per pass ([`kernels::dot_self_rows`]).
+fn squared_norms(m: &Matrix) -> Vec<f64> {
+    let mut sq = vec![0.0; m.rows()];
+    kernels::dot_self_rows(m.as_slice(), m.cols(), &mut sq);
+    sq
 }
 
 /// `⟨m_i, m_j⟩` for every `j > i`, in `j` order: four columns per
@@ -306,15 +308,16 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Both similarities equal the per-pair reference bit for bit,
-        /// for sensor and sample counts that are not multiples of four,
-        /// with a dead (zero-variance) sensor, at any thread count.
+        /// for sensor and sample counts that are not multiples of four
+        /// and for the paper's 27 sensors, with a dead (zero-variance)
+        /// sensor, at any thread count.
         #[test]
         fn weights_match_per_pair_reference(
-            n in 2usize..12,
+            n in (2usize..14).prop_map(|n| if n < 12 { n } else { 27 }),
             samples in 2usize..40,
             dead in 0usize..12,
             threads in 1usize..4,
-            data in prop::collection::vec(-5.0_f64..5.0, 12 * 40),
+            data in prop::collection::vec(-5.0_f64..5.0, 27 * 40),
         ) {
             let mut t = Matrix::from_fn(n, samples, |i, k| 20.0 + data[i * 40 + k]);
             if dead < n {

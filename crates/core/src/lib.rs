@@ -68,6 +68,8 @@ mod degradation;
 mod error;
 mod pipeline;
 mod reduced;
+#[cfg(test)]
+mod reference;
 
 pub mod checkpoint;
 pub mod control;

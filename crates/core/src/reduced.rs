@@ -15,6 +15,12 @@ use crate::degradation::{
 };
 use crate::{CoreError, Result};
 
+/// Error of a truth read that hit a gap the segmentation should have
+/// excluded.
+const MISSING_SAMPLE: CoreError = CoreError::Internal {
+    context: "segmentation admitted a missing sample",
+};
+
 /// A simplified thermal model built on selected sensors, with the
 /// clustering context needed to interpret its predictions as cluster
 /// thermal means.
@@ -157,34 +163,48 @@ impl ReducedModel {
             member_idx.push(members.iter().map(|&m| dense_idx[m]).collect());
         }
 
-        // One error per (predicted step, cluster); the truth means are
-        // summed out of one scratch row, in member order.
+        // One error per (predicted step, cluster). Each segment's truth
+        // sums are built column by column: cluster `c`'s column adds its
+        // members' values over the predicted slots, member by member, so
+        // slot `s` holds `-0.0 + v₀[s] + v₁[s] + …` in member order — the
+        // `Iterator::sum` of that slot's member values.
         let warmup = self.model.spec().order.warmup();
-        let steps: usize = segments
+        let lengths = segments
             .iter()
-            .map(|s| s.len().saturating_sub(warmup).min(horizon))
-            .sum();
+            .map(|s| s.len().saturating_sub(warmup).min(horizon));
+        let steps: usize = lengths.clone().sum();
+        let longest = lengths.max().unwrap_or(0);
         let mut errors = Vec::with_capacity(steps * clusters.len());
-        let mut truth_vals = vec![0.0; member_idx.iter().map(Vec::len).max().unwrap_or(0)];
+        let mut truth_sums: Vec<f64> = Vec::with_capacity(longest * clusters.len());
         let mut segments_used = 0usize;
         let predictor = SegmentPredictor::new(&self.model, dataset)?;
         for seg in segments {
-            let Ok(pred) = predictor.predict(seg, Some(horizon)) else {
+            let Ok((first, predicted)) = predictor.predict_outputs(seg, Some(horizon)) else {
                 continue;
             };
             segments_used += 1;
-            for (row, &grid_idx) in pred.indices.iter().enumerate() {
-                for (cols, members) in rep_cols.iter().zip(&member_idx) {
-                    let predicted: f64 =
-                        cols.iter().map(|&j| pred.predicted[(row, j)]).sum::<f64>()
-                            / cols.len() as f64;
-                    let truth_vals = &mut truth_vals[..members.len()];
-                    if !dataset.gather(grid_idx, members, truth_vals) {
-                        return Err(CoreError::Internal {
-                            context: "segmentation admitted a missing sample",
-                        });
+            let len = predicted.rows();
+            truth_sums.clear();
+            truth_sums.resize(len * clusters.len(), -0.0);
+            for (sums, members) in truth_sums.chunks_exact_mut(len.max(1)).zip(&member_idx) {
+                for &m in members {
+                    let values = dataset
+                        .channels()
+                        .get(m)
+                        .and_then(|ch| ch.values().get(first..first + len))
+                        .ok_or(MISSING_SAMPLE)?;
+                    for (sum, v) in sums.iter_mut().zip(values) {
+                        *sum += v.ok_or(MISSING_SAMPLE)?;
                     }
-                    let truth: f64 = truth_vals.iter().sum::<f64>() / truth_vals.len() as f64;
+                }
+            }
+            for (row, prow) in predicted.iter_rows().enumerate() {
+                let per_cluster = rep_cols.iter().zip(&member_idx);
+                for ((cols, members), sums) in per_cluster.zip(truth_sums.chunks_exact(len.max(1)))
+                {
+                    let predicted: f64 =
+                        cols.iter().map(|&j| prow[j]).sum::<f64>() / cols.len() as f64;
+                    let truth = sums[row] / members.len() as f64;
                     errors.push((predicted - truth).abs());
                 }
             }

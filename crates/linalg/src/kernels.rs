@@ -27,6 +27,18 @@
 //! chain from its own running value, so `Matrix::gram` and
 //! `Matrix::transpose_matmul` can feed one chain panel by panel.
 //!
+//! Two more row-wise forms advance four rows per pass, each row one
+//! chain: the crate-internal `sum_rows_from` adds a row's entries (a
+//! row mean's `Σ`, from `-0.0` where it stands for an `Iterator::sum`)
+//! and [`dot_self_rows`] is each row's `dot(row, row)`.
+//!
+//! [`dot_panels_from`] is [`dot_rows_from`] for a matrix packed once
+//! into [`RowPanels`]: eight rows per panel, their entries of one column
+//! side by side, so one pass advances eight lanes from contiguous
+//! operands. It is the open-loop rollout's `Θ·x`. Each lane is still
+//! its row's one-lane chain, and a matrix of fewer than eight rows is
+//! all tail, which is `dot_rows_from` itself.
+//!
 //! Operands are zipped: a chain runs over the shorter of its two
 //! slices, and callers pass equal lengths.
 //!
@@ -42,6 +54,8 @@
 //! assert_eq!(out, [1.0, 2.0, 3.0, 6.0, 2.0]);
 //! assert_eq!(out[3].to_bits(), dot(&a, &rows[9..12]).to_bits());
 //! ```
+
+use crate::Matrix;
 
 /// `Σ a[t] · b[t]` from `+0.0`, `t` ascending.
 #[inline]
@@ -132,6 +146,122 @@ fn rows_from(a: &[f64], rows: &[f64], width: usize, out: &mut [f64], start: impl
     for (o, row) in quads.into_remainder().iter_mut().zip(rows) {
         *o = dot_from(start(*o), a, row);
     }
+}
+
+/// `out[r] = acc + row_r[0] + row_r[1] + …`, added left to right, for
+/// the consecutive `width`-wide rows `row_r` of `rows`, four rows per
+/// pass. From `-0.0` a chain equals `row_r.iter().sum::<f64>()` bit for
+/// bit.
+#[inline]
+pub(crate) fn sum_rows_from(acc: f64, rows: &[f64], width: usize, out: &mut [f64]) {
+    fold_rows(acc, rows, width, out, |x| x);
+}
+
+/// `out[r] = dot(row_r, row_r)` for the consecutive `width`-wide rows
+/// `row_r` of `rows`, four rows per pass: squared norms, each chain from
+/// `+0.0`.
+#[inline]
+pub fn dot_self_rows(rows: &[f64], width: usize, out: &mut [f64]) {
+    fold_rows(0.0, rows, width, out, |x| x * x);
+}
+
+/// The pass behind `sum_rows_from` and [`dot_self_rows`]: chain `r`
+/// adds `term(x)` for each entry `x` of row `r`, from `acc`.
+#[inline(always)]
+fn fold_rows(acc: f64, rows: &[f64], width: usize, out: &mut [f64], term: impl Fn(f64) -> f64) {
+    if width == 0 {
+        out.fill(acc);
+        return;
+    }
+    let mut rows = rows.chunks_exact(width);
+    let mut quads = out.chunks_exact_mut(4);
+    for o in &mut quads {
+        let (Some(r0), Some(r1), Some(r2), Some(r3)) =
+            (rows.next(), rows.next(), rows.next(), rows.next())
+        else {
+            return;
+        };
+        let [mut s0, mut s1, mut s2, mut s3] = [acc; 4];
+        for (((x0, x1), x2), x3) in r0.iter().zip(r1).zip(r2).zip(r3) {
+            s0 += term(*x0);
+            s1 += term(*x1);
+            s2 += term(*x2);
+            s3 += term(*x3);
+        }
+        o.copy_from_slice(&[s0, s1, s2, s3]);
+    }
+    for (o, row) in quads.into_remainder().iter_mut().zip(rows) {
+        *o = row.iter().fold(acc, |s, &x| s + term(x));
+    }
+}
+
+/// Rows of one panel of [`RowPanels`]: the lanes of one pass of
+/// [`dot_panels_from`].
+const PANEL_ROWS: usize = 8;
+
+/// A matrix packed for [`dot_panels_from`]: each full group of eight
+/// rows becomes one panel that stores, column by column, the group's
+/// eight entries of that column side by side; the rows past the last
+/// full panel stay row-major. Pack once per matrix, then multiply as
+/// often as needed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowPanels {
+    width: usize,
+    /// `width` lane groups per panel, panels in row order.
+    panels: Vec<[f64; PANEL_ROWS]>,
+    /// The last `rows % PANEL_ROWS` rows, row-major.
+    tail: Vec<f64>,
+}
+
+impl RowPanels {
+    /// Packs every row of `m`.
+    pub fn new(m: &Matrix) -> Self {
+        let width = m.cols();
+        let full = m.rows() / PANEL_ROWS;
+        let (packed, tail) = m.as_slice().split_at(full * PANEL_ROWS * width);
+        let mut panels = vec![[0.0; PANEL_ROWS]; full * width];
+        if width > 0 {
+            let groups = packed.chunks_exact(PANEL_ROWS * width);
+            for (panel, group) in panels.chunks_exact_mut(width).zip(groups) {
+                for (lane, row) in group.chunks_exact(width).enumerate() {
+                    for (column, &v) in panel.iter_mut().zip(row) {
+                        if let Some(dst) = column.get_mut(lane) {
+                            *dst = v;
+                        }
+                    }
+                }
+            }
+        }
+        RowPanels {
+            width,
+            panels,
+            tail: tail.to_vec(),
+        }
+    }
+}
+
+/// [`dot_rows_from`] over packed rows: `out[r] = dot_from(acc, a,
+/// row_r)` for every packed row (`out` holds one entry per row).
+/// Each panel advances its eight chains in one pass over `a`, from
+/// contiguous operands; the tail rows go through [`dot_rows_from`].
+/// Every entry equals `dot_rows_from` on the unpacked rows bit for bit.
+#[inline]
+pub fn dot_panels_from(acc: f64, a: &[f64], rows: &RowPanels, out: &mut [f64]) {
+    if rows.width == 0 {
+        out.fill(acc);
+        return;
+    }
+    let (octets, rest) = out.as_chunks_mut::<PANEL_ROWS>();
+    for (o, panel) in octets.iter_mut().zip(rows.panels.chunks_exact(rows.width)) {
+        let mut s = [acc; PANEL_ROWS];
+        for (x, column) in a.iter().zip(panel) {
+            for (sl, c) in s.iter_mut().zip(column) {
+                *sl += x * c;
+            }
+        }
+        *o = s;
+    }
+    dot_rows_from(acc, a, &rows.tail, rows.width, rest);
 }
 
 /// One chain: `fold(…fold(fold(acc, a[0]·b[0]), a[1]·b[1])…)`.
@@ -243,6 +373,50 @@ mod tests {
                 prop_assert_eq!(o.to_bits(), reference(starts[r], a, row, false).to_bits());
             }
         }
+    }
+
+    proptest! {
+        /// The packed kernel equals `dot_rows_from` on the unpacked rows
+        /// for 0–20 rows (empty, tail-only, whole panels and panels plus
+        /// a tail) and widths 0–70, signed zeros included.
+        #[test]
+        fn panels_equal_dot_rows(rows in 0usize..21, width in 0usize..71, seed in any::<u64>()) {
+            let data = values(rows * width + width + 1, seed);
+            let (a, rest) = data.split_at(width);
+            let (acc, m) = rest.split_at(1);
+            let packed = RowPanels::new(&Matrix::from_vec(rows, width, m.to_vec()).unwrap());
+            for start in [acc[0], -0.0] {
+                let mut want = vec![1.5; rows];
+                dot_rows_from(start, a, m, width, &mut want);
+                let mut got = vec![2.5; rows];
+                dot_panels_from(start, a, &packed, &mut got);
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+
+        /// Row sums and squared norms equal their one-row chains.
+        #[test]
+        fn row_folds_equal_row_by_row_chains(rows in 0usize..11, width in 0usize..9, seed in any::<u64>()) {
+            let data = values(rows * width + 1, seed);
+            let (acc, m) = data.split_at(1);
+            let mut sums = vec![1.5; rows];
+            sum_rows_from(acc[0], m, width, &mut sums);
+            let mut means = vec![1.5; rows];
+            sum_rows_from(-0.0, m, width, &mut means);
+            let mut norms = vec![1.5; rows];
+            dot_self_rows(m, width, &mut norms);
+            for r in 0..rows {
+                let row = &m[r * width..(r + 1) * width];
+                let chain = row.iter().fold(acc[0], |s, &x| s + x);
+                prop_assert_eq!(sums[r].to_bits(), chain.to_bits());
+                prop_assert_eq!(means[r].to_bits(), row.iter().sum::<f64>().to_bits());
+                prop_assert_eq!(norms[r].to_bits(), reference(0.0, row, row, false).to_bits());
+            }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

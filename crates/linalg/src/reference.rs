@@ -3,15 +3,15 @@
 //! asserting `(i, j)` index, `Iterator::sum` zip-sums, the
 //! row-streaming Gram and `AᵀB` products that skip exact zeros, the
 //! observation-major covariance, the one-entry-at-a-time Cholesky and
-//! substitutions, and the index-by-index Jacobi sweep with strided
-//! eigenvector columns.
+//! substitutions, the index-by-index Jacobi sweep with strided
+//! eigenvector columns, and the percentile that sorts a full copy.
 //!
 //! The production kernels must match them bit for bit: the proptests
 //! below compare `to_bits` on random inputs — lengths and row counts
 //! that are not multiples of four, `n = 1` and `n = 2`, signed zeros,
 //! zero-variance columns, SPD matrices up to 64 × 64, symmetric
-//! matrices with repeated eigenvalues, and the 3,000 × 61 normal
-//! equations.
+//! matrices with repeated eigenvalues, the 3,000 × 61 normal
+//! equations, and samples with ties, ±∞ and subnormals.
 
 use crate::{LinalgError, Matrix, Result, Vector};
 
@@ -112,6 +112,32 @@ pub(crate) fn covariance_matrix(data: &Matrix) -> Result<Matrix> {
         }
     }
     Ok(cov)
+}
+
+/// Type-7 percentile read off a fully sorted copy.
+pub(crate) fn percentile(values: &[f64], p: f64) -> Result<f64> {
+    if values.is_empty() {
+        return Err(LinalgError::Empty { op: "percentile" });
+    }
+    if !(0.0..=100.0).contains(&p) {
+        return Err(LinalgError::InvalidData {
+            reason: "percentile must be in [0, 100]",
+        });
+    }
+    if values.iter().any(|v| v.is_nan()) {
+        return Err(LinalgError::NonFinite { op: "percentile" });
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    if n == 1 {
+        return Ok(sorted[0]);
+    }
+    let rank = p / 100.0 * (n - 1) as f64;
+    let lo = crate::cast::floor_to_index(rank, n - 1);
+    let hi = crate::cast::ceil_to_index(rank, n - 1);
+    let frac = rank - lo as f64;
+    Ok(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
 }
 
 /// The lower factor `L`, one entry at a time.
@@ -433,6 +459,36 @@ mod tests {
             prop_assert_eq!(storage().refactor_principal(&a, &[]).err(), cholesky(&Matrix::zeros(0, 0)).err());
         }
 
+        /// The selection percentile equals the sorted one, errors
+        /// included: ties, ±0.0, ±∞, subnormals and the odd NaN, at
+        /// n = 1, 2 and up to 10,000, at the paper's percentiles and
+        /// random ones (some outside `[0, 100]`).
+        #[test]
+        fn percentile_matches_reference(
+            size in 0usize..4,
+            random_n in 0usize..10_001,
+            pick in 0usize..7,
+            random_p in -5.0_f64..105.0,
+            nan in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            let n = [1, 2, random_n, random_n % 100].get(size).copied().unwrap_or(1);
+            let p = [0.0, 50.0, 90.0, 99.0, 100.0, random_p.clamp(0.0, 100.0), random_p]
+                .get(pick)
+                .copied()
+                .unwrap_or(50.0);
+            let values = percentile_sample(n, nan, seed);
+            let median = stats::median(&values);
+            match (stats::percentile(&values, p), percentile(&values, p)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got.to_bits(), want.to_bits(), "p {}", p),
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+            match (median, percentile(&values, 50.0)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got.to_bits(), want.to_bits()),
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
+
         /// Eigenpairs equal the index-by-index sweep on random symmetric
         /// matrices and on spectra with repeated eigenvalues.
         #[test]
@@ -452,6 +508,55 @@ mod tests {
             let eig = SymmetricEigen::new_symmetrized(&a).unwrap();
             prop_assert_eq!(bits(eig.eigenvalues()), bits(&values));
             prop_assert_eq!(bits(eig.eigenvectors().as_slice()), bits(vectors.as_slice()));
+        }
+    }
+
+    /// `n` values from `seed`: ties from a small pool, ±0.0, ±∞,
+    /// subnormals and ordinary magnitudes; one NaN when `nan == 0`.
+    fn percentile_sample(n: usize, nan: usize, seed: u64) -> Vec<f64> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<f64> = (0..4).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        let mut values: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0..12) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => rng.gen_range(-1e-310..1e-310),
+                5 | 6 => pool[rng.gen_range(0..pool.len())],
+                _ => rng.gen_range(-1e3..1e3),
+            })
+            .collect();
+        if nan == 0 && n > 0 {
+            let at = rng.gen_range(0..n);
+            values[at] = f64::NAN;
+        }
+        values
+    }
+
+    #[test]
+    fn percentile_matches_reference_on_edge_samples() {
+        let cases: [&[f64]; 8] = [
+            &[],
+            &[f64::INFINITY],
+            &[-0.0],
+            &[0.0, -0.0],
+            &[f64::INFINITY, f64::INFINITY],
+            &[f64::NEG_INFINITY, 1.0, f64::INFINITY],
+            &[5e-324, -5e-324, 0.0, -0.0],
+            &[2.0, 1.0, 2.0, 1.0, 2.0],
+        ];
+        for values in cases {
+            for p in [0.0, 25.0, 50.0, 90.0, 99.0, 100.0, -0.0, 100.5, f64::NAN] {
+                match (stats::percentile(values, p), percentile(values, p)) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{values:?} at {p}");
+                    }
+                    (got, want) => assert_eq!(got.err(), want.err(), "{values:?} at {p}"),
+                }
+            }
         }
     }
 

@@ -61,6 +61,10 @@ pub fn rms(values: &[f64]) -> Result<f64> {
 /// The paper reports its headline numbers at the 90th (model error)
 /// and 99th (selection error) percentiles.
 ///
+/// The two order statistics are found by selection on a scratch copy,
+/// in linear time; they are the values a `total_cmp` sort would put at
+/// those ranks, so the result equals sorting and indexing bit for bit.
+///
 /// # Errors
 ///
 /// * [`LinalgError::Empty`] for empty input,
@@ -91,17 +95,29 @@ pub fn percentile(values: &[f64], p: f64) -> Result<f64> {
     if values.iter().any(|v| v.is_nan()) {
         return Err(LinalgError::NonFinite { op: "percentile" });
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len();
-    if n == 1 {
-        return Ok(sorted[0]);
+    let n = values.len();
+    if let [only] = values {
+        return Ok(*only);
     }
     let rank = p / 100.0 * (n - 1) as f64;
     let lo = crate::cast::floor_to_index(rank, n - 1);
     let hi = crate::cast::ceil_to_index(rank, n - 1);
     let frac = rank - lo as f64;
-    Ok(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
+    // Order statistic `lo` by selection, and `hi = lo + 1` as the least
+    // value above it: the entries a full `total_cmp` sort would put at
+    // `lo` and `hi`, in O(n).
+    let mut scratch = values.to_vec();
+    let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+    let at_hi = if hi > lo {
+        above
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .unwrap_or(at_lo)
+    } else {
+        at_lo
+    };
+    Ok(at_lo + frac * (at_hi - at_lo))
 }
 
 /// Median (50th percentile).
@@ -263,13 +279,7 @@ pub fn row_covariance_matrix(data: &Matrix) -> Result<Matrix> {
     if n < 2 {
         return Err(LinalgError::Empty { op: "covariance" });
     }
-    let mut centred = data.clone();
-    for row in centred.as_mut_slice().chunks_exact_mut(n) {
-        let mean = row.iter().sum::<f64>() / n as f64;
-        for x in row.iter_mut() {
-            *x -= mean;
-        }
-    }
+    let centred = centre_rows(data);
     let z = centred.as_slice();
     let mut cov = Matrix::zeros(p, p);
     for (i, crow) in cov.as_mut_slice().chunks_exact_mut(p.max(1)).enumerate() {
@@ -283,6 +293,25 @@ pub fn row_covariance_matrix(data: &Matrix) -> Result<Matrix> {
         }
     }
     Ok(cov)
+}
+
+/// `data` with each row shifted by its mean, `x − (Σ row) / cols`.
+///
+/// Each mean's `Σ` is the row's `Iterator::sum` chain (from `-0.0`),
+/// four rows per pass (`kernels::sum_rows_from`). A matrix without
+/// columns comes back unchanged.
+pub fn centre_rows(data: &Matrix) -> Matrix {
+    let (p, n) = data.shape();
+    let mut centred = data.clone();
+    let mut sums = vec![0.0; p];
+    kernels::sum_rows_from(-0.0, data.as_slice(), n, &mut sums);
+    for (row, sum) in centred.as_mut_slice().chunks_exact_mut(n.max(1)).zip(sums) {
+        let mean = sum / n as f64;
+        for x in row.iter_mut() {
+            *x -= mean;
+        }
+    }
+    centred
 }
 
 /// Pearson correlation matrix of the columns of `data`.

@@ -354,18 +354,32 @@ fn range_difference(new: &[(usize, usize)], old: &[(usize, usize)]) -> Option<Ve
 }
 
 /// Accumulates one transition into normal-equation storage:
-/// `gram += x xᵀ`, `cross += x yᵀ`.
+/// `cross += x yᵀ`, and `gram += x xᵀ` on its `j ≥ i` half only;
+/// [`mirror_upper`] completes the lower half once a batch of rows is
+/// in. Entry `(j, i)` would have summed `x_j·x_i`, the same IEEE product
+/// as `x_i·x_j`, in the same order, so on finite rows the mirrored
+/// matrix equals full rank-1 accumulation bit for bit.
 fn accumulate(gram: &mut [f64], cross: &mut [f64], x: &[f64], y: &[f64]) {
     let width = x.len();
     let p = y.len();
     for (i, &xi) in x.iter().enumerate() {
-        let grow = &mut gram[i * width..(i + 1) * width];
-        for (g, &xj) in grow.iter_mut().zip(x) {
+        let grow = &mut gram[i * width + i..(i + 1) * width];
+        for (g, &xj) in grow.iter_mut().zip(&x[i..]) {
             *g += xi * xj;
         }
         let crow = &mut cross[i * p..(i + 1) * p];
         for (c, &yj) in crow.iter_mut().zip(y) {
             *c += xi * yj;
+        }
+    }
+}
+
+/// Copies the upper triangle of the row-major `width × width` `gram`
+/// onto its lower triangle.
+fn mirror_upper(gram: &mut [f64], width: usize) {
+    for i in 0..width {
+        for j in i + 1..width {
+            gram[j * width + i] = gram[i * width + j];
         }
     }
 }
@@ -506,10 +520,12 @@ impl<'a> SweepEngine<'a> {
                 chol.rank_one_update_with(x, &mut self.workspace)?;
             }
         }
+        mirror_upper(&mut self.gram, self.width);
         Ok(())
     }
 
-    /// Computes the memoizable block of `[a, b)` from scratch.
+    /// Computes the memoizable block of `[a, b)` from scratch: half of
+    /// `Σ x xᵀ` row by row, mirrored once at the end.
     fn compute_block(&mut self, a: usize, b: usize) -> Result<GramBlock> {
         self.write_rows(a, b)?;
         let mut gram = vec![0.0; self.width * self.width];
@@ -518,6 +534,7 @@ impl<'a> SweepEngine<'a> {
         for (x, y) in rows.zip(self.row_y.chunks_exact(self.p)) {
             accumulate(&mut gram, &mut cross, x, y);
         }
+        mirror_upper(&mut gram, self.width);
         Ok(GramBlock {
             gram,
             cross,
@@ -717,6 +734,16 @@ mod tests {
                 reference::accumulate_rows(&dataset, &spec, (a, b), &mut g, &mut c).unwrap();
                 prop_assert_eq!(reference::bits(&block.gram), reference::bits(&g));
                 prop_assert_eq!(reference::bits(&block.cross), reference::bits(&c));
+                // The half-Gram block equals the full rank-1 block over
+                // the same written rows, and is exactly symmetric.
+                let (full_g, full_c) = reference::full_block(&engine.row_x, &engine.row_y, w, p);
+                prop_assert_eq!(reference::bits(&block.gram), reference::bits(&full_g));
+                prop_assert_eq!(reference::bits(&block.cross), reference::bits(&full_c));
+                for i in 0..w {
+                    for j in 0..w {
+                        prop_assert_eq!(block.gram[i * w + j].to_bits(), block.gram[j * w + i].to_bits());
+                    }
+                }
                 reference::accumulate_rows(&dataset, &spec, (a, b), &mut gram, &mut cross)
                     .unwrap();
                 engine.ingest_rows_rank_one(a, b).unwrap();

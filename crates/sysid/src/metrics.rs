@@ -4,6 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use thermal_linalg::kernels::RowPanels;
 use thermal_linalg::stats::{self, EmpiricalCdf};
 use thermal_linalg::Matrix;
 use thermal_timeseries::{Dataset, Mask, Segment};
@@ -92,12 +93,16 @@ pub fn predict_segment(
 /// predicting many segments looks each channel name up once instead
 /// of once per segment. [`SegmentPredictor::predict`] is
 /// [`predict_segment`] bit for bit.
+///
+/// The model's coefficients are also packed once here for the rollout
+/// (see [`ThermalModel::simulate`]).
 #[derive(Debug)]
 pub struct SegmentPredictor<'a> {
     model: &'a ThermalModel,
     dataset: &'a Dataset,
     outputs: Vec<usize>,
     inputs: Vec<usize>,
+    panels: RowPanels,
 }
 
 impl<'a> SegmentPredictor<'a> {
@@ -114,6 +119,7 @@ impl<'a> SegmentPredictor<'a> {
             dataset,
             outputs,
             inputs,
+            panels: RowPanels::new(model.coefficients()),
         })
     }
 
@@ -126,6 +132,33 @@ impl<'a> SegmentPredictor<'a> {
     ///   than the warmup plus one step,
     /// * propagated extraction failures when the segment contains gaps.
     pub fn predict(&self, segment: Segment, horizon: Option<usize>) -> Result<TracePrediction> {
+        let (first, predicted) = self.predict_outputs(segment, horizon)?;
+        let steps = predicted.rows();
+        let measured = self
+            .dataset
+            .matrix(Segment::new(first, first + steps), &self.outputs)?;
+        Ok(TracePrediction {
+            indices: (first..first + steps).collect(),
+            measured,
+            predicted,
+        })
+    }
+
+    /// The predictions of [`SegmentPredictor::predict`] alone, without
+    /// the measured matrix: the grid index of the first predicted
+    /// sample and one row per predicted sample.
+    ///
+    /// # Errors
+    ///
+    /// * [`SysidError::InsufficientData`] when the segment is shorter
+    ///   than the warmup plus one step,
+    /// * propagated extraction failures when the warmup or input rows
+    ///   contain gaps.
+    pub fn predict_outputs(
+        &self,
+        segment: Segment,
+        horizon: Option<usize>,
+    ) -> Result<(usize, Matrix)> {
         let warmup = self.model.spec().order.warmup();
         if segment.len() < warmup + 1 {
             return Err(SysidError::InsufficientData {
@@ -145,16 +178,8 @@ impl<'a> SegmentPredictor<'a> {
             ),
             &self.inputs,
         )?;
-        let predicted = self.model.simulate(&init, &input_rows)?;
-        let measured = self.dataset.matrix(
-            Segment::new(segment.start + warmup, segment.start + warmup + steps),
-            &self.outputs,
-        )?;
-        Ok(TracePrediction {
-            indices: (segment.start + warmup..segment.start + warmup + steps).collect(),
-            measured,
-            predicted,
-        })
+        let predicted = self.model.simulate_with(&self.panels, &init, &input_rows)?;
+        Ok((segment.start + warmup, predicted))
     }
 }
 
@@ -251,10 +276,10 @@ pub fn evaluate(
             continue;
         }
         let pred = predictor.predict(seg, config.horizon)?;
-        for i in 0..pred.measured.rows() {
-            for j in 0..p {
-                let e = pred.measured[(i, j)] - pred.predicted[(i, j)];
-                sq_sum[j] += e * e;
+        for (measured, predicted) in pred.measured.iter_rows().zip(pred.predicted.iter_rows()) {
+            for ((sq, m), f) in sq_sum.iter_mut().zip(measured).zip(predicted) {
+                let e = m - f;
+                *sq += e * e;
             }
         }
         count += pred.measured.rows();

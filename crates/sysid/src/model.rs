@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use thermal_linalg::kernels::{self, RowPanels};
 use thermal_linalg::{Matrix, Vector};
 
 use crate::regressors::write_regressor;
@@ -212,6 +213,19 @@ impl ThermalModel {
         regressor: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> Result<()> {
+        self.write_step_regressor(t, t_prev, u, regressor)?;
+        self.predict_regressor_into(regressor, out)
+    }
+
+    /// Checks one step's state and inputs against the spec and writes
+    /// its regressor row `[T(k); (ΔT(k)); u(k)]` into `regressor`.
+    fn write_step_regressor(
+        &self,
+        t: &[f64],
+        t_prev: Option<&[f64]>,
+        u: &[f64],
+        regressor: &mut Vec<f64>,
+    ) -> Result<()> {
         let p = self.spec.output_count();
         let m = self.spec.input_count();
         if t.len() != p {
@@ -247,7 +261,7 @@ impl ThermalModel {
                 actual: t_prev.map_or(0, <[f64]>::len),
             });
         }
-        self.predict_regressor_into(regressor, out)
+        Ok(())
     }
 
     /// `out = Θ · x` for an already-written regressor row `x` (see
@@ -273,10 +287,26 @@ impl ThermalModel {
     /// predicted step. The result has `inputs.rows()` rows: prediction
     /// for times `k = warmup .. warmup + inputs.rows()`.
     ///
+    /// `Θ` is packed once per call into [`RowPanels`], and each step's
+    /// `Θ·x` runs eight rows per pass ([`kernels::dot_panels_from`]).
+    /// Those are the per-row chains of [`Matrix::matvec_into`], so the
+    /// rollout equals one-step prediction bit for bit.
+    ///
     /// # Errors
     ///
     /// Returns [`SysidError::DimensionMismatch`] on shape problems.
     pub fn simulate(&self, initial: &Matrix, inputs: &Matrix) -> Result<Matrix> {
+        self.simulate_with(&RowPanels::new(&self.coef), initial, inputs)
+    }
+
+    /// [`ThermalModel::simulate`] with `Θ` already packed, so callers
+    /// that roll out many segments pack once.
+    pub(crate) fn simulate_with(
+        &self,
+        panels: &RowPanels,
+        initial: &Matrix,
+        inputs: &Matrix,
+    ) -> Result<Matrix> {
         let p = self.spec.output_count();
         let m = self.spec.input_count();
         if initial.rows() != self.spec.order.warmup() || initial.cols() != p {
@@ -304,11 +334,12 @@ impl ThermalModel {
             vec![0.0; p]
         };
         let mut cur: Vec<f64> = initial.row(initial.rows() - 1).to_vec();
-        let mut next = Vec::with_capacity(p);
+        let mut next = vec![0.0; p];
         let mut regressor = Vec::with_capacity(self.spec.regressor_width());
         for k in 0..inputs.rows() {
             let t_prev = second.then_some(prev.as_slice());
-            self.predict_next_into(&cur, t_prev, inputs.row(k), &mut regressor, &mut next)?;
+            self.write_step_regressor(&cur, t_prev, inputs.row(k), &mut regressor)?;
+            kernels::dot_panels_from(-0.0, &regressor, panels, &mut next);
             out.row_mut(k).copy_from_slice(&next);
             std::mem::swap(&mut prev, &mut cur);
             std::mem::swap(&mut cur, &mut next);

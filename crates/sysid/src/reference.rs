@@ -2,9 +2,11 @@
 //! kept as a test-only oracle: per-slot gathers into fresh `Vec`s,
 //! regressor rows built by pushing, a slot-major presence walk and
 //! matrix extraction, and an open-loop rollout that allocates its
-//! prediction every step.
+//! prediction every step. Two later forms are kept beside them: the
+//! sweep block accumulated as full rank-1 updates, and the rollout whose
+//! every step is one [`Matrix::matvec_into`].
 //!
-//! The production path must match it bit for bit: the proptest below
+//! The production path must match it bit for bit: the proptests below
 //! (and the engine proptest in `cache.rs`) compare `to_bits` on random
 //! gappy datasets and masks, for both model orders.
 
@@ -135,6 +137,56 @@ pub(crate) fn accumulate_rows(
         }
     }
     Ok(())
+}
+
+/// The sweep engine's block over written rows as full rank-1 updates:
+/// `gram += x xᵀ` on every entry and `cross += x yᵀ`, row by row.
+pub(crate) fn full_block(
+    row_x: &[f64],
+    row_y: &[f64],
+    width: usize,
+    p: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut gram = vec![0.0; width * width];
+    let mut cross = vec![0.0; width * p];
+    for (x, y) in row_x.chunks_exact(width).zip(row_y.chunks_exact(p)) {
+        for (i, &xi) in x.iter().enumerate() {
+            for (g, &xj) in gram[i * width..(i + 1) * width].iter_mut().zip(x) {
+                *g += xi * xj;
+            }
+            for (c, &yj) in cross[i * p..(i + 1) * p].iter_mut().zip(y) {
+                *c += xi * yj;
+            }
+        }
+    }
+    (gram, cross)
+}
+
+/// Open-loop rollout whose every step is `predict_next_into`, i.e. one
+/// [`Matrix::matvec_into`] of `Θ`, four rows per pass.
+pub(crate) fn simulate_matvec(
+    model: &ThermalModel,
+    initial: &Matrix,
+    inputs: &Matrix,
+) -> Result<Matrix> {
+    let second = model.spec().order == ModelOrder::Second;
+    let mut out = Matrix::zeros(inputs.rows(), model.spec().output_count());
+    let mut prev = initial.row(0).to_vec();
+    let mut cur = initial.row(initial.rows() - 1).to_vec();
+    let (mut regressor, mut next) = (Vec::new(), Vec::new());
+    for k in 0..inputs.rows() {
+        model.predict_next_into(
+            &cur,
+            second.then_some(&prev[..]),
+            inputs.row(k),
+            &mut regressor,
+            &mut next,
+        )?;
+        out.row_mut(k).copy_from_slice(&next);
+        std::mem::swap(&mut prev, &mut cur);
+        std::mem::swap(&mut cur, &mut next);
+    }
+    Ok(out)
 }
 
 /// One-step prediction through a pushed regressor and a fresh output.
@@ -332,6 +384,14 @@ mod tests {
                 prop_assert_eq!(matrix_bits(&got.predicted), matrix_bits(&want.predicted));
             }
 
+            let predictor = crate::SegmentPredictor::new(&model, &dataset).unwrap();
+            for &seg in &segments {
+                let (first, predicted) = predictor.predict_outputs(seg, horizon).unwrap();
+                let want = predict_segment(&model, &dataset, seg, horizon).unwrap();
+                prop_assert_eq!(Some(&first), want.indices.first());
+                prop_assert_eq!(matrix_bits(&predicted), matrix_bits(&want.predicted));
+            }
+
             match (residual_report(&model, &dataset, &mask), residuals(&model, &dataset, &mask)) {
                 (Ok(report), Ok(want)) => {
                     for (s, series) in want.iter().enumerate() {
@@ -341,6 +401,56 @@ mod tests {
                 (Err(_), Ok(want)) => prop_assert!(want[0].is_empty(), "residual_report failed"),
                 (Ok(_), Err(e)) => prop_assert!(false, "reference failed: {}", e),
                 (Err(_), Err(_)) => {}
+            }
+        }
+
+        /// Open-loop rollouts equal the `matvec_into` rollout and the
+        /// per-row reference at output counts on both sides of the
+        /// eight-row panels, for both orders; segment predictions equal
+        /// the reference too.
+        #[test]
+        fn rollouts_match_reference_across_panel_widths(
+            pick in 0usize..7,
+            m in 0usize..4,
+            steps in 0usize..30,
+            second in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let p = [1, 7, 8, 9, 16, 17, 27][pick];
+            let order = if second { ModelOrder::Second } else { ModelOrder::First };
+            let Case { dataset, mask, model, .. } = Case::draw(p, m, 40, order, seed).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed ^ 3);
+            let mut draw = |rows: usize, cols: usize| {
+                Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0..8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-30.0..30.0),
+                })
+            };
+            let initial = draw(order.warmup(), p);
+            let inputs = draw(steps, m);
+            let got = model.simulate(&initial, &inputs).unwrap();
+            prop_assert_eq!(matrix_bits(&got), matrix_bits(&simulate_matvec(&model, &initial, &inputs).unwrap()));
+            prop_assert_eq!(matrix_bits(&got), matrix_bits(&simulate(&model, &initial, &inputs)));
+
+            // Gaps filled, so wide models still see long segments.
+            let channels = dataset
+                .channels()
+                .iter()
+                .map(|ch| {
+                    let values = ch.values().iter().map(|v| Some(v.unwrap_or(21.0))).collect();
+                    Channel::new(ch.name(), values).unwrap()
+                })
+                .collect();
+            let dense = Dataset::new(*dataset.grid(), channels).unwrap();
+            let predictor = crate::SegmentPredictor::new(&model, &dense).unwrap();
+            let segments = usable_segments(&dense, model.spec(), &mask).unwrap();
+            prop_assert!(!segments.is_empty());
+            for seg in segments {
+                let got = predictor.predict(seg, None).unwrap();
+                let want = predict_segment(&model, &dense, seg, None).unwrap();
+                prop_assert_eq!(matrix_bits(&got.predicted), matrix_bits(&want.predicted));
+                prop_assert_eq!(matrix_bits(&got.measured), matrix_bits(&want.measured));
             }
         }
     }

@@ -207,25 +207,6 @@ impl Dataset {
         })
     }
 
-    /// Writes the values of the given channels at slot `i` into `out`,
-    /// in `channel_indices` order, without allocating.
-    ///
-    /// Returns `false` when any channel is missing at `i` or out of
-    /// range, or when `out.len()` differs from `channel_indices.len()`;
-    /// `out` then holds an unspecified prefix of the values.
-    pub fn gather(&self, i: usize, channel_indices: &[usize], out: &mut [f64]) -> bool {
-        out.len() == channel_indices.len()
-            && channel_indices.iter().zip(out.iter_mut()).all(|(&c, dst)| {
-                match self.channels.get(c).and_then(|ch| ch.value(i)) {
-                    Some(v) => {
-                        *dst = v;
-                        true
-                    }
-                    None => false,
-                }
-            })
-    }
-
     /// Sub-dataset containing only the named channels (order
     /// preserved as given).
     ///
@@ -392,19 +373,6 @@ mod tests {
         // Only channel b is fine across the gap.
         assert!(ds.matrix(Segment::new(0, 6), &[1]).is_ok());
         assert!(ds.matrix(Segment::new(0, 9), &[1]).is_err());
-    }
-
-    #[test]
-    fn gather() {
-        let ds = small();
-        let mut out = [0.0; 2];
-        assert!(ds.gather(0, &[1, 0], &mut out));
-        assert_eq!(out, [10.0, 1.0]);
-        assert!(!ds.gather(2, &[0, 1], &mut out));
-        assert!(!ds.gather(0, &[5], &mut out[..1]));
-        // The output must match the channel list exactly.
-        assert!(!ds.gather(0, &[0], &mut out));
-        assert!(ds.gather(0, &[], &mut []));
     }
 
     #[test]

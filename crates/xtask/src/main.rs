@@ -311,11 +311,11 @@ fn ci() -> ExitCode {
     }
     // Allocation-budget gate: the counting-allocator binaries prove a
     // warmed-up steady-state stream event and a simulator step perform
-    // zero heap allocations, that batch assembly and open-loop
-    // prediction allocate per segment, never per sample, and that GP
-    // selection allocates per sensor, never per sample or per candidate
-    // evaluation (see DESIGN.md § allocation budget and § simulator
-    // design). The full test step
+    // zero heap allocations, that batch assembly, open-loop prediction
+    // and the cluster-mean validation allocate per segment, never per
+    // sample or slot, and that GP selection allocates per sensor, never
+    // per sample or per candidate evaluation (see DESIGN.md
+    // § allocation budget and § simulator design). The full test step
     // above already ran them; this dedicated step keeps the budget
     // visible — and individually bisectable — in the CI log.
     let code = run_steps(&[step(
@@ -333,6 +333,8 @@ fn ci() -> ExitCode {
             "thermal-sysid",
             "-p",
             "thermal-select",
+            "-p",
+            "thermal-core",
             "--test",
             "alloc_free",
         ],
