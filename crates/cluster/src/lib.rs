@@ -11,7 +11,8 @@
 //! 3. choose the number of clusters by the largest *log-eigengap*
 //!    of the spectrum ([`eigengap_cluster_count`]),
 //! 4. embed sensors into the first `k` eigenvectors and partition
-//!    with k-means ([`cluster_sensors`] / [`cluster_trajectories`]),
+//!    with k-means ([`cluster_sensors`] / [`cluster_trajectories`], or
+//!    [`cluster_graph`] on a weight matrix),
 //! 5. assess quality with max-pairwise-temperature-difference CDFs
 //!    and cluster-ordered correlation maps ([`quality`], Figs. 7–8).
 //!
@@ -58,9 +59,11 @@ pub use kmeans::{kmeans, kmeans_with_threads, KmeansResult};
 pub use laplacian::{
     eigengap_cluster_count, laplacian, log_eigengaps, normalized_laplacian, spectrum,
 };
-pub use similarity::{trajectory_matrix, weight_matrix, weight_matrix_with_threads, Similarity};
+pub use similarity::{
+    correlation_weights, trajectory_matrix, weight_matrix, weight_matrix_with_threads, Similarity,
+};
 pub use spectral::{
-    cluster_sensors, cluster_trajectories, ClusterCount, Clustering, SpectralConfig,
+    cluster_graph, cluster_sensors, cluster_trajectories, ClusterCount, Clustering, SpectralConfig,
 };
 
 /// Convenient crate-wide result alias.

@@ -105,16 +105,17 @@ pub fn trajectory_matrix(dataset: &Dataset, channels: &[&str], mask: &Mask) -> R
 /// The diagonal is zero (no self-loops), as the graph-Laplacian
 /// construction expects.
 ///
-/// Both similarity kernels are fused: per-trajectory statistics
-/// (squared norms for Euclidean; means and centred norms for Pearson)
-/// are computed once instead of once per pair, four trajectories per
-/// pass ([`stats::centre_rows`], [`kernels::dot_self_rows`]), each upper-triangle
+/// Both similarity kernels are fused: per-trajectory statistics are
+/// computed once instead of once per pair, and each upper-triangle
 /// entry reduces to a single row dot product (four columns per pass
-/// over the row, see [`thermal_linalg::kernels`]), and the triangle
-/// rows fan out in parallel over the configured
-/// [`thermal_par::thread_count`]. Each row of the triangle is owned by
-/// exactly one task, so the output is bitwise identical for every
-/// thread count.
+/// over the row, see [`thermal_linalg::kernels`]). Euclidean takes the
+/// squared norms four trajectories per pass
+/// ([`kernels::dot_self_rows`]); correlation reads norms and pairs off
+/// the centred Gram ([`stats::centred_gram`], then
+/// [`correlation_weights`]). The triangle rows fan out in parallel over
+/// the configured [`thermal_par::thread_count`]. Each row of the
+/// triangle is owned by exactly one task, so the output is bitwise
+/// identical for every thread count.
 ///
 /// # Errors
 ///
@@ -143,67 +144,91 @@ pub fn weight_matrix_with_threads(
             reason: format!("need at least 2 sensors and 2 samples, got {n} x {samples}"),
         });
     }
-    let rows: Vec<usize> = (0..n).collect();
-    let mut w = Matrix::zeros(n, n);
     match similarity {
-        Similarity::Euclidean { scale } => {
-            // d²(i, j) = ‖tᵢ‖² + ‖tⱼ‖² − 2⟨tᵢ, tⱼ⟩ with the squared
-            // norms hoisted out of the pair loop; clamp at zero
-            // against cancellation round-off.
-            let sq = squared_norms(trajectories);
-            let tri: Vec<Vec<f64>> = thermal_par::parallel_map_with(threads, &rows, |&i| {
-                upper_dots(trajectories, i)
-                    .into_iter()
-                    .zip(&sq[i + 1..])
-                    .map(|(g, sq_j)| (sq[i] + sq_j - 2.0 * g).max(0.0).sqrt())
-                    .collect()
-            });
-            // Pairwise distances in (i, j)-ascending order for the
-            // median heuristic.
-            let mut all = Vec::with_capacity(n * (n - 1) / 2);
-            for row in &tri {
-                all.extend_from_slice(row);
-            }
-            let sigma = match scale {
-                Some(s) if s > 0.0 => s,
-                _ => stats::median(&all)?.max(f64::MIN_POSITIVE),
-            };
-            for (i, row) in tri.iter().enumerate() {
-                for (off, &d) in row.iter().enumerate() {
-                    let j = i + 1 + off;
-                    let v = (-d * d / (2.0 * sigma * sigma)).exp();
-                    w[(i, j)] = v;
-                    w[(j, i)] = v;
-                }
-            }
-        }
+        Similarity::Euclidean { scale } => euclidean_weights(trajectories, scale, threads),
         Similarity::Correlation => {
-            // Centre every trajectory once, then r(i, j) =
-            // ⟨zᵢ, zⱼ⟩ / (‖zᵢ‖·‖zⱼ‖) — the per-pair mean and norm
-            // recomputation of `stats::pearson` drops out.
-            // Zero-variance (dead) sensors keep the r = 0 convention.
-            let centred = stats::centre_rows(trajectories);
-            let sq = squared_norms(&centred);
-            let tri: Vec<Vec<f64>> = thermal_par::parallel_map_with(threads, &rows, |&i| {
-                upper_dots(&centred, i)
-                    .into_iter()
-                    .zip(&sq[i + 1..])
-                    .map(|(g, &sq_j)| {
-                        if sq[i] == 0.0 || sq_j == 0.0 {
-                            return 0.0;
-                        }
-                        let r = g / (sq[i].sqrt() * sq_j.sqrt());
-                        r.clamp(-1.0, 1.0).max(0.0)
-                    })
-                    .collect()
-            });
-            for (i, row) in tri.iter().enumerate() {
-                for (off, &v) in row.iter().enumerate() {
-                    let j = i + 1 + off;
-                    w[(i, j)] = v;
-                    w[(j, i)] = v;
-                }
-            }
+            correlation_weights(&stats::centred_gram_with_threads(trajectories, threads))
+        }
+    }
+}
+
+/// The Gaussian-kernel weights of [`Similarity::Euclidean`]:
+/// d²(i, j) = ‖tᵢ‖² + ‖tⱼ‖² − 2⟨tᵢ, tⱼ⟩ with the squared norms hoisted
+/// out of the pair loop, clamped at zero against cancellation
+/// round-off.
+fn euclidean_weights(trajectories: &Matrix, scale: Option<f64>, threads: usize) -> Result<Matrix> {
+    let n = trajectories.rows();
+    let rows: Vec<usize> = (0..n).collect();
+    let sq = squared_norms(trajectories);
+    let tri: Vec<Vec<f64>> = thermal_par::parallel_map_with(threads, &rows, |&i| {
+        upper_dots(trajectories, i)
+            .into_iter()
+            .zip(&sq[i + 1..])
+            .map(|(g, sq_j)| (sq[i] + sq_j - 2.0 * g).max(0.0).sqrt())
+            .collect()
+    });
+    // Pairwise distances in (i, j)-ascending order for the median
+    // heuristic.
+    let mut all = Vec::with_capacity(n * (n - 1) / 2);
+    for row in &tri {
+        all.extend_from_slice(row);
+    }
+    let sigma = match scale {
+        Some(s) if s > 0.0 => s,
+        _ => stats::median(&all)?.max(f64::MIN_POSITIVE),
+    };
+    let mut w = Matrix::zeros(n, n);
+    for (i, row) in tri.iter().enumerate() {
+        for (off, &d) in row.iter().enumerate() {
+            let j = i + 1 + off;
+            let v = (-d * d / (2.0 * sigma * sigma)).exp();
+            w[(i, j)] = v;
+            w[(j, i)] = v;
+        }
+    }
+    Ok(w)
+}
+
+/// The correlation-similarity weights of trajectories whose centred
+/// Gram ([`stats::centred_gram`]) is `gram`: `w_ij = r_ij` clamped to
+/// `[0, 1]`, with `r_ij = G_ij / (√G_ii · √G_jj)` the Pearson
+/// correlation. The norms come off the diagonal and the pairs off the
+/// upper triangle, so the per-pair mean and norm recomputation of
+/// [`stats::pearson`] drops out. Zero-variance (dead) sensors keep the
+/// `r = 0` convention, and the diagonal is zero.
+///
+/// [`weight_matrix`] calls this for [`Similarity::Correlation`]; a
+/// caller that holds the Gram for another use (GP selection's
+/// covariance) passes it here instead of recomputing it.
+///
+/// # Errors
+///
+/// [`ClusterError::InsufficientData`] for a Gram of fewer than two
+/// sensors or one that is not square.
+pub fn correlation_weights(gram: &Matrix) -> Result<Matrix> {
+    let n = gram.rows();
+    if n < 2 || !gram.is_square() {
+        return Err(ClusterError::InsufficientData {
+            reason: format!(
+                "need a square Gram of at least 2 sensors, got {} x {}",
+                n,
+                gram.cols()
+            ),
+        });
+    }
+    let mut w = Matrix::zeros(n, n);
+    for i in 0..n {
+        let sq_i = gram[(i, i)];
+        for j in (i + 1)..n {
+            let sq_j = gram[(j, j)];
+            let v = if sq_i == 0.0 || sq_j == 0.0 {
+                0.0
+            } else {
+                let r = gram[(i, j)] / (sq_i.sqrt() * sq_j.sqrt());
+                r.clamp(-1.0, 1.0).max(0.0)
+            };
+            w[(i, j)] = v;
+            w[(j, i)] = v;
         }
     }
     Ok(w)

@@ -146,7 +146,8 @@ impl Clustering {
     }
 }
 
-/// Clusters the rows of a `sensors × samples` trajectory matrix.
+/// Clusters the rows of a `sensors × samples` trajectory matrix: the
+/// [`weight_matrix`] of `config.similarity`, then [`cluster_graph`].
 ///
 /// # Errors
 ///
@@ -156,13 +157,32 @@ impl Clustering {
 ///   count,
 /// * numerical failures from the eigensolver or k-means.
 pub fn cluster_trajectories(trajectories: &Matrix, config: &SpectralConfig) -> Result<Clustering> {
-    let n = trajectories.rows();
     let w = weight_matrix(trajectories, config.similarity)?;
-    let l = laplacian(&w)?;
+    cluster_graph(&w, config.count, config.restarts, config.seed)
+}
+
+/// The spectral step on a similarity graph's weight matrix: the
+/// Laplacian, its eigen decomposition, the cluster count (`count`),
+/// k-means with `restarts` restarts from `seed` on the spectral
+/// embedding, and labels made dense in order of first appearance.
+///
+/// # Errors
+///
+/// * [`ClusterError::BadClusterCount`] for an impossible cluster
+///   count,
+/// * numerical failures from the Laplacian, eigensolver or k-means.
+pub fn cluster_graph(
+    weights: &Matrix,
+    count: ClusterCount,
+    restarts: usize,
+    seed: u64,
+) -> Result<Clustering> {
+    let n = weights.rows();
+    let l = laplacian(weights)?;
     let eig = SymmetricEigen::new_symmetrized(&l)?;
     let eigenvalues = eig.eigenvalues().to_vec();
 
-    let k = match config.count {
+    let k = match count {
         ClusterCount::Fixed(k) => {
             if k == 0 || k > n {
                 return Err(ClusterError::BadClusterCount {
@@ -172,14 +192,16 @@ pub fn cluster_trajectories(trajectories: &Matrix, config: &SpectralConfig) -> R
             }
             k
         }
-        ClusterCount::Eigengap { max } => eigengap_cluster_count(&eigenvalues, max.min(n - 1))?,
+        ClusterCount::Eigengap { max } => {
+            eigengap_cluster_count(&eigenvalues, max.min(n.saturating_sub(1)))?
+        }
     };
 
     let assignments = if k == 1 {
         vec![0; n]
     } else {
         let embedding = eig.embedding(k)?;
-        kmeans(&embedding, k, config.restarts, config.seed)?.assignments
+        kmeans(&embedding, k, restarts, seed)?.assignments
     };
 
     // Re-label clusters densely in order of first appearance so the

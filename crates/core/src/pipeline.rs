@@ -2,13 +2,16 @@
 //! cluster the dense deployment, select representative sensors, and
 //! identify a simplified thermal model on them.
 
+use std::cell::OnceCell;
+
 use serde::{Deserialize, Serialize};
 
 use thermal_ckpt::CheckpointStore;
 use thermal_cluster::{
-    cluster_trajectories, trajectory_matrix, ClusterCount, Clustering, Similarity, SpectralConfig,
+    cluster_graph, correlation_weights, trajectory_matrix, weight_matrix, ClusterCount, Clustering,
+    Similarity,
 };
-use thermal_linalg::Matrix;
+use thermal_linalg::{stats, Matrix};
 use thermal_select::{
     rank_backups, FixedSelector, GpSelector, NearMeanSelector, RandomSelector, Selection,
     SelectionInput, Selector, StratifiedRandomSelector,
@@ -128,7 +131,8 @@ impl ThermalPipeline {
         let owned_names: Vec<String> = sensor_channels.iter().map(|s| (*s).to_owned()).collect();
 
         // Step 1: cluster the dense deployment.
-        let trajectories = trajectory_matrix(dataset, sensor_channels, train_mask)?;
+        let trajectories =
+            Trajectories::new(trajectory_matrix(dataset, sensor_channels, train_mask)?);
         let clustering = self.cluster_stage(&trajectories)?;
 
         // Step 2: select representative sensors (with ranked backups).
@@ -183,7 +187,8 @@ impl ThermalPipeline {
             });
         }
         let owned_names: Vec<String> = sensor_channels.iter().map(|s| (*s).to_owned()).collect();
-        let trajectories = trajectory_matrix(dataset, sensor_channels, train_mask)?;
+        let trajectories =
+            Trajectories::new(trajectory_matrix(dataset, sensor_channels, train_mask)?);
         let clustering = self.cluster_stage(&trajectories)?;
         let selection = self.select_stage(&trajectories, &clustering, &owned_names)?;
         let selected: Vec<String> = selection
@@ -241,7 +246,8 @@ impl ThermalPipeline {
         let fp =
             checkpoint::fit_fingerprint(self, dataset, sensor_channels, input_channels, train_mask);
         let mut resume = FitResume::default();
-        let trajectories = trajectory_matrix(dataset, sensor_channels, train_mask)?;
+        let trajectories =
+            Trajectories::new(trajectory_matrix(dataset, sensor_channels, train_mask)?);
 
         let cluster_name = format!("{prefix}-cluster.ck");
         let clustering = match store
@@ -306,35 +312,44 @@ impl ThermalPipeline {
         ))
     }
 
-    /// Stage 1: spectral clustering of the trajectory matrix.
-    fn cluster_stage(&self, trajectories: &Matrix) -> Result<Clustering> {
-        let spectral = SpectralConfig {
-            similarity: self.similarity,
-            count: self.count,
-            seed: self.seed,
-            restarts: self.restarts,
+    /// Stage 1: spectral clustering of the trajectory matrix. The
+    /// correlation weights read the shared centred Gram.
+    fn cluster_stage(&self, trajectories: &Trajectories) -> Result<Clustering> {
+        let weights = match self.similarity {
+            Similarity::Correlation => correlation_weights(trajectories.gram())?,
+            Similarity::Euclidean { .. } => weight_matrix(&trajectories.matrix, self.similarity)?,
         };
-        Ok(cluster_trajectories(trajectories, &spectral)?)
+        Ok(cluster_graph(
+            &weights,
+            self.count,
+            self.restarts,
+            self.seed,
+        )?)
     }
 
     /// Stage 2: representative selection, with each cluster's
     /// remaining members ranked as backups so operation can degrade
     /// gracefully when a representative dies (see
-    /// [`ReducedModel::evaluate_degraded`]).
+    /// [`ReducedModel::evaluate_degraded`]). GP selection reads the
+    /// shared centred Gram.
     fn select_stage(
         &self,
-        trajectories: &Matrix,
+        trajectories: &Trajectories,
         clustering: &Clustering,
         owned_names: &[String],
     ) -> Result<Selection> {
-        let selector = self.selector.build(owned_names)?;
         let selection_input = SelectionInput {
-            trajectories,
+            trajectories: &trajectories.matrix,
             clustering,
             per_cluster: self.per_cluster,
             seed: self.seed,
         };
-        let selection = selector.select(&selection_input)?;
+        let selection = match &self.selector {
+            SelectorKind::GpMutualInformation => {
+                GpSelector.select_with_gram(&selection_input, trajectories.gram())?
+            }
+            kind => kind.build(owned_names)?.select(&selection_input)?,
+        };
         Ok(rank_backups(&selection_input, &selection)?)
     }
 
@@ -359,6 +374,28 @@ impl ThermalPipeline {
         )?;
         let model = identify(dataset, &spec, train_mask, &self.fit)?;
         Ok((selected, model))
+    }
+}
+
+/// One fit's trajectory matrix and its centred Gram
+/// ([`stats::centred_gram`]), computed on first use. Correlation
+/// clustering and GP selection both read the Gram, so a fit that runs
+/// either computes it once, and a fit that runs neither never does.
+struct Trajectories {
+    matrix: Matrix,
+    gram: OnceCell<Matrix>,
+}
+
+impl Trajectories {
+    fn new(matrix: Matrix) -> Self {
+        Trajectories {
+            matrix,
+            gram: OnceCell::new(),
+        }
+    }
+
+    fn gram(&self) -> &Matrix {
+        self.gram.get_or_init(|| stats::centred_gram(&self.matrix))
     }
 }
 
@@ -567,56 +604,64 @@ mod tests {
         ));
     }
 
+    /// The pipeline with 2 fixed clusters and seed 3, for `selector`
+    /// (SMS, the default, or GP, which reads the shared Gram).
+    fn two_cluster_pipeline(selector: &SelectorKind, order: ModelOrder) -> ThermalPipeline {
+        ThermalPipeline::builder()
+            .cluster_count(ClusterCount::Fixed(2))
+            .selector(selector.clone())
+            .model_order(order)
+            .seed(3)
+            .build()
+            .unwrap()
+    }
+
+    const SELECTORS: [SelectorKind; 2] =
+        [SelectorKind::NearMean, SelectorKind::GpMutualInformation];
+
     #[test]
     fn checkpointed_fit_matches_plain_fit_cold_and_warm() {
         let ds = synth_dataset();
         let sensors = ["s0", "s1", "s2", "s3", "s4"];
         let mask = Mask::all(ds.grid());
-        let pipeline = ThermalPipeline::builder()
-            .cluster_count(ClusterCount::Fixed(2))
-            .model_order(ModelOrder::First)
-            .seed(3)
-            .build()
-            .unwrap();
-        let plain = pipeline.fit(&ds, &sensors, &["u"], &mask).unwrap();
+        for (case, selector) in SELECTORS.iter().enumerate() {
+            let pipeline = two_cluster_pipeline(selector, ModelOrder::First);
+            let plain = pipeline.fit(&ds, &sensors, &["u"], &mask).unwrap();
 
-        let root = std::env::temp_dir().join(format!("core-fit-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
+            let root =
+                std::env::temp_dir().join(format!("core-fit-ckpt-{}-{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
 
-        // Cold: every stage computed, result identical to plain fit.
-        let (cold, resume) = pipeline
-            .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
-            .unwrap();
-        assert_eq!(cold, plain);
-        assert_eq!(resume.computed, vec!["cluster", "select", "model"]);
-        assert!(resume.restored.is_empty());
+            // Cold: every stage computed, result identical to plain fit.
+            let (cold, resume) = pipeline
+                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
+                .unwrap();
+            assert_eq!(cold, plain, "{selector:?}");
+            assert_eq!(resume.computed, vec!["cluster", "select", "model"]);
+            assert!(resume.restored.is_empty());
 
-        // Warm (fresh store handle, same dir): every stage restored,
-        // result still identical.
-        drop(store);
-        let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
-        assert_eq!(store.open_report().restored, 3);
-        let (warm, resume) = pipeline
-            .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
-            .unwrap();
-        assert_eq!(warm, plain);
-        assert_eq!(resume.restored, vec!["cluster", "select", "model"]);
-        assert!(resume.computed.is_empty());
+            // Warm (fresh store handle, same dir): every stage restored,
+            // result still identical.
+            drop(store);
+            let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
+            assert_eq!(store.open_report().restored, 3);
+            let (warm, resume) = pipeline
+                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
+                .unwrap();
+            assert_eq!(warm, plain, "{selector:?}");
+            assert_eq!(resume.restored, vec!["cluster", "select", "model"]);
+            assert!(resume.computed.is_empty());
 
-        // Changing the config invalidates the fingerprint: all
-        // stages recompute rather than restoring stale state.
-        let other = ThermalPipeline::builder()
-            .cluster_count(ClusterCount::Fixed(2))
-            .model_order(ModelOrder::Second)
-            .seed(3)
-            .build()
-            .unwrap();
-        let (_, resume) = other
-            .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
-            .unwrap();
-        assert_eq!(resume.computed, vec!["cluster", "select", "model"]);
-        let _ = std::fs::remove_dir_all(&root);
+            // Changing the config invalidates the fingerprint: all
+            // stages recompute rather than restoring stale state.
+            let other = two_cluster_pipeline(selector, ModelOrder::Second);
+            let (_, resume) = other
+                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
+                .unwrap();
+            assert_eq!(resume.computed, vec!["cluster", "select", "model"]);
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]
@@ -624,34 +669,91 @@ mod tests {
         let ds = synth_dataset();
         let sensors = ["s0", "s1", "s2", "s3", "s4"];
         let mask = Mask::all(ds.grid());
-        let pipeline = ThermalPipeline::builder()
-            .cluster_count(ClusterCount::Fixed(2))
-            .model_order(ModelOrder::First)
-            .seed(3)
-            .build()
-            .unwrap();
-        let root = std::env::temp_dir().join(format!("core-fit-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
-        let (full, _) = pipeline
-            .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
-            .unwrap();
-        drop(store);
+        for (case, selector) in SELECTORS.iter().enumerate() {
+            let pipeline = two_cluster_pipeline(selector, ModelOrder::First);
+            let root = std::env::temp_dir()
+                .join(format!("core-fit-corrupt-{}-{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
+            let (full, _) = pipeline
+                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
+                .unwrap();
+            drop(store);
 
-        // Corrupt the select-stage checkpoint on disk.
-        std::fs::write(root.join("fit-select.ck"), b"scrambled").unwrap();
-        let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
-        assert_eq!(
-            store.open_report().quarantined,
-            vec!["fit-select.ck".to_string()]
-        );
-        let (recovered, resume) = pipeline
-            .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
-            .unwrap();
-        assert_eq!(recovered, full);
-        assert_eq!(resume.restored, vec!["cluster", "model"]);
-        assert_eq!(resume.computed, vec!["select"]);
-        let _ = std::fs::remove_dir_all(&root);
+            // Corrupt the select-stage checkpoint on disk: the cluster
+            // stage is restored, so GP computes the Gram on its own.
+            std::fs::write(root.join("fit-select.ck"), b"scrambled").unwrap();
+            let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
+            assert_eq!(
+                store.open_report().quarantined,
+                vec!["fit-select.ck".to_string()]
+            );
+            let (recovered, resume) = pipeline
+                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
+                .unwrap();
+            assert_eq!(recovered, full, "{selector:?}");
+            assert_eq!(resume.restored, vec!["cluster", "model"]);
+            assert_eq!(resume.computed, vec!["select"]);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    /// `fit` shares one centred Gram between correlation clustering and
+    /// GP selection; the public stages compute their own. Both routes
+    /// give the same model bit for bit (`{:?}` prints every float
+    /// exactly, signed zeros included) for SMS and GP under both
+    /// similarities, through `fit` and `fit_with_cache` alike.
+    #[test]
+    fn pipeline_equals_public_stages() {
+        let ds = synth_dataset();
+        let sensors = ["s0", "s1", "s2", "s3", "s4"];
+        let names: Vec<String> = sensors.iter().map(|s| (*s).to_owned()).collect();
+        let mask = Mask::all(ds.grid());
+        for similarity in [Similarity::correlation(), Similarity::euclidean()] {
+            for selector in &SELECTORS {
+                let pipeline = ThermalPipeline::builder()
+                    .similarity(similarity)
+                    .cluster_count(ClusterCount::Fixed(2))
+                    .selector(selector.clone())
+                    .seed(3)
+                    .build()
+                    .unwrap();
+                let fitted = pipeline.fit(&ds, &sensors, &["u"], &mask).unwrap();
+
+                let traj = trajectory_matrix(&ds, &sensors, &mask).unwrap();
+                let weights = weight_matrix(&traj, similarity).unwrap();
+                let clustering = cluster_graph(&weights, ClusterCount::Fixed(2), 8, 3).unwrap();
+                let input = SelectionInput {
+                    trajectories: &traj,
+                    clustering: &clustering,
+                    per_cluster: 1,
+                    seed: 3,
+                };
+                let chosen = match selector {
+                    SelectorKind::GpMutualInformation => GpSelector.select(&input),
+                    _ => NearMeanSelector.select(&input),
+                }
+                .unwrap();
+                let selection = rank_backups(&input, &chosen).unwrap();
+                let selected: Vec<String> = selection
+                    .sensors()
+                    .into_iter()
+                    .map(|i| names[i].clone())
+                    .collect();
+                let spec =
+                    ModelSpec::new(selected.clone(), vec!["u".to_owned()], ModelOrder::Second)
+                        .unwrap();
+                let model = identify(&ds, &spec, &mask, &FitConfig::default()).unwrap();
+                let staged =
+                    ReducedModel::new(names.clone(), clustering, selection, selected, model);
+                let case = format!("{similarity} {selector:?}");
+                assert_eq!(format!("{fitted:?}"), format!("{staged:?}"), "{case}");
+                let cached = pipeline
+                    .fit_with_cache(&ds, &sensors, &["u"], &mask, &mut GramCache::new())
+                    .unwrap();
+                assert_eq!(format!("{cached:?}"), format!("{staged:?}"), "{case}");
+            }
+        }
     }
 
     #[test]

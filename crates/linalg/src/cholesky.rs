@@ -11,7 +11,9 @@
 //! sub-diagonal entries advance four rows at a time. The triangular
 //! solves follow the same rule, so both are bit-identical to the
 //! textbook one-entry-at-a-time loops (test references in
-//! `reference.rs`).
+//! `reference.rs`). [`LeaveOneOut`] factors every leave-one-out block
+//! of one matrix through the same routine, started at a later column
+//! off one right-looking factorisation of the whole block.
 
 use crate::kernels::{sub_dot4_from, sub_dot_from};
 use crate::{LinalgError, Matrix, Result, Vector};
@@ -168,7 +170,7 @@ impl CholeskyDecomposition {
         }
         x.clear();
         x.extend_from_slice(b);
-        substitute_in_place(self.l.as_slice(), n, x);
+        substitute_in_place(self.l.as_slice(), n, x, 0);
         Ok(())
     }
 
@@ -193,7 +195,7 @@ impl CholeskyDecomposition {
         for j in 0..m {
             x.clear();
             x.extend(b.iter_rows().map(|row| row[j]));
-            substitute_in_place(self.l.as_slice(), n, &mut x);
+            substitute_in_place(self.l.as_slice(), n, &mut x, 0);
             for (orow, v) in out.as_mut_slice().chunks_exact_mut(m).zip(&x) {
                 orow[j] = *v;
             }
@@ -362,6 +364,198 @@ impl CholeskyDecomposition {
     }
 }
 
+/// The factors of every leave-one-out block of one principal block:
+/// for the block `a[R, R]` on the index list `R`, the factor of the
+/// block `a[R∖{r_p}, R∖{r_p}]` (order kept) for positions
+/// `p = 0, 1, …` in turn, each solvable against its left-out column
+/// `a[R∖{r_p}, r_p]`. It is the conditioning step of greedy GP
+/// selection: one factorisation per candidate, of the remaining set
+/// without it.
+///
+/// `a[R, R]` is factored right-looking, one column per position.
+/// Position `p`'s block shares the full factor's columns `< p` (row
+/// `p` left out) bit for bit, and each of its trailing entries is the
+/// full factor's chain through column `p − 1` continued, so only the
+/// trailing block is factored ([`factor_in_place`] from column `p`).
+/// Likewise its forward substitution starts `p` entries in: they are
+/// the full factor's row `p`, and the rest start from column `p`'s
+/// chains. Each entry of a factor or solution is still "start from
+/// `a_ij`, subtract `l_ik · l_jk` with `k` ascending", so every factor,
+/// solution and error (`NonFinite`, `NotPositiveDefinite` with its
+/// index and pivot) is bit for bit that of
+/// [`CholeskyDecomposition::new`] and
+/// [`CholeskyDecomposition::solve_into`] on the submatrix.
+///
+/// Only `a`'s lower triangle is read, the left-out column included;
+/// the column equals `a[R∖{r_p}, r_p]` when `a` is symmetric bit for
+/// bit, as every covariance from [`crate::stats`] is. Storage is reused
+/// across [`LeaveOneOut::reset`]s, so nothing is allocated once it has
+/// grown to the largest set.
+#[derive(Debug, Clone)]
+pub struct LeaveOneOut {
+    /// `a[R, R]`'s lower triangle, `m × m`, factored right-looking
+    /// through the column before the current position.
+    work: Matrix,
+    /// The current position's factor, `(m − 1) × (m − 1)`.
+    factor: Matrix,
+    /// Positions handed out by [`LeaveOneOut::factor_next`] so far.
+    next: usize,
+    /// Whether `factor` holds position `next − 1`'s factor.
+    ready: bool,
+    /// The full factorisation's failure at a finished column, which
+    /// every later position's block shares.
+    failed: Option<LinalgError>,
+    /// Non-finite entries of `a[R, R]`.
+    nonfinite: usize,
+    /// Non-finite entries in row or column `p` of `a[R, R]`, per `p`.
+    crossing: Vec<usize>,
+    /// Scratch for the column being eliminated.
+    column: Vec<f64>,
+}
+
+impl LeaveOneOut {
+    /// Empty storage; [`LeaveOneOut::reset`] loads a block.
+    pub fn new() -> Self {
+        LeaveOneOut {
+            work: Matrix::zeros(0, 0),
+            factor: Matrix::zeros(0, 0),
+            next: 0,
+            ready: false,
+            failed: None,
+            nonfinite: 0,
+            crossing: Vec::new(),
+            column: Vec::new(),
+        }
+    }
+
+    /// Loads `a[idx, idx]` and rewinds to position 0.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::InvalidData`] when an index is out of bounds.
+    pub fn reset(&mut self, a: &Matrix, idx: &[usize]) -> Result<()> {
+        if idx.iter().any(|&r| r >= a.rows()) {
+            return Err(LinalgError::InvalidData {
+                reason: "row index out of bounds in submatrix",
+            });
+        }
+        if idx.iter().any(|&c| c >= a.cols()) {
+            return Err(LinalgError::InvalidData {
+                reason: "column index out of bounds in submatrix",
+            });
+        }
+        let m = idx.len();
+        self.work.reset_zeros(m, m);
+        self.factor
+            .reset_zeros(m.saturating_sub(1), m.saturating_sub(1));
+        self.crossing.clear();
+        self.crossing.resize(m, 0);
+        self.nonfinite = 0;
+        for (i, &r) in idx.iter().enumerate() {
+            let arow = a.row(r);
+            for (dst, &c) in self.work.row_mut(i)[..=i].iter_mut().zip(idx) {
+                *dst = arow[c];
+            }
+            for (j, &c) in idx.iter().enumerate() {
+                if !arow[c].is_finite() {
+                    self.nonfinite += 1;
+                    self.crossing[i] += 1;
+                    if j != i {
+                        self.crossing[j] += 1;
+                    }
+                }
+            }
+        }
+        self.next = 0;
+        self.ready = false;
+        self.failed = None;
+        Ok(())
+    }
+
+    /// Factors the next position's block and returns the position.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::InvalidData`] when every position was used,
+    /// * [`LinalgError::Empty`] when the block is empty (`R` has one
+    ///   index),
+    /// * [`LinalgError::NonFinite`] for NaN/∞ entries of the block,
+    /// * [`LinalgError::NotPositiveDefinite`] when a pivot is not
+    ///   strictly positive.
+    pub fn factor_next(&mut self) -> Result<usize> {
+        let m = self.work.rows();
+        let p = self.next;
+        if p >= m {
+            return Err(LinalgError::InvalidData {
+                reason: "every leave-one-out position is used",
+            });
+        }
+        self.next += 1;
+        self.ready = false;
+        if p > 0 && self.failed.is_none() {
+            let work = self.work.as_mut_slice();
+            self.failed = eliminate_column(work, m, p - 1, &mut self.column).err();
+        }
+        let c = m - 1;
+        if c == 0 {
+            return Err(LinalgError::Empty { op: "cholesky" });
+        }
+        if self.crossing[p] != self.nonfinite {
+            return Err(LinalgError::NonFinite { op: "cholesky" });
+        }
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let work = self.work.as_slice();
+        for (i, frow) in self.factor.as_mut_slice().chunks_exact_mut(c).enumerate() {
+            if i < p {
+                frow[..=i].copy_from_slice(&work[i * m..=i * m + i]);
+            } else {
+                let wrow = &work[(i + 1) * m..(i + 2) * m];
+                frow[..p].copy_from_slice(&wrow[..p]);
+                frow[p..=i].copy_from_slice(&wrow[p + 1..=i + 1]);
+            }
+        }
+        factor_in_place(self.factor.as_mut_slice(), c, p)?;
+        self.ready = true;
+        Ok(p)
+    }
+
+    /// The factor of the block [`LeaveOneOut::factor_next`] last returned.
+    pub fn l(&self) -> &Matrix {
+        &self.factor
+    }
+
+    /// Solves the block [`LeaveOneOut::factor_next`] last returned against
+    /// its left-out column into `x` (cleared and refilled, capacity
+    /// kept).
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::InvalidData`] unless the last
+    /// [`LeaveOneOut::factor_next`] succeeded.
+    pub fn solve_into(&self, x: &mut Vec<f64>) -> Result<()> {
+        if !self.ready {
+            return Err(LinalgError::InvalidData {
+                reason: "leave-one-out solve without a factored block",
+            });
+        }
+        let (m, p) = (self.work.rows(), self.next - 1);
+        let work = self.work.as_slice();
+        x.clear();
+        x.extend_from_slice(&work[p * m..p * m + p]);
+        x.extend(work[(p + 1) * m..].chunks_exact(m).map(|row| row[p]));
+        substitute_in_place(self.factor.as_slice(), m - 1, x, p);
+        Ok(())
+    }
+}
+
+impl Default for LeaveOneOut {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// The checks of [`CholeskyDecomposition::new`] on the principal block
 /// `a[idx, idx]`, then its lower triangle copied into `l` (reshaped,
 /// storage reused) and factored in place. `idx` yields the block's
@@ -403,29 +597,33 @@ where
             *dst = arow[c];
         }
     }
-    factor_in_place(l.as_mut_slice(), n)
+    factor_in_place(l.as_mut_slice(), n, 0)
 }
 
 /// The factorisation. On entry the row-major `n × n` buffer `l` holds
-/// `A`'s lower triangle (zeros above); on success it holds `L`.
+/// `A`'s lower triangle (zeros above), with columns before `start`
+/// already factored and every entry from `(start, start)` on holding
+/// its chain through column `start − 1`; on success it holds `L`.
+/// Every caller but [`LeaveOneOut`] factors from `start = 0`, where the
+/// entries are `A`'s own.
 ///
 /// Column `j` takes its pivot `a_jj − Σ_k l_jk²`, then its sub-diagonal
 /// entries `(a_ij − Σ_k l_ik · l_jk) / l_jj`, four rows per
-/// [`sub_dot4_from`] pass over the shared `l_j·` prefix. Row `i`'s
-/// entry `j` still holds `a_ij` when column `j` reads it, and every
-/// chain subtracts with `k` ascending, the order of the one-entry
-/// reference loop.
-fn factor_in_place(l: &mut [f64], n: usize) -> Result<()> {
-    for j in 0..n {
+/// [`sub_dot4_from`] pass over the shared `l_j·` prefix, `k` running
+/// from `start`. Row `i`'s entry `j` still holds its chain when column
+/// `j` reads it, and every chain subtracts with `k` ascending, the
+/// order of the one-entry reference loop.
+fn factor_in_place(l: &mut [f64], n: usize, start: usize) -> Result<()> {
+    for j in start..n {
         let (head, below) = l.split_at_mut((j + 1) * n);
         let (lj, pivot) = head[j * n..].split_at_mut(j);
-        let d = sub_dot_from(pivot[0], &*lj, &*lj);
+        let lj: &[f64] = &lj[start..];
+        let d = sub_dot_from(pivot[0], lj, lj);
         if d <= 0.0 || !d.is_finite() {
             return Err(LinalgError::NotPositiveDefinite { index: j, pivot: d });
         }
         let dsqrt = d.sqrt();
         pivot[0] = dsqrt;
-        let lj: &[f64] = lj;
         let mut quads = below.chunks_exact_mut(4 * n);
         for quad in &mut quads {
             let (r0, rest) = quad.split_at_mut(n);
@@ -434,36 +632,67 @@ fn factor_in_place(l: &mut [f64], n: usize) -> Result<()> {
             let s = sub_dot4_from(
                 [r0[j], r1[j], r2[j], r3[j]],
                 lj,
-                [&r0[..j], &r1[..j], &r2[..j], &r3[..j]],
+                [&r0[start..j], &r1[start..j], &r2[start..j], &r3[start..j]],
             );
             for (row, s) in [r0, r1, r2, r3].into_iter().zip(s) {
                 row[j] = s / dsqrt;
             }
         }
         for row in quads.into_remainder().chunks_exact_mut(n) {
-            let s = sub_dot_from(row[j], &row[..j], lj);
+            let s = sub_dot_from(row[j], &row[start..j], lj);
             row[j] = s / dsqrt;
         }
     }
     Ok(())
 }
 
+/// Finishes column `k` of the row-major `n × n` buffer `l` right-looking:
+/// columns before `k` are final and every entry from `(k, k)` on holds
+/// its chain through column `k − 1`. The pivot and the entries below it
+/// are finished as [`factor_in_place`] finishes them, then every entry
+/// `(i, j)` with `k < j ≤ i` subtracts `l_ik · l_jk`, the next term of
+/// its chain, so [`factor_in_place`] from `k + 1` can take over. `column`
+/// is scratch for the finished column below the pivot.
+fn eliminate_column(l: &mut [f64], n: usize, k: usize, column: &mut Vec<f64>) -> Result<()> {
+    let d = l[k * n + k];
+    if d <= 0.0 || !d.is_finite() {
+        return Err(LinalgError::NotPositiveDefinite { index: k, pivot: d });
+    }
+    let dsqrt = d.sqrt();
+    l[k * n + k] = dsqrt;
+    column.clear();
+    for row in l[(k + 1) * n..].chunks_exact_mut(n) {
+        row[k] /= dsqrt;
+        column.push(row[k]);
+    }
+    for (r, row) in l[(k + 1) * n..].chunks_exact_mut(n).enumerate() {
+        let lik = column[r];
+        for (dst, ljk) in row[k + 1..=k + 1 + r].iter_mut().zip(&column[..=r]) {
+            *dst -= lik * ljk;
+        }
+    }
+    Ok(())
+}
+
 /// Solves `L Lᵀ x = b` in place: `x` holds `b` on entry, `x` on exit.
+/// With `start > 0`, `x[..start]` already holds the forward solution's
+/// first `start` entries and every later entry its chain through
+/// column `start − 1` ([`LeaveOneOut`]); every other caller passes 0.
 ///
 /// Forward, `y_i = (b_i − Σ_{k<i} l_ik y_k) / l_ii` advances four rows
-/// per pass over the solved prefix, then finishes their triangle.
-/// Back, `x_i = (y_i − Σ_{k>i} l_ki x_k) / l_ii` walks column `i`
-/// strided; each of its terms waits on the previous row's answer.
-fn substitute_in_place(l: &[f64], n: usize, x: &mut [f64]) {
+/// per pass over the solved prefix (from `start`), then finishes their
+/// triangle. Back, `x_i = (y_i − Σ_{k>i} l_ki x_k) / l_ii` walks column
+/// `i` strided; each of its terms waits on the previous row's answer.
+fn substitute_in_place(l: &[f64], n: usize, x: &mut [f64], start: usize) {
     let row = |i: usize| &l[i * n..(i + 1) * n];
-    let mut i = 0;
+    let mut i = start;
     while i + 4 <= n {
         let rows = [row(i), row(i + 1), row(i + 2), row(i + 3)];
         let (y, block) = x.split_at_mut(i);
         let s = sub_dot4_from(
             [block[0], block[1], block[2], block[3]],
-            y,
-            rows.map(|r| &r[..i]),
+            &y[start..],
+            rows.map(|r| &r[start..i]),
         );
         for (lane, (r, s)) in rows.into_iter().zip(s).enumerate() {
             let s = sub_dot_from(s, &r[i..i + lane], &block[..lane]);
@@ -474,7 +703,7 @@ fn substitute_in_place(l: &[f64], n: usize, x: &mut [f64]) {
     for i in i..n {
         let r = row(i);
         let (y, rest) = x.split_at_mut(i);
-        rest[0] = sub_dot_from(rest[0], &r[..i], &*y) / r[i];
+        rest[0] = sub_dot_from(rest[0], &r[start..i], &y[start..]) / r[i];
     }
     for i in (0..n).rev() {
         let (head, solved) = x.split_at_mut(i + 1);

@@ -67,7 +67,7 @@ pub mod stats;
 #[cfg(test)]
 mod reference;
 
-pub use cholesky::CholeskyDecomposition;
+pub use cholesky::{CholeskyDecomposition, LeaveOneOut};
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;

@@ -309,7 +309,7 @@ pub(crate) fn repeated_spectrum(n: usize, distinct: usize, seed: u64) -> Matrix 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{stats, CholeskyDecomposition, SymmetricEigen};
+    use crate::{stats, CholeskyDecomposition, LeaveOneOut, SymmetricEigen};
     use proptest::prelude::*;
 
     proptest! {
@@ -457,6 +457,54 @@ mod tests {
             prop_assert_eq!(storage().refactor_principal(&a, &idx).err(), cholesky(&a).err());
             prop_assert!(storage().refactor_principal(&a, &[n]).is_err());
             prop_assert_eq!(storage().refactor_principal(&a, &[]).err(), cholesky(&Matrix::zeros(0, 0)).err());
+        }
+
+        /// Every leave-one-out block, factored from its start column
+        /// off the right-looking full factor, equals a fresh factor of
+        /// the submatrix bit for bit, and its solve the fresh solve
+        /// against the left-out column. Errors match too: a diagonal
+        /// entry pulled down fails the full factor part-way, and a
+        /// mirrored NaN pair spoils every block holding it.
+        #[test]
+        fn leave_one_out_matches_fresh_factor(
+            n in 1usize..24,
+            f in 0usize..24,
+            drop in 0.0_f64..1.3,
+            nan in prop::option::weighted(0.3, (0usize..24, 0usize..24)),
+            skip in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            let mut a = random_spd(n, seed);
+            let f = f % n;
+            a[(f, f)] -= drop * a[(f, f)];
+            if let Some((r, c)) = nan {
+                a[(r % n, c % n)] = f64::NAN;
+                a[(c % n, r % n)] = f64::NAN;
+            }
+            // A scrambled subset, like the remaining set of a greedy step.
+            let idx: Vec<usize> = (0..n).rev().filter(|&i| i % 5 != skip || n < 3).collect();
+            let mut loo = LeaveOneOut::new();
+            loo.reset(&a, &idx).unwrap();
+            for p in 0..idx.len() {
+                let rest: Vec<usize> = idx.iter().enumerate().filter(|&(q, _)| q != p).map(|(_, &i)| i).collect();
+                let fresh = CholeskyDecomposition::new(&a.submatrix(&rest, &rest).unwrap());
+                match (loo.factor_next(), fresh) {
+                    (Ok(got), Ok(chol)) => {
+                        prop_assert_eq!(got, p);
+                        prop_assert_eq!(bits(loo.l().as_slice()), bits(chol.l().as_slice()), "position {}", p);
+                        let column: Vec<f64> = rest.iter().map(|&i| a[(i, idx[p])]).collect();
+                        let (mut want, mut x) = (Vec::new(), Vec::new());
+                        chol.solve_into(&column, &mut want).unwrap();
+                        loo.solve_into(&mut x).unwrap();
+                        prop_assert_eq!(bits(&x), bits(&want), "position {}", p);
+                    }
+                    (got, want) => {
+                        prop_assert_eq!(got.err(), want.err(), "position {}", p);
+                        prop_assert!(loo.solve_into(&mut Vec::new()).is_err());
+                    }
+                }
+            }
+            prop_assert!(loo.factor_next().is_err());
         }
 
         /// The selection percentile equals the sorted one, errors

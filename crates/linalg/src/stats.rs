@@ -262,34 +262,88 @@ pub fn covariance_matrix(data: &Matrix) -> Result<Matrix> {
 }
 
 /// Sample covariance matrix of the rows of `data` (`rows` = variables,
-/// `cols` = observations; denominator `n − 1`).
-///
-/// Rows are centred once; entry `(i, j)` is then one [`kernels::dot`]
-/// of centred rows `i` and `j`, four columns `j` per pass over row `i`
-/// ([`kernels::dot_rows_from`]). Each entry sums `d_i · d_j` over the
-/// observations in order, from `+0.0`, as the observation-by-observation
-/// loop does.
+/// `cols` = observations; denominator `n − 1`): [`covariance_from_gram`]
+/// of the [`centred_gram`].
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::Empty`] when fewer than two columns are
 /// given.
 pub fn row_covariance_matrix(data: &Matrix) -> Result<Matrix> {
+    covariance_from_gram(&centred_gram(data), data.cols())
+}
+
+/// The centred Gram of the rows of `data` (`rows` = variables, `cols`
+/// = observations): `G_ij = Σ_t z_i[t] · z_j[t]`, where `z` is
+/// [`centre_rows`]`(data)`.
+///
+/// Entry `(i, j ≥ i)` is one [`kernels::dot`] chain from `+0.0` over
+/// centred rows `i` and `j`, four columns `j` per pass over row `i`
+/// ([`kernels::dot_rows_from`]); the lower triangle is its mirror. The
+/// diagonal chain is [`kernels::dot_self_rows`]'s on the centred rows.
+/// Covariances ([`covariance_from_gram`]) and Pearson correlations
+/// both read off it, so a caller needing both computes it once. Runs
+/// on the calling thread.
+pub fn centred_gram(data: &Matrix) -> Matrix {
+    centred_gram_with_threads(data, 1)
+}
+
+/// [`centred_gram`] fanned out over `threads` workers, each owning a
+/// block of rows (`threads <= 1` is the sequential path). The result is
+/// bitwise identical at any worker count.
+pub fn centred_gram_with_threads(data: &Matrix, threads: usize) -> Matrix {
     let (p, n) = data.shape();
-    if n < 2 {
-        return Err(LinalgError::Empty { op: "covariance" });
-    }
     let centred = centre_rows(data);
     let z = centred.as_slice();
-    let mut cov = Matrix::zeros(p, p);
-    for (i, crow) in cov.as_mut_slice().chunks_exact_mut(p.max(1)).enumerate() {
-        kernels::dot_rows_from(0.0, centred.row(i), &z[i * n..], n, &mut crow[i..]);
+    let mut gram = Matrix::zeros(p, p);
+    if p == 0 {
+        return gram;
     }
-    let denom = (n - 1) as f64;
+    let block_rows = p.div_ceil(threads.max(1)).max(1);
+    thermal_par::parallel_chunks_mut_with(
+        threads,
+        gram.as_mut_slice(),
+        block_rows * p,
+        |blk, block| {
+            for (grow, i) in block.chunks_exact_mut(p).zip(blk * block_rows..) {
+                let rows = &z[i * n..];
+                kernels::dot_rows_from(0.0, &rows[..n], rows, n, &mut grow[i..]);
+            }
+        },
+    );
+    for i in 1..p {
+        for j in 0..i {
+            gram[(i, j)] = gram[(j, i)];
+        }
+    }
+    gram
+}
+
+/// The sample covariance (denominator `observations − 1`) of variables
+/// whose [`centred_gram`] over `observations` samples is `gram`: each
+/// upper-triangle entry divided once, then mirrored.
+///
+/// # Errors
+///
+/// * [`LinalgError::Empty`] when `observations < 2`,
+/// * [`LinalgError::NotSquare`] for a non-square `gram`.
+pub fn covariance_from_gram(gram: &Matrix, observations: usize) -> Result<Matrix> {
+    if observations < 2 {
+        return Err(LinalgError::Empty { op: "covariance" });
+    }
+    if !gram.is_square() {
+        return Err(LinalgError::NotSquare {
+            shape: gram.shape(),
+        });
+    }
+    let p = gram.rows();
+    let denom = (observations - 1) as f64;
+    let mut cov = Matrix::zeros(p, p);
     for i in 0..p {
         for j in i..p {
-            cov[(i, j)] /= denom;
-            cov[(j, i)] = cov[(i, j)];
+            let v = gram[(i, j)] / denom;
+            cov[(i, j)] = v;
+            cov[(j, i)] = v;
         }
     }
     Ok(cov)

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use thermal_linalg::{kernels, stats, CholeskyDecomposition, Matrix};
+use thermal_linalg::{kernels, stats, CholeskyDecomposition, LeaveOneOut, Matrix};
 
 use crate::selection::{Selection, SelectionInput, Selector};
 use crate::{Result, SelectError};
@@ -185,14 +185,36 @@ impl Selector for FixedSelector {
 /// unselected locations under the empirical covariance — then assigns
 /// them to clusters like the other cluster-blind baselines.
 ///
-/// The covariance comes straight from the centred trajectory rows
-/// ([`stats::row_covariance_matrix`], no transpose). Each greedy step
-/// scores every remaining candidate by two conditional variances, each
-/// one Cholesky factorisation of a covariance block; all of them are
-/// refilled into one reused factor and solved into reused buffers, so
-/// a selection allocates nothing per candidate.
+/// The covariance is the centred trajectory Gram over `n − 1`
+/// ([`stats::centred_gram`], [`stats::covariance_from_gram`]). Each
+/// greedy step scores every remaining candidate `y` by two conditional
+/// variances: given the chosen set, whose factor is computed once per
+/// step, and given the rest of the remaining set, whose factors all
+/// come off one right-looking factorisation of the remaining set
+/// ([`LeaveOneOut`]). Storage is reused across steps, so a selection
+/// allocates per call and per chosen sensor, never per candidate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GpSelector;
+
+impl GpSelector {
+    /// [`Selector::select`] on the centred Gram of
+    /// `input.trajectories` ([`stats::centred_gram`]), for a caller
+    /// that already holds it — the pipeline's correlation clustering
+    /// reads the same Gram. The selection equals `select`'s bit for
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// * [`SelectError::InvalidRequest`] for an invalid input, more
+    ///   sensors requested than exist, or a Gram of another shape,
+    /// * [`SelectError::Linalg`] when a covariance block cannot be
+    ///   factored.
+    pub fn select_with_gram(&self, input: &SelectionInput<'_>, gram: &Matrix) -> Result<Selection> {
+        input.validate()?;
+        let chosen = greedy_mutual_information(input, gram, input.total_requested())?;
+        assign_to_clusters(input, &chosen)
+    }
+}
 
 impl Selector for GpSelector {
     fn name(&self) -> &'static str {
@@ -201,14 +223,27 @@ impl Selector for GpSelector {
 
     fn select(&self, input: &SelectionInput<'_>) -> Result<Selection> {
         input.validate()?;
-        let chosen = greedy_mutual_information(input, input.total_requested())?;
-        assign_to_clusters(input, &chosen)
+        self.select_with_gram(input, &stats::centred_gram(input.trajectories))
     }
 }
 
-/// Greedy MI selection on the empirical sensor covariance.
-fn greedy_mutual_information(input: &SelectionInput<'_>, m: usize) -> Result<Vec<usize>> {
+/// Greedy MI selection on the empirical sensor covariance, derived
+/// from the trajectories' centred Gram.
+fn greedy_mutual_information(
+    input: &SelectionInput<'_>,
+    gram: &Matrix,
+    m: usize,
+) -> Result<Vec<usize>> {
     let n = input.trajectories.rows();
+    if gram.shape() != (n, n) {
+        return Err(SelectError::InvalidRequest {
+            reason: format!(
+                "a {} x {} Gram does not match {n} sensors",
+                gram.rows(),
+                gram.cols()
+            ),
+        });
+    }
     if m > n {
         return Err(SelectError::InvalidRequest {
             reason: format!("cannot place {m} sensors among {n} candidates"),
@@ -216,7 +251,7 @@ fn greedy_mutual_information(input: &SelectionInput<'_>, m: usize) -> Result<Vec
     }
     // Empirical covariance over sensors (rows are sensors, columns
     // time samples) with a jitter for conditioning.
-    let mut cov = stats::row_covariance_matrix(input.trajectories)?;
+    let mut cov = stats::covariance_from_gram(gram, input.trajectories.cols())?;
     let jitter = 1e-6 * (0..n).map(|i| cov[(i, i)]).sum::<f64>().max(1e-12) / n as f64;
     for i in 0..n {
         cov[(i, i)] += jitter;
@@ -224,16 +259,13 @@ fn greedy_mutual_information(input: &SelectionInput<'_>, m: usize) -> Result<Vec
 
     let mut chosen: Vec<usize> = Vec::with_capacity(m);
     let mut remaining: Vec<usize> = (0..n).collect();
-    let mut complement: Vec<usize> = Vec::with_capacity(n);
     let mut conditioner = Conditioner::new(n)?;
     for _ in 0..m {
+        conditioner.step(&cov, &chosen, &remaining)?;
         let mut best: Option<(f64, usize)> = None;
         for (pos, &y) in remaining.iter().enumerate() {
-            // Ā = all sensors except chosen and y.
-            complement.clear();
-            complement.extend((0..n).filter(|i| *i != y && !chosen.contains(i)));
-            let num = conditioner.variance(&cov, y, &chosen)?;
-            let den = conditioner.variance(&cov, y, &complement)?;
+            let num = conditioner.given_chosen(&cov, y, &chosen)?;
+            let den = conditioner.given_rest(&cov, y, &remaining)?;
             let gain = num / den.max(1e-12);
             if best.as_ref().is_none_or(|&(g, _)| gain > g) {
                 best = Some((gain, pos));
@@ -248,13 +280,14 @@ fn greedy_mutual_information(input: &SelectionInput<'_>, m: usize) -> Result<Vec
 }
 
 /// Workspace of `σ²_{y|S} = Σ_yy − Σ_yS Σ_SS⁻¹ Σ_Sy`, reused across the
-/// greedy loop: one Cholesky factor refilled from each conditioning
-/// block of the covariance, and the right-hand side and solution of
-/// its solve. Sized for `n` sensors up front, so no call allocates.
+/// greedy loop: the chosen set's factor, the remaining set's
+/// leave-one-out factors, and the right-hand side and solution of a
+/// solve. Storage grows to the first step's sets and is reused after.
 struct Conditioner {
     /// `None` only after a failed factorisation, whose error ends the
     /// selection.
-    chol: Option<CholeskyDecomposition>,
+    chosen: Option<CholeskyDecomposition>,
+    rest: LeaveOneOut,
     sigma_sy: Vec<f64>,
     x: Vec<f64>,
 }
@@ -263,32 +296,63 @@ impl Conditioner {
     fn new(n: usize) -> Result<Self> {
         // The factor of an `n × n` identity: storage for every block.
         Ok(Conditioner {
-            chol: Some(CholeskyDecomposition::from_factor(Matrix::identity(
+            chosen: Some(CholeskyDecomposition::from_factor(Matrix::identity(
                 n.max(1),
             ))?),
+            rest: LeaveOneOut::new(),
             sigma_sy: Vec::with_capacity(n),
             x: Vec::with_capacity(n),
         })
     }
 
-    /// `σ²_{y|S}`, clamped at zero; `Σ_yy` for an empty `S`.
-    fn variance(&mut self, cov: &Matrix, y: usize, conditioning: &[usize]) -> Result<f64> {
-        if conditioning.is_empty() {
+    /// Factors `Σ[chosen, chosen]` and loads `Σ[remaining, remaining]`
+    /// for one greedy step. A failure here is the one every candidate
+    /// of the step would hit first.
+    fn step(&mut self, cov: &Matrix, chosen: &[usize], remaining: &[usize]) -> Result<()> {
+        if !chosen.is_empty() {
+            let storage = self.chosen.take().ok_or(SelectError::Internal {
+                context: "GP conditioner used after a failed factorisation",
+            })?;
+            self.chosen = Some(storage.refactor_principal(cov, chosen)?);
+        }
+        self.rest.reset(cov, remaining)?;
+        Ok(())
+    }
+
+    /// `σ²_{y|chosen}`, clamped at zero; `Σ_yy` for an empty set.
+    fn given_chosen(&mut self, cov: &Matrix, y: usize, chosen: &[usize]) -> Result<f64> {
+        if chosen.is_empty() {
             return Ok(cov[(y, y)]);
         }
-        let storage = self.chol.take().ok_or(SelectError::Internal {
+        let chol = self.chosen.as_ref().ok_or(SelectError::Internal {
             context: "GP conditioner used after a failed factorisation",
         })?;
-        let chol = self
-            .chol
-            .insert(storage.refactor_principal(cov, conditioning)?);
+        self.sigma_sy.clear();
+        self.sigma_sy.extend(chosen.iter().map(|&s| cov[(s, y)]));
+        chol.solve_into(&self.sigma_sy, &mut self.x)?;
+        Ok(self.variance(cov, y))
+    }
+
+    /// `σ²_{y|remaining∖{y}}`, clamped at zero; `Σ_yy` when `y` is all
+    /// that remains. Called for the remaining candidates in order.
+    fn given_rest(&mut self, cov: &Matrix, y: usize, remaining: &[usize]) -> Result<f64> {
+        if remaining.len() == 1 {
+            return Ok(cov[(y, y)]);
+        }
+        self.rest.factor_next()?;
+        self.rest.solve_into(&mut self.x)?;
         self.sigma_sy.clear();
         self.sigma_sy
-            .extend(conditioning.iter().map(|&s| cov[(s, y)]));
-        chol.solve_into(&self.sigma_sy, &mut self.x)?;
+            .extend(remaining.iter().filter(|&&s| s != y).map(|&s| cov[(s, y)]));
+        Ok(self.variance(cov, y))
+    }
+
+    /// `Σ_yy − Σ_yS x` for the last solve's `x = Σ_SS⁻¹ Σ_Sy`, clamped
+    /// at zero.
+    fn variance(&self, cov: &Matrix, y: usize) -> f64 {
         // From −0.0, as `Iterator::sum` folds.
         let quad = kernels::dot_from(-0.0, &self.sigma_sy, &self.x);
-        Ok((cov[(y, y)] - quad).max(0.0))
+        (cov[(y, y)] - quad).max(0.0)
     }
 }
 
@@ -369,10 +433,15 @@ fn assign_to_clusters(input: &SelectionInput<'_>, chosen: &[usize]) -> Result<Se
         means.push(mean);
     }
 
-    // Correlation of each chosen sensor with each cluster mean.
-    let corr = |sensor: usize, cluster: usize| -> f64 {
-        stats::pearson(traj.row(sensor), &means[cluster]).unwrap_or(0.0)
-    };
+    // Correlation of each chosen sensor with each cluster mean, each
+    // computed once: the matching below asks for most pairs repeatedly.
+    let mut table = Matrix::zeros(traj.rows(), k);
+    for &sensor in chosen {
+        for (cluster, mean) in means.iter().enumerate() {
+            table[(sensor, cluster)] = stats::pearson(traj.row(sensor), mean).unwrap_or(0.0);
+        }
+    }
+    let corr = |sensor: usize, cluster: usize| table[(sensor, cluster)];
 
     // Greedy best-match: repeatedly take the (sensor, empty cluster)
     // pair with the highest correlation.
@@ -482,9 +551,12 @@ mod tests {
     }
 
     /// `n` trajectories of `samples` slots from `seed`: a few shared
-    /// thermal modes with per-sensor loadings and noise, and every
-    /// fifth sensor (from `dead_from`) dead flat.
-    fn trajectories(n: usize, samples: usize, dead_from: usize, seed: u64) -> Matrix {
+    /// thermal modes with per-sensor loadings and noise, every fifth
+    /// sensor (from `dead_from`) dead flat, and every sensor from
+    /// `twins` on (when `twins > 0`) an exact copy of the one `twins`
+    /// rows above it, so the covariance is singular and only the jitter
+    /// keeps it positive definite.
+    fn trajectories(n: usize, samples: usize, dead_from: usize, twins: usize, seed: u64) -> Matrix {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let loads: Vec<[f64; 3]> = (0..n)
             .map(|_| {
@@ -495,7 +567,7 @@ mod tests {
                 ]
             })
             .collect();
-        Matrix::from_fn(n, samples, |i, k| {
+        let mut m = Matrix::from_fn(n, samples, |i, k| {
             if i >= dead_from && (i - dead_from).is_multiple_of(5) {
                 return 21.0;
             }
@@ -505,27 +577,37 @@ mod tests {
                 + b * (0.37 * t).cos()
                 + c * (0.05 * t)
                 + 0.2 * rng.gen_range(-1.0..1.0)
-        })
+        });
+        if twins > 0 {
+            for i in twins..n {
+                let copy = m.row(i - twins).to_vec();
+                m.row_mut(i).copy_from_slice(&copy);
+            }
+        }
+        m
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// GP selections over 3–30 sensors equal the per-candidate
-        /// reference loop, including when it fails.
+        /// reference loop, including when it fails, with dead and
+        /// duplicated sensors.
         #[test]
         fn gp_greedy_matches_reference(
             n in 3usize..31,
             samples in 2usize..70,
             m in 1usize..7,
             dead_from in 0usize..40,
+            twins in 0usize..40,
             seed in any::<u64>(),
         ) {
-            let traj = trajectories(n, samples, dead_from, seed);
+            let traj = trajectories(n, samples, dead_from, twins, seed);
             let m = m.min(n);
             let clustering = Clustering::from_assignments(vec![0; n], 1).unwrap();
             let input = SelectionInput { trajectories: &traj, clustering: &clustering, per_cluster: m, seed };
-            match (greedy_mutual_information(&input, m), reference_greedy(&traj, m)) {
+            let gram = stats::centred_gram(&traj);
+            match (greedy_mutual_information(&input, &gram, m), reference_greedy(&traj, m)) {
                 (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
                 (got, want) => prop_assert_eq!(got.err(), want.err()),
             }

@@ -283,8 +283,8 @@ impl GramCache {
         self.stats
     }
 
-    /// Looks up a block, cloning it out on a hit.
-    fn get(&mut self, key: &BlockKey) -> Option<GramBlock> {
+    /// Looks up a block, lending the resident copy on a hit.
+    fn get(&mut self, key: &BlockKey) -> Option<&GramBlock> {
         let n = self.slots.len();
         if n == 0 {
             self.stats.misses += 1;
@@ -294,7 +294,7 @@ impl GramCache {
         match self.slots.get(idx) {
             Some(Some((resident, block))) if resident == key => {
                 self.stats.hits += 1;
-                Some(block.clone())
+                Some(block)
             }
             _ => {
                 self.stats.misses += 1;
@@ -552,23 +552,27 @@ impl<'a> SweepEngine<'a> {
             start: a as u64,
             end: b as u64,
         };
-        let block = match cache.get(&key) {
+        match cache.get(&key) {
             Some(bl) if bl.gram.len() == self.gram.len() && bl.cross.len() == self.cross.len() => {
-                bl
+                self.add_block(bl);
             }
             _ => {
                 let bl = self.compute_block(a, b)?;
-                cache.insert(key, bl.clone());
-                bl
+                self.add_block(&bl);
+                cache.insert(key, bl);
             }
-        };
+        }
+        Ok(())
+    }
+
+    /// Adds a block into the accumulated normal equations.
+    fn add_block(&mut self, block: &GramBlock) {
         for (acc, v) in self.gram.iter_mut().zip(&block.gram) {
             *acc += v;
         }
         for (acc, v) in self.cross.iter_mut().zip(&block.cross) {
             *acc += v;
         }
-        Ok(())
     }
 
     /// `λI + gram` as a dense matrix, ready to factor.

@@ -5,6 +5,7 @@
 //! step is inferred from the first two timestamps on read, matching
 //! how the testbed's cloud database exports were post-processed.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 
 use crate::{Channel, Dataset, Result, TimeGrid, TimeSeriesError, Timestamp};
@@ -30,16 +31,23 @@ pub fn write_csv<W: Write>(dataset: &Dataset, mut writer: W) -> Result<()> {
         header.push_str(&ch.name().replace([',', '\n', '\r'], "_"));
     }
     writeln!(writer, "{header}").map_err(io_err)?;
-    // Rows.
+    // Rows, each formatted straight into one reused buffer.
+    let fmt_err = |_| TimeSeriesError::Csv {
+        line: 0,
+        reason: "formatting failed".to_owned(),
+    };
+    let mut row = String::new();
     for (i, t) in dataset.grid().iter() {
-        let mut row = t.as_minutes().to_string();
+        row.clear();
+        write!(row, "{}", t.as_minutes()).map_err(fmt_err)?;
         for ch in dataset.channels() {
             row.push(',');
             if let Some(v) = ch.value(i) {
-                row.push_str(&format!("{v}"));
+                write!(row, "{v}").map_err(fmt_err)?;
             }
         }
-        writeln!(writer, "{row}").map_err(io_err)?;
+        row.push('\n');
+        writer.write_all(row.as_bytes()).map_err(io_err)?;
     }
     Ok(())
 }
@@ -211,6 +219,82 @@ pub fn from_csv_str(s: &str) -> Result<Dataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The row loop as it was before the reused buffer: a fresh
+    /// `String` per row, `to_string` for the timestamp and `format!`
+    /// per value. Kept as the oracle of `writer_matches_reference`.
+    fn reference_csv(dataset: &Dataset) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut header = String::from("minutes");
+        for ch in dataset.channels() {
+            header.push(',');
+            header.push_str(&ch.name().replace([',', '\n', '\r'], "_"));
+        }
+        writeln!(out, "{header}").unwrap();
+        for (i, t) in dataset.grid().iter() {
+            let mut row = t.as_minutes().to_string();
+            for ch in dataset.channels() {
+                row.push(',');
+                if let Some(v) = ch.value(i) {
+                    row.push_str(&format!("{v}"));
+                }
+            }
+            writeln!(out, "{row}").unwrap();
+        }
+        out
+    }
+
+    /// One cell: a gap, or a value from the corners of the format —
+    /// signed zeros, subnormals, huge and integral values, ordinary
+    /// temperatures, any finite bit pattern.
+    fn cell() -> impl Strategy<Value = Option<f64>> {
+        (
+            0u8..10,
+            -40.0_f64..60.0,
+            -1_000_000i64..1_000_000,
+            any::<u64>(),
+        )
+            .prop_map(|(kind, temperature, integral, bits)| match kind {
+                0 => None,
+                1 => Some(-0.0),
+                2 => Some(0.0),
+                3 => Some(f64::MIN_POSITIVE / 3.0),
+                4 => Some(-5e-324),
+                5 => Some(1e300),
+                6 => Some(integral as f64),
+                7 => Some(temperature),
+                _ => Some(f64::from_bits(bits)).filter(|v| v.is_finite()),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The buffered writer emits the per-value `format!` loop's
+        /// bytes exactly, on grids starting at negative, zero and
+        /// positive minutes.
+        #[test]
+        fn writer_matches_reference(
+            start in -100_000i64..100_000,
+            step in 1u32..120,
+            channels in 1usize..5,
+            cells in prop::collection::vec(cell(), 0..160),
+        ) {
+            let slots = (cells.len() / channels).max(1);
+            let grid = TimeGrid::new(Timestamp::from_minutes(start), step, slots).unwrap();
+            let chans = (0..channels)
+                .map(|c| {
+                    let values = (0..slots).map(|k| cells.get(k * channels + c).copied().flatten()).collect();
+                    Channel::new(format!("c{c}"), values).unwrap()
+                })
+                .collect();
+            let ds = Dataset::new(grid, chans).unwrap();
+            let mut got = Vec::new();
+            write_csv(&ds, &mut got).unwrap();
+            prop_assert_eq!(got, reference_csv(&ds));
+        }
+    }
 
     fn sample() -> Dataset {
         let grid = TimeGrid::new(Timestamp::from_minutes(100), 5, 3).unwrap();
