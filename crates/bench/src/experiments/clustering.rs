@@ -24,21 +24,6 @@ pub fn wireless_training_trajectories(p: &Protocol) -> Result<(Vec<String>, Matr
     Ok((names, traj))
 }
 
-/// Validation-half trajectories of the wireless sensors.
-///
-/// # Errors
-///
-/// Propagates trajectory-extraction failures.
-pub fn wireless_validation_trajectories(p: &Protocol) -> Result<Matrix> {
-    let names = p.wireless_channels();
-    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    Ok(trajectory_matrix(
-        &p.output.dataset,
-        &refs,
-        &p.val_occupied,
-    )?)
-}
-
 /// Clusters the wireless sensors with the given similarity and count
 /// policy (seeded like the rest of the harness).
 ///

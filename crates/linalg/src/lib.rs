@@ -10,8 +10,6 @@
 //! * [`CholeskyDecomposition`] — SPD factorisation used by the
 //!   ridge-regularised normal equations and the Gaussian-process
 //!   mutual-information sensor selector,
-//! * [`LuDecomposition`] — general square solves, determinants and
-//!   inverses,
 //! * [`SymmetricEigen`] — a cyclic Jacobi eigensolver for the graph
 //!   Laplacians of the spectral-clustering stage,
 //! * [`lstsq`] — least-squares solvers (plain and ridge),
@@ -55,7 +53,6 @@ pub mod cast;
 mod cholesky;
 mod error;
 pub mod kernels;
-mod lu;
 mod matrix;
 mod qr;
 mod symmetric_eigen;
@@ -69,7 +66,6 @@ mod reference;
 
 pub use cholesky::{CholeskyDecomposition, LeaveOneOut};
 pub use error::LinalgError;
-pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use qr::QrDecomposition;
 pub use symmetric_eigen::SymmetricEigen;

@@ -16,7 +16,7 @@ use crate::{kernels, LinalgError, Result, Vector};
 /// pipeline needs (products, transpose, slicing by row/column index
 /// sets). Heavy factorisations live in dedicated types
 /// ([`crate::QrDecomposition`], [`crate::CholeskyDecomposition`],
-/// [`crate::SymmetricEigen`], [`crate::LuDecomposition`]).
+/// [`crate::SymmetricEigen`]).
 ///
 /// # Example
 ///

@@ -4,8 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
 use thermal_linalg::{
-    lstsq, stats, CholeskyDecomposition, LuDecomposition, Matrix, QrDecomposition, SymmetricEigen,
-    Vector,
+    lstsq, stats, CholeskyDecomposition, Matrix, QrDecomposition, SymmetricEigen, Vector,
 };
 
 /// Strategy: a finite `rows × cols` matrix with entries in [-10, 10].
@@ -62,19 +61,6 @@ proptest! {
         let x = CholeskyDecomposition::new(&a).unwrap().solve(&b).unwrap();
         let back = a.matvec(&x).unwrap();
         prop_assert!((&back - &b).norm2() < 1e-7 * b.norm2().max(1.0));
-    }
-
-    #[test]
-    fn lu_solve_satisfies_system(
-        a in matrix_strategy(4, 4),
-        b in prop::collection::vec(-5.0_f64..5.0, 4),
-    ) {
-        let Ok(lu) = LuDecomposition::new(&a) else { return Ok(()); };
-        let b = Vector::from_slice(&b);
-        let x = lu.solve(&b).unwrap();
-        let back = a.matvec(&x).unwrap();
-        // Condition number can be large for random draws; use a loose bound.
-        prop_assert!((&back - &b).norm2() < 1e-5 * b.norm2().max(1.0) + 1e-5);
     }
 
     #[test]

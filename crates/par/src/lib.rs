@@ -277,26 +277,6 @@ where
     try_parallel_map_with(thread_count(), items, f)
 }
 
-/// Runs `f` over every item for its side effects, in parallel, with
-/// an explicit thread count.
-pub fn parallel_for_each_with<T, F>(threads: usize, items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    let _units: Vec<()> = parallel_map_with(threads, items, |item| f(item));
-}
-
-/// Runs `f` over every item for its side effects using
-/// [`thread_count`] workers.
-pub fn parallel_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    parallel_for_each_with(thread_count(), items, f);
-}
-
 /// Splits `data` into fixed-length chunks (`chunk_len` apiece, the
 /// last possibly shorter) and calls `f(chunk_index, chunk)` on each,
 /// distributing chunks across `threads` workers.
@@ -383,17 +363,6 @@ mod tests {
         let ok: std::result::Result<Vec<usize>, usize> =
             try_parallel_map_with(8, &items, |&i| Ok(i));
         assert_eq!(ok.as_deref(), Ok(&items[..]));
-    }
-
-    #[test]
-    fn for_each_visits_every_item() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let sum = AtomicU64::new(0);
-        let items: Vec<u64> = (1..=100).collect();
-        parallel_for_each_with(4, &items, |&x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
     }
 
     #[test]

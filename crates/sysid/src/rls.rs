@@ -19,10 +19,12 @@
 //! [`rank_one_update`](thermal_linalg::CholeskyDecomposition::rank_one_update)
 //! instead of an `O(n³)` refactorisation, and the forgetting factor
 //! `λ` is applied by rescaling the factor
-//! ([`scale`](thermal_linalg::CholeskyDecomposition::scale)). At
-//! `λ = 1` the estimate reproduces the batch
-//! [`identify_from_data`](crate::identify_from_data) solution for the
-//! same ridge, which is what the property suite pins.
+//! ([`scale`](thermal_linalg::CholeskyDecomposition::scale)). The
+//! estimate reproduces the batch
+//! [`identify_from_data`](crate::identify_from_data) solution on rows
+//! weighted by `λ^((t−i)/2)` with ridge `λᵗ·ρ` (at `λ = 1`, the plain
+//! batch fit for the same ridge), which is what the property suite
+//! pins.
 
 use thermal_ckpt::codec::Record;
 use thermal_ckpt::{CkptError, Snapshot};

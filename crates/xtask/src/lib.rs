@@ -7,7 +7,6 @@
 
 pub mod allowlist;
 pub mod baseline;
-pub mod bench;
 pub mod checks;
 pub mod json;
 pub mod lexer;

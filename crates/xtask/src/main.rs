@@ -10,13 +10,7 @@
 //! - `cargo xtask fmt` — `cargo fmt --all`.
 //! - `cargo xtask ci` — fmt-check → clippy → lint → build → test →
 //!   fault-matrix smoke → allocation-budget gate → determinism smoke
-//!   → soak smokes (one per scenario row, plain and `--kill`) → quick
-//!   bench + sweep smoke (informational).
-//! - `cargo xtask bench [--label L] [--full] [--only B]` — curated
-//!   criterion benches, written as machine-readable
-//!   `BENCH_<label>.json`; `--compare <a> <b>` prints per-bench
-//!   speedups between two reports (rejecting the retired `mean_ns`
-//!   schema).
+//!   → soak smokes (one per scenario row, plain and `--kill`).
 //! - `cargo xtask soak <scenario> [--smoke] [--kill]` / `--list` —
 //!   the table-driven robustness runner (see `xtask::soak`): byte
 //!   determinism across repeats and thread counts, the fleet blast
@@ -28,25 +22,6 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
-
-/// The curated hot-path benches `cargo xtask bench` runs, in report
-/// order: the linalg kernels, the clustering stage, the
-/// identification stage (batch and recursive), and the end-to-end
-/// pipeline.
-const CURATED_BENCHES: &[&str] = &[
-    "bench_linalg",
-    "bench_clustering",
-    "bench_identification",
-    "bench_rls",
-    "bench_sweep",
-    "bench_pipeline",
-    "bench_stream",
-    "bench_fleet",
-];
-
-/// Iteration count for quick (default) bench mode, exported to the
-/// criterion shim via `THERMAL_BENCH_SAMPLES`.
-const QUICK_BENCH_SAMPLES: &str = "3";
 
 fn workspace_root() -> PathBuf {
     // crates/xtask/ -> crates/ -> workspace root.
@@ -64,7 +39,6 @@ fn main() -> ExitCode {
         "lint" => lint(&args[1..]),
         "fmt" => run_steps(&[step("fmt", &["fmt", "--all"])]),
         "ci" => ci(),
-        "bench" => bench(&args[1..]),
         "soak" => soak(&args[1..]),
         "miri" => miri(),
         "help" | "--help" | "-h" => {
@@ -90,12 +64,7 @@ fn print_help() {
          \x20                      (ratcheted: per-rule counts may only shrink)\n\
          \x20 fmt                  format the workspace (cargo fmt --all)\n\
          \x20 ci                   fmt-check, clippy, lint, build, test, fault-matrix,\n\
-         \x20                      determinism and soak smokes, quick bench (informational)\n\
-         \x20 bench [--label L]    curated hot-path benches -> BENCH_<L>.json\n\
-         \x20       [--full]      (default: quick mode, {QUICK_BENCH_SAMPLES} samples per bench)\n\
-         \x20       [--only B]     run a single curated bench binary\n\
-         \x20       [--compare <before.json> <after.json>]  print per-bench speedups;\n\
-         \x20                      rejects the retired `mean_ns` schema and mixed schemas\n\
+         \x20                      alloc-free, determinism and soak smokes\n\
          \x20 soak <scenario>      robustness runner: determinism, blast radius\n\
          \x20      [--smoke]       (short sweep / boundary kill points)\n\
          \x20      [--kill]        kill-point crash/resume sweep + corruption cases\n\
@@ -356,23 +325,6 @@ fn ci() -> ExitCode {
             return code;
         }
     }
-    // Informational quick benches: surface the hot-path wall-times in
-    // the CI log without gating on them — timings on shared runners
-    // are too noisy to be a pass/fail criterion. The dedicated sweep
-    // smoke keeps the memoized Fig. 5 sweep in its own report for the
-    // artifact upload.
-    if bench(&["--label".to_owned(), "ci-quick".to_owned()]) != ExitCode::SUCCESS {
-        eprintln!("xtask: quick bench failed (informational only, not gating CI)");
-    }
-    if bench(&[
-        "--only".to_owned(),
-        "bench_sweep".to_owned(),
-        "--label".to_owned(),
-        "sweep-smoke".to_owned(),
-    ]) != ExitCode::SUCCESS
-    {
-        eprintln!("xtask: sweep bench smoke failed (informational only, not gating CI)");
-    }
     ExitCode::SUCCESS
 }
 
@@ -430,159 +382,6 @@ fn determinism_smoke() -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
-}
-
-/// Runs the curated hot-path benches and writes `BENCH_<label>.json`
-/// at the workspace root.
-fn bench(args: &[String]) -> ExitCode {
-    let mut label = "local".to_owned();
-    let mut full = false;
-    let mut only: Option<String> = None;
-    let mut compare: Option<(String, String)> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--label" => match it.next() {
-                Some(l) => label = l.clone(),
-                None => {
-                    eprintln!("xtask bench: --label needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--full" => full = true,
-            "--only" => match it.next() {
-                Some(name) => only = Some(name.clone()),
-                None => {
-                    eprintln!("xtask bench: --only needs a bench name");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--compare" => match (it.next(), it.next()) {
-                (Some(a), Some(b)) => compare = Some((a.clone(), b.clone())),
-                _ => {
-                    eprintln!("xtask bench: --compare needs two report paths");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!(
-                    "xtask bench: unknown argument `{other}` (expected --label <L>, --full, \
-                     --only <bench>, --compare <before.json> <after.json>)"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some((before_path, after_path)) = compare {
-        return bench_compare(&before_path, &after_path);
-    }
-    let selected: Vec<&&str> = CURATED_BENCHES
-        .iter()
-        .filter(|name| only.as_deref().is_none_or(|o| o == **name))
-        .collect();
-    if selected.is_empty() {
-        eprintln!(
-            "xtask bench: --only `{}` matches no curated bench (expected one of {})",
-            only.unwrap_or_default(),
-            CURATED_BENCHES.join(", ")
-        );
-        return ExitCode::FAILURE;
-    }
-    let samples = if full { "default" } else { QUICK_BENCH_SAMPLES };
-    let root = workspace_root();
-    let mut records = Vec::new();
-    for name in selected {
-        eprintln!("xtask bench: {name} ({samples} samples)");
-        let mut cmd = Command::new(env!("CARGO"));
-        cmd.args(["bench", "--offline", "-p", "thermal-bench", "--bench", name])
-            .current_dir(&root);
-        if !full {
-            cmd.env("THERMAL_BENCH_SAMPLES", QUICK_BENCH_SAMPLES);
-        }
-        let output = match cmd.output() {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("xtask bench: could not start `{name}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !output.status.success() {
-            eprintln!(
-                "xtask bench: `{name}` failed with {}:\n{}",
-                output.status,
-                String::from_utf8_lossy(&output.stderr)
-            );
-            return ExitCode::FAILURE;
-        }
-        let parsed = xtask::bench::parse_bench_output(&String::from_utf8_lossy(&output.stdout));
-        if parsed.is_empty() {
-            eprintln!("xtask bench: `{name}` produced no parseable measurements");
-            return ExitCode::FAILURE;
-        }
-        for r in &parsed {
-            eprintln!(
-                "xtask bench:   {:<48} {:>12.3} ms/iter",
-                r.name,
-                r.median_ns / 1e6
-            );
-        }
-        records.extend(parsed);
-    }
-    let git_rev = Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(&root)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned());
-    let threads = thermal_par::thread_count();
-    let json = xtask::bench::render_json(&label, &git_rev, threads, samples, &records);
-    let path = root.join(format!("BENCH_{label}.json"));
-    // Atomic commit: a crash mid-write never leaves a torn report.
-    match thermal_ckpt::write_atomic(&path, json.as_bytes()) {
-        Ok(()) => {
-            eprintln!("xtask bench: wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask bench: could not write {}: {e}", path.display());
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Compares two committed bench reports, rejecting the retired
-/// `mean_ns` schema (and mean/median mixes) outright.
-fn bench_compare(before_path: &str, after_path: &str) -> ExitCode {
-    let root = workspace_root();
-    let load = |raw: &str| -> Result<Vec<xtask::bench::BenchRecord>, String> {
-        let path = Path::new(raw);
-        let path = if path.is_absolute() {
-            path.to_path_buf()
-        } else {
-            root.join(path)
-        };
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        xtask::bench::parse_report(&text).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let (before, after) = match (load(before_path), load(after_path)) {
-        (Ok(b), Ok(a)) => (b, a),
-        (b, a) => {
-            for err in [b.err(), a.err()].into_iter().flatten() {
-                eprintln!("xtask bench: cannot compare {err}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    let rows = xtask::bench::compare(&before, &after);
-    if rows.is_empty() {
-        eprintln!("xtask bench: the reports share no bench names");
-        return ExitCode::FAILURE;
-    }
-    print!("{}", xtask::bench::render_comparison(&rows));
     ExitCode::SUCCESS
 }
 

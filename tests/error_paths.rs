@@ -10,19 +10,20 @@
 
 use thermal_cluster::{cluster_trajectories, ClusterCount, ClusterError, SpectralConfig};
 use thermal_core::timeseries::{Channel, Dataset, TimeGrid, Timestamp};
-use thermal_linalg::{lstsq, CholeskyDecomposition, LinalgError, LuDecomposition, Matrix, Vector};
+use thermal_linalg::{lstsq, CholeskyDecomposition, LinalgError, Matrix, Vector};
 
 /// A column-rank-deficient least-squares problem (two identical
 /// columns) is reported as `Singular`, not solved garbage and not a
-/// panic.
+/// panic. The index is the diagonal of `R` where QR's back
+/// substitution broke down: the duplicate second column.
 #[test]
 fn rank_deficient_lstsq_is_singular() {
     let a = Matrix::from_rows(&[&[1.0, 1.0][..], &[2.0, 2.0][..], &[3.0, 3.0][..]]).unwrap();
     let b = Vector::from_slice(&[1.0, 2.0, 3.0]);
-    assert!(matches!(
-        lstsq::solve(&a, &b),
-        Err(LinalgError::Singular { .. })
-    ));
+    match lstsq::solve(&a, &b) {
+        Err(LinalgError::Singular { index }) => assert_eq!(index, 1),
+        other => panic!("expected Singular, got {other:?}"),
+    }
 }
 
 /// Fewer observations than unknowns is `Underdetermined`, with the
@@ -36,21 +37,6 @@ fn underdetermined_lstsq_carries_shape() {
             assert_eq!((rows, cols), (1, 3));
         }
         other => panic!("expected Underdetermined, got {other:?}"),
-    }
-}
-
-/// LU on a singular matrix reports the pivot index where elimination
-/// broke down.
-#[test]
-fn singular_lu_reports_pivot_index() {
-    let a = Matrix::from_rows(&[
-        &[1.0, 2.0][..],
-        &[2.0, 4.0][..], // row 2 = 2 x row 1
-    ])
-    .unwrap();
-    match LuDecomposition::new(&a) {
-        Err(LinalgError::Singular { index }) => assert_eq!(index, 1),
-        other => panic!("expected Singular, got {other:?}"),
     }
 }
 
