@@ -1,28 +1,21 @@
-//! `chaos_grid` — the kill-point chaos harness workload.
+//! `harness grid` — the checkpointed-campaign kill-point scenario.
 //!
 //! A deliberately small but *complete* checkpointed campaign: fit a
-//! reduced model on a synthetic dataset with
+//! reduced model on a five-sensor dataset with
 //! [`ThermalPipeline::fit_checkpointed`], run a fault-injection ×
 //! validation grid of supervised cells with [`thermal_ckpt::run_cell`],
 //! and commit a final `grid.csv` artifact — every byte on disk going
-//! through the atomic-write path. `cargo xtask soak grid --kill` runs
-//! this binary once cleanly to count durable writes, then re-runs it with
-//! `THERMAL_KILL_AT=k` for each k (crashing with exit code 86 at the
-//! k-th write), resumes, and asserts the final store is
-//! byte-identical to the uninterrupted run.
+//! through the atomic-write path, into the store at `<dir>`.
+//! `cargo xtask soak grid --kill` runs it once cleanly to count durable
+//! writes, then re-runs it with `THERMAL_KILL_AT=k` for each k
+//! (crashing with exit code 86 at the k-th write), resumes, and
+//! asserts the final store is byte-identical to the uninterrupted run.
 //!
-//! ```sh
-//! chaos_grid <store-dir> [--seed N]
-//! ```
-//!
-//! Exit codes: `0` success, `2` failure, `86` kill-point abort (from
-//! inside the atomic-write hook). The workload is fully
-//! deterministic: same seed ⇒ same artifacts, bit for bit.
+//! Flags: `--seed N` (default 42).
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::Path;
 
-use thermal_bench::Result;
+use thermal_bench::{BenchError, Result};
 use thermal_ckpt::codec::Record;
 use thermal_ckpt::{fnv1a64, run_cell, CellOutcome, CellPolicy, CheckpointStore};
 use thermal_core::{dataset_fingerprint, ClusterCount, ModelOrder, SelectorKind, ThermalPipeline};
@@ -30,55 +23,22 @@ use thermal_faults::{FaultDirective, FaultKind, FaultPlan};
 use thermal_timeseries::validate::{validate_channel, ValidationConfig};
 use thermal_timeseries::{Channel, Dataset, Mask, TimeGrid, Timestamp};
 
+use crate::Options;
+
 /// Fault classes × intensities making up the grid.
 const CLASSES: &[&str] = &["spike", "garbage", "stuck"];
 const INTENSITIES: &[f64] = &[0.0, 1.0];
 const CELL_TAG: &str = "chaos-cell-v1";
 
-fn die(msg: &str) -> ! {
-    eprintln!("chaos-grid: {msg}");
-    std::process::exit(2);
-}
-
-fn main() {
-    let mut dir: Option<PathBuf> = None;
-    let mut seed = 42_u64;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: chaos_grid <store-dir> [--seed N]");
-                std::process::exit(0);
-            }
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => die(&format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    let Some(dir) = dir else {
-        die("missing <store-dir> argument");
-    };
-    if let Err(e) = run(&dir, seed) {
-        die(&e.to_string());
-    }
-    println!(
-        "chaos-grid: durable writes = {}",
-        thermal_faults::durable_writes()
-    );
-    println!("chaos-grid: ok");
+/// Runs the scenario on the store at `<dir>`.
+pub fn run(options: &Options) -> std::result::Result<(), String> {
+    grid(&options.dir, options.seed.unwrap_or(42)).map_err(|e| e.to_string())
 }
 
 /// The synthetic campaign: five sensors in two thermal families
 /// driven by one input, 240 five-minute samples. Pure arithmetic —
 /// bit-identical on every run.
-fn synth_dataset() -> Result<Dataset> {
+fn five_sensor_dataset() -> Result<Dataset> {
     let n = 240;
     let u: Vec<f64> = (0..n)
         .map(|k| 0.5 + 0.5 * (k as f64 * 0.13).sin())
@@ -105,16 +65,15 @@ fn synth_dataset() -> Result<Dataset> {
     Ok(Dataset::new(grid, channels)?)
 }
 
-fn run(dir: &PathBuf, seed: u64) -> Result<()> {
-    let dataset = synth_dataset()?;
+fn grid(dir: &Path, seed: u64) -> Result<()> {
+    let dataset = five_sensor_dataset()?;
     let sensors = ["s0", "s1", "s2", "s3", "s4"];
     let mask = Mask::all(dataset.grid());
-    let mut store =
-        CheckpointStore::open(dir, seed, "chaos").map_err(thermal_bench::BenchError::from)?;
+    let mut store = CheckpointStore::open(dir, seed, "chaos")?;
     let report = store.open_report();
     if !report.fresh {
         eprintln!(
-            "chaos-grid: resuming (restored={} quarantined={:?} missing={:?} temps-swept={})",
+            "grid: resuming (restored={} quarantined={:?} missing={:?} temps-swept={})",
             report.restored, report.quarantined, report.missing, report.swept_temps
         );
     }
@@ -129,7 +88,7 @@ fn run(dir: &PathBuf, seed: u64) -> Result<()> {
     let (reduced, resume) =
         pipeline.fit_checkpointed(&dataset, &sensors, &["u"], &mask, &mut store, "fit")?;
     eprintln!(
-        "chaos-grid: fit restored={:?} computed={:?}",
+        "grid: fit restored={:?} computed={:?}",
         resume.restored, resume.computed
     );
 
@@ -143,28 +102,26 @@ fn run(dir: &PathBuf, seed: u64) -> Result<()> {
         bytes.extend_from_slice(&seed.to_le_bytes());
         fnv1a64(&bytes)
     };
-    let shared = Arc::new((dataset, seed));
     let policy = CellPolicy {
         max_attempts: 2,
         backoff_base_ms: 0,
-        deadline_ms: None,
         breaker_threshold: 6,
     };
     let mut rows = Vec::new();
     for &class in CLASSES {
         for (idx, &intensity) in INTENSITIES.iter().enumerate() {
             let name = format!("cell-{class}-{idx}.ck");
-            let ctx = Arc::clone(&shared);
-            let outcome = run_cell(&mut store, &name, &policy, move || {
-                eval_cell(&ctx.0, ctx.1, class, intensity, fp).map_err(|e| e.to_string())
-            })
-            .map_err(thermal_bench::BenchError::from)?;
+            let outcome = run_cell(&mut store, &name, &policy, || {
+                eval_cell(&dataset, seed, class, intensity, fp).map_err(|e| e.to_string())
+            })?;
             match outcome {
                 CellOutcome::Restored(bytes) | CellOutcome::Computed(bytes) => {
                     rows.push(decode_row(&bytes, fp)?);
                 }
                 CellOutcome::Quarantined { reason, .. } => {
-                    die(&format!("cell {name} quarantined unexpectedly: {reason}"));
+                    return Err(BenchError::Ckpt {
+                        detail: format!("cell {name} quarantined unexpectedly: {reason}"),
+                    });
                 }
             }
         }
@@ -176,9 +133,7 @@ fn run(dir: &PathBuf, seed: u64) -> Result<()> {
         csv.push_str(row);
         csv.push('\n');
     }
-    store
-        .put("grid.csv", csv.as_bytes())
-        .map_err(thermal_bench::BenchError::from)?;
+    store.put("grid.csv", csv.as_bytes())?;
     Ok(())
 }
 
@@ -235,12 +190,12 @@ fn eval_cell(
 
 /// Turns a verified cell payload into one CSV row.
 fn decode_row(bytes: &[u8], fingerprint: u64) -> Result<String> {
-    let err = || thermal_bench::BenchError::Protocol {
+    let err = || BenchError::Protocol {
         context: "chaos cell payload malformed",
     };
     let r = Record::decode(bytes, CELL_TAG).map_err(|_| err())?;
     if r.get_u64("fp").map_err(|_| err())? != fingerprint {
-        return Err(thermal_bench::BenchError::Protocol {
+        return Err(BenchError::Protocol {
             context: "chaos cell fingerprint mismatch",
         });
     }

@@ -1,4 +1,4 @@
-//! `recovery` — the drift-recovery soak workload.
+//! `harness recovery` — the drift-recovery soak scenario.
 //!
 //! One complete self-healing rehearsal: fit a reduced model on a
 //! synthetic multi-day campaign, inject a deterministic mid-trace
@@ -17,21 +17,17 @@
 //!   inside it at the end of the run,
 //! * every slot must step panic-free.
 //!
-//! The final state is written as canonical byte-stable JSON
-//! ([`thermal_stream::RecoveryReport`]) via the atomic-write path, so
-//! the `cargo xtask soak recovery` runner can require bitwise
-//! identical reports across repeated runs and `THERMAL_THREADS`
-//! settings.
+//! The final state is written to `<dir>/report.json` as canonical
+//! byte-stable JSON ([`thermal_stream::RecoveryReport`]) via the
+//! atomic-write path, so the `cargo xtask soak recovery` runner can
+//! require bitwise identical reports across repeated runs and
+//! `THERMAL_THREADS` settings. Refit cells go to the store at
+//! `<dir>/ckpt`, which each run clears first.
 //!
-//! ```sh
-//! recovery <report-file> [--days N] [--seed N] [--ckpt DIR]
-//! ```
-//!
-//! Exit codes: `0` success, `2` any violated invariant. Fully
-//! deterministic: same arguments ⇒ same report bytes.
+//! Flags: `--seed N` (default 42), `--days N` (default 2).
 
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use thermal_bench::campaign::{fit_model, synth_dataset};
 use thermal_faults::{FaultDirective, FaultKind, FaultPlan};
@@ -39,6 +35,8 @@ use thermal_stream::{
     DriftConfig, OnlineConfig, Reading, RecoveryClusterReport, RecoveryReport, StreamConfig,
     StreamService,
 };
+
+use crate::Options;
 
 /// Sliding residual window behind every reported RMSE (four hours).
 const WINDOW: usize = 48;
@@ -50,57 +48,6 @@ const RECOVERY_BUDGET: usize = 144;
 /// Recovery tolerance in milli-units: the windowed RMSE must fall
 /// back under `2.5 ×` the pre-shift baseline.
 const TOLERANCE_MILLIS: u32 = 2500;
-
-fn die(msg: &str) -> ! {
-    eprintln!("recovery: {msg}");
-    std::process::exit(2);
-}
-
-fn main() {
-    let mut out: Option<PathBuf> = None;
-    let mut days = 2_usize;
-    let mut seed = 42_u64;
-    let mut ckpt: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--days" => {
-                days = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&d| d > 0)
-                    .unwrap_or_else(|| die("--days needs a positive integer"));
-            }
-            "--seed" => {
-                seed = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--ckpt" => {
-                ckpt = Some(PathBuf::from(
-                    argv.next().unwrap_or_else(|| die("--ckpt needs a path")),
-                ));
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: recovery <report-file> [--days N] [--seed N] [--ckpt DIR]");
-                std::process::exit(0);
-            }
-            other if out.is_none() && !other.starts_with('-') => {
-                out = Some(PathBuf::from(other));
-            }
-            other => die(&format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    let Some(out) = out else {
-        die("missing <report-file> argument");
-    };
-    let ckpt = ckpt.unwrap_or_else(|| out.with_extension("ckpt"));
-    match run(&out, &ckpt, days, seed) {
-        Ok(()) => println!("recovery: ok"),
-        Err(e) => die(&e),
-    }
-}
 
 /// The online-loop tuning of the recovery scenario: a forgetting
 /// factor short enough that post-shift data dominates the estimator
@@ -124,7 +71,11 @@ fn online_config(ckpt: &Path, seed: u64) -> OnlineConfig {
     config
 }
 
-fn run(out: &Path, ckpt: &Path, days: usize, seed: u64) -> Result<(), String> {
+/// Runs the scenario: `<dir>/report.json`, refit cells in `<dir>/ckpt`.
+pub fn run(options: &Options) -> Result<(), String> {
+    let days = options.days.unwrap_or(2);
+    let seed = options.seed.unwrap_or(42);
+    let ckpt = options.dir.join("ckpt");
     // Fit on the clean history; then the building's physics change
     // mid-trace and stay changed — exactly the failure the online
     // identification loop exists for.
@@ -159,7 +110,7 @@ fn run(out: &Path, ckpt: &Path, days: usize, seed: u64) -> Result<(), String> {
     // drift recovery, not crash recovery, so stale refit cells from an
     // earlier run must not leak in.
     if ckpt.exists() {
-        std::fs::remove_dir_all(ckpt).map_err(|e| format!("clear {}: {e}", ckpt.display()))?;
+        std::fs::remove_dir_all(&ckpt).map_err(|e| format!("clear {}: {e}", ckpt.display()))?;
     }
 
     // In-order, complete delivery: the scenario isolates model-level
@@ -170,7 +121,7 @@ fn run(out: &Path, ckpt: &Path, days: usize, seed: u64) -> Result<(), String> {
     let mut service = StreamService::new(model.clone(), config, dataset.grid().start())
         .map_err(|e| e.to_string())?;
     service
-        .enable_online(online_config(ckpt, seed))
+        .enable_online(online_config(&ckpt, seed))
         .map_err(|e| e.to_string())?;
 
     // Registry wiring: dataset channel index → service channel index,
@@ -371,10 +322,9 @@ fn run(out: &Path, ckpt: &Path, days: usize, seed: u64) -> Result<(), String> {
         }
     }
 
-    if let Some(parent) = out.parent().filter(|p| p.components().next().is_some()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
-    }
-    thermal_ckpt::write_atomic(out, report.to_json().as_bytes()).map_err(|e| e.to_string())?;
-    println!("recovery: report = {}", out.display());
-    Ok(())
+    thermal_ckpt::write_atomic(
+        &options.dir.join("report.json"),
+        report.to_json().as_bytes(),
+    )
+    .map_err(|e| e.to_string())
 }

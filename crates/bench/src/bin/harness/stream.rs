@@ -1,4 +1,4 @@
-//! `soak` — the chaos-soak harness workload.
+//! `harness stream` — the corrupted-stream soak scenario.
 //!
 //! One complete deployment rehearsal per corruption intensity: fit a
 //! reduced model on a synthetic multi-day campaign, serialize the
@@ -11,31 +11,27 @@
 //! configured bound, and serves a prediction for every cluster.
 //!
 //! The final state (health machines, runtime counters, per-cluster
-//! predictions) is written as canonical byte-stable JSON
-//! ([`thermal_stream::SoakReport`]) via the atomic-write path, so the
-//! `cargo xtask soak stream` runner can require bitwise-identical reports
-//! across repeated runs and `THERMAL_THREADS` settings.
+//! predictions) is written to `<dir>/report.json` as canonical
+//! byte-stable JSON ([`thermal_stream::SoakReport`]) via the
+//! atomic-write path, so the `cargo xtask soak stream` runner can
+//! require bitwise-identical reports across repeated runs and
+//! `THERMAL_THREADS` settings.
 //!
-//! ```sh
-//! soak <report-file> [--days N] [--seed N] [--intensities a,b,c]
-//!      [--ckpt DIR] [--snap-every SLOTS]
-//! ```
+//! Flags: `--seed N` (default 42), `--days N` (default 3),
+//! `--intensities a,b,c` (milli-units, default `0,50,150,400`; `50`
+//! corrupts each CSV data line with probability 0.05) and
+//! `--snap-every SLOTS`.
 //!
-//! Intensities are in milli-units (`50` = corrupt each CSV data line
-//! with probability 0.05). Exit codes: `0` success, `2` any violated
-//! invariant. Fully deterministic: same arguments ⇒ same report
-//! bytes.
-//!
-//! With `--ckpt DIR` the run is **crash-safe**: the live service and
+//! With `--snap-every` the run is **crash-safe**: the live service and
 //! source state are snapshotted into a [`thermal_ckpt`] store at
-//! periodic slot boundaries, each completed intensity's report is
-//! snapshotted whole, and a re-launch after a mid-run kill restores
-//! the newest good snapshot and continues — producing a report
-//! byte-identical to an uninterrupted run (the restore-equivalence
-//! contract `cargo xtask soak stream --kill` enforces at every kill
-//! point).
+//! `<dir>/store` every that many slots, each completed intensity's
+//! report is snapshotted whole, and a re-launch after a mid-run kill
+//! restores the newest good snapshot and continues — producing a
+//! report byte-identical to an uninterrupted run (the
+//! restore-equivalence contract `cargo xtask soak stream --kill`
+//! enforces at every kill point).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use thermal_bench::campaign::{fit_model, synth_dataset, SLOTS_PER_DAY};
 use thermal_ckpt::codec::Record;
@@ -49,7 +45,9 @@ use thermal_stream::{
     parse_csv_events, BackoffPolicy, FlakySource, ReplayConfig, SoakIntensityReport,
     SoakPrediction, SoakReport, StreamConfig, StreamService, TraceReplayer,
 };
-use thermal_timeseries::{csv, Channel, Dataset};
+use thermal_timeseries::{csv, Dataset};
+
+use crate::Options;
 
 /// Default corruption intensities, milli-units.
 const DEFAULT_INTENSITIES: &[u32] = &[0, 50, 150, 400];
@@ -67,85 +65,6 @@ const OUTAGE_START: usize = SLOTS_PER_DAY / 4;
 /// Outage length in slots: five hours of silence, far past the
 /// dead-after threshold.
 const OUTAGE_LEN: usize = 60;
-
-fn die(msg: &str) -> ! {
-    eprintln!("soak: {msg}");
-    std::process::exit(2);
-}
-
-fn main() {
-    let mut out: Option<PathBuf> = None;
-    let mut days = 3_usize;
-    let mut seed = 42_u64;
-    let mut intensities: Vec<u32> = DEFAULT_INTENSITIES.to_vec();
-    let mut ckpt: Option<PathBuf> = None;
-    let mut snap_every = 32_usize;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--ckpt" => {
-                ckpt = Some(PathBuf::from(
-                    argv.next()
-                        .unwrap_or_else(|| die("--ckpt needs a directory")),
-                ));
-            }
-            "--snap-every" => {
-                snap_every = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--snap-every needs a positive integer"));
-            }
-            "--days" => {
-                days = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&d| d > 0)
-                    .unwrap_or_else(|| die("--days needs a positive integer"));
-            }
-            "--seed" => {
-                seed = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--intensities" => {
-                let raw = argv
-                    .next()
-                    .unwrap_or_else(|| die("--intensities needs a comma-separated list"));
-                intensities = raw
-                    .split(',')
-                    .map(|p| {
-                        p.trim()
-                            .parse()
-                            .unwrap_or_else(|_| die("--intensities entries must be integers"))
-                    })
-                    .collect();
-                if intensities.is_empty() {
-                    die("--intensities needs at least one entry");
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: soak <report-file> [--days N] [--seed N] [--intensities a,b,c] \
-                     [--ckpt DIR] [--snap-every SLOTS]"
-                );
-                std::process::exit(0);
-            }
-            other if out.is_none() && !other.starts_with('-') => {
-                out = Some(PathBuf::from(other));
-            }
-            other => die(&format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    let Some(out) = out else {
-        die("missing <report-file> argument");
-    };
-    match run(&out, days, seed, &intensities, ckpt.as_deref(), snap_every) {
-        Ok(()) => println!("soak: ok"),
-        Err(e) => die(&e),
-    }
-}
 
 /// Progress snapshots kept per namespace — enough to survive a torn
 /// newest snapshot and still fall back to an older good one.
@@ -169,9 +88,8 @@ struct SoakCkpt {
 }
 
 impl SoakCkpt {
-    fn open(dir: &Path, seed: u64, snap_every: usize) -> Result<Self, String> {
-        let mut store =
-            CheckpointStore::open(dir.to_path_buf(), seed, "soak-v1").map_err(|e| e.to_string())?;
+    fn open(dir: PathBuf, seed: u64, snap_every: usize) -> Result<Self, String> {
+        let mut store = CheckpointStore::open(dir, seed, "soak-v1").map_err(|e| e.to_string())?;
         let recovered =
             latest_record_snapshot(&mut store, "progress", PROGRESS_TAG, PROGRESS_VERSION)
                 .map_err(|e| e.to_string())?;
@@ -240,42 +158,17 @@ impl SoakCkpt {
     }
 }
 
-/// Returns `ds` with `name` blanked over the scripted outage window.
-fn with_outage(ds: &Dataset, name: &str) -> Result<Dataset, String> {
-    let channels: Vec<Channel> = ds
-        .channels()
-        .iter()
-        .map(|ch| {
-            if ch.name() == name {
-                let values = ch
-                    .values()
-                    .iter()
-                    .enumerate()
-                    .map(|(k, v)| {
-                        if (OUTAGE_START..OUTAGE_START + OUTAGE_LEN).contains(&k) {
-                            None
-                        } else {
-                            *v
-                        }
-                    })
-                    .collect();
-                Channel::new(ch.name(), values).map_err(|e| e.to_string())
-            } else {
-                Ok(ch.clone())
-            }
-        })
-        .collect::<Result<_, String>>()?;
-    Dataset::new(*ds.grid(), channels).map_err(|e| e.to_string())
-}
+/// Runs the scenario: `<dir>/report.json`, and `<dir>/store` with
+/// `--snap-every`.
+pub fn run(options: &Options) -> Result<(), String> {
+    let dir = &options.dir;
+    let days = options.days.unwrap_or(3);
+    let seed = options.seed.unwrap_or(42);
+    let intensities = options
+        .intensities
+        .as_deref()
+        .unwrap_or(DEFAULT_INTENSITIES);
 
-fn run(
-    out: &Path,
-    days: usize,
-    seed: u64,
-    intensities: &[u32],
-    ckpt_dir: Option<&Path>,
-    snap_every: usize,
-) -> Result<(), String> {
     // Fit on the clean history, then let the *deployed*
     // representative of the first cluster suffer the outage — exactly
     // the failure the backup ranking exists for.
@@ -286,16 +179,16 @@ fn run(
         .first()
         .cloned()
         .ok_or_else(|| "model selected no representatives".to_owned())?;
-    let deployed = with_outage(&dataset, &rep)?;
+    let deployed = dataset.with_outage(&rep, OUTAGE_START..OUTAGE_START + OUTAGE_LEN);
     let slots = deployed.grid().len();
-    println!("soak: slots = {slots}");
-    println!("soak: outage channel = {rep}");
+    println!("stream: slots = {slots}");
+    println!("stream: outage channel = {rep}");
     let csv_text = csv::to_csv_string(&deployed).map_err(|e| e.to_string())?;
 
-    let mut ckpt = match ckpt_dir {
-        Some(dir) => Some(SoakCkpt::open(dir, seed, snap_every)?),
-        None => None,
-    };
+    let mut ckpt = options
+        .snap_every
+        .map(|snap_every| SoakCkpt::open(dir.join("store"), seed, snap_every))
+        .transpose()?;
     let mut reports = Vec::new();
     for (index, &millis) in intensities.iter().enumerate() {
         let report = match ckpt.as_mut().and_then(|ck| ck.load_intensity(index)) {
@@ -317,7 +210,7 @@ fn run(
             }
         };
         println!(
-            "soak: intensity {millis} corrupted={} parsed={} applied={} trips={} depth={}/{}",
+            "stream: intensity {millis} corrupted={} parsed={} applied={} trips={} depth={}/{}",
             report.corrupted_lines,
             report.ingest.parsed,
             report.service.applied,
@@ -334,16 +227,8 @@ fn run(
         slots,
         intensities: reports,
     };
-    if let Some(parent) = out.parent().filter(|p| p.components().next().is_some()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
-    }
-    thermal_ckpt::write_atomic(out, report.to_json().as_bytes()).map_err(|e| e.to_string())?;
-    println!(
-        "soak: durable writes = {}",
-        thermal_faults::durable_writes()
-    );
-    println!("soak: report = {}", out.display());
-    Ok(())
+    thermal_ckpt::write_atomic(&dir.join("report.json"), report.to_json().as_bytes())
+        .map_err(|e| e.to_string())
 }
 
 /// Replays the whole trace once at one corruption intensity,

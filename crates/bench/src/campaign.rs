@@ -1,5 +1,5 @@
-//! The synthetic campaign shared by the `soak` and `recovery`
-//! workloads, so the two harnesses stress one physics: six sensors in
+//! The synthetic campaign shared by the harness's `stream` and
+//! `recovery` scenarios, so the two stress one physics: six sensors in
 //! two thermal families of three, driven by one shared input, and the
 //! first-order reduced model both of them serve. Pure arithmetic —
 //! bit-identical on every run.

@@ -22,8 +22,6 @@
 //! first cell reproduces the clean-baseline RMSE bit-for-bit — the
 //! anchor that makes the curves comparable.
 
-use std::sync::Arc;
-
 use thermal_ckpt::codec::Record;
 use thermal_ckpt::{run_cell, CellOutcome, CellPolicy, CheckpointStore, Fnv64};
 use thermal_cluster::ClusterCount;
@@ -147,12 +145,10 @@ fn validate_temps(
     Ok((Dataset::new(*dataset.grid(), channels)?, quarantined))
 }
 
-/// Everything a cell evaluation shares across the sweep. Owns its
-/// data (cloned once from the [`Protocol`]) so checkpointed cells
-/// can run under `'static` supervision closures via [`Arc`].
-struct SweepContext {
-    dataset: Dataset,
-    val_mask: Mask,
+/// Everything a cell evaluation shares across the sweep.
+struct SweepContext<'a> {
+    dataset: &'a Dataset,
+    val_mask: &'a Mask,
     reduced: ReducedModel,
     temps: Vec<String>,
     config: ValidationConfig,
@@ -160,11 +156,11 @@ struct SweepContext {
     horizon: usize,
 }
 
-impl SweepContext {
-    fn build(p: &Protocol, reduced: ReducedModel) -> Self {
+impl<'a> SweepContext<'a> {
+    fn build(p: &'a Protocol, reduced: ReducedModel) -> Self {
         SweepContext {
-            dataset: p.output.dataset.clone(),
-            val_mask: p.val_occupied.clone(),
+            dataset: &p.output.dataset,
+            val_mask: &p.val_occupied,
             reduced,
             temps: p.temperature_channels(),
             config: ValidationConfig::default(),
@@ -176,7 +172,7 @@ impl SweepContext {
 
 /// Runs one `(class, intensity)` cell.
 fn run_sweep_cell(
-    ctx: &SweepContext,
+    ctx: &SweepContext<'_>,
     class: &'static str,
     intensity: f64,
 ) -> Result<FaultMatrixCell> {
@@ -188,14 +184,14 @@ fn run_sweep_cell(
         ctx.temps.clone(),
         intensity,
     ));
-    let (faulted, log) = plan.apply(&ctx.dataset)?;
+    let (faulted, log) = plan.apply(ctx.dataset)?;
     let raw = ctx
         .reduced
-        .evaluate_degraded(&faulted, &ctx.val_mask, ctx.horizon, &ctx.policy)?;
+        .evaluate_degraded(&faulted, ctx.val_mask, ctx.horizon, &ctx.policy)?;
     let (cleaned, quarantined) = validate_temps(&faulted, &ctx.temps, &ctx.config)?;
     let validated =
         ctx.reduced
-            .evaluate_degraded(&cleaned, &ctx.val_mask, ctx.horizon, &ctx.policy)?;
+            .evaluate_degraded(&cleaned, ctx.val_mask, ctx.horizon, &ctx.policy)?;
     let rms_of = |out: &thermal_core::DegradedEvaluation| -> Result<Option<f64>> {
         match &out.report {
             Some(r) => Ok(Some(r.rms()?)),
@@ -310,12 +306,10 @@ fn decode_cell(bytes: &[u8], fingerprint: u64) -> Result<FaultMatrixCell> {
 /// dataset bits over the swept channels, the validation mask, the
 /// fitted model, the validation/degradation configuration, and the
 /// fault seed.
-fn cell_fingerprint(ctx: &SweepContext, input_refs: &[&str]) -> u64 {
+fn cell_fingerprint(ctx: &SweepContext<'_>, input_refs: &[&str]) -> u64 {
     let temp_refs: Vec<&str> = ctx.temps.iter().map(String::as_str).collect();
     let mut h = Fnv64::new();
-    h.update(
-        &dataset_fingerprint(&ctx.dataset, &temp_refs, input_refs, &ctx.val_mask).to_le_bytes(),
-    );
+    h.update(&dataset_fingerprint(ctx.dataset, &temp_refs, input_refs, ctx.val_mask).to_le_bytes());
     h.update(format!("{:?}", ctx.reduced).as_bytes());
     h.update(format!("{:?}|{:?}|{}", ctx.config, ctx.policy, ctx.horizon).as_bytes());
     h.update(&FAULT_SEED.to_le_bytes());
@@ -327,7 +321,7 @@ fn cell_fingerprint(ctx: &SweepContext, input_refs: &[&str]) -> u64 {
 /// Each `(class, intensity)` cell runs under
 /// [`thermal_ckpt::run_cell`]: restored from `store` when a verified
 /// checkpoint exists, otherwise executed with the policy's
-/// deadline/retry/breaker supervision and committed atomically. The
+/// retry/breaker supervision and committed atomically. The
 /// model fit itself resumes via
 /// [`ThermalPipeline::fit_checkpointed`]. Cells run sequentially —
 /// supervision trades the plain sweep's fan-out for per-cell
@@ -351,7 +345,7 @@ pub fn fault_matrix_checkpointed(
     policy: &CellPolicy,
 ) -> Result<Vec<FaultCellOutcome>> {
     let (reduced, _resume) = fit_clean_checkpointed(p, store)?;
-    let ctx = Arc::new(SweepContext::build(p, reduced));
+    let ctx = SweepContext::build(p, reduced);
     let inputs = p.input_channels();
     let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
     let fp = cell_fingerprint(&ctx, &input_refs);
@@ -362,9 +356,8 @@ pub fn fault_matrix_checkpointed(
             // The fingerprint is part of the name, so stale
             // checkpoints (other data/config) simply never match.
             let name = format!("fm-{class}-{:016x}-{fp:016x}.ck", intensity.to_bits());
-            let cell_ctx = Arc::clone(&ctx);
-            let outcome = run_cell(store, &name, policy, move || {
-                run_sweep_cell(&cell_ctx, class, intensity)
+            let outcome = run_cell(store, &name, policy, || {
+                run_sweep_cell(&ctx, class, intensity)
                     .map(|cell| encode_cell(&cell, fp))
                     .map_err(|e| e.to_string())
             })?;
@@ -632,7 +625,6 @@ mod tests {
         let policy = CellPolicy {
             max_attempts: 2,
             backoff_base_ms: 0,
-            deadline_ms: None,
             breaker_threshold: 2,
         };
         let out = run_cell(&mut store, "doomed.ck", &policy, || {

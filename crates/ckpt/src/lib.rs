@@ -16,8 +16,8 @@
 //!   corrupt/truncated/orphaned files, discard on identity mismatch)
 //!   and reports it via [`OpenReport`],
 //! * [`run_cell`] — the supervised resumable cell: restore from
-//!   checkpoint, else execute under per-cell deadline, bounded
-//!   deterministic retry/backoff, and a persisted circuit breaker
+//!   checkpoint, else execute under bounded deterministic
+//!   retry/backoff and a persisted circuit breaker
 //!   that yields [`CellOutcome::Quarantined`] instead of aborting the
 //!   grid,
 //! * [`CircuitBreaker`] — the in-memory, tick-driven counterpart of

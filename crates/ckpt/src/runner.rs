@@ -1,4 +1,4 @@
-//! The supervised cell runner: resume, retry, deadline, breaker.
+//! The supervised cell runner: resume, retry, breaker.
 //!
 //! A *cell* is one unit of recomputable work in a grid or pipeline —
 //! identified by a stable name, producing a byte payload (encoded via
@@ -13,13 +13,7 @@
 //!    rest of the grid still completes. Failure counts live in the
 //!    manifest, so a cell that crash-loops the whole process is still
 //!    recognized across restarts.
-//! 3. **Deadline** — with [`CellPolicy::deadline_ms`] set, the cell
-//!    body runs on a helper thread and the runner waits at most that
-//!    long. Rust cannot kill a thread, so a hung body is abandoned
-//!    (it leaks until it returns) and the attempt counts as a
-//!    failure; this bounds the *runner's* latency, which is what grid
-//!    progress needs.
-//! 4. **Bounded deterministic retry** — up to
+//! 3. **Bounded deterministic retry** — up to
 //!    [`CellPolicy::max_attempts`] tries with exponential backoff
 //!    (`backoff_base_ms << (attempt-1)`). The schedule is a pure
 //!    function of the policy; no jitter, no wall-clock dependence in
@@ -29,8 +23,6 @@
 //! manifest update) *before* the outcome is returned, so a crash
 //! immediately after a cell completes never loses its work.
 
-use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::CkptError;
@@ -43,9 +35,6 @@ pub struct CellPolicy {
     pub max_attempts: u32,
     /// Base backoff before retry `n` is `backoff_base_ms << (n-1)`.
     pub backoff_base_ms: u64,
-    /// Per-attempt wall-clock deadline; `None` runs the body inline
-    /// with no timeout (no helper thread).
-    pub deadline_ms: Option<u64>,
     /// Persisted consecutive-failure count at which the breaker opens
     /// and the cell is skipped without execution.
     pub breaker_threshold: u32,
@@ -56,7 +45,6 @@ impl Default for CellPolicy {
         Self {
             max_attempts: 2,
             backoff_base_ms: 10,
-            deadline_ms: None,
             breaker_threshold: 6,
         }
     }
@@ -100,14 +88,13 @@ impl CellOutcome {
 }
 
 /// Executes one supervised cell: resume from checkpoint if possible,
-/// otherwise run `work` under the policy's deadline/retry/breaker
-/// rules and commit the result.
+/// otherwise run `work` under the policy's retry/breaker rules and
+/// commit the result.
 ///
-/// `work` returns the cell's encoded payload or a failure message.
-/// It must be `'static` because deadline supervision runs it on a
-/// helper thread; share context via `Arc`. `Err` is only returned
-/// for store I/O failures — cell failures surface as
-/// [`CellOutcome::Quarantined`].
+/// `work` returns the cell's encoded payload or a failure message; it
+/// runs inline on the caller's thread and may borrow the caller's
+/// data. `Err` is only returned for store I/O failures — cell failures
+/// surface as [`CellOutcome::Quarantined`].
 pub fn run_cell<W>(
     store: &mut CheckpointStore,
     name: &str,
@@ -115,7 +102,7 @@ pub fn run_cell<W>(
     work: W,
 ) -> Result<CellOutcome, CkptError>
 where
-    W: Fn() -> Result<Vec<u8>, String> + Send + Sync + 'static,
+    W: Fn() -> Result<Vec<u8>, String>,
 {
     if let Some(bytes) = store.get(name)? {
         store.clear_failures(name)?;
@@ -135,13 +122,12 @@ where
         });
     }
 
-    let work = Arc::new(work);
     let max_attempts = policy.max_attempts.max(1);
     let mut last_reason = String::new();
     let mut attempts = 0u32;
     for attempt in 1..=max_attempts {
         attempts = attempt;
-        match execute(&work, policy.deadline_ms) {
+        match work() {
             Ok(bytes) => {
                 store.put(name, &bytes)?;
                 store.clear_failures(name)?;
@@ -175,35 +161,11 @@ where
     })
 }
 
-/// Runs the cell body, inline or under a deadline on a helper thread.
-fn execute<W>(work: &Arc<W>, deadline_ms: Option<u64>) -> Result<Vec<u8>, String>
-where
-    W: Fn() -> Result<Vec<u8>, String> + Send + Sync + 'static,
-{
-    let Some(deadline) = deadline_ms else {
-        return (work)();
-    };
-    let (tx, rx) = mpsc::channel();
-    let body = Arc::clone(work);
-    std::thread::spawn(move || {
-        let _ = tx.send((body)());
-    });
-    match rx.recv_timeout(Duration::from_millis(deadline)) {
-        Ok(result) => result,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            Err(format!("deadline exceeded after {deadline} ms"))
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            Err("cell body terminated without a result".to_string())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -216,7 +178,6 @@ mod tests {
         CellPolicy {
             max_attempts: 2,
             backoff_base_ms: 0,
-            deadline_ms: None,
             breaker_threshold: 6,
         }
     }
@@ -225,19 +186,18 @@ mod tests {
     fn computed_then_restored() {
         let root = scratch("restore");
         let mut store = CheckpointStore::open(&root, 1, "r").unwrap();
-        let calls = Arc::new(AtomicU32::new(0));
-        let c = Arc::clone(&calls);
-        let work = move || {
-            c.fetch_add(1, Ordering::SeqCst);
+        let calls = Cell::new(0);
+        let work = || {
+            calls.set(calls.get() + 1);
             Ok(b"payload".to_vec())
         };
-        let out = run_cell(&mut store, "cell", &quick_policy(), work.clone()).unwrap();
+        let out = run_cell(&mut store, "cell", &quick_policy(), work).unwrap();
         assert_eq!(out, CellOutcome::Computed(b"payload".to_vec()));
         // Second run resumes without executing.
         let out = run_cell(&mut store, "cell", &quick_policy(), work).unwrap();
         assert!(out.was_restored());
         assert_eq!(out.bytes(), Some(&b"payload"[..]));
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.get(), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -245,10 +205,10 @@ mod tests {
     fn retry_recovers_from_transient_failure() {
         let root = scratch("retry");
         let mut store = CheckpointStore::open(&root, 1, "r").unwrap();
-        let calls = Arc::new(AtomicU32::new(0));
-        let c = Arc::clone(&calls);
-        let out = run_cell(&mut store, "cell", &quick_policy(), move || {
-            if c.fetch_add(1, Ordering::SeqCst) == 0 {
+        let calls = Cell::new(0);
+        let out = run_cell(&mut store, "cell", &quick_policy(), || {
+            calls.set(calls.get() + 1);
+            if calls.get() == 1 {
                 Err("transient".to_string())
             } else {
                 Ok(b"ok".to_vec())
@@ -256,7 +216,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out, CellOutcome::Computed(b"ok".to_vec()));
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(calls.get(), 2);
         // Success clears the interim failure record.
         assert_eq!(store.failure_count("cell"), 0);
         let _ = std::fs::remove_dir_all(&root);
@@ -302,10 +262,9 @@ mod tests {
         let _ = run_cell(&mut store, "bad", &policy, || Err("x".to_string())).unwrap();
         let _ = run_cell(&mut store, "bad", &policy, || Err("x".to_string())).unwrap();
         assert!(store.failure_count("bad") >= 3);
-        let calls = Arc::new(AtomicU32::new(0));
-        let c = Arc::clone(&calls);
-        let out = run_cell(&mut store, "bad", &policy, move || {
-            c.fetch_add(1, Ordering::SeqCst);
+        let calls = Cell::new(0);
+        let out = run_cell(&mut store, "bad", &policy, || {
+            calls.set(calls.get() + 1);
             Ok(vec![])
         })
         .unwrap();
@@ -318,38 +277,7 @@ mod tests {
             }
             other => panic!("expected open breaker, got {other:?}"),
         }
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            0,
-            "breaker must skip execution"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn deadline_bounds_a_hung_cell() {
-        let root = scratch("deadline");
-        let mut store = CheckpointStore::open(&root, 1, "r").unwrap();
-        let policy = CellPolicy {
-            max_attempts: 1,
-            backoff_base_ms: 0,
-            deadline_ms: Some(20),
-            breaker_threshold: 6,
-        };
-        let out = run_cell(&mut store, "hung", &policy, || {
-            std::thread::sleep(Duration::from_millis(5_000));
-            Ok(vec![])
-        })
-        .unwrap();
-        match out {
-            CellOutcome::Quarantined { reason, .. } => {
-                assert!(reason.contains("deadline exceeded"), "reason: {reason}");
-            }
-            other => panic!("expected deadline quarantine, got {other:?}"),
-        }
-        // A fast cell under the same policy still completes.
-        let out = run_cell(&mut store, "fast", &policy, || Ok(b"quick".to_vec())).unwrap();
-        assert_eq!(out, CellOutcome::Computed(b"quick".to_vec()));
+        assert_eq!(calls.get(), 0, "breaker must skip execution");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

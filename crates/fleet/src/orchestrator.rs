@@ -37,7 +37,7 @@ use thermal_stream::{
     parse_csv_events, BackoffPolicy, FlakySource, ReplayConfig, SoakPrediction, StreamConfig,
     StreamService, TraceReplayer,
 };
-use thermal_timeseries::{csv, Channel, Dataset, Mask};
+use thermal_timeseries::{csv, Mask};
 
 use crate::admission::{AdmissionPlan, AdmissionPolicy};
 use crate::error::{FleetError, Result};
@@ -351,10 +351,7 @@ fn serve_building(
             })?;
         let start = slots / 4;
         let len = OUTAGE_LEN.min(slots.saturating_sub(start) / 2);
-        with_outage(&sim.dataset, &rep, start, len).map_err(|reason| FleetError::Serve {
-            building: spec.id,
-            reason,
-        })?
+        sim.dataset.with_outage(&rep, start..start + len)
     } else {
         sim.dataset.clone()
     };
@@ -511,39 +508,6 @@ fn serve_checkpointed(
         }
     }
     Ok(())
-}
-
-/// Returns `ds` with `name` blanked over `[start, start + len)`.
-fn with_outage(
-    ds: &Dataset,
-    name: &str,
-    start: usize,
-    len: usize,
-) -> std::result::Result<Dataset, String> {
-    let channels: Vec<Channel> = ds
-        .channels()
-        .iter()
-        .map(|ch| {
-            if ch.name() == name {
-                let values = ch
-                    .values()
-                    .iter()
-                    .enumerate()
-                    .map(|(k, v)| {
-                        if (start..start + len).contains(&k) {
-                            None
-                        } else {
-                            *v
-                        }
-                    })
-                    .collect();
-                Channel::new(ch.name(), values).map_err(|e| e.to_string())
-            } else {
-                Ok(ch.clone())
-            }
-        })
-        .collect::<std::result::Result<_, String>>()?;
-    Dataset::new(*ds.grid(), channels).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -23,12 +23,10 @@
 //! [`thread_count`] resolves the worker count from the
 //! `THERMAL_THREADS` environment variable when it is set to a positive
 //! integer, falling back to [`std::thread::available_parallelism`].
-//! Malformed values never abort a run: [`resolve_thread_count`]
-//! classifies the rejection as a typed [`ThreadsParseError`], the
-//! documented fallback is used, and a warning naming the variable and
-//! the reason is printed once per process. Values above
-//! [`MAX_THREADS`] are clamped rather than trusted. The `*_with`
-//! variants accept an explicit count and never consult the
+//! Malformed values never abort a run: the fallback is used, and a
+//! warning naming the variable and the reason is printed once per
+//! process. Values above 512 are clamped rather than trusted. The
+//! `*_with` variants accept an explicit count and never consult the
 //! environment — they are the differential-testing surface.
 //!
 //! # Implementation notes
@@ -57,12 +55,11 @@ pub const THREADS_ENV: &str = "THERMAL_THREADS";
 /// Largest worker count accepted from the environment. A larger value
 /// is almost certainly a typo (e.g. a pasted seed); it is clamped here
 /// because each combinator call spawns `threads` OS threads.
-pub const MAX_THREADS: usize = 512;
+pub(crate) const MAX_THREADS: usize = 512;
 
 /// Why a [`THREADS_ENV`] value was rejected (or clamped).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ThreadsParseError {
+pub(crate) enum ThreadsParseError {
     /// The value did not parse as an unsigned integer.
     NotANumber {
         /// The raw (trimmed) value found in the environment.
@@ -104,7 +101,7 @@ impl std::error::Error for ThreadsParseError {}
 /// - anything else → available parallelism +
 ///   [`ThreadsParseError::NotANumber`].
 #[must_use]
-pub fn resolve_thread_count(raw: Option<&str>) -> (usize, Option<ThreadsParseError>) {
+pub(crate) fn resolve_thread_count(raw: Option<&str>) -> (usize, Option<ThreadsParseError>) {
     let fallback = || thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let Some(raw) = raw else {
         return (fallback(), None);

@@ -18,7 +18,7 @@
 //!    physics;
 //! 3. when a cluster has confirmed drift and the estimator is warm,
 //!    launches a **supervised refit**: the RLS solve runs as one
-//!    retry/deadline/breaker-supervised cell through
+//!    retry/breaker-supervised cell through
 //!    [`thermal_ckpt::run_cell`], its coefficient payload bit-exactly
 //!    encoded via [`thermal_ckpt::codec::Record`]. The old model keeps
 //!    serving (flagged degraded) until the refit lands; a quarantined
@@ -64,8 +64,7 @@ pub struct OnlineConfig {
     pub checkpoint_root: PathBuf,
     /// Store seed recorded in the checkpoint manifest.
     pub seed: u64,
-    /// Supervision policy of each refit cell (retry, deadline,
-    /// breaker).
+    /// Supervision policy of each refit cell (retry, breaker).
     pub cell: CellPolicy,
     /// Minimum accepted transitions before a refit may be attempted —
     /// keeps a barely-warm estimator from replacing a well-fitted
@@ -471,7 +470,7 @@ impl OnlineIdentifier {
 
     /// Launches one supervised refit through the checkpoint runner:
     /// drifting clusters move to [`ModelHealth::Refitting`], the RLS
-    /// solve runs as a retried/deadlined/breaker-guarded cell, and on
+    /// solve runs as a retried, breaker-guarded cell, and on
     /// success the decoded replacement model is returned for the
     /// service to install (clusters then move to
     /// [`ModelHealth::Recovered`]). On quarantine the clusters fall
@@ -505,9 +504,9 @@ impl OnlineIdentifier {
         }
     }
 
-    /// The supervised solve itself: estimator snapshot → `run_cell` →
-    /// bit-exact payload → decoded model. Any failure (store I/O,
-    /// quarantine, decode) yields `None`.
+    /// The supervised solve itself: estimator → `run_cell` → bit-exact
+    /// payload → decoded model. Any failure (store I/O, quarantine,
+    /// decode) yields `None`.
     fn run_refit_cell(&self, name: &str) -> Option<ThermalModel> {
         let mut store = CheckpointStore::open(
             self.config.checkpoint_root.clone(),
@@ -515,9 +514,8 @@ impl OnlineIdentifier {
             "online",
         )
         .ok()?;
-        let snapshot = self.estimator.clone();
-        let outcome = run_cell(&mut store, name, &self.config.cell, move || {
-            let model = snapshot.solve().map_err(|e| e.to_string())?;
+        let outcome = run_cell(&mut store, name, &self.config.cell, || {
+            let model = self.estimator.solve().map_err(|e| e.to_string())?;
             Ok(encode_refit(&model))
         })
         .ok()?;

@@ -1301,7 +1301,6 @@ mod tests {
         config.cell = thermal_ckpt::CellPolicy {
             max_attempts: 2,
             backoff_base_ms: 0,
-            deadline_ms: None,
             breaker_threshold: 6,
         };
         config.min_refit_observations = 8;

@@ -4,6 +4,7 @@
 //! and carry optional samples so sensor gaps stay explicit.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -243,6 +244,29 @@ impl Dataset {
         Dataset::new(self.grid, channels)
     }
 
+    /// Returns a copy with channel `name` blanked to `None` over
+    /// `slots`: a scripted outage of one sensor. Slots past the grid,
+    /// and a `name` no channel carries, blank nothing.
+    pub fn with_outage(&self, name: &str, slots: Range<usize>) -> Dataset {
+        let gaps: Vec<usize> = (slots.start..slots.end.min(self.grid.len())).collect();
+        let channels = self
+            .channels
+            .iter()
+            .map(|ch| {
+                if ch.name() == name {
+                    ch.with_gaps(&gaps)
+                } else {
+                    ch.clone()
+                }
+            })
+            .collect();
+        Dataset {
+            grid: self.grid,
+            channels,
+            index: self.index.clone(),
+        }
+    }
+
     /// Returns a copy where samples *outside* `mask` are blanked to
     /// `None` in every channel (used to restrict a dataset to a mode
     /// or a train/validation day set).
@@ -404,6 +428,18 @@ mod tests {
         assert_eq!(r.channel("a").unwrap().value(2), None); // was gap, stays gap
         let bad = Mask::from_bits(vec![true]);
         assert!(ds.restricted_to(&bad).is_err());
+    }
+
+    #[test]
+    fn outage_blanks_one_channel_over_the_slots() {
+        let ds = small();
+        let out = ds.with_outage("b", 3..9);
+        let b = out.channel("b").unwrap();
+        assert_eq!(b.values()[..3], [Some(10.0), Some(20.0), Some(30.0)]);
+        assert_eq!(b.values()[3..], [None, None, None]);
+        assert_eq!(out.channel("a"), ds.channel("a"));
+        assert_eq!(out.presence_mask(&[1]).unwrap().count(), 3);
+        assert_eq!(ds.with_outage("zz", 0..6), ds);
     }
 
     #[test]

@@ -74,31 +74,18 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Path prefixes allowed to read wall clocks (`Instant::now`,
-/// `SystemTime::now`): the benchmark / reproduction binaries, whose
-/// job is to measure wall time. Designate a new clock module by
-/// adding its workspace-relative path prefix here.
-pub const CLOCK_MODULES: &[&str] = &["crates/bench/src/bin/"];
+/// `SystemTime::now`): the reproduction binary, which times its
+/// experiments. Nothing else may: a wall timestamp in a report or a
+/// snapshot record would break the byte comparisons of
+/// `cargo xtask soak`. Designate a new clock module by adding its
+/// workspace-relative path prefix here.
+pub const CLOCK_MODULES: &[&str] = &["crates/bench/src/bin/repro.rs"];
 
 /// Path prefixes allowed to read the process environment
 /// (`env::var`): the two designated configuration surfaces — the
 /// `thermal-par` thread-count pin and the `thermal-faults` kill-point
 /// switch. Everything else must take configuration as arguments.
 pub const CONFIG_MODULES: &[&str] = &["crates/par/src/lib.rs", "crates/faults/src/killpoint.rs"];
-
-/// Path prefixes carrying snapshot capture/restore code, where
-/// wall-clock reads are findings **even inside a designated clock
-/// module**: a wall timestamp folded into a snapshot record would
-/// break the restore-equivalence byte comparisons of
-/// `cargo xtask soak stream|fleet --kill` (see DESIGN.md
-/// § restore-equivalence). Snapshot timestamping must come from the
-/// simulated clock ([`SimClock`] state travels inside the snapshot).
-pub const SNAPSHOT_MODULES: &[&str] = &[
-    "crates/ckpt/src/snapshot.rs",
-    "crates/ckpt/src/breaker.rs",
-    "crates/bench/src/bin/soak.rs",
-    "crates/fleet/src/orchestrator.rs",
-    "crates/fleet/src/shard.rs",
-];
 
 /// Path prefixes where reachable panics are findings (rule family B):
 /// the streaming ingest path, the dense kernels and the reduction
@@ -311,10 +298,7 @@ pub fn check_source(rel_path: &str, content: &str, allow: &Allowlist, out: &mut 
         );
     }
 
-    // Snapshot modules revoke a clock designation: even a bench
-    // binary allowed to measure wall time must not fold it into
-    // snapshot records.
-    let in_clock = path_in(rel_path, CLOCK_MODULES) && !path_in(rel_path, SNAPSHOT_MODULES);
+    let in_clock = path_in(rel_path, CLOCK_MODULES);
     let in_config = path_in(rel_path, CONFIG_MODULES);
     let hot = path_in(rel_path, HOT_PATH_MODULES);
     let steady = path_in(rel_path, STEADY_STATE_MODULES);
@@ -1117,7 +1101,7 @@ mod tests {
 
     #[test]
     fn ambient_authority_respects_designations() {
-        // The bench binaries are designated clock modules.
+        // The repro binary is the designated clock module.
         let v = scan_at(
             "crates/bench/src/bin/repro.rs",
             "//! doc\nfn f() { let _ = std::time::Instant::now(); }\n",
@@ -1138,27 +1122,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_modules_revoke_the_clock_designation() {
-        // The soak binary sits inside the bench clock designation,
-        // but it captures snapshots: wall-clock reads there must be
-        // findings — a wall timestamp in a snapshot record would
-        // break restore-equivalence byte comparisons.
-        for src in [
-            "//! doc\nfn f() { let _ = std::time::SystemTime::now(); }\n",
-            "//! doc\nfn f() { let _ = std::time::Instant::now(); }\n",
-        ] {
-            let v = scan_at("crates/bench/src/bin/soak.rs", src);
-            assert_eq!(v.len(), 1, "{v:?}");
-            assert_eq!(v[0].rule, "ambient-authority");
+    fn harness_scenarios_may_not_read_a_clock() {
+        // Every harness scenario writes byte-compared reports and
+        // snapshots, so a clock read in any of its files is a finding;
+        // the repro binary beside it keeps its designation.
+        for file in ["main.rs", "grid.rs", "stream.rs", "recovery.rs", "fleet.rs"] {
+            for src in [
+                "//! doc\nfn f() { let _ = std::time::SystemTime::now(); }\n",
+                "//! doc\nfn f() { let _ = std::time::Instant::now(); }\n",
+            ] {
+                let v = scan_at(&format!("crates/bench/src/bin/harness/{file}"), src);
+                assert_eq!(v.len(), 1, "{file}: {v:?}");
+                assert_eq!(v[0].rule, "ambient-authority");
+            }
         }
-        // The snapshot codec itself is likewise never clock-eligible.
-        let v = scan_at(
-            "crates/ckpt/src/snapshot.rs",
-            "//! doc\nfn f() { let _ = std::time::SystemTime::now(); }\n",
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        // A sibling bench binary that takes no snapshots keeps the
-        // designation.
         let v = scan_at(
             "crates/bench/src/bin/repro.rs",
             "//! doc\nfn f() { let _ = std::time::Instant::now(); }\n",

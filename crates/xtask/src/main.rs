@@ -9,8 +9,8 @@
 //!   DESIGN.md § static analysis v2).
 //! - `cargo xtask fmt` — `cargo fmt --all`.
 //! - `cargo xtask ci` — fmt-check → clippy → lint → build → test →
-//!   fault-matrix smoke → allocation-budget gate → determinism smoke
-//!   → soak smokes (one per scenario row, plain and `--kill`).
+//!   allocation-budget gate → determinism smoke → soak smokes (one per
+//!   scenario row, plain and `--kill`).
 //! - `cargo xtask soak <scenario> [--smoke] [--kill]` / `--list` —
 //!   the table-driven robustness runner (see `xtask::soak`): byte
 //!   determinism across repeats and thread counts, the fleet blast
@@ -63,8 +63,8 @@ fn print_help() {
          \x20      [--update-baseline]  rewrite xtask/lint-baseline.json\n\
          \x20                      (ratcheted: per-rule counts may only shrink)\n\
          \x20 fmt                  format the workspace (cargo fmt --all)\n\
-         \x20 ci                   fmt-check, clippy, lint, build, test, fault-matrix,\n\
-         \x20                      alloc-free, determinism and soak smokes\n\
+         \x20 ci                   fmt-check, clippy, lint, build, test, alloc-free,\n\
+         \x20                      determinism and soak smokes\n\
          \x20 soak <scenario>      robustness runner: determinism, blast radius\n\
          \x20      [--smoke]       (short sweep / boundary kill points)\n\
          \x20      [--kill]        kill-point crash/resume sweep + corruption cases\n\
@@ -256,24 +256,6 @@ fn ci() -> ExitCode {
     let code = run_steps(&[
         step("build", &["build", "--release", "--offline"]),
         step("test", &["test", "-q", "--offline"]),
-        // Robustness smoke: the fault-class × intensity sweep must
-        // complete end-to-end on a quick campaign (sensor death and
-        // total blackout included) — see DESIGN.md § robustness.
-        step(
-            "fault-matrix",
-            &[
-                "run",
-                "--release",
-                "--offline",
-                "-p",
-                "thermal-bench",
-                "--bin",
-                "repro",
-                "--",
-                "--quick",
-                "fault_matrix",
-            ],
-        ),
     ]);
     if code != ExitCode::SUCCESS {
         return code;
@@ -331,6 +313,9 @@ fn ci() -> ExitCode {
 /// Runs the repro pipeline twice — `THERMAL_THREADS=1` and `=4` — and
 /// byte-compares the result CSVs, enforcing the `thermal-par`
 /// determinism contract end-to-end (see DESIGN.md § performance).
+/// Each run includes the quick fault-class × intensity sweep, so it is
+/// also the robustness smoke: the sweep must complete end-to-end,
+/// sensor death and total blackout included (DESIGN.md § robustness).
 fn determinism_smoke() -> ExitCode {
     let root = workspace_root();
     let out_base = root.join("target").join("determinism");

@@ -1,8 +1,8 @@
 //! Table-driven soak/chaos runner — `cargo xtask soak <scenario>
 //! [--smoke] [--kill]`.
 //!
-//! Each robustness workload is one [`Scenario`] row in [`SCENARIOS`]:
-//! its binary and `<name>: ok` marker, its arguments, the artefacts
+//! Each robustness scenario is one [`Scenario`] row in [`SCENARIOS`]:
+//! its arguments to the `thermal-bench` `harness` binary, the artefacts
 //! whose bytes carry its contract, and, where it has them, a kill
 //! contract and fault targets. The engine makes every check once, for
 //! every row:
@@ -23,11 +23,11 @@
 //!    store's quarantine log. `matrix.json` and `quarantine-log.txt`
 //!    record the sweep for the CI upload.
 //!
-//! Every run's exit code is checked (0, or 86 at a kill point), and
-//! every clean exit must print the row's `<name>: ok` marker. Nothing
-//! here measures wall-clock time, so the runner is meaningful on a
-//! single-core CI runner. Each invocation writes under
-//! `target/soak/<scenario>[-kill]/<case>/`.
+//! Every run is `harness <name> <args>`. Its exit code is checked (0,
+//! or 86 at a kill point), and every clean exit must print the
+//! `<name>: ok` marker. Nothing here measures wall-clock time, so the
+//! runner is meaningful on a single-core CI runner. Each invocation
+//! writes under `target/soak/<scenario>[-kill]/<case>/`.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -36,23 +36,19 @@ use std::process::Command;
 
 use crate::json;
 
-/// A workload command line, split at whitespace; `{dir}` stands for
-/// the run's case directory.
+/// A scenario's arguments after its name, split at whitespace; `{dir}`
+/// stands for the run's case directory.
 pub type Args = &'static str;
 
-/// One robustness workload and the contract its bytes carry.
+/// One robustness scenario and the contract its bytes carry.
 #[derive(Debug)]
 pub struct Scenario {
-    /// Name on the command line.
+    /// Name on the command line, of both `cargo xtask soak` and the
+    /// harness, and prefix of the harness's report lines
+    /// (`<name>: ok`).
     pub name: &'static str,
     /// One-line description for `--list`.
     pub about: &'static str,
-    /// Cargo package of the workload binary.
-    pub package: &'static str,
-    /// Workload binary.
-    pub bin: &'static str,
-    /// Prefix of the workload's report lines (`<marker>: ok`).
-    pub marker: &'static str,
     /// Arguments of the `--smoke` runs.
     pub smoke: Args,
     /// Arguments of the full runs.
@@ -63,7 +59,7 @@ pub struct Scenario {
     /// Whether the plain runs check the fleet blast radius against a
     /// `--targets none` baseline.
     pub blast_radius: bool,
-    /// The `--kill` contract, if the workload can resume after a crash.
+    /// The `--kill` contract, if the scenario can resume after a crash.
     pub kill: Option<Kill>,
 }
 
@@ -107,15 +103,12 @@ pub enum Damage {
 const STREAM_SNAPSHOTS: Victim = Victim::NewestSnapshot(&["progress-", "intensity-"]);
 const FLEET_SNAPSHOTS: Victim = Victim::NewestSnapshot(&["serve-"]);
 
-/// The scenario table. Every workload runs with seed 7: the runner
+/// The scenario table. Every scenario runs with seed 7: the runner
 /// compares bytes, so every run of a case must agree on it.
 pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "grid",
-        about: "checkpointed pipeline fit + supervised fault grid (chaos_grid)",
-        package: "thermal-bench",
-        bin: "chaos_grid",
-        marker: "chaos-grid",
+        about: "checkpointed pipeline fit + supervised fault grid",
         smoke: "{dir} --seed 7",
         full: "{dir} --seed 7",
         artefacts: &["*"],
@@ -133,17 +126,13 @@ pub const SCENARIOS: &[Scenario] = &[
     },
     Scenario {
         name: "stream",
-        about: "corrupted/flaky stream replay with a scripted outage (soak)",
-        package: "thermal-bench",
-        bin: "soak",
-        marker: "soak",
-        smoke: "{dir}/report.json --seed 7 --days 1 --intensities 0,150",
-        full: "{dir}/report.json --seed 7 --days 3 --intensities 0,50,150,400",
+        about: "corrupted/flaky stream replay with a scripted outage",
+        smoke: "{dir} --seed 7 --days 1 --intensities 0,150",
+        full: "{dir} --seed 7 --days 3 --intensities 0,50,150,400",
         artefacts: &["report.json"],
         blast_radius: false,
         kill: Some(Kill {
-            args: "{dir}/report.json --days 1 --seed 7 --intensities 0,150 \
-                   --ckpt {dir}/store --snap-every 29",
+            args: "{dir} --days 1 --seed 7 --intensities 0,150 --snap-every 29",
             stores: "store",
             after_kill: true,
             corruptions: &[
@@ -155,12 +144,9 @@ pub const SCENARIOS: &[Scenario] = &[
     },
     Scenario {
         name: "recovery",
-        about: "mid-trace regime shift healed by the online identification loop (recovery)",
-        package: "thermal-bench",
-        bin: "recovery",
-        marker: "recovery",
-        smoke: "{dir}/report.json --seed 7 --days 1 --ckpt {dir}/ckpt",
-        full: "{dir}/report.json --seed 7 --days 2 --ckpt {dir}/ckpt",
+        about: "mid-trace regime shift healed by the online identification loop",
+        smoke: "{dir} --seed 7 --days 1",
+        full: "{dir} --seed 7 --days 2",
         artefacts: &["report.json"],
         blast_radius: false,
         // It clears its store on start, so a resume would test nothing.
@@ -168,12 +154,9 @@ pub const SCENARIOS: &[Scenario] = &[
     },
     Scenario {
         name: "fleet",
-        about: "multi-building soak asserting the bulkhead blast radius (fleet_soak)",
-        package: "thermal-fleet",
-        bin: "fleet_soak",
-        marker: "fleet",
-        smoke: "{dir} --seed 7 --buildings 8 --days 1 --targets 2,5 --intensity 400",
-        full: "{dir} --seed 7 --buildings 16 --days 2 --targets 2,5,11 --intensity 400",
+        about: "multi-building soak asserting the bulkhead blast radius",
+        smoke: "{dir} --seed 7 --buildings 8 --days 1 --targets 2,5",
+        full: "{dir} --seed 7 --buildings 16 --days 2 --targets 2,5,11",
         artefacts: &[
             "building-*.json",
             "quarantine-log.json",
@@ -193,12 +176,15 @@ pub const SCENARIOS: &[Scenario] = &[
     },
 ];
 
-/// Exit code the workload dies with at a kill point (pinned in
+/// The `thermal-bench` binary that runs every scenario.
+const HARNESS: &str = "harness";
+
+/// Exit code the harness dies with at a kill point (pinned in
 /// `thermal-faults`; redeclared here so the runner does not link the
 /// whole workspace).
 const KILL_EXIT_CODE: i32 = 86;
 
-/// Environment variable carrying the kill point to the workload.
+/// Environment variable carrying the kill point to the harness.
 const KILL_AT_ENV: &str = "THERMAL_KILL_AT";
 
 /// Seeded-kill-point variable; cleared on every run.
@@ -261,7 +247,7 @@ pub fn run(root: &Path, scenario: &Scenario, smoke: bool, kill: bool) -> Result<
     let dir = format!("{name}{}", if kill { "-kill" } else { "" });
     let harness = Harness {
         scenario,
-        bin: build(root, scenario)?,
+        bin: build(root)?,
         base: root.join("target").join("soak").join(dir),
     };
     reset_dir(&harness.base)?;
@@ -271,24 +257,23 @@ pub fn run(root: &Path, scenario: &Scenario, smoke: bool, kill: bool) -> Result<
     }
 }
 
-/// Builds a scenario's workload binary in release mode and returns its
-/// path.
-fn build(root: &Path, scenario: &Scenario) -> Result<PathBuf, String> {
-    eprintln!("xtask soak: building {} (release)", scenario.bin);
+/// Builds the harness binary in release mode and returns its path.
+fn build(root: &Path) -> Result<PathBuf, String> {
+    eprintln!("xtask soak: building {HARNESS} (release)");
     let status = Command::new(env!("CARGO"))
-        .args(["build", "--release", "--offline", "-p", scenario.package])
-        .args(["--bin", scenario.bin])
+        .args(["build", "--release", "--offline", "-p", "thermal-bench"])
+        .args(["--bin", HARNESS])
         .current_dir(root)
         .status()
         .map_err(|e| format!("could not start cargo build: {e}"))?;
     if !status.success() {
-        return Err(format!("{} build failed with {status}", scenario.bin));
+        return Err(format!("{HARNESS} build failed with {status}"));
     }
-    let exe = format!("{}{}", scenario.bin, std::env::consts::EXE_SUFFIX);
+    let exe = format!("{HARNESS}{}", std::env::consts::EXE_SUFFIX);
     Ok(root.join("target").join("release").join(exe))
 }
 
-/// One scenario's workload binary and its invocation root.
+/// One scenario, the harness binary and the invocation root.
 struct Harness<'a> {
     scenario: &'a Scenario,
     bin: PathBuf,
@@ -305,7 +290,7 @@ impl Harness<'_> {
         }
         let targets = arg(args, "--targets").ok_or("blast-radius arguments name no --targets")?;
         let baseline = args.replace(&format!("--targets {targets}"), "--targets none");
-        let prefix = format!("{}: quarantined = ", s.marker);
+        let prefix = format!("{}: quarantined = ", s.name);
         let check = |case: &str, stdout: &str, expected: &str| {
             let got = parse_marker(stdout, &prefix).unwrap_or_default();
             if got == expected {
@@ -414,7 +399,7 @@ impl Harness<'_> {
         Ok(dir)
     }
 
-    /// Runs the workload on case directory `dir` with `THERMAL_THREADS`
+    /// Runs the scenario on case directory `dir` with `THERMAL_THREADS`
     /// pinned to `threads` (or unset) and, with `kill_at`, a kill point.
     /// Requires exit code 86 at a kill point, otherwise 0 and the `ok`
     /// marker. Returns stdout.
@@ -427,13 +412,14 @@ impl Harness<'_> {
     ) -> Result<String, String> {
         let dir_text = dir.to_string_lossy();
         let mut cmd = Command::new(&self.bin);
-        cmd.args(
-            args.split_whitespace()
-                .map(|a| a.replace("{dir}", &dir_text)),
-        )
-        .env_remove(KILL_AT_ENV)
-        .env_remove(KILL_SEED_ENV)
-        .env_remove(THREADS_ENV);
+        cmd.arg(self.scenario.name)
+            .args(
+                args.split_whitespace()
+                    .map(|a| a.replace("{dir}", &dir_text)),
+            )
+            .env_remove(KILL_AT_ENV)
+            .env_remove(KILL_SEED_ENV)
+            .env_remove(THREADS_ENV);
         if let Some(t) = threads {
             cmd.env(THREADS_ENV, t);
         }
@@ -446,7 +432,7 @@ impl Harness<'_> {
         let (code, dir) = (output.status.code(), dir.display());
         let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
         let expected = if kill_at.is_some() { KILL_EXIT_CODE } else { 0 };
-        let ok = format!("{}: ok", self.scenario.marker);
+        let ok = format!("{}: ok", self.scenario.name);
         if code != Some(expected) {
             let stderr = String::from_utf8_lossy(&output.stderr);
             return Err(format!(
@@ -660,11 +646,11 @@ fn select_kill_points(writes: u64, smoke: bool) -> Vec<u64> {
     points
 }
 
-/// Extracts `N` from the workload's `durable writes = N` report line.
+/// Extracts `N` from the harness's `durable writes = N` report line.
 fn parse_durable_writes(stdout: &str) -> Result<u64, String> {
     parse_marker(stdout, "durable writes = ")
         .and_then(|n| n.parse().ok())
-        .ok_or_else(|| format!("workload stdout had no parseable durable-write count:\n{stdout}"))
+        .ok_or_else(|| format!("harness stdout had no parseable durable-write count:\n{stdout}"))
 }
 
 /// Extracts the value after `prefix` on the first matching stdout line.
@@ -720,16 +706,19 @@ mod tests {
 
     #[test]
     fn durable_write_count_is_parsed_from_report_line() {
-        let out = "chaos-grid: fit restored=[]\nchaos-grid: durable writes = 20\nchaos-grid: ok\n";
+        let out = "stream: slots = 288\nstream: durable writes = 20\nstream: ok\n";
         assert_eq!(parse_durable_writes(out), Ok(20));
         assert!(parse_durable_writes("no report").is_err());
     }
 
     #[test]
     fn marker_parsing_finds_values_and_tolerates_noise() {
-        let out = "soak: slots = 288\nsoak: ok\n";
-        assert_eq!(parse_marker(out, "soak: slots = ").as_deref(), Some("288"));
-        assert_eq!(parse_marker(out, "soak: missing = "), None);
+        let out = "stream: slots = 288\nstream: ok\n";
+        assert_eq!(
+            parse_marker(out, "stream: slots = ").as_deref(),
+            Some("288")
+        );
+        assert_eq!(parse_marker(out, "stream: missing = "), None);
     }
 
     #[test]
@@ -752,7 +741,7 @@ mod tests {
         let fleet = find("fleet").unwrap();
         assert!(number(fleet.smoke, "--buildings") < number(fleet.full, "--buildings"));
         assert!(target_ids(fleet.smoke).len() < target_ids(fleet.full).len());
-        // Every target id must exist in its fleet, or the workload's
+        // Every target id must exist in its fleet, or the scenario's
         // "targeted building never left healthy" assertion is vacuous.
         for args in [fleet.smoke, fleet.full] {
             let buildings = number(args, "--buildings");

@@ -194,7 +194,7 @@ fn designations_scope_the_new_rules() {
 
     let fx = Fixture::new("clock");
     fx.write_file(
-        "crates/bench/src/bin/timer.rs",
+        "crates/bench/src/bin/repro.rs",
         "//! Demo clock module.\nfn main() {\n    let _ = std::time::Instant::now();\n}\n",
     );
     let (ok, stderr) = fx.lint();
