@@ -35,8 +35,8 @@ use thermal_ckpt::snapshot::{get_nested, put_nested};
 use thermal_ckpt::{BreakerPolicy, CircuitBreaker, CkptError, Fields, Snapshot};
 use thermal_core::{FallbackAction, ModelHealth};
 use thermal_stream::{
-    ClusterPrediction, FlakySource, LivePrediction, SensorHealth, ServiceStats, SourceStats,
-    StreamService,
+    ClusterPrediction, FlakySource, LivePrediction, Reading, SensorHealth, ServiceStats,
+    SourceStats, StreamService,
 };
 
 use crate::error::{FleetError, Result};
@@ -165,6 +165,12 @@ pub struct BuildingShard {
     counters: ShardCounters,
     max_depth_seen: usize,
     transitions: Vec<PhaseTransition>,
+    /// The service's prediction, refreshed once per step (and at
+    /// construction and restore): the degraded check and
+    /// [`BuildingShard::serve`] both read it.
+    prediction: LivePrediction,
+    /// Reused buffer of one slot's arrivals.
+    arrivals: Vec<Reading>,
 }
 
 impl BuildingShard {
@@ -187,6 +193,7 @@ impl BuildingShard {
             })?;
         Ok(BuildingShard {
             building,
+            prediction: service.predict(),
             service,
             source,
             policy,
@@ -200,6 +207,7 @@ impl BuildingShard {
             counters: ShardCounters::default(),
             max_depth_seen: 0,
             transitions: Vec::new(),
+            arrivals: Vec::new(),
         })
     }
 
@@ -263,16 +271,23 @@ impl BuildingShard {
         self.source.slots()
     }
 
+    /// The supervised service (read-only: the shard alone steps it).
+    #[must_use]
+    pub fn service(&self) -> &StreamService {
+        &self.service
+    }
+
     /// What the fleet serves for this building right now: the live
-    /// prediction, except under quarantine where every cluster is
-    /// overridden to a structured blackout ([`FallbackAction::
-    /// Unavailable`], `predicted: None`) — degraded-but-plausible
-    /// output from a quarantined building must never leak.
+    /// prediction computed once per [`BuildingShard::step_slot`],
+    /// except under quarantine where every cluster is overridden to a
+    /// structured blackout ([`FallbackAction::Unavailable`],
+    /// `predicted: None`) — degraded-but-plausible output from a
+    /// quarantined building must never leak.
     #[must_use]
     pub fn serve(&self) -> LivePrediction {
-        let live = self.service.predict();
+        let live = &self.prediction;
         if self.phase != ShardPhase::Quarantined {
-            return live;
+            return live.clone();
         }
         LivePrediction {
             at: live.at,
@@ -323,16 +338,17 @@ impl BuildingShard {
     /// As [`BuildingShard::serve_all`].
     pub fn step_slot(&mut self, slot: usize) -> Result<()> {
         let now = self.source.replayer().slot_time(slot);
-        let arrivals = self.source.poll(slot);
+        self.source.poll_into(slot, &mut self.arrivals);
         // The bulkhead's own queues keep draining in every phase —
         // quarantine gates the *output*, not ingest, so the memory
         // bound holds and recovery probes see fresh state.
         self.service
-            .step(now, &arrivals)
+            .step(now, &self.arrivals)
             .map_err(|e| FleetError::Serve {
                 building: self.building,
                 reason: format!("slot {slot}: {e}"),
             })?;
+        self.service.predict_into(&mut self.prediction);
         let depth = self.service.buffered_depth();
         self.max_depth_seen = self.max_depth_seen.max(depth);
         let watchdog = depth > self.policy.max_depth;
@@ -342,7 +358,7 @@ impl BuildingShard {
         if slot < self.policy.warmup_slots {
             return Ok(());
         }
-        let degraded = watchdog || self.service.predict().is_degraded();
+        let degraded = watchdog || self.prediction.is_degraded();
         if degraded {
             self.counters.degraded_slots += 1;
         }
@@ -431,7 +447,8 @@ fn phase_from(label: &str) -> std::result::Result<ShardPhase, CkptError> {
 /// The whole bulkhead rides in one snapshot: the nested service and
 /// source, the probe breaker, the phase machine with its hysteresis
 /// counters, the error budget, the lifetime counters and the
-/// transition log. The shard policy is construction context.
+/// transition log. The shard policy is construction context, and the
+/// served prediction is recomputed from the restored service.
 impl Snapshot for BuildingShard {
     const TAG: &'static str = "fleet-shard";
     const VERSION: u32 = 1;
@@ -519,6 +536,7 @@ impl Snapshot for BuildingShard {
         self.counters = counters;
         self.max_depth_seen = max_depth_seen;
         self.transitions = transitions;
+        self.service.predict_into(&mut self.prediction);
         Ok(())
     }
 }

@@ -5,6 +5,11 @@
 //! restored shard must serve the remaining slots exactly as the
 //! uninterrupted one. This is the per-building unit of the
 //! `cargo xtask soak fleet --kill` restore-equivalence contract.
+//!
+//! The shard computes its prediction once per `step_slot`; the cache
+//! oracle requires `serve()` to equal the service's own `predict()`
+//! (blacked out under quarantine) after every step and every restore,
+//! through Degraded → Quarantined → Restored.
 
 // Test fixtures: panicking on a broken fixture is the right failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -13,18 +18,23 @@ use proptest::prelude::*;
 use thermal_ckpt::snapshot::{restore_from, snapshot_bytes};
 use thermal_ckpt::BreakerPolicy;
 use thermal_cluster::Clustering;
-use thermal_core::ReducedModel;
-use thermal_fleet::{BuildingShard, ShardPolicy};
+use thermal_core::{FallbackAction, ModelHealth, ReducedModel};
+use thermal_fleet::{BuildingShard, ShardPhase, ShardPolicy};
 use thermal_linalg::Matrix;
 use thermal_select::Selection;
 use thermal_stream::{
-    BackoffPolicy, FlakySource, Reading, ReplayConfig, StreamConfig, StreamService, TraceReplayer,
+    BackoffPolicy, FlakySource, LivePrediction, Reading, ReplayConfig, StreamConfig, StreamService,
+    TraceReplayer,
 };
 use thermal_sysid::{ModelOrder, ModelSpec, ThermalModel};
 use thermal_timeseries::{TimeGrid, Timestamp};
 
 /// Slots of telemetry the fixture trace carries.
 const TRACE_SLOTS: usize = 48;
+
+/// Slots of the cache oracle's trace: long enough for a flaky source
+/// at `fail_prob` 0.6 to walk Degraded → Quarantined → Restored.
+const CYCLE_SLOTS: usize = 200;
 
 /// Builds one deterministic bulkhead: the identity-hold two-cluster
 /// model over four sensors, fed by a flaky replay of a synthetic
@@ -35,6 +45,16 @@ fn shard_fixture(seed: u64, fail_prob: f64) -> BuildingShard {
 }
 
 fn shard_fixture_for(building: u32, seed: u64, fail_prob: f64) -> BuildingShard {
+    shard_fixture_with(building, seed, fail_prob, TRACE_SLOTS)
+}
+
+/// [`shard_fixture_for`] over a trace of `trace_slots` slots.
+fn shard_fixture_with(
+    building: u32,
+    seed: u64,
+    fail_prob: f64,
+    trace_slots: usize,
+) -> BuildingShard {
     let names: Vec<String> = (0..4).map(|i| format!("s{i}")).collect();
     let clustering = Clustering::from_assignments(vec![0, 0, 0, 1], 2).unwrap();
     let selection = Selection::new(vec![vec![0], vec![3]])
@@ -61,8 +81,8 @@ fn shard_fixture_for(building: u32, seed: u64, fail_prob: f64) -> BuildingShard 
     let service =
         StreamService::new(reduced, StreamConfig::default(), Timestamp::from_minutes(0)).unwrap();
 
-    let grid = TimeGrid::new(Timestamp::from_minutes(0), 5, TRACE_SLOTS).unwrap();
-    let batches: Vec<Vec<Reading>> = (0..TRACE_SLOTS)
+    let grid = TimeGrid::new(Timestamp::from_minutes(0), 5, trace_slots).unwrap();
+    let batches: Vec<Vec<Reading>> = (0..trace_slots)
         .map(|slot| {
             let at = Timestamp::from_minutes(slot as i64 * 5);
             let mut batch: Vec<Reading> = (0..4)
@@ -110,8 +130,80 @@ fn shard_fixture_for(building: u32, seed: u64, fail_prob: f64) -> BuildingShard 
     BuildingShard::new(building, service, source, policy).unwrap()
 }
 
+/// What `serve()` must return: the service's own prediction, with
+/// every cluster blacked out under quarantine.
+fn expected_serve(shard: &BuildingShard) -> LivePrediction {
+    let mut live = shard.service().predict();
+    if shard.phase() == ShardPhase::Quarantined {
+        for c in &mut live.clusters {
+            c.action = FallbackAction::Unavailable;
+            c.predicted = None;
+            c.health = ModelHealth::Stable;
+            c.uncertainty = None;
+        }
+    }
+    live
+}
+
+/// Serves a [`CYCLE_SLOTS`] trace, restoring the shard from its own
+/// snapshot onto a fresh one every `restore_every` slots, and checks
+/// the served prediction after construction, every step and every
+/// restore. Returns the shard at the end of the trace.
+fn serve_checking_cache(
+    seed: u64,
+    fail_prob: f64,
+    restore_every: usize,
+) -> Result<BuildingShard, TestCaseError> {
+    let fixture = || shard_fixture_with(9, seed, fail_prob, CYCLE_SLOTS);
+    let mut shard = fixture();
+    prop_assert_eq!(shard.serve(), expected_serve(&shard));
+    for slot in 0..shard.slots() {
+        shard.step_slot(slot).unwrap();
+        prop_assert_eq!(shard.serve(), expected_serve(&shard), "slot {}", slot);
+        if (slot + 1) % restore_every == 0 {
+            let mut fresh = fixture();
+            restore_from(&mut fresh, &snapshot_bytes(&shard))
+                .map_err(|e| TestCaseError::fail(format!("restore failed: {e}")))?;
+            prop_assert_eq!(fresh.serve(), expected_serve(&fresh), "restore at {}", slot);
+            prop_assert_eq!(fresh.serve(), shard.serve());
+            shard = fresh;
+        }
+    }
+    Ok(shard)
+}
+
+/// The cache oracle walks the whole escalation: the flaky fixture goes
+/// Degraded, is quarantined (blackouts served) and is restored.
+#[test]
+fn served_prediction_tracks_every_step_through_quarantine() {
+    let shard = serve_checking_cache(0, 0.6, 7).unwrap();
+    let phases: Vec<ShardPhase> = shard.transitions().iter().map(|t| t.to).collect();
+    let walked = phases.windows(3).any(|w| {
+        w == [
+            ShardPhase::Degraded,
+            ShardPhase::Quarantined,
+            ShardPhase::Restored,
+        ]
+    });
+    assert!(
+        walked,
+        "fixture never walked the quarantine cycle: {phases:?}"
+    );
+    assert!(shard.counters().blackout_slots > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// After every step and every restore, for any seed, failure rate
+    /// and restore cadence, `serve()` is the service's prediction of
+    /// the last step (blacked out under quarantine).
+    #[test]
+    fn served_prediction_is_the_last_steps(
+        (seed, fail_prob, restore_every) in (any::<u64>(), 0.0f64..0.9, 1usize..50),
+    ) {
+        serve_checking_cache(seed, fail_prob, restore_every)?;
+    }
 
     /// Crash the serve loop after any prefix, restore, and the
     /// snapshot bytes, the served predictions, and the lifetime

@@ -204,7 +204,13 @@ impl HealthMachine {
                 // is not mistaken for a spike. One "slot" of budget
                 // is granted per suspect_after window, minimum one.
                 let elapsed = (at_minutes - prev_at).max(1);
-                let windows = (elapsed + config.suspect_after - 1) / config.suspect_after;
+                // A gap within one window (the common case) needs no
+                // division.
+                let windows = if elapsed <= config.suspect_after {
+                    1
+                } else {
+                    (elapsed + config.suspect_after - 1) / config.suspect_after
+                };
                 let budget = p.max_step * windows.max(1) as f64;
                 if (value - prev).abs() > budget {
                     return false;
@@ -529,6 +535,28 @@ mod tests {
         let mut m = HealthMachine::new();
         assert!(m.on_reading(&cfg, 0, 20.0));
         assert!(m.on_reading(&cfg, 45, 26.0));
+    }
+
+    #[test]
+    fn step_budget_is_one_window_per_started_suspect_after() {
+        // The division-free branch for gaps within one window must
+        // agree with the ceiling division at every gap and jump.
+        let cfg = config();
+        let mut m = HealthMachine::new();
+        assert!(m.on_reading(&cfg, 0, 20.0));
+        for elapsed in -5..=70_i64 {
+            let gap = elapsed.max(1);
+            let windows = (gap + cfg.suspect_after - 1) / cfg.suspect_after;
+            let budget = cfg.plausibility.max_step * windows as f64;
+            for tenths in 0..=200 {
+                let value = 20.0 + f64::from(tenths) / 10.0;
+                assert_eq!(
+                    m.plausible(&cfg, elapsed, value),
+                    value - 20.0 <= budget,
+                    "elapsed {elapsed}, value {value}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! — simulated clock only, no wall time — built from bounded,
 //! counted, panic-free stages:
 //!
-//! * [`BoundedQueue`] — the single backpressure boundary; overflow is
-//!   a counted [`OverflowPolicy`] decision, never unbounded memory,
+//! * [`BoundedQueue`] — the single backpressure boundary, accounted
+//!   on each slot's batch; overflow is a counted [`OverflowPolicy`]
+//!   decision, never unbounded memory,
 //! * [`ReorderBuffer`] — per-channel watermarks that re-order late
 //!   and duplicated wireless packets, with a bounded buffer,
 //! * [`HealthMachine`] — the Live → Suspect → Dead → Recovered
@@ -68,7 +69,7 @@ pub use error::StreamError;
 pub use event::{Reading, SimClock};
 pub use health::{HealthConfig, HealthMachine, HealthState};
 pub use online::{OnlineConfig, OnlineIdentifier, OnlineStats};
-pub use queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueStats};
+pub use queue::{BoundedQueue, OverflowPolicy, QueueStats};
 pub use recovery::{RecoveryClusterReport, RecoveryReport};
 pub use reorder::{ReorderBuffer, ReorderConfig, ReorderStats};
 pub use replay::{

@@ -6,14 +6,18 @@
 //! or evicts the oldest queued one, and either way the loss is
 //! *counted*, so a soak run can assert both bounded memory and an
 //! exact account of what was shed.
+//!
+//! The service drains the queue in the same step that fills it, so the
+//! queue holds no reading between steps and admission is accounting on
+//! one slot's batch: [`BoundedQueue::admit`] returns the part of the
+//! batch that survives, with the counters that offering the batch one
+//! reading at a time and popping the queue empty would leave.
 
-use std::collections::VecDeque;
+use std::ops::Range;
 
 use thermal_ckpt::codec::Record;
 use thermal_ckpt::{CkptError, Fields, Snapshot};
-use thermal_timeseries::Timestamp;
 
-use crate::event::Reading;
 use crate::{Result, StreamError};
 
 /// What to do with a reading that arrives while the queue is full.
@@ -27,18 +31,6 @@ pub enum OverflowPolicy {
     DropOldest,
 }
 
-/// Outcome of one [`BoundedQueue::push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The reading was queued without loss.
-    Accepted,
-    /// The reading was queued and the oldest queued reading was
-    /// evicted ([`OverflowPolicy::DropOldest`]).
-    AcceptedEvictingOldest,
-    /// The reading was refused ([`OverflowPolicy::RejectNewest`]).
-    Rejected,
-}
-
 /// Loss and pressure accounting for a [`BoundedQueue`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
@@ -48,7 +40,7 @@ pub struct QueueStats {
     pub rejected: u64,
     /// Queued readings evicted to admit newer ones.
     pub evicted: u64,
-    /// Largest queue depth ever observed.
+    /// Largest queue depth ever reached: the largest admitted batch.
     pub high_water: usize,
 }
 
@@ -61,10 +53,10 @@ impl QueueStats {
 
 thermal_ckpt::fields!(QueueStats: accepted, rejected, evicted, high_water);
 
-/// A fixed-capacity FIFO of readings with counted overflow.
+/// A fixed-capacity ingest queue with counted overflow, drained in the
+/// call that fills it.
 #[derive(Debug, Clone)]
 pub struct BoundedQueue {
-    items: VecDeque<Reading>,
     capacity: usize,
     policy: OverflowPolicy,
     stats: QueueStats,
@@ -83,50 +75,34 @@ impl BoundedQueue {
             });
         }
         Ok(BoundedQueue {
-            items: VecDeque::with_capacity(capacity),
             capacity,
             policy,
             stats: QueueStats::default(),
         })
     }
 
-    /// Offers a reading, applying the overflow policy when full.
-    pub fn push(&mut self, reading: Reading) -> PushOutcome {
-        if self.items.len() < self.capacity {
-            self.items.push_back(reading);
-            self.stats.accepted += 1;
-            self.stats.high_water = self.stats.high_water.max(self.items.len());
-            return PushOutcome::Accepted;
-        }
+    /// Admits a batch of `n` readings into the empty queue and drains
+    /// it, returning the positions of the batch that survive, in
+    /// arrival order. At most `capacity` survive:
+    /// [`OverflowPolicy::RejectNewest`] keeps the first ones and counts
+    /// the rest rejected; [`OverflowPolicy::DropOldest`] accepts all
+    /// and counts every reading before the last `capacity` evicted.
+    pub fn admit(&mut self, n: usize) -> Range<usize> {
+        let kept = n.min(self.capacity);
+        let lost = (n - kept) as u64;
+        self.stats.high_water = self.stats.high_water.max(kept);
         match self.policy {
             OverflowPolicy::RejectNewest => {
-                self.stats.rejected += 1;
-                PushOutcome::Rejected
+                self.stats.accepted += kept as u64;
+                self.stats.rejected += lost;
+                0..kept
             }
             OverflowPolicy::DropOldest => {
-                self.items.pop_front();
-                self.items.push_back(reading);
-                self.stats.accepted += 1;
-                self.stats.evicted += 1;
-                self.stats.high_water = self.stats.high_water.max(self.items.len());
-                PushOutcome::AcceptedEvictingOldest
+                self.stats.accepted += n as u64;
+                self.stats.evicted += lost;
+                n - kept..n
             }
         }
-    }
-
-    /// Removes and returns the oldest queued reading.
-    pub fn pop(&mut self) -> Option<Reading> {
-        self.items.pop_front()
-    }
-
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Configured capacity (the hard memory bound).
@@ -140,70 +116,82 @@ impl BoundedQueue {
     }
 }
 
-/// Captures queued readings (as parallel channel/minute/value lists)
-/// and the loss counters; capacity and overflow policy are
-/// construction context, verified only through the depth bound.
+/// Captures the loss counters. The queue is empty at every snapshot
+/// boundary, so its reading lists (channel/minute/value) are written
+/// empty and a record that holds readings is refused; capacity and
+/// overflow policy are construction context.
 impl Snapshot for BoundedQueue {
     const TAG: &'static str = "stream-queue";
     const VERSION: u32 = 1;
 
     fn capture(&self, rec: &mut Record) {
-        let channels: Vec<usize> = self.items.iter().map(|r| r.channel).collect();
-        let ats: Vec<i64> = self.items.iter().map(|r| r.at.as_minutes()).collect();
-        let values: Vec<f64> = self.items.iter().map(|r| r.value).collect();
-        rec.put_usize_slice("channels", &channels)
-            .put_i64_slice("ats", &ats)
-            .put_f64_slice("values", &values);
+        rec.put_usize_slice("channels", &[])
+            .put_i64_slice("ats", &[])
+            .put_f64_slice("values", &[]);
         self.stats.put_fields(rec, "");
     }
 
     fn restore(&mut self, rec: &Record) -> std::result::Result<(), CkptError> {
-        let channels = rec.get_usize_slice("channels")?;
-        let ats = rec.get_i64_slice("ats")?;
-        let values = rec.get_f64_slice("values")?;
-        if channels.len() != ats.len() || channels.len() != values.len() {
+        let queued = rec.get_usize_slice("channels")?.len()
+            + rec.get_i64_slice("ats")?.len()
+            + rec.get_f64_slice("values")?.len();
+        if queued != 0 {
             return Err(CkptError::decode(
                 "queue snapshot",
-                "channel/at/value lists disagree in length",
+                "queued readings: the queue is drained in the step that fills it",
             ));
         }
-        if channels.len() > self.capacity {
-            return Err(CkptError::decode(
-                "queue snapshot",
-                format!(
-                    "{} queued readings exceed capacity {}",
-                    channels.len(),
-                    self.capacity
-                ),
-            ));
-        }
-        let stats = QueueStats::get_fields(rec, "")?;
-        self.items = channels
-            .into_iter()
-            .zip(ats)
-            .zip(values)
-            .map(|((channel, at), value)| Reading {
-                channel,
-                at: Timestamp::from_minutes(at),
-                value,
-            })
-            .collect::<VecDeque<_>>();
-        self.stats = stats;
+        self.stats = QueueStats::get_fields(rec, "")?;
         Ok(())
+    }
+}
+
+/// The push-all/pop-all round trip that [`BoundedQueue::admit`]
+/// replaced, kept as its test oracle.
+#[cfg(test)]
+impl BoundedQueue {
+    /// Offers `batch` one reading at a time to a FIFO of this queue's
+    /// capacity under its policy, counting into this queue's stats, then
+    /// pops the FIFO empty; returns the popped readings.
+    pub(crate) fn round_trip(&mut self, batch: &[crate::Reading]) -> Vec<crate::Reading> {
+        let mut items = std::collections::VecDeque::with_capacity(self.capacity);
+        for &reading in batch {
+            if items.len() < self.capacity {
+                items.push_back(reading);
+                self.stats.accepted += 1;
+                self.stats.high_water = self.stats.high_water.max(items.len());
+                continue;
+            }
+            match self.policy {
+                OverflowPolicy::RejectNewest => self.stats.rejected += 1,
+                OverflowPolicy::DropOldest => {
+                    items.pop_front();
+                    items.push_back(reading);
+                    self.stats.accepted += 1;
+                    self.stats.evicted += 1;
+                    self.stats.high_water = self.stats.high_water.max(items.len());
+                }
+            }
+        }
+        items.into_iter().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Reading;
+    use proptest::prelude::*;
     use thermal_timeseries::Timestamp;
 
-    fn r(ch: usize, minute: i64) -> Reading {
-        Reading {
-            channel: ch,
-            at: Timestamp::from_minutes(minute),
-            value: 20.0,
-        }
+    fn batch(n: usize) -> Vec<Reading> {
+        (0..n)
+            .map(|i| Reading {
+                channel: i % 3,
+                at: Timestamp::from_minutes(i as i64 * 5),
+                value: i as f64,
+            })
+            .collect()
     }
 
     #[test]
@@ -214,43 +202,77 @@ mod tests {
     #[test]
     fn reject_newest_refuses_overflow_and_counts_it() {
         let mut q = BoundedQueue::new(2, OverflowPolicy::RejectNewest).unwrap();
-        assert_eq!(q.push(r(0, 0)), PushOutcome::Accepted);
-        assert_eq!(q.push(r(0, 5)), PushOutcome::Accepted);
-        assert_eq!(q.push(r(0, 10)), PushOutcome::Rejected);
-        assert_eq!(q.len(), 2);
+        // The queue keeps the *oldest* readings.
+        assert_eq!(q.admit(3), 0..2);
+        assert_eq!(q.stats().accepted, 2);
         assert_eq!(q.stats().rejected, 1);
         assert_eq!(q.stats().dropped(), 1);
         assert_eq!(q.stats().high_water, 2);
-        // The queue kept the *oldest* readings.
-        assert_eq!(q.pop().unwrap().at.as_minutes(), 0);
-        assert_eq!(q.pop().unwrap().at.as_minutes(), 5);
-        assert!(q.pop().is_none());
     }
 
     #[test]
     fn drop_oldest_evicts_and_counts() {
         let mut q = BoundedQueue::new(2, OverflowPolicy::DropOldest).unwrap();
-        q.push(r(0, 0));
-        q.push(r(0, 5));
-        assert_eq!(q.push(r(0, 10)), PushOutcome::AcceptedEvictingOldest);
-        assert_eq!(q.len(), 2);
+        // The queue keeps the *newest* readings.
+        assert_eq!(q.admit(3), 1..3);
         assert_eq!(q.stats().evicted, 1);
         assert_eq!(q.stats().accepted, 3);
-        // The queue kept the *newest* readings.
-        assert_eq!(q.pop().unwrap().at.as_minutes(), 5);
-        assert_eq!(q.pop().unwrap().at.as_minutes(), 10);
+        assert_eq!(q.stats().high_water, 2);
     }
 
     #[test]
     fn depth_never_exceeds_capacity() {
         for policy in [OverflowPolicy::RejectNewest, OverflowPolicy::DropOldest] {
             let mut q = BoundedQueue::new(3, policy).unwrap();
-            for i in 0..100 {
-                q.push(r(0, i));
-                assert!(q.len() <= q.capacity());
+            for n in 0..100 {
+                let kept = q.admit(n);
+                assert!(kept.len() <= q.capacity());
+                assert!(kept.end <= n);
             }
-            assert_eq!(q.stats().high_water, 3);
-            assert_eq!(q.stats().accepted + q.stats().rejected, 100);
+            let stats = q.stats();
+            assert_eq!(stats.high_water, 3);
+            assert_eq!(stats.accepted + stats.rejected, (0..100).sum::<u64>());
+        }
+    }
+
+    #[test]
+    fn restore_refuses_queued_readings() {
+        let mut q = BoundedQueue::new(4, OverflowPolicy::DropOldest).unwrap();
+        let mut rec = Record::new(BoundedQueue::TAG);
+        rec.put_usize_slice("channels", &[1])
+            .put_i64_slice("ats", &[0])
+            .put_f64_slice("values", &[20.0]);
+        QueueStats::default().put_fields(&mut rec, "");
+        assert!(q.restore(&rec).is_err());
+    }
+
+    proptest! {
+        /// Admission on the batch equals the push-all/pop-all round trip
+        /// for both policies: the same counters after every batch, and
+        /// the survivors are the admitted range of the batch.
+        #[test]
+        fn admit_matches_round_trip(
+            (drop_oldest, capacity, sizes) in (
+                any::<bool>(),
+                1usize..8,
+                prop::collection::vec(0usize..25, 1..12),
+            ),
+        ) {
+            let policy = if drop_oldest {
+                OverflowPolicy::DropOldest
+            } else {
+                OverflowPolicy::RejectNewest
+            };
+            let mut admitted = BoundedQueue::new(capacity, policy).unwrap();
+            let mut reference = admitted.clone();
+            for n in sizes {
+                let n = n.min(3 * capacity);
+                let readings = batch(n);
+                let range = admitted.admit(n);
+                let survivors = reference.round_trip(&readings);
+                prop_assert_eq!(&readings[range], survivors.as_slice());
+                prop_assert_eq!(admitted.stats(), reference.stats());
+            }
         }
     }
 }

@@ -134,26 +134,32 @@ impl ReorderBuffer {
                 return false;
             }
         }
-        match self.pending.binary_search_by_key(&ts, |&(t, _)| t) {
-            Ok(idx) => {
-                // Same timestamp still buffered: last write wins,
-                // counted.
-                if let Some(slot) = self.pending.get_mut(idx) {
-                    slot.1 = reading.value;
+        let idx = match self.pending.last() {
+            Some(&(last, _)) if ts <= last => {
+                match self.pending.binary_search_by_key(&ts, |&(t, _)| t) {
+                    Ok(idx) => {
+                        // Same timestamp still buffered: last write
+                        // wins, counted.
+                        if let Some(slot) = self.pending.get_mut(idx) {
+                            slot.1 = reading.value;
+                        }
+                        self.stats.duplicates += 1;
+                        return true;
+                    }
+                    Err(idx) => idx,
                 }
-                self.stats.duplicates += 1;
-                true
             }
-            Err(idx) => {
-                if self.pending.len() >= self.config.capacity {
-                    self.stats.overflowed += 1;
-                    return false;
-                }
-                self.pending.insert(idx, (ts, reading.value));
-                self.stats.high_water = self.stats.high_water.max(self.pending.len());
-                true
-            }
+            // Past every pending timestamp, the common in-order case:
+            // the insertion point is the end, no search needed.
+            _ => self.pending.len(),
+        };
+        if self.pending.len() >= self.config.capacity {
+            self.stats.overflowed += 1;
+            return false;
         }
+        self.pending.insert(idx, (ts, reading.value));
+        self.stats.high_water = self.stats.high_water.max(self.pending.len());
+        true
     }
 
     /// Releases every buffered reading at or below the watermark
@@ -202,6 +208,43 @@ impl ReorderBuffer {
     /// Loss counters so far.
     pub fn stats(&self) -> ReorderStats {
         self.stats
+    }
+}
+
+/// The binary-search-only [`ReorderBuffer::offer`] that the in-order
+/// append replaced, kept as its test oracle.
+#[cfg(test)]
+impl ReorderBuffer {
+    pub(crate) fn offer_by_search(&mut self, reading: &Reading) -> bool {
+        let ts = reading.at.as_minutes();
+        if let Some(frontier) = self.released_up_to {
+            if ts == frontier {
+                self.stats.duplicates += 1;
+                return false;
+            }
+            if ts < frontier {
+                self.stats.too_late += 1;
+                return false;
+            }
+        }
+        match self.pending.binary_search_by_key(&ts, |&(t, _)| t) {
+            Ok(idx) => {
+                if let Some(slot) = self.pending.get_mut(idx) {
+                    slot.1 = reading.value;
+                }
+                self.stats.duplicates += 1;
+                true
+            }
+            Err(idx) => {
+                if self.pending.len() >= self.config.capacity {
+                    self.stats.overflowed += 1;
+                    return false;
+                }
+                self.pending.insert(idx, (ts, reading.value));
+                self.stats.high_water = self.stats.high_water.max(self.pending.len());
+                true
+            }
+        }
     }
 }
 
@@ -272,6 +315,7 @@ impl Snapshot for ReorderBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn r(minute: i64, value: f64) -> Reading {
         Reading {
@@ -364,6 +408,39 @@ mod tests {
             reserved,
             "sustained churn must not grow the preallocated store"
         );
+    }
+
+    proptest! {
+        /// The in-order append is exactly the binary-search insert: on
+        /// any offer/drain history — in-order runs, shuffles,
+        /// duplicates, too-late readings, overflow — both return the
+        /// same verdicts, hold the same pending readings and counters,
+        /// and release the same readings.
+        #[test]
+        fn offer_matches_search_only_offer(
+            (capacity, ops) in (
+                1usize..6,
+                prop::collection::vec((0u8..4, 0i64..40, -5.0f64..45.0), 0..64),
+            ),
+        ) {
+            let mut fast = buffer(10, capacity);
+            let mut reference = fast.clone();
+            let mut now = 0;
+            for (op, minute, value) in ops {
+                if op == 0 {
+                    now += 5;
+                    let now = Timestamp::from_minutes(now);
+                    prop_assert_eq!(fast.drain_ready(now), reference.drain_ready(now));
+                } else {
+                    // Mostly near the watermark, sometimes far behind it.
+                    let at = now - 20 + minute % 30 - if op == 1 { minute } else { 0 };
+                    let reading = r(at, value);
+                    prop_assert_eq!(fast.offer(&reading), reference.offer_by_search(&reading));
+                }
+                prop_assert_eq!(&fast.pending, &reference.pending);
+                prop_assert_eq!(fast.stats(), reference.stats());
+            }
+        }
     }
 
     #[test]

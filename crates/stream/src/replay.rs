@@ -18,8 +18,6 @@
 //!   failed polls delay delivery (data arrives late, never vanishes
 //!   silently).
 
-use std::collections::VecDeque;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -323,7 +321,7 @@ pub struct FlakySource {
     cursor: usize,
     /// Batches fetched but not yet returned (accumulate across failed
     /// polls). Bounded by the schedule itself.
-    staged: VecDeque<Reading>,
+    staged: Vec<Reading>,
     backoff: Backoff,
     breaker: CircuitBreaker,
     /// First slot at which polling may resume after a backoff delay.
@@ -360,7 +358,7 @@ impl FlakySource {
             fail_prob,
             seed,
             cursor: 0,
-            staged: VecDeque::new(),
+            staged: Vec::new(),
             backoff: Backoff::new(backoff)?,
             breaker,
             resume_at: 0,
@@ -388,24 +386,36 @@ impl FlakySource {
     /// reading now available (this slot's batch plus anything staged
     /// by earlier failures). A failed or refused poll returns no
     /// readings — they stay staged and arrive later, which is exactly
-    /// the lateness the reorder/watermark stage absorbs.
+    /// the lateness the reorder/watermark stage absorbs. Allocating
+    /// wrapper over [`FlakySource::poll_into`].
     pub fn poll(&mut self, slot: usize) -> Vec<Reading> {
+        let mut out = Vec::new();
+        self.poll_into(slot, &mut out);
+        out
+    }
+
+    /// [`FlakySource::poll`] into a caller-owned buffer: replaces the
+    /// contents of `out` with the readings now available. Once `out`
+    /// and the staging buffer have grown to the largest delivery, a
+    /// poll performs no heap allocation.
+    pub fn poll_into(&mut self, slot: usize, out: &mut Vec<Reading>) {
+        out.clear();
         // Stage this slot's scheduled batch regardless of source
         // health: measurement happened, delivery is what fails.
         while self.cursor <= slot && self.cursor < self.replayer.slots() {
             let batch = self.replayer.batch(self.cursor);
-            self.staged.extend(batch.iter().copied());
+            self.staged.extend_from_slice(batch);
             self.cursor += 1;
         }
         self.breaker.tick();
         let slot_u64 = slot as u64;
         if slot_u64 < self.resume_at {
             self.stats.backoff_skips += 1;
-            return Vec::new();
+            return;
         }
         if !self.breaker.allow() {
             self.stats.breaker_refusals += 1;
-            return Vec::new();
+            return;
         }
         let roll = StdRng::seed_from_u64(thermal_par::derive_seed(
             self.seed ^ REPLAY_STREAM_SALT,
@@ -423,12 +433,12 @@ impl FlakySource {
                 // retry delay (the breaker governs the tripped case).
                 self.resume_at = slot_u64 + self.backoff.next_delay();
             }
-            return Vec::new();
+            return;
         }
         self.breaker.record_success();
         self.backoff.reset();
         self.stats.successes += 1;
-        self.staged.drain(..).collect()
+        out.append(&mut self.staged);
     }
 }
 

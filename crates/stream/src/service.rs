@@ -3,7 +3,7 @@
 //! predictions from the fitted reduced model.
 //!
 //! [`StreamService::step`] advances simulated time one grid slot:
-//! arrivals flow through the bounded ingest queue, fan out to
+//! arrivals are admitted through the bounded ingest queue, fan out to
 //! per-channel reorder buffers, and everything at or below the
 //! watermark feeds the per-sensor [`crate::HealthMachine`]s.
 //! [`StreamService::predict`] then answers from whatever survives,
@@ -424,10 +424,11 @@ impl StreamService {
         stats
     }
 
-    /// Current queue depth plus every reorder buffer's depth — the
+    /// Readings buffered between steps: every reorder buffer's depth
+    /// (the ingest queue is drained in the step that fills it) — the
     /// number the soak harness asserts stays bounded.
     pub fn buffered_depth(&self) -> usize {
-        self.queue.len() + self.reorders.iter().map(ReorderBuffer::len).sum::<usize>()
+        self.reorders.iter().map(ReorderBuffer::len).sum::<usize>()
     }
 
     /// Health snapshot of every sensor, registry order.
@@ -450,8 +451,8 @@ impl StreamService {
         self.machines.get(sensor).map(HealthMachine::state)
     }
 
-    /// Advances the event loop to `now`: enqueues `arrivals`, drains
-    /// the queue through the per-channel reorder buffers, applies
+    /// Advances the event loop to `now`: admits `arrivals` through the
+    /// ingest queue into the per-channel reorder buffers, applies
     /// every reading at or below the watermark to health supervision,
     /// ticks the heartbeat watchdogs, and refreshes the substitution
     /// ladder.
@@ -463,20 +464,37 @@ impl StreamService {
     /// lossy events are counted in [`ServiceStats`] instead.
     pub fn step(&mut self, now: Timestamp, arrivals: &[Reading]) -> Result<()> {
         self.clock.advance_to(now)?;
-        for reading in arrivals {
-            if reading.channel >= self.names.len() {
-                self.stats.unknown_channel += 1;
-                continue;
-            }
-            self.queue.push(*reading);
-        }
-        while let Some(reading) = self.queue.pop() {
-            // The admission check above guarantees the channel has a
-            // reorder buffer; `get_mut` keeps that proof local.
+        self.ingest(arrivals);
+        self.settle(now);
+        Ok(())
+    }
+
+    /// Admits one slot's arrivals through the ingest queue and offers
+    /// the survivors, in arrival order, straight to their channels'
+    /// reorder buffers. The queue is drained in the step that fills it,
+    /// so admission is accounting on the batch of readings that name a
+    /// registered channel ([`BoundedQueue::admit`]); the rest are
+    /// counted as unknown.
+    fn ingest(&mut self, arrivals: &[Reading]) {
+        let channels = self.reorders.len();
+        let unknown = arrivals.iter().filter(|r| r.channel >= channels).count();
+        self.stats.unknown_channel += unknown as u64;
+        let admitted = self.queue.admit(arrivals.len() - unknown);
+        let known = arrivals.iter().filter(|r| r.channel < channels);
+        for reading in known.skip(admitted.start).take(admitted.len()) {
+            // The filter guarantees the channel has a reorder buffer;
+            // `get_mut` keeps that proof local.
             if let Some(reorder) = self.reorders.get_mut(reading.channel) {
-                reorder.offer(&reading);
+                reorder.offer(reading);
             }
         }
+    }
+
+    /// The rest of a step once the slot's arrivals are buffered:
+    /// releases every reading at or below the watermark to health
+    /// supervision, ticks the heartbeat watchdogs, and refreshes the
+    /// substitution ladder, the online sidecar and the forecast.
+    fn settle(&mut self, now: Timestamp) {
         let now_minutes = now.as_minutes();
         let mut drained = std::mem::take(&mut self.drain_scratch);
         for (channel, reorder) in self.reorders.iter_mut().enumerate() {
@@ -511,7 +529,6 @@ impl StreamService {
         self.refresh_ladder();
         self.step_online();
         self.stats.steps += 1;
-        Ok(())
     }
 
     /// One tick of the continuous-identification sidecar: residual
@@ -1058,6 +1075,7 @@ impl Snapshot for StreamService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use thermal_cluster::Clustering;
     use thermal_linalg::Matrix;
     use thermal_select::Selection;
@@ -1429,6 +1447,137 @@ mod tests {
             log
         };
         assert_eq!(run("det-a"), run("det-b"));
+    }
+
+    /// The ingest that [`StreamService::ingest`] replaced, kept as its
+    /// oracle: each known arrival pushed through the push-all/pop-all
+    /// queue round trip, then offered to its reorder buffer by binary
+    /// search.
+    fn ingest_reference(svc: &mut StreamService, arrivals: &[Reading]) {
+        let mut known = Vec::new();
+        for reading in arrivals {
+            if reading.channel >= svc.names.len() {
+                svc.stats.unknown_channel += 1;
+                continue;
+            }
+            known.push(*reading);
+        }
+        for reading in svc.queue.round_trip(&known) {
+            if let Some(reorder) = svc.reorders.get_mut(reading.channel) {
+                reorder.offer_by_search(&reading);
+            }
+        }
+    }
+
+    /// Every reading the buffers release at `now`, channel by channel.
+    fn released(svc: &StreamService, now: Timestamp) -> Vec<(usize, i64, u64)> {
+        let mut out = Vec::new();
+        for (channel, reorder) in svc.reorders.iter().enumerate() {
+            for (at, value) in reorder.clone().drain_ready(now) {
+                out.push((channel, at.as_minutes(), value.to_bits()));
+            }
+        }
+        out
+    }
+
+    /// A prediction with every float as its bit pattern.
+    type PredictionBits = (
+        i64,
+        i64,
+        bool,
+        Vec<(usize, String, Option<u64>, Option<u64>)>,
+    );
+
+    fn prediction_bits(p: &LivePrediction) -> PredictionBits {
+        let clusters = p
+            .clusters
+            .iter()
+            .map(|c| {
+                (
+                    c.cluster,
+                    format!("{:?} {:?}", c.action, c.health),
+                    c.predicted.map(f64::to_bits),
+                    c.uncertainty.map(f64::to_bits),
+                )
+            })
+            .collect();
+        (
+            p.at.as_minutes(),
+            p.target.as_minutes(),
+            p.warmed_up,
+            clusters,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `step` against the push-all/pop-all, binary-search-only
+        /// ingest it replaced, over random slot batches of 0 to 3×
+        /// the queue capacity under both overflow policies, with
+        /// unknown channels interleaved and duplicate, shuffled and
+        /// too-late readings: the same released readings, counters,
+        /// snapshot bytes and prediction bits after every slot.
+        #[test]
+        fn step_matches_round_trip_ingest(
+            (drop_oldest, queue_capacity, reorder_capacity, slots) in (
+                any::<bool>(),
+                1usize..6,
+                2usize..6,
+                prop::collection::vec(
+                    prop::collection::vec((0usize..7, 0i64..6, 15.0f64..32.0), 0..18),
+                    0..30,
+                ),
+            ),
+        ) {
+            let config = StreamConfig {
+                queue_capacity,
+                overflow: if drop_oldest {
+                    OverflowPolicy::DropOldest
+                } else {
+                    OverflowPolicy::RejectNewest
+                },
+                reorder: ReorderConfig {
+                    allowed_lateness: 10,
+                    capacity: reorder_capacity,
+                },
+                ..StreamConfig::default()
+            };
+            let start = Timestamp::from_minutes(0);
+            let mut svc = StreamService::new(fixture(), config.clone(), start).unwrap();
+            let mut reference = StreamService::new(fixture(), config, start).unwrap();
+            for (slot, batch) in slots.iter().enumerate() {
+                let now = Timestamp::from_minutes(slot as i64 * 5);
+                let arrivals: Vec<Reading> = batch
+                    .iter()
+                    .take(3 * queue_capacity)
+                    .map(|&(channel, age, value)| Reading {
+                        channel,
+                        at: Timestamp::from_minutes(now.as_minutes() - age * 5),
+                        value,
+                    })
+                    .collect();
+                let mut next = svc.clone();
+                next.ingest(&arrivals);
+                let mut next_reference = reference.clone();
+                ingest_reference(&mut next_reference, &arrivals);
+                prop_assert_eq!(released(&next, now), released(&next_reference, now));
+
+                svc.step(now, &arrivals).unwrap();
+                reference.clock.advance_to(now).unwrap();
+                ingest_reference(&mut reference, &arrivals);
+                reference.settle(now);
+                prop_assert_eq!(svc.stats(), reference.stats());
+                prop_assert_eq!(
+                    thermal_ckpt::snapshot::snapshot_bytes(&svc),
+                    thermal_ckpt::snapshot::snapshot_bytes(&reference)
+                );
+                prop_assert_eq!(
+                    prediction_bits(&svc.predict()),
+                    prediction_bits(&reference.predict())
+                );
+            }
+        }
     }
 
     #[test]

@@ -261,11 +261,12 @@ fn ci() -> ExitCode {
         return code;
     }
     // Allocation-budget gate: the counting-allocator binaries prove a
-    // warmed-up steady-state stream event and a simulator step perform
-    // zero heap allocations, that batch assembly, open-loop prediction
-    // and the cluster-mean validation allocate per segment, never per
-    // sample or slot, and that GP selection allocates per sensor, never
-    // per sample or per candidate evaluation (see DESIGN.md
+    // warmed-up steady-state stream event, a warmed-up bulkhead slot
+    // and a simulator step perform zero heap allocations, that batch
+    // assembly, open-loop prediction and the cluster-mean validation
+    // allocate per segment, never per sample or slot, and that GP
+    // selection allocates per sensor, never per sample or per
+    // candidate evaluation (see DESIGN.md
     // § allocation budget and § simulator design). The full test step
     // above already ran them; this dedicated step keeps the budget
     // visible — and individually bisectable — in the CI log.
@@ -278,6 +279,8 @@ fn ci() -> ExitCode {
             "--release",
             "-p",
             "thermal-stream",
+            "-p",
+            "thermal-fleet",
             "-p",
             "thermal-sim",
             "-p",

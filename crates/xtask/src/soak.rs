@@ -18,10 +18,13 @@
 //!    every kill point `k` (all of `1..=N`, or the boundary sample under
 //!    `--smoke`) a run dies with exit code 86 at its `k`-th durable
 //!    write, a rerun resumes, and the artefacts must equal the clean
-//!    run's. The row's corruption cases then damage a store and require
-//!    the same convergence, and a damaged snapshot must be named in the
-//!    store's quarantine log. `matrix.json` and `quarantine-log.txt`
-//!    record the sweep for the CI upload.
+//!    run's. Every run of the sweep but the `THERMAL_THREADS=4` axis
+//!    runs on one thread, so each kill point dies at the same write,
+//!    and leaves the same store, on every invocation. The row's
+//!    corruption cases then damage a store and require the same
+//!    convergence, and a damaged snapshot must be named in the store's
+//!    quarantine log. `matrix.json` and `quarantine-log.txt` record the
+//!    sweep for the CI upload.
 //!
 //! Every run is `harness <name> <args>`. Its exit code is checked (0,
 //! or 86 at a kill point), and every clean exit must print the
@@ -204,9 +207,19 @@ const PLAIN_AXES: &[(&str, Option<&str>)] = &[
     ("t4", Some("4")),
 ];
 
+/// Thread count of every kill-sweep run but the `threads-4` axis: the
+/// census, kill points, resumes and corruption cases. With one worker
+/// the `k`-th durable write is the same write on every run, so a kill
+/// point's checkpoint store is reproducible; with several, buildings
+/// that run in parallel race for it.
+const KILL_THREADS: Option<&str> = Some("1");
+
 /// Determinism axes of a kill sweep; the first is the census run.
-const KILL_AXES: &[(&str, Option<&str>)] =
-    &[("clean", None), ("repeat", None), ("threads-4", Some("4"))];
+const KILL_AXES: &[(&str, Option<&str>)] = &[
+    ("clean", KILL_THREADS),
+    ("repeat", KILL_THREADS),
+    ("threads-4", Some("4")),
+];
 
 /// The scenario called `name`.
 pub fn find(name: &str) -> Option<&'static Scenario> {
@@ -333,8 +346,8 @@ impl Harness<'_> {
         eprintln!("xtask soak: {name}: {writes} durable writes, kill points {points:?}");
         for k in points {
             let dir = self.fresh(&format!("k{k}"))?;
-            self.exec(&dir, args, None, Some(k))?;
-            self.exec(&dir, args, None, None)?;
+            self.exec(&dir, args, KILL_THREADS, Some(k))?;
+            self.exec(&dir, args, KILL_THREADS, None)?;
             self.same(&clean, &dir, &format!("kill point {k}"))?;
             cases.push(format!("kill-{k}"));
         }
@@ -342,12 +355,17 @@ impl Harness<'_> {
         let mut quarantine_log = String::new();
         for (case, victim, how) in contract.corruptions {
             let dir = self.fresh(case)?;
-            self.exec(&dir, args, None, contract.after_kill.then(|| writes - 2))?;
+            self.exec(
+                &dir,
+                args,
+                KILL_THREADS,
+                contract.after_kill.then(|| writes - 2),
+            )?;
             let stores = stores(&dir, contract.stores)?;
             let path = pick_victim(victim, &stores)?;
             damage(&path, *how)?;
             eprintln!("xtask soak: {name}: `{case}` damaged {}", path.display());
-            self.exec(&dir, args, None, None)?;
+            self.exec(&dir, args, KILL_THREADS, None)?;
             self.same(&clean, &dir, &format!("corruption case `{case}`"))?;
             let log = quarantine_logs(&stores);
             let entry = format!("name={}", file_name(&path));
