@@ -6,7 +6,7 @@
 //! round-trips and stable bytes:
 //!
 //! * `f64` values are encoded as the hex of [`f64::to_bits`]
-//!   ([`put_f64`]/[`Record::get_f64`]) — no decimal formatting, no
+//!   ([`Record::put_f64`]/[`Record::get_f64`]) — no decimal formatting, no
 //!   round-trip drift, NaN-payload preserving,
 //! * keys are emitted in insertion order and the encoder is the only
 //!   producer, so identical inputs yield identical bytes (the

@@ -10,7 +10,7 @@
 //!   an artifact on disk is always whole (never torn), with a chaos
 //!   kill-point hook ticked before every commit,
 //! * [`CheckpointStore`] — a directory of content-hash-verified
-//!   payloads under a plain-text [`manifest`](crate::manifest) that
+//!   payloads under a plain-text [`manifest`] that
 //!   records schema version, run seed, and source revision; opening a
 //!   store performs full recovery (sweep temp strays, quarantine
 //!   corrupt/truncated/orphaned files, discard on identity mismatch)

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a list of [`FaultDirective`]s, each naming one
 //! [`FaultKind`], a target set of channels and an `intensity` knob in
 //! `[0, 1]`. Applying the plan to a [`Dataset`] produces the faulted
-//! copy plus the ground-truth [`FaultLog`](crate::FaultLog) of what
+//! copy plus the ground-truth [`FaultLog`] of what
 //! was injected where.
 //!
 //! # Determinism contract

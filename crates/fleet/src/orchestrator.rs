@@ -6,7 +6,7 @@
 //! static demand (never runtime health), and each admitted building
 //! is fitted (cluster→select→identify, optionally through the
 //! checkpointed runner) and then served through its own
-//! [`BuildingShard`](crate::shard::BuildingShard) bulkhead. Buildings
+//! [`BuildingShard`] bulkhead. Buildings
 //! are processed by order-preserving `thermal-par` maps, and no
 //! mutable state is shared across buildings, so:
 //!

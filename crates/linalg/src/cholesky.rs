@@ -376,7 +376,7 @@ impl CholeskyDecomposition {
 /// Position `p`'s block shares the full factor's columns `< p` (row
 /// `p` left out) bit for bit, and each of its trailing entries is the
 /// full factor's chain through column `p − 1` continued, so only the
-/// trailing block is factored ([`factor_in_place`] from column `p`).
+/// trailing block is factored (`factor_in_place` from column `p`).
 /// Likewise its forward substitution starts `p` entries in: they are
 /// the full factor's row `p`, and the rest start from column `p`'s
 /// chains. Each entry of a factor or solution is still "start from

@@ -221,6 +221,21 @@ impl EmpiricalCdf {
 /// * [`LinalgError::ShapeMismatch`] when lengths differ,
 /// * [`LinalgError::Empty`] when fewer than two samples are given.
 pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64> {
+    // A series too short to correlate has no use for its mean:
+    // `pearson_with_means` refuses it before reading one.
+    let centre = |series: &[f64]| mean(series).unwrap_or(0.0);
+    pearson_with_means(a, centre(a), b, centre(b))
+}
+
+/// [`pearson`] given each series' [`mean`], for a caller that
+/// correlates one series with several others: it takes each mean once
+/// instead of once per pair. With the means `mean` returns, the result
+/// is bit for bit [`pearson`]'s.
+///
+/// # Errors
+///
+/// Same as [`pearson`].
+pub fn pearson_with_means(a: &[f64], mean_a: f64, b: &[f64], mean_b: f64) -> Result<f64> {
     if a.len() != b.len() {
         return Err(LinalgError::ShapeMismatch {
             op: "pearson",
@@ -231,14 +246,12 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64> {
     if a.len() < 2 {
         return Err(LinalgError::Empty { op: "pearson" });
     }
-    let ma = mean(a)?;
-    let mb = mean(b)?;
     let mut num = 0.0;
     let mut da = 0.0;
     let mut db = 0.0;
     for (&x, &y) in a.iter().zip(b) {
-        let dx = x - ma;
-        let dy = y - mb;
+        let dx = x - mean_a;
+        let dy = y - mean_b;
         num += dx * dy;
         da += dx * dx;
         db += dy * dy;
@@ -487,6 +500,21 @@ mod tests {
         assert_eq!(pearson(&a, &[5.0, 5.0, 5.0]).unwrap(), 0.0);
         assert!(pearson(&a, &[1.0]).is_err());
         assert!(pearson(&[1.0], &[1.0]).is_err());
+    }
+
+    #[test]
+    fn pearson_with_means_is_pearson_given_the_means() {
+        let a: Vec<f64> = (0..97)
+            .map(|i| (f64::from(i) * 0.37).sin() + 20.0)
+            .collect();
+        let b: Vec<f64> = (0..97).map(|i| (f64::from(i) * 0.11).cos() * 3.0).collect();
+        let flat = vec![4.0; 97];
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a), (&a, &flat)] {
+            let given = pearson_with_means(x, mean(x).unwrap(), y, mean(y).unwrap()).unwrap();
+            assert_eq!(given.to_bits(), pearson(x, y).unwrap().to_bits());
+        }
+        assert!(pearson_with_means(&a, 0.0, &b[1..], 0.0).is_err());
+        assert!(pearson_with_means(&[1.0], 1.0, &[1.0], 1.0).is_err());
     }
 
     #[test]

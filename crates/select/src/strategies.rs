@@ -435,10 +435,17 @@ fn assign_to_clusters(input: &SelectionInput<'_>, chosen: &[usize]) -> Result<Se
 
     // Correlation of each chosen sensor with each cluster mean, each
     // computed once: the matching below asks for most pairs repeatedly.
+    // Every series' own mean is taken once too, not once per pair, the
+    // way `stats::pearson` takes it.
+    let centre = |series: &[f64]| stats::mean(series).unwrap_or(0.0);
+    let mean_centres: Vec<f64> = means.iter().map(|mean| centre(mean)).collect();
     let mut table = Matrix::zeros(traj.rows(), k);
     for &sensor in chosen {
-        for (cluster, mean) in means.iter().enumerate() {
-            table[(sensor, cluster)] = stats::pearson(traj.row(sensor), mean).unwrap_or(0.0);
+        let row = traj.row(sensor);
+        let row_centre = centre(row);
+        for (cluster, (mean, &mean_centre)) in means.iter().zip(&mean_centres).enumerate() {
+            table[(sensor, cluster)] =
+                stats::pearson_with_means(row, row_centre, mean, mean_centre).unwrap_or(0.0);
         }
     }
     let corr = |sensor: usize, cluster: usize| table[(sensor, cluster)];

@@ -15,7 +15,7 @@ use crate::{Result, StreamError};
 /// One timestamped sensor reading as delivered by an ingest source.
 ///
 /// `channel` is an index into the serving registry (see
-/// [`crate::StreamService::channel_id`]); readings carry indices
+/// [`crate::StreamService::channel_index`]); readings carry indices
 /// rather than names so a replay of millions of events allocates
 /// nothing per event.
 #[derive(Debug, Clone, Copy, PartialEq)]

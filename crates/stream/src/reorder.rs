@@ -85,16 +85,16 @@ thermal_ckpt::fields!(ReorderStats: released, duplicates, too_late, overflowed, 
 
 /// One channel's reorder buffer.
 ///
-/// Pending readings live in a `Vec` kept sorted by timestamp that is
-/// preallocated to the configured capacity at construction, so the
-/// steady-state offer/drain cycle never touches the heap: inserts
+/// Pending readings live in a `Vec` kept sorted by timestamp. `new`
+/// reserves the configured capacity; a clone reserves what it holds
+/// and grows to its deepest backlog in warm-up. After that, inserts
 /// shift within the reserved storage and drains compact in place.
 #[derive(Debug, Clone)]
 pub struct ReorderBuffer {
     config: ReorderConfig,
     /// Pending readings as `(minutes, value)`, sorted ascending by
-    /// timestamp. Length never exceeds `config.capacity`, so the
-    /// initial reservation is never outgrown.
+    /// timestamp. Length never exceeds `config.capacity`, so a store
+    /// of that capacity is never outgrown.
     pending: Vec<(i64, f64)>,
     /// Highest timestamp ever released; later arrivals at or below it
     /// are too late.

@@ -18,6 +18,8 @@
 //!   failed polls delay delivery (data arrives late, never vanishes
 //!   silently).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -200,10 +202,21 @@ impl ReplayConfig {
 /// A replayable delivery schedule: for each event-loop slot, the
 /// readings that *arrive* in that slot (possibly measured earlier,
 /// possibly duplicated).
+///
+/// The schedule is built once, at its exact size, and never changes
+/// afterwards, so clones share it: cloning a replayer (or a
+/// [`FlakySource`] around one) bumps two reference counts instead of
+/// copying the deliveries.
 #[derive(Debug, Clone)]
 pub struct TraceReplayer {
-    /// `schedule[slot]` = readings delivered at that slot.
-    schedule: Vec<Vec<Reading>>,
+    /// Every delivery, grouped by slot; within a slot, in draw order.
+    readings: Arc<[Reading]>,
+    /// `slots() + 1` ascending offsets into `readings`: slot `s`
+    /// delivers `readings[starts[s]..starts[s + 1]]`. Both slices'
+    /// pointers and lengths live in the replayer, so a poll loads an
+    /// offset pair and then its readings, with no shared header to
+    /// load first.
+    starts: Arc<[usize]>,
     grid: TimeGrid,
 }
 
@@ -237,35 +250,62 @@ impl TraceReplayer {
         // Tail slack so deliveries delayed past the last measurement
         // slot still happen.
         let horizon = grid.len() + usize::try_from(config.max_delay_slots).unwrap_or(0) + 1;
-        let mut schedule: Vec<Vec<Reading>> = vec![Vec::new(); horizon];
-        for (slot, batch) in batches.iter().enumerate() {
-            for (j, reading) in batch.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(
-                    config.seed
-                        ^ REPLAY_STREAM_SALT
-                        ^ (slot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        ^ (j as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9),
-                );
-                let delay = if rng.gen::<f64>() < config.delay_prob {
-                    rng.gen_range(1..=config.max_delay_slots)
-                } else {
-                    0
-                };
-                let deliver = slot + usize::try_from(delay).unwrap_or(0);
-                schedule[deliver.min(horizon - 1)].push(*reading);
-                if rng.gen::<f64>() < config.duplicate_prob {
-                    let dup_delay = rng.gen_range(0..=config.max_delay_slots);
-                    let dup_at = slot + usize::try_from(dup_delay).unwrap_or(0);
-                    schedule[dup_at.min(horizon - 1)].push(*reading);
-                }
+        // Draw each reading's delivery slot, and its duplicate's, once
+        // and count the deliveries of every slot into `starts[slot + 1]`.
+        // Only the draws of readings the jumble delays or duplicates are
+        // kept, by reading index; the rest arrive once and on time. A
+        // record of every draw would be nearly as large as the schedule,
+        // and the allocator keeps its pages resident after it is freed.
+        let mut starts = vec![0_usize; horizon + 1];
+        let mut jumbled = Vec::new();
+        for (index, (slot, j, _)) in measured(batches).enumerate() {
+            let (deliver, duplicate) = draw_targets(config, slot, j, horizon);
+            starts[deliver + 1] += 1;
+            if let Some(at) = duplicate {
+                starts[at + 1] += 1;
+            }
+            if (deliver, duplicate) != (slot, None) {
+                jumbled.push((index, deliver, duplicate));
             }
         }
-        Ok(TraceReplayer { schedule, grid })
+        for s in 1..=horizon {
+            starts[s] += starts[s - 1];
+        }
+        // Fill each slot's range in draw order: a reading lands before
+        // its duplicate, and both after every earlier reading that
+        // targets the same slot.
+        let placeholder = Reading {
+            channel: 0,
+            at: grid.start(),
+            value: 0.0,
+        };
+        // Collected from an exact-size iterator, the shared slice is
+        // allocated once; it is not shared yet, so `make_mut` hands it
+        // out for writing without a copy.
+        let mut readings: Arc<[Reading]> =
+            std::iter::repeat_n(placeholder, starts[horizon]).collect();
+        let schedule = Arc::make_mut(&mut readings);
+        let mut next = starts[..horizon].to_vec();
+        let mut jumbled = jumbled.into_iter().peekable();
+        for (index, (slot, _, &reading)) in measured(batches).enumerate() {
+            let (deliver, duplicate) = jumbled
+                .next_if(|&(k, ..)| k == index)
+                .map_or((slot, None), |(_, deliver, duplicate)| (deliver, duplicate));
+            for at in std::iter::once(deliver).chain(duplicate) {
+                schedule[next[at]] = reading;
+                next[at] += 1;
+            }
+        }
+        Ok(TraceReplayer {
+            readings,
+            starts: starts.into(),
+            grid,
+        })
     }
 
     /// Number of delivery slots (grid length plus delay slack).
     pub fn slots(&self) -> usize {
-        self.schedule.len()
+        self.starts.len() - 1
     }
 
     /// The measurement grid the schedule was built on.
@@ -281,13 +321,111 @@ impl TraceReplayer {
 
     /// Readings delivered at `slot` (empty past the schedule).
     pub fn batch(&self, slot: usize) -> &[Reading] {
-        self.schedule.get(slot).map_or(&[], Vec::as_slice)
+        match self.starts.get(slot..) {
+            Some(&[start, end, ..]) => &self.readings[start..end],
+            _ => &[],
+        }
     }
 
     /// Total scheduled deliveries (original + duplicated packets).
     pub fn total_deliveries(&self) -> u64 {
-        self.schedule.iter().map(|b| b.len() as u64).sum()
+        self.readings.len() as u64
     }
+
+    /// Whether `self` and `other` share one schedule's allocations.
+    #[cfg(test)]
+    fn shares_schedule_with(&self, other: &TraceReplayer) -> bool {
+        Arc::ptr_eq(&self.readings, &other.readings) && Arc::ptr_eq(&self.starts, &other.starts)
+    }
+}
+
+/// Every measured reading with its slot and its index within the slot,
+/// in measurement order.
+fn measured(batches: &[Vec<Reading>]) -> impl Iterator<Item = (usize, usize, &Reading)> {
+    batches.iter().enumerate().flat_map(|(slot, batch)| {
+        batch
+            .iter()
+            .enumerate()
+            .map(move |(j, reading)| (slot, j, reading))
+    })
+}
+
+/// The jumble's draw for reading `j` of measurement slot `slot`: the
+/// slot it is delivered in and, when it is duplicated, the slot its
+/// duplicate is delivered in, both clamped to the last of `horizon`
+/// slots.
+fn draw_targets(
+    config: &ReplayConfig,
+    slot: usize,
+    j: usize,
+    horizon: usize,
+) -> (usize, Option<usize>) {
+    let mut rng = StdRng::seed_from_u64(
+        config.seed
+            ^ REPLAY_STREAM_SALT
+            ^ (slot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (j as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9),
+    );
+    let delay = if rng.gen::<f64>() < config.delay_prob {
+        rng.gen_range(1..=config.max_delay_slots)
+    } else {
+        0
+    };
+    let deliver = slot + usize::try_from(delay).unwrap_or(0);
+    let duplicate = (rng.gen::<f64>() < config.duplicate_prob).then(|| {
+        let dup_delay = rng.gen_range(0..=config.max_delay_slots);
+        slot + usize::try_from(dup_delay).unwrap_or(0)
+    });
+    (
+        deliver.min(horizon - 1),
+        duplicate.map(|at| at.min(horizon - 1)),
+    )
+}
+
+/// The per-slot build that [`TraceReplayer::new`]'s flat schedule
+/// replaced, kept as its test oracle: one `Vec` per delivery slot,
+/// each grown by pushing the readings that land in it.
+#[cfg(test)]
+fn per_slot_reference(
+    grid: TimeGrid,
+    batches: &[Vec<Reading>],
+    config: &ReplayConfig,
+) -> Result<Vec<Vec<Reading>>> {
+    config.validate()?;
+    if batches.len() > grid.len() {
+        return Err(StreamError::InvalidConfig {
+            reason: format!(
+                "{} measurement batches exceed the {}-slot grid",
+                batches.len(),
+                grid.len()
+            ),
+        });
+    }
+    let horizon = grid.len() + usize::try_from(config.max_delay_slots).unwrap_or(0) + 1;
+    let mut schedule: Vec<Vec<Reading>> = vec![Vec::new(); horizon];
+    for (slot, batch) in batches.iter().enumerate() {
+        for (j, reading) in batch.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(
+                config.seed
+                    ^ REPLAY_STREAM_SALT
+                    ^ (slot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    ^ (j as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9),
+            );
+            let delay = if rng.gen::<f64>() < config.delay_prob {
+                rng.gen_range(1..=config.max_delay_slots)
+            } else {
+                0
+            };
+            let deliver = slot + usize::try_from(delay).unwrap_or(0);
+            schedule[deliver.min(horizon - 1)].push(*reading);
+            if rng.gen::<f64>() < config.duplicate_prob {
+                let dup_delay = rng.gen_range(0..=config.max_delay_slots);
+                let dup_at = slot + usize::try_from(dup_delay).unwrap_or(0);
+                schedule[dup_at.min(horizon - 1)].push(*reading);
+            }
+        }
+    }
+    Ok(schedule)
 }
 
 /// Failure/supervision accounting of a [`FlakySource`].
@@ -312,6 +450,9 @@ thermal_ckpt::fields!(SourceStats: successes, failures, breaker_refusals, backof
 /// each poll fails with a seed-derived probability; failures delay
 /// delivery (batches accumulate until the next successful poll) and
 /// are supervised by [`Backoff`] and the circuit breaker.
+///
+/// A clone shares the replayer's schedule and copies only the
+/// position, the staged readings and the supervision state.
 #[derive(Debug, Clone)]
 pub struct FlakySource {
     replayer: TraceReplayer,
@@ -518,6 +659,7 @@ impl Snapshot for FlakySource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const CSV: &str = "minutes,a,b\n0,20.0,21.0\n5,NaN,21.1\n10,20.2,junk\n15,20.3\n20,,21.4\n";
 
@@ -720,5 +862,149 @@ mod tests {
             (log, s.stats())
         };
         assert_eq!(run(make()), run(make()));
+    }
+
+    /// A jittered, flaky source over `slots` slots of three channels.
+    fn flaky(slots: usize) -> FlakySource {
+        let g = grid(slots);
+        let b = batches(&g, 3);
+        let config = ReplayConfig {
+            seed: 17,
+            ..ReplayConfig::default()
+        };
+        let replayer = TraceReplayer::new(g, &b, &config).unwrap();
+        FlakySource::new(
+            replayer,
+            0.3,
+            17,
+            BackoffPolicy::default(),
+            BreakerPolicy::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn clones_share_one_schedule() {
+        let source = flaky(30);
+        let replayer = source.replayer().clone();
+        assert!(replayer.shares_schedule_with(source.replayer()));
+        let twin = source.clone();
+        assert!(twin.replayer().shares_schedule_with(source.replayer()));
+        // A rebuild from the same inputs is equal but its own.
+        let rebuilt = flaky(30);
+        assert!(!rebuilt.replayer().shares_schedule_with(source.replayer()));
+        for slot in 0..replayer.slots() + 2 {
+            assert_eq!(rebuilt.replayer().batch(slot), replayer.batch(slot));
+        }
+    }
+
+    #[test]
+    fn source_clones_polled_in_turn_each_replay_a_fresh_source() {
+        let slots = 60;
+        let mut fresh = flaky(slots);
+        let expected: Vec<(Vec<Reading>, SourceStats)> = (0..slots + 40)
+            .map(|slot| (fresh.poll(slot), fresh.stats()))
+            .collect();
+        // Clone before the first poll and mid-run, with readings staged
+        // by failed polls.
+        for split in [0, 23] {
+            let mut original = flaky(slots);
+            for slot in 0..split {
+                original.poll(slot);
+            }
+            assert_eq!(split > 0, !original.staged.is_empty());
+            let mut first = original.clone();
+            let mut second = original.clone();
+            for (slot, want) in expected.iter().enumerate().skip(split) {
+                let got = (first.poll(slot), first.stats());
+                assert_eq!(&got, want, "first clone (split {split}) at slot {slot}");
+                let got = (second.poll(slot), second.stats());
+                assert_eq!(&got, want, "second clone (split {split}) at slot {slot}");
+            }
+        }
+    }
+
+    /// Readings with distinct channels and values, so a reordering
+    /// within a slot shows.
+    fn sized_batches(grid: &TimeGrid, sizes: &[usize]) -> Vec<Vec<Reading>> {
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(slot, &n)| {
+                (0..n)
+                    .map(|j| Reading {
+                        channel: j,
+                        at: grid.timestamp(slot).unwrap(),
+                        value: (slot * 1000 + j) as f64,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// 0, a drawn probability, or 1.
+    fn probability(kind: u8, drawn: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => drawn,
+            _ => 1.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat schedule equals the per-slot build: the same slot
+        /// count and delivery total, and in every slot (and past the
+        /// end) the same readings in the same order. Batches are empty,
+        /// short or long, and fewer than the grid's slots or as many.
+        #[test]
+        fn flat_schedule_matches_per_slot_reference(
+            (grid_len, batch_count, shapes) in (1usize..40).prop_flat_map(|len| (
+                Just(len),
+                0..=len,
+                prop::collection::vec((0u8..4, 0usize..48), len),
+            )),
+            (delay_kind, delay_drawn, dup_kind, dup_drawn) in
+                (0u8..3, 0.0f64..1.0, 0u8..3, 0.0f64..1.0),
+            max_delay_slots in 0u64..=6,
+            seed in any::<u64>(),
+        ) {
+            let g = grid(grid_len);
+            // Class 0 is an empty batch, 1 and 2 short ones, 3 a long one.
+            let sizes: Vec<usize> = shapes[..batch_count]
+                .iter()
+                .map(|&(class, n)| match class {
+                    0 => 0,
+                    3 => n,
+                    _ => n % 4,
+                })
+                .collect();
+            let b = sized_batches(&g, &sizes);
+            let config = ReplayConfig {
+                delay_prob: probability(delay_kind, delay_drawn),
+                max_delay_slots,
+                duplicate_prob: probability(dup_kind, dup_drawn),
+                seed,
+            };
+            let flat = TraceReplayer::new(g, &b, &config);
+            let reference = per_slot_reference(g, &b, &config);
+            let (flat, reference) = match (flat, reference) {
+                (Ok(flat), Ok(reference)) => (flat, reference),
+                (flat, reference) => {
+                    // A zero maximum delay with delays enabled is refused
+                    // by both builds.
+                    prop_assert!(flat.is_err() && reference.is_err());
+                    return Ok(());
+                }
+            };
+            prop_assert_eq!(flat.slots(), reference.len());
+            let total: usize = reference.iter().map(Vec::len).sum();
+            prop_assert_eq!(flat.total_deliveries(), total as u64);
+            for slot in 0..=flat.slots() + 2 {
+                let want = reference.get(slot).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(flat.batch(slot), want);
+            }
+        }
     }
 }

@@ -1,9 +1,12 @@
 //! The allocation budget contract of the streaming hot path (see
 //! DESIGN.md § allocation budget): once the service is warmed up, a
 //! steady-state event — `step` over a slot of arrivals followed by
-//! `predict_into` — must perform **zero** heap allocations. A counting
-//! global allocator wraps `System` and the single test in this file
-//! asserts the counter does not move across hundreds of events.
+//! `predict_into` — must perform **zero** heap allocations. The replay
+//! schedule is shared, never copied: cloning a `TraceReplayer`, or a
+//! `FlakySource` with nothing staged, must not allocate either. A
+//! counting global allocator wraps `System` and the single test in
+//! this file asserts the counter does not move across hundreds of
+//! events and clones.
 //!
 //! This file must stay a one-test binary: a second test running on a
 //! sibling thread would allocate concurrently and poison the counter.
@@ -17,13 +20,17 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use thermal_ckpt::BreakerPolicy;
 use thermal_cluster::Clustering;
 use thermal_core::ReducedModel;
 use thermal_linalg::Matrix;
 use thermal_select::Selection;
-use thermal_stream::{OnlineConfig, Reading, StreamConfig, StreamService};
+use thermal_stream::{
+    BackoffPolicy, FlakySource, OnlineConfig, Reading, ReplayConfig, StreamConfig, StreamService,
+    TraceReplayer,
+};
 use thermal_sysid::{ModelOrder, ModelSpec, ThermalModel};
-use thermal_timeseries::Timestamp;
+use thermal_timeseries::{TimeGrid, Timestamp};
 
 /// Counts every allocation-side operation (`alloc`, `alloc_zeroed`,
 /// `realloc`) while delegating the actual work to [`System`].
@@ -105,6 +112,61 @@ fn fill_arrivals(arrivals: &mut [Reading], minute: i64) {
     };
 }
 
+/// A jittered, flaky source over a day of the four sensors and the
+/// input, nothing staged yet.
+fn source() -> FlakySource {
+    let grid = TimeGrid::new(Timestamp::from_minutes(0), 5, 288).unwrap();
+    let batches: Vec<Vec<Reading>> = (0..grid.len())
+        .map(|slot| {
+            let mut arrivals = vec![
+                Reading {
+                    channel: 0,
+                    at: Timestamp::from_minutes(0),
+                    value: 0.0,
+                };
+                5
+            ];
+            fill_arrivals(&mut arrivals, slot as i64 * 5);
+            arrivals
+        })
+        .collect();
+    let replay = ReplayConfig {
+        seed: 3,
+        ..ReplayConfig::default()
+    };
+    let replayer = TraceReplayer::new(grid, &batches, &replay).unwrap();
+    FlakySource::new(
+        replayer,
+        0.3,
+        3,
+        BackoffPolicy::default(),
+        BreakerPolicy::default(),
+    )
+    .unwrap()
+}
+
+/// Runs `event` over up to three windows of 400 events, stopping at
+/// the first window that leaves the allocation counter where it was;
+/// returns each window's allocation count. A genuine per-event
+/// allocation recurs on every event, so it taints *every* window with
+/// hundreds of counts; stray one-time allocations from the harness
+/// cannot survive a retry.
+fn allocations_per_window(mut event: impl FnMut(i64)) -> Vec<u64> {
+    let mut windows = Vec::new();
+    for window in 0..3 {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for i in window * 400..(window + 1) * 400 {
+            event(i);
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        windows.push(after - before);
+        if after == before {
+            break;
+        }
+    }
+    windows
+}
+
 #[test]
 fn steady_state_events_do_not_allocate() {
     let root =
@@ -153,27 +215,14 @@ fn steady_state_events_do_not_allocate() {
     std::thread::sleep(std::time::Duration::from_millis(10));
 
     // Measure: several hundred steady-state events must leave the
-    // allocation counter exactly where it was. A genuine hot-path
-    // allocation recurs on every event, so it taints *every* window
-    // with hundreds of counts; stray one-time allocations from the
-    // harness cannot survive a retry. Require a clean window.
-    let mut windows = Vec::new();
-    for window in 0..3 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let start = 40 + window * 400;
-        for slot in start..start + 400_i64 {
-            let minute = slot * 5;
-            fill_arrivals(&mut arrivals, minute);
-            svc.step(Timestamp::from_minutes(minute), &arrivals)
-                .unwrap();
-            svc.predict_into(&mut prediction);
-        }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        windows.push(after - before);
-        if after == before {
-            break;
-        }
-    }
+    // allocation counter exactly where it was. Require a clean window.
+    let windows = allocations_per_window(|i| {
+        let minute = (40 + i) * 5;
+        fill_arrivals(&mut arrivals, minute);
+        svc.step(Timestamp::from_minutes(minute), &arrivals)
+            .unwrap();
+        svc.predict_into(&mut prediction);
+    });
     assert_eq!(
         windows.last().copied(),
         Some(0),
@@ -188,6 +237,22 @@ fn steady_state_events_do_not_allocate() {
     let stats = svc.stats();
     assert_eq!(stats.steps, 40 + 400 * windows.len() as u64);
     assert!(stats.applied > 2000, "readings were applied: {stats:?}");
+
+    // Clones share the replay schedule: a replayer clone and a clone
+    // of a source with nothing staged acquire no memory.
+    let source = source();
+    let replayer = source.replayer();
+    let clones = allocations_per_window(|_| {
+        std::hint::black_box(replayer.clone());
+        std::hint::black_box(source.clone());
+    });
+    assert_eq!(
+        clones.last().copied(),
+        Some(0),
+        "cloning a TraceReplayer or an unstaged FlakySource must not touch the heap \
+         (allocations per 400-clone window: {clones:?})"
+    );
+    assert!(replayer.total_deliveries() >= 5 * 288);
 
     let _ = std::fs::remove_dir_all(&root);
 }

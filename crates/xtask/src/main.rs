@@ -8,9 +8,9 @@
 //!   token-level static-analysis gate with a ratcheted baseline (see
 //!   DESIGN.md § static analysis v2).
 //! - `cargo xtask fmt` — `cargo fmt --all`.
-//! - `cargo xtask ci` — fmt-check → clippy → lint → build → test →
-//!   allocation-budget gate → determinism smoke → soak smokes (one per
-//!   scenario row, plain and `--kill`).
+//! - `cargo xtask ci` — fmt-check → clippy → lint → doc → build →
+//!   test → allocation-budget gate → determinism smoke → soak smokes
+//!   (one per scenario row, plain and `--kill`).
 //! - `cargo xtask soak <scenario> [--smoke] [--kill]` / `--list` —
 //!   the table-driven robustness runner (see `xtask::soak`): byte
 //!   determinism across repeats and thread counts, the fleet blast
@@ -63,8 +63,8 @@ fn print_help() {
          \x20      [--update-baseline]  rewrite xtask/lint-baseline.json\n\
          \x20                      (ratcheted: per-rule counts may only shrink)\n\
          \x20 fmt                  format the workspace (cargo fmt --all)\n\
-         \x20 ci                   fmt-check, clippy, lint, build, test, alloc-free,\n\
-         \x20                      determinism and soak smokes\n\
+         \x20 ci                   fmt-check, clippy, lint, doc, build, test,\n\
+         \x20                      alloc-free, determinism and soak smokes\n\
          \x20 soak <scenario>      robustness runner: determinism, blast radius\n\
          \x20      [--smoke]       (short sweep / boundary kill points)\n\
          \x20      [--kill]        kill-point crash/resume sweep + corruption cases\n\
@@ -226,7 +226,7 @@ fn run_steps(steps: &[Step]) -> ExitCode {
 
 fn ci() -> ExitCode {
     // fmt-check and clippy walls first (cheapest feedback), then the
-    // custom gate, then build + test.
+    // custom gate and the docs, then build + test.
     let steps = [
         step("fmt-check", &["fmt", "--all", "--check"]),
         step(
@@ -254,6 +254,9 @@ fn ci() -> ExitCode {
         return code;
     }
     let code = run_steps(&[
+        // The workspace's rustdoc lints deny broken, private and
+        // redundant intra-doc links, so a bad link fails this step.
+        step("doc", &["doc", "--no-deps", "--workspace", "--offline"]),
         step("build", &["build", "--release", "--offline"]),
         step("test", &["test", "-q", "--offline"]),
     ]);
@@ -262,14 +265,15 @@ fn ci() -> ExitCode {
     }
     // Allocation-budget gate: the counting-allocator binaries prove a
     // warmed-up steady-state stream event, a warmed-up bulkhead slot
-    // and a simulator step perform zero heap allocations, that batch
-    // assembly, open-loop prediction and the cluster-mean validation
-    // allocate per segment, never per sample or slot, and that GP
-    // selection allocates per sensor, never per sample or per
-    // candidate evaluation (see DESIGN.md
-    // § allocation budget and § simulator design). The full test step
-    // above already ran them; this dedicated step keeps the budget
-    // visible — and individually bisectable — in the CI log.
+    // and a simulator step perform zero heap allocations, that cloning
+    // a replay schedule or an unstaged flaky source allocates nothing
+    // (clones share the schedule), that batch assembly, open-loop
+    // prediction and the cluster-mean validation allocate per segment,
+    // never per sample or slot, and that GP selection allocates per
+    // sensor, never per sample or per candidate evaluation (see
+    // DESIGN.md § allocation budget and § simulator design). The full
+    // test step above already ran them; this dedicated step keeps the
+    // budget visible — and individually bisectable — in the CI log.
     let code = run_steps(&[step(
         "alloc-free",
         &[
