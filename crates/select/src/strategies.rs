@@ -408,6 +408,27 @@ pub fn rank_backups(input: &SelectionInput<'_>, selection: &Selection) -> Result
     selection.clone().with_backups(backups)
 }
 
+/// Correlation of each chosen sensor's trajectory with each cluster
+/// mean: entry `(sensor, cluster)` of a `traj.rows() × means.len()`
+/// table, `0.0` where the correlation is undefined; rows of sensors not
+/// chosen stay `0.0`. Every series' own mean is taken once, not once
+/// per pair the way `stats::pearson` takes it, so each entry is
+/// `pearson`'s bit for bit.
+fn correlation_table(traj: &Matrix, means: &[Vec<f64>], chosen: &[usize]) -> Matrix {
+    let centre = |series: &[f64]| stats::mean(series).unwrap_or(0.0);
+    let mean_centres: Vec<f64> = means.iter().map(|mean| centre(mean)).collect();
+    let mut table = Matrix::zeros(traj.rows(), means.len());
+    for &sensor in chosen {
+        let row = traj.row(sensor);
+        let row_centre = centre(row);
+        for (cluster, (mean, &mean_centre)) in means.iter().zip(&mean_centres).enumerate() {
+            table[(sensor, cluster)] =
+                stats::pearson_with_means(row, row_centre, mean, mean_centre).unwrap_or(0.0);
+        }
+    }
+    table
+}
+
 /// Assigns an arbitrary chosen sensor set to clusters: each cluster
 /// receives the not-yet-taken sensor whose trajectory best correlates
 /// with the cluster-mean trajectory; leftovers go to the cluster they
@@ -433,21 +454,9 @@ fn assign_to_clusters(input: &SelectionInput<'_>, chosen: &[usize]) -> Result<Se
         means.push(mean);
     }
 
-    // Correlation of each chosen sensor with each cluster mean, each
-    // computed once: the matching below asks for most pairs repeatedly.
-    // Every series' own mean is taken once too, not once per pair, the
-    // way `stats::pearson` takes it.
-    let centre = |series: &[f64]| stats::mean(series).unwrap_or(0.0);
-    let mean_centres: Vec<f64> = means.iter().map(|mean| centre(mean)).collect();
-    let mut table = Matrix::zeros(traj.rows(), k);
-    for &sensor in chosen {
-        let row = traj.row(sensor);
-        let row_centre = centre(row);
-        for (cluster, (mean, &mean_centre)) in means.iter().zip(&mean_centres).enumerate() {
-            table[(sensor, cluster)] =
-                stats::pearson_with_means(row, row_centre, mean, mean_centre).unwrap_or(0.0);
-        }
-    }
+    // Each (sensor, cluster) correlation is computed once: the matching
+    // below asks for most pairs repeatedly.
+    let table = correlation_table(traj, &means, chosen);
     let corr = |sensor: usize, cluster: usize| table[(sensor, cluster)];
 
     // Greedy best-match: repeatedly take the (sensor, empty cluster)
@@ -617,6 +626,63 @@ mod tests {
             match (greedy_mutual_information(&input, &gram, m), reference_greedy(&traj, m)) {
                 (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
                 (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
+
+        /// The correlation table of `assign_to_clusters` holds, for every
+        /// chosen sensor and cluster, `stats::pearson` of the sensor's
+        /// trajectory and the cluster mean (`0.0` where it is undefined),
+        /// bit for bit, over 2–27 sensors in 1–4 clusters with singleton
+        /// clusters, dead-flat sensors and any chosen subset.
+        #[test]
+        fn correlation_table_matches_pairwise_pearson(
+            n in 2usize..28,
+            k in 1usize..5,
+            samples in 2usize..90,
+            dead_from in 0usize..30,
+            assignments in prop::collection::vec(0usize..4, 27),
+            chosen in prop::collection::vec(any::<bool>(), 27),
+            seed in any::<u64>(),
+        ) {
+            let k = k.min(n);
+            let traj = trajectories(n, samples, dead_from, 0, seed);
+            // Sensors 0..k open one cluster each, so none is empty and a
+            // cluster drawn by no other sensor is a singleton.
+            let assignments: Vec<usize> = (0..n)
+                .map(|i| if i < k { i } else { assignments[i] % k })
+                .collect();
+            let clustering = Clustering::from_assignments(assignments, k).unwrap();
+            // Each cluster's mean trajectory, summed and divided as
+            // `assign_to_clusters` does.
+            let means: Vec<Vec<f64>> = clustering
+                .clusters()
+                .iter()
+                .map(|members| {
+                    let mut mean = vec![0.0; samples];
+                    for &i in members {
+                        for (m, v) in mean.iter_mut().zip(traj.row(i)) {
+                            *m += v;
+                        }
+                    }
+                    mean.iter().map(|m| m / members.len() as f64).collect()
+                })
+                .collect();
+            let chosen: Vec<usize> = (0..n).filter(|&i| chosen[i]).collect();
+            let table = correlation_table(&traj, &means, &chosen);
+            prop_assert_eq!(table.shape(), (n, k));
+            for sensor in 0..n {
+                for (cluster, mean) in means.iter().enumerate() {
+                    let want = if chosen.contains(&sensor) {
+                        stats::pearson(traj.row(sensor), mean).unwrap_or(0.0)
+                    } else {
+                        0.0
+                    };
+                    prop_assert_eq!(
+                        table[(sensor, cluster)].to_bits(),
+                        want.to_bits(),
+                        "sensor {} cluster {}", sensor, cluster
+                    );
+                }
             }
         }
     }

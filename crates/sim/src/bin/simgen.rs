@@ -98,8 +98,13 @@ fn main() {
         Ok(o) => o,
         Err(e) => die(&format!("simulation failed: {e}")),
     };
+    let clean;
     let dataset = if args.clean {
-        &output.clean_dataset
+        clean = match output.clean_dataset() {
+            Ok(d) => d,
+            Err(e) => die(&format!("ground-truth assembly failed: {e}")),
+        };
+        &clean
     } else {
         &output.dataset
     };

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use thermal_timeseries::{Channel, Dataset, TimeGrid, Timestamp};
+use thermal_timeseries::{Channel, Dataset, TimeGrid, TimeSeriesError, Timestamp};
 
 use crate::geometry::Layout;
 use crate::hvac::{Hvac, VAV_COUNT};
@@ -24,9 +24,10 @@ const DISTURBANCE_STREAM_SALT: u64 = 0x4449_5354_5552_4221; // "DISTURB!"
 pub struct SimOutput {
     /// Telemetry as the backend stored it: noisy, quantised, gappy.
     pub dataset: Dataset,
-    /// Ground-truth traces on the same grid (no measurement layer),
-    /// for debugging and oracle-based evaluation.
-    pub clean_dataset: Dataset,
+    /// Ground truth (no measurement layer): the integrator's record of
+    /// every sample, one column per channel of `dataset`, in its order.
+    /// [`SimOutput::clean_dataset`] builds a [`Dataset`] of it.
+    truth: Vec<Vec<f64>>,
     /// Days wholly lost to server outages.
     pub outage_days: Vec<i64>,
     /// The layout the campaign ran on.
@@ -36,6 +37,34 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
+    /// The ground-truth traces as a [`Dataset`] on `dataset`'s grid:
+    /// channel `i` carries `dataset`'s channel `i`'s name and every
+    /// sample the integrator recorded for it. Built anew on each call;
+    /// the output keeps only the plain columns.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Dataset`] when `dataset` no longer holds one channel
+    /// per truth column on the truth's grid, or a truth sample is not
+    /// finite.
+    pub fn clean_dataset(&self) -> Result<Dataset, SimError> {
+        let measured = self.dataset.channels();
+        if measured.len() != self.truth.len() {
+            return Err(TimeSeriesError::LengthMismatch {
+                what: "truth columns".to_owned(),
+                expected: self.truth.len(),
+                actual: measured.len(),
+            }
+            .into());
+        }
+        let channels = measured
+            .iter()
+            .zip(&self.truth)
+            .map(|(channel, column)| Channel::from_values(channel.name(), column.clone()))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Dataset::new(*self.dataset.grid(), channels)?)
+    }
+
     /// Names of the temperature channels (wireless sensors then
     /// thermostats), in layout order.
     pub fn temperature_channels(&self) -> Vec<String> {
@@ -240,7 +269,6 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
     let day_of = |i: usize| (i / samples_per_day) as i64;
 
     let mut channels = Vec::new();
-    let mut clean_channels = Vec::new();
 
     // Temperature channels.
     for (z, site) in layout.sites().iter().enumerate() {
@@ -256,7 +284,6 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
             sensor_layer.measure(clean, z, &outage_days, day_of)
         };
         channels.push(Channel::new(&name, measured)?);
-        clean_channels.push(Channel::from_values(&name, clean.clone())?);
     }
 
     // VAV flows: the portal logs at coarse intervals; emulate with a
@@ -274,7 +301,6 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
             })
             .collect();
         channels.push(Channel::new(&name, held)?);
-        clean_channels.push(Channel::from_values(&name, rec.clone())?);
     }
 
     // Occupancy: webcam counted every 15 minutes; hold in between.
@@ -288,7 +314,6 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
         })
         .collect();
     channels.push(Channel::new("occupancy", occ_held)?);
-    clean_channels.push(Channel::from_values("occupancy", occ_record.clone())?);
 
     // Lighting: exact binary signal, lost on outage days.
     let light_held: Vec<Option<f64>> = (0..samples)
@@ -301,7 +326,6 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
         })
         .collect();
     channels.push(Channel::new("lighting", light_held)?);
-    clean_channels.push(Channel::from_values("lighting", light_record.clone())?);
 
     // Ambient: portal weather feed.
     let ambient_held: Vec<Option<f64>> = (0..samples)
@@ -314,7 +338,6 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
         })
         .collect();
     channels.push(Channel::new("ambient", ambient_held)?);
-    clean_channels.push(Channel::from_values("ambient", ambient_record.clone())?);
 
     // CO2: the portal's air-quality feed, held at the portal rate.
     let co2_held: Vec<Option<f64>> = (0..samples)
@@ -327,11 +350,16 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
         })
         .collect();
     channels.push(Channel::new("co2", co2_held)?);
-    clean_channels.push(Channel::from_values("co2", co2_record.clone())?);
 
+    // The records become the truth as they are, in channel order.
+    let truth = zone_records
+        .into_iter()
+        .chain(vav_records)
+        .chain([occ_record, light_record, ambient_record, co2_record])
+        .collect();
     Ok(SimOutput {
         dataset: Dataset::new(grid, channels)?,
-        clean_dataset: Dataset::new(grid, clean_channels)?,
+        truth,
         outage_days,
         layout,
         scenario: scenario.clone(),
@@ -371,7 +399,7 @@ mod tests {
         assert_eq!(out.vav_channels(), vec!["vav1", "vav2", "vav3", "vav4"]);
         assert_eq!(out.input_channels().len(), 7);
         assert_eq!(out.dataset.grid().len(), 3 * 288);
-        assert_eq!(out.clean_dataset.grid(), out.dataset.grid());
+        assert_eq!(out.clean_dataset().unwrap().grid(), out.dataset.grid());
     }
 
     #[test]
@@ -386,8 +414,9 @@ mod tests {
     #[test]
     fn temperatures_stay_physical() {
         let out = run(&tiny()).unwrap();
+        let clean = out.clean_dataset().unwrap();
         for name in out.temperature_channels() {
-            let ch = out.clean_dataset.channel(&name).unwrap();
+            let ch = clean.channel(&name).unwrap();
             let (lo, hi) = ch.min_max().unwrap();
             assert!(lo > 5.0 && hi < 35.0, "{name} out of range: {lo}..{hi}");
         }
@@ -396,7 +425,7 @@ mod tests {
     #[test]
     fn room_is_warmer_at_back_during_occupied_hours() {
         let out = run(&Scenario::quick().with_days(7).with_seed(9)).unwrap();
-        let ds = &out.clean_dataset;
+        let ds = &out.clean_dataset().unwrap();
         let grid = ds.grid();
         let occupied = Mask::daily_window(grid, 10 * 60, 16 * 60).unwrap();
         // The back-versus-front gradient is driven by occupant heat, so
@@ -429,7 +458,7 @@ mod tests {
     #[test]
     fn hvac_cools_during_on_mode() {
         let out = run(&Scenario::quick().with_days(7).with_seed(3)).unwrap();
-        let ds = &out.clean_dataset;
+        let ds = &out.clean_dataset().unwrap();
         let vav = ds.channel("vav1").unwrap();
         let grid = ds.grid();
         // Off mode flows are the trickle; on mode at least the minimum.
@@ -476,9 +505,63 @@ mod tests {
         let s = tiny().with_sensors(SensorConfig::ideal());
         let out = run(&s).unwrap();
         let noisy = out.dataset.channel("t14").unwrap();
-        let clean = out.clean_dataset.channel("t14").unwrap();
+        let clean = out.clean_dataset().unwrap();
+        let clean = clean.channel("t14").unwrap();
         for i in 0..noisy.len() {
             assert_eq!(noisy.value(i), clean.value(i));
+        }
+    }
+
+    /// `clean_dataset()` is `Channel::from_values` over each record,
+    /// under the layout's channel names, on the measured grid. With
+    /// ideal sensors every truth column reads back through its measured
+    /// channel, so each column is the record of the channel it is
+    /// named after.
+    #[test]
+    fn clean_dataset_equals_per_record_assembly() {
+        let out = run(&tiny().with_sensors(SensorConfig::ideal())).unwrap();
+        let names: Vec<String> = out
+            .temperature_channels()
+            .into_iter()
+            .chain(out.input_channels())
+            .chain(["co2".to_owned()])
+            .collect();
+        assert_eq!(names.len(), out.truth.len());
+        let assembled: Vec<Channel> = names
+            .iter()
+            .zip(&out.truth)
+            .map(|(name, record)| Channel::from_values(name, record.clone()).unwrap())
+            .collect();
+        let want = Dataset::new(*out.dataset.grid(), assembled).unwrap();
+        let clean = out.clean_dataset().unwrap();
+        assert_eq!(clean, want);
+
+        let hold = (15 / out.scenario.sample_minutes) as usize; // portal rate
+        for name in &names {
+            let truth = clean.channel(name).unwrap();
+            let measured = out.dataset.channel(name).unwrap();
+            assert_eq!(truth.present_count(), truth.len(), "{name}");
+            for i in 0..truth.len() {
+                let held = truth.value((i / hold) * hold);
+                let want = match name.as_str() {
+                    n if n.starts_with("vav") || n == "occupancy" => held,
+                    "co2" => held.map(|c| (c / 5.0).round() * 5.0),
+                    _ => truth.value(i),
+                };
+                assert_eq!(measured.value(i), want, "{name} at slot {i}");
+            }
+        }
+        for name in [
+            "t40",
+            "t41",
+            "vav1",
+            "vav4",
+            "occupancy",
+            "lighting",
+            "ambient",
+            "co2",
+        ] {
+            assert!(names.iter().any(|n| n == name), "{name} missing");
         }
     }
 

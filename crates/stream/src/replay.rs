@@ -235,7 +235,8 @@ impl TraceReplayer {
     /// # Errors
     ///
     /// Returns [`StreamError::InvalidConfig`] when `config` is
-    /// invalid or the batch count exceeds the grid.
+    /// invalid, the batch count exceeds the grid, or the grid plus
+    /// `max_delay_slots` of tail slack overflows `usize`.
     pub fn new(grid: TimeGrid, batches: &[Vec<Reading>], config: &ReplayConfig) -> Result<Self> {
         config.validate()?;
         if batches.len() > grid.len() {
@@ -247,9 +248,7 @@ impl TraceReplayer {
                 ),
             });
         }
-        // Tail slack so deliveries delayed past the last measurement
-        // slot still happen.
-        let horizon = grid.len() + usize::try_from(config.max_delay_slots).unwrap_or(0) + 1;
+        let horizon = horizon(grid, config)?;
         // Draw each reading's delivery slot, and its duplicate's, once
         // and count the deliveries of every slot into `starts[slot + 1]`.
         // Only the draws of readings the jumble delays or duplicates are
@@ -350,6 +349,27 @@ fn measured(batches: &[Vec<Reading>]) -> impl Iterator<Item = (usize, usize, &Re
     })
 }
 
+/// Delivery slots of a schedule over `grid`: the grid plus
+/// `max_delay_slots` of tail slack, so deliveries delayed past the last
+/// measurement slot still happen, plus one.
+///
+/// # Errors
+///
+/// [`StreamError::InvalidConfig`] when that count does not fit `usize`.
+fn horizon(grid: TimeGrid, config: &ReplayConfig) -> Result<usize> {
+    usize::try_from(config.max_delay_slots)
+        .ok()
+        .and_then(|slack| grid.len().checked_add(slack))
+        .and_then(|slots| slots.checked_add(1))
+        .ok_or_else(|| StreamError::InvalidConfig {
+            reason: format!(
+                "max_delay_slots {} overflows the delivery horizon of a {}-slot grid",
+                config.max_delay_slots,
+                grid.len()
+            ),
+        })
+}
+
 /// The jumble's draw for reading `j` of measurement slot `slot`: the
 /// slot it is delivered in and, when it is duplicated, the slot its
 /// duplicate is delivered in, both clamped to the last of `horizon`
@@ -401,7 +421,7 @@ fn per_slot_reference(
             ),
         });
     }
-    let horizon = grid.len() + usize::try_from(config.max_delay_slots).unwrap_or(0) + 1;
+    let horizon = horizon(grid, config)?;
     let mut schedule: Vec<Vec<Reading>> = vec![Vec::new(); horizon];
     for (slot, batch) in batches.iter().enumerate() {
         for (j, reading) in batch.iter().enumerate() {
@@ -734,6 +754,33 @@ mod tests {
             assert_eq!(r.batch(slot).len(), 2);
             for reading in r.batch(slot) {
                 assert_eq!(reading.at, g.timestamp(slot).unwrap());
+            }
+        }
+    }
+
+    /// A `max_delay_slots` whose horizon overflows is a config error,
+    /// with or without delays, in the build and in its reference.
+    #[test]
+    fn overflowing_horizon_is_invalid_config() {
+        let g = grid(4);
+        let b = batches(&g, 2);
+        for delay_prob in [0.0, 0.15] {
+            let config = ReplayConfig {
+                delay_prob,
+                max_delay_slots: u64::MAX,
+                duplicate_prob: 0.05,
+                seed: 1,
+            };
+            for result in [
+                TraceReplayer::new(g, &b, &config).map(|_| ()),
+                per_slot_reference(g, &b, &config).map(|_| ()),
+            ] {
+                match result {
+                    Err(StreamError::InvalidConfig { reason }) => {
+                        assert!(reason.contains("max_delay_slots"), "{reason}");
+                    }
+                    other => panic!("delay_prob {delay_prob}: {other:?}"),
+                }
             }
         }
     }

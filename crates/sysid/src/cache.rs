@@ -176,12 +176,13 @@ impl BlockKey {
 }
 
 /// One memoized normal-equation block over a transition range:
-/// `gram = Σ x xᵀ` (row-major `width × width`) and
-/// `cross = Σ x yᵀ` (row-major `width × p`), accumulated in ascending
-/// transition order.
+/// `gram = Σ x xᵀ` as a packed upper triangle and `cross = Σ x yᵀ`
+/// (row-major `width × p`), accumulated in ascending transition order.
 #[derive(Debug, Clone)]
 pub struct GramBlock {
-    /// Row-major `width × width` Gram contribution.
+    /// Upper triangle of the symmetric `width × width` Gram
+    /// contribution, row-major and packed: row `i` holds columns
+    /// `i..width`, so the block stores `width·(width+1)/2` entries.
     pub gram: Vec<f64>,
     /// Row-major `width × p` cross contribution.
     pub cross: Vec<f64>,
@@ -227,8 +228,9 @@ pub struct GramCache {
 }
 
 impl GramCache {
-    /// A cache with the default 128 slots (a few MiB at typical
-    /// regressor widths).
+    /// A cache with the default 128 slots. With the paper's 27 outputs
+    /// a block takes 12 KB at first order (width 34) and 28 KB at
+    /// second order (width 61), so a full table holds at most 3.5 MiB.
     pub fn new() -> Self {
         Self::with_slot_bits(7)
     }
@@ -353,33 +355,29 @@ fn range_difference(new: &[(usize, usize)], old: &[(usize, usize)]) -> Option<Ve
     Some(out)
 }
 
+/// Entries of a packed upper triangle of a `width × width` matrix.
+fn packed_len(width: usize) -> usize {
+    width * (width + 1) / 2
+}
+
 /// Accumulates one transition into normal-equation storage:
-/// `cross += x yᵀ`, and `gram += x xᵀ` on its `j ≥ i` half only;
-/// [`mirror_upper`] completes the lower half once a batch of rows is
-/// in. Entry `(j, i)` would have summed `x_j·x_i`, the same IEEE product
-/// as `x_i·x_j`, in the same order, so on finite rows the mirrored
-/// matrix equals full rank-1 accumulation bit for bit.
+/// `cross += x yᵀ`, and `gram += x xᵀ` on the packed `j ≥ i` half.
+/// Entry `(j, i)` would have summed `x_j·x_i`, the same IEEE product as
+/// `x_i·x_j`, in the same order, so on finite rows the half mirrored
+/// ([`SweepEngine::symmetric_gram`]) equals full rank-1 accumulation
+/// bit for bit.
 fn accumulate(gram: &mut [f64], cross: &mut [f64], x: &[f64], y: &[f64]) {
-    let width = x.len();
     let p = y.len();
+    let mut rest = gram;
     for (i, &xi) in x.iter().enumerate() {
-        let grow = &mut gram[i * width + i..(i + 1) * width];
+        let (grow, tail) = rest.split_at_mut(x.len() - i);
         for (g, &xj) in grow.iter_mut().zip(&x[i..]) {
             *g += xi * xj;
         }
+        rest = tail;
         let crow = &mut cross[i * p..(i + 1) * p];
         for (c, &yj) in crow.iter_mut().zip(y) {
             *c += xi * yj;
-        }
-    }
-}
-
-/// Copies the upper triangle of the row-major `width × width` `gram`
-/// onto its lower triangle.
-fn mirror_upper(gram: &mut [f64], width: usize) {
-    for i in 0..width {
-        for j in i + 1..width {
-            gram[j * width + i] = gram[i * width + j];
         }
     }
 }
@@ -405,7 +403,8 @@ pub(crate) struct SweepEngine<'a> {
     ridge: f64,
     dataset_fp: u64,
     spec_fp: u64,
-    /// Accumulated `Σ x xᵀ`, row-major `width × width`.
+    /// Accumulated `Σ x xᵀ`, packed upper triangle (as
+    /// [`GramBlock::gram`]).
     gram: Vec<f64>,
     /// Accumulated `Σ x yᵀ`, row-major `width × p`.
     cross: Vec<f64>,
@@ -460,7 +459,7 @@ impl<'a> SweepEngine<'a> {
             ridge: fit.ridge,
             dataset_fp,
             spec_fp,
-            gram: vec![0.0; width * width],
+            gram: vec![0.0; packed_len(width)],
             cross: vec![0.0; width * p],
             chol: None,
             ingested: Vec::new(),
@@ -520,21 +519,19 @@ impl<'a> SweepEngine<'a> {
                 chol.rank_one_update_with(x, &mut self.workspace)?;
             }
         }
-        mirror_upper(&mut self.gram, self.width);
         Ok(())
     }
 
-    /// Computes the memoizable block of `[a, b)` from scratch: half of
-    /// `Σ x xᵀ` row by row, mirrored once at the end.
+    /// Computes the memoizable block of `[a, b)` from scratch: the
+    /// packed half of `Σ x xᵀ`, row by row.
     fn compute_block(&mut self, a: usize, b: usize) -> Result<GramBlock> {
         self.write_rows(a, b)?;
-        let mut gram = vec![0.0; self.width * self.width];
+        let mut gram = vec![0.0; packed_len(self.width)];
         let mut cross = vec![0.0; self.width * self.p];
         let rows = self.row_x.chunks_exact(self.width);
         for (x, y) in rows.zip(self.row_y.chunks_exact(self.p)) {
             accumulate(&mut gram, &mut cross, x, y);
         }
-        mirror_upper(&mut gram, self.width);
         Ok(GramBlock {
             gram,
             cross,
@@ -575,12 +572,26 @@ impl<'a> SweepEngine<'a> {
         }
     }
 
+    /// The accumulated `Σ x xᵀ` as a dense symmetric matrix: each
+    /// packed row fills its upper row and is mirrored down its column.
+    fn symmetric_gram(&self) -> Matrix {
+        let mut m = Matrix::zeros(self.width, self.width);
+        let mut rest = self.gram.as_slice();
+        for i in 0..self.width {
+            let (row, tail) = rest.split_at(self.width - i);
+            m.row_mut(i)[i..].copy_from_slice(row);
+            for (j, &v) in row.iter().enumerate().skip(1) {
+                m[(i + j, i)] = v;
+            }
+            rest = tail;
+        }
+        m
+    }
+
     /// `λI + gram` as a dense matrix, ready to factor.
     fn regularized_gram(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.width, self.width);
+        let mut m = self.symmetric_gram();
         for i in 0..self.width {
-            m.row_mut(i)
-                .copy_from_slice(&self.gram[i * self.width..(i + 1) * self.width]);
             m[(i, i)] += self.ridge;
         }
         m
@@ -710,7 +721,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The engine's transition ranges, memoizable blocks and
-        /// row-by-row ingest match the reference rows bit for bit.
+        /// row-by-row ingest match the reference rows bit for bit: each
+        /// packed block is the upper triangle of the reference's full
+        /// block, and the Gram the engine factors is the full one.
         #[test]
         fn engine_blocks_match_reference(
             shape in (1usize..=3, 1usize..=2, 12usize..90),
@@ -731,28 +744,43 @@ mod tests {
             prop_assert_eq!(&ranges, &want);
 
             let (w, p) = (spec.regressor_width(), spec.output_count());
+            // Row `i` of a full row-major matrix from column `i` on.
+            let upper = |full: &[f64]| -> Vec<u64> {
+                (0..w).flat_map(|i| reference::bits(&full[i * w + i..(i + 1) * w])).collect()
+            };
+            let dense = |m: &Matrix| -> Vec<u64> {
+                (0..w).flat_map(|i| reference::bits(&m.row(i)[..w])).collect()
+            };
             let (mut gram, mut cross) = (vec![0.0; w * w], vec![0.0; w * p]);
+            // A second engine adds each range's block, as the cache path
+            // does; the reference adds the full blocks entry by entry.
+            let mut summed = SweepEngine::new(&dataset, &spec, &FitConfig::default()).unwrap();
+            let mut block_sum = vec![0.0; w * w];
             for &(a, b) in &ranges {
                 let block = engine.compute_block(a, b).unwrap();
+                summed.ingest_block(a, b, &mut GramCache::disabled()).unwrap();
+                prop_assert_eq!(block.gram.len(), w * (w + 1) / 2);
                 let (mut g, mut c) = (vec![0.0; w * w], vec![0.0; w * p]);
                 reference::accumulate_rows(&dataset, &spec, (a, b), &mut g, &mut c).unwrap();
-                prop_assert_eq!(reference::bits(&block.gram), reference::bits(&g));
-                prop_assert_eq!(reference::bits(&block.cross), reference::bits(&c));
-                // The half-Gram block equals the full rank-1 block over
-                // the same written rows, and is exactly symmetric.
-                let (full_g, full_c) = reference::full_block(&engine.row_x, &engine.row_y, w, p);
-                prop_assert_eq!(reference::bits(&block.gram), reference::bits(&full_g));
-                prop_assert_eq!(reference::bits(&block.cross), reference::bits(&full_c));
-                for i in 0..w {
-                    for j in 0..w {
-                        prop_assert_eq!(block.gram[i * w + j].to_bits(), block.gram[j * w + i].to_bits());
-                    }
+                for (acc, v) in block_sum.iter_mut().zip(&g) {
+                    *acc += v;
                 }
+                prop_assert_eq!(reference::bits(&block.gram), upper(&g));
+                prop_assert_eq!(reference::bits(&block.cross), reference::bits(&c));
+                // The same against the full rank-1 block over the same
+                // written rows.
+                let (full_g, full_c) = reference::full_block(&engine.row_x, &engine.row_y, w, p);
+                prop_assert_eq!(reference::bits(&block.gram), upper(&full_g));
+                prop_assert_eq!(reference::bits(&block.cross), reference::bits(&full_c));
                 reference::accumulate_rows(&dataset, &spec, (a, b), &mut gram, &mut cross)
                     .unwrap();
                 engine.ingest_rows_rank_one(a, b).unwrap();
+                // The factor-ready Gram is the full reference, both
+                // triangles, bit for bit.
+                prop_assert_eq!(dense(&engine.symmetric_gram()), reference::bits(&gram));
+                prop_assert_eq!(dense(&summed.symmetric_gram()), reference::bits(&block_sum));
             }
-            prop_assert_eq!(reference::bits(&engine.gram), reference::bits(&gram));
+            prop_assert_eq!(reference::bits(&engine.gram), upper(&gram));
             prop_assert_eq!(reference::bits(&engine.cross), reference::bits(&cross));
         }
     }

@@ -265,7 +265,9 @@ fn ci() -> ExitCode {
     }
     // Allocation-budget gate: the counting-allocator binaries prove a
     // warmed-up steady-state stream event, a warmed-up bulkhead slot
-    // and a simulator step perform zero heap allocations, that cloning
+    // and a simulator step perform zero heap allocations, that a
+    // simulated campaign allocates at most 25 bytes per sample per
+    // channel (one record and one measured sample each), that cloning
     // a replay schedule or an unstaged flaky source allocates nothing
     // (clones share the schedule), that batch assembly, open-loop
     // prediction and the cluster-mean validation allocate per segment,

@@ -17,7 +17,7 @@ use thermal_sim::{run, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let output = run(&Scenario::quick().with_days(14).with_seed(5))?;
-    let dataset = &output.clean_dataset;
+    let dataset = &output.clean_dataset()?;
     let grid = dataset.grid();
 
     // Find the most crowded instant of the campaign.

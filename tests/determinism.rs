@@ -12,7 +12,7 @@ fn same_seed_same_campaign() {
     let a = run(&Scenario::quick().with_days(5).with_seed(7)).unwrap();
     let b = run(&Scenario::quick().with_days(5).with_seed(7)).unwrap();
     assert_eq!(a.dataset, b.dataset);
-    assert_eq!(a.clean_dataset, b.clean_dataset);
+    assert_eq!(a.clean_dataset().unwrap(), b.clean_dataset().unwrap());
     assert_eq!(a.outage_days, b.outage_days);
 }
 
