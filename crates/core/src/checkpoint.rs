@@ -19,7 +19,7 @@ use thermal_select::Selection;
 use thermal_sysid::{ModelOrder, ModelSpec, ThermalModel};
 use thermal_timeseries::{Dataset, Mask};
 
-use crate::pipeline::ThermalPipeline;
+use crate::pipeline::{identify_config, ThermalPipeline};
 
 /// What [`crate::ThermalPipeline::fit_checkpointed`] restored versus
 /// recomputed, for reporting and tests.
@@ -69,8 +69,9 @@ pub fn dataset_fingerprint(
 }
 
 /// Fingerprint of everything a checkpointed fit depends on: the
-/// dataset fingerprint plus the pipeline's full configuration (via
-/// its `Debug` form, which covers every field).
+/// dataset fingerprint, the pipeline's full configuration (via its
+/// `Debug` form, which covers every field) and the ridge of the
+/// identify stage, which is not a pipeline field.
 pub(crate) fn fit_fingerprint(
     pipeline: &ThermalPipeline,
     dataset: &Dataset,
@@ -81,12 +82,20 @@ pub(crate) fn fit_fingerprint(
     let mut h = Fnv64::new();
     h.update(&dataset_fingerprint(dataset, sensor_channels, input_channels, mask).to_le_bytes());
     h.update(format!("{pipeline:?}").as_bytes());
+    h.update(&identify_config().ridge.to_bits().to_le_bytes());
     h.finish()
 }
 
 const CLUSTER_TAG: &str = "core-cluster-v1";
 const SELECT_TAG: &str = "core-select-v1";
 const MODEL_TAG: &str = "core-model-v1";
+
+/// Decodes a `tag` record stamped with `fingerprint`; `None` when the
+/// framing, the tag or the fingerprint does not match.
+fn stamped(bytes: &[u8], tag: &str, fingerprint: u64) -> Option<Record> {
+    let r = Record::decode(bytes, tag).ok()?;
+    (r.get_u64("fp").ok()? == fingerprint).then_some(r)
+}
 
 /// Encodes a clustering stage result.
 pub(crate) fn encode_clustering(c: &Clustering, fingerprint: u64) -> Vec<u8> {
@@ -101,10 +110,7 @@ pub(crate) fn encode_clustering(c: &Clustering, fingerprint: u64) -> Vec<u8> {
 /// Decodes a clustering checkpoint; `None` on fingerprint mismatch
 /// or any malformation (cache miss → recompute).
 pub(crate) fn decode_clustering(bytes: &[u8], fingerprint: u64) -> Option<Clustering> {
-    let r = Record::decode(bytes, CLUSTER_TAG).ok()?;
-    if r.get_u64("fp").ok()? != fingerprint {
-        return None;
-    }
+    let r = stamped(bytes, CLUSTER_TAG, fingerprint)?;
     let k = r.get_usize("k").ok()?;
     let assignments = r.get_usize_slice("assignments").ok()?;
     let eigenvalues = r.get_f64_slice("eigenvalues").ok()?;
@@ -132,10 +138,7 @@ pub(crate) fn encode_selection(s: &Selection, fingerprint: u64) -> Vec<u8> {
 
 /// Decodes a selection checkpoint; `None` on mismatch/malformation.
 pub(crate) fn decode_selection(bytes: &[u8], fingerprint: u64) -> Option<Selection> {
-    let r = Record::decode(bytes, SELECT_TAG).ok()?;
-    if r.get_u64("fp").ok()? != fingerprint {
-        return None;
-    }
+    let r = stamped(bytes, SELECT_TAG, fingerprint)?;
     let clusters = r.get_usize("clusters").ok()?;
     let mut per_cluster = Vec::with_capacity(clusters);
     for i in 0..clusters {
@@ -178,10 +181,7 @@ pub(crate) fn encode_model(selected: &[String], model: &ThermalModel, fingerprin
 /// Decodes an identification checkpoint; `None` on
 /// mismatch/malformation.
 pub(crate) fn decode_model(bytes: &[u8], fingerprint: u64) -> Option<(Vec<String>, ThermalModel)> {
-    let r = Record::decode(bytes, MODEL_TAG).ok()?;
-    if r.get_u64("fp").ok()? != fingerprint {
-        return None;
-    }
+    let r = stamped(bytes, MODEL_TAG, fingerprint)?;
     let selected = r.get_str_list("selected").ok()?;
     let outputs = r.get_str_list("outputs").ok()?;
     let inputs = r.get_str_list("inputs").ok()?;

@@ -73,7 +73,6 @@ pub struct ThermalPipeline {
     selector: SelectorKind,
     per_cluster: usize,
     order: ModelOrder,
-    fit: FitConfig,
     seed: u64,
     restarts: usize,
 }
@@ -110,7 +109,8 @@ impl ThermalPipeline {
     /// Runs the three steps on `dataset`: cluster `sensor_channels`
     /// over `train_mask`, select representatives, and identify a
     /// reduced model of the selected sensors driven by
-    /// `input_channels`.
+    /// `input_channels` on the assembled design matrix
+    /// ([`thermal_sysid::identify`]).
     ///
     /// # Errors
     ///
@@ -123,52 +123,23 @@ impl ThermalPipeline {
         input_channels: &[&str],
         train_mask: &Mask,
     ) -> Result<ReducedModel> {
-        if sensor_channels.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                reason: "pipeline needs at least one sensor channel".to_owned(),
-            });
-        }
-        let owned_names: Vec<String> = sensor_channels.iter().map(|s| (*s).to_owned()).collect();
-
-        // Step 1: cluster the dense deployment.
-        let trajectories =
-            Trajectories::new(trajectory_matrix(dataset, sensor_channels, train_mask)?);
-        let clustering = self.cluster_stage(&trajectories)?;
-
-        // Step 2: select representative sensors (with ranked backups).
-        let selection = self.select_stage(&trajectories, &clustering, &owned_names)?;
-
-        // Step 3: identify the simplified model on the selected
-        // sensors.
-        let (selected, model) = self.identify_stage(
-            dataset,
-            &selection,
-            &owned_names,
-            input_channels,
-            train_mask,
-        )?;
-
-        Ok(ReducedModel::new(
-            owned_names,
-            clustering,
-            selection,
-            selected,
-            model,
-        ))
+        let inputs = (dataset, sensor_channels, input_channels, train_mask);
+        self.run(inputs, Identify::DesignMatrix, None)
     }
 
-    /// Runs [`ThermalPipeline::fit`] with the identification stage
-    /// routed through a caller-owned [`GramCache`], so repeated fits
-    /// over the same dataset and spec (sweeps, refits, fleet warm
-    /// restarts) reuse memoized normal-equation blocks.
+    /// Runs the steps of [`ThermalPipeline::fit`] with the
+    /// identification stage routed through a caller-owned
+    /// [`GramCache`] ([`thermal_sysid::identify_with_cache`]), so
+    /// repeated fits over the same dataset and spec (sweeps, refits,
+    /// fleet warm restarts) reuse memoized normal-equation blocks.
     ///
     /// Callers sharing one cache across tenants (e.g. buildings of a
     /// fleet) must set a distinct [`GramCache::set_namespace`] per
     /// tenant before each fit; the namespace partitions keys
     /// structurally so tenants can never observe each other's blocks.
-    /// Results are bit-identical to [`ThermalPipeline::fit`] whenever
-    /// `fit.ridge > 0` holds — with `ridge == 0` the cache is
-    /// bypassed for the QR path (see `thermal_sysid::cache`).
+    /// The cache sums one Gram block per gap-free segment of the mask
+    /// and [`ThermalPipeline::fit`] one chain over all rows, so their
+    /// models are bit-identical only when `train_mask` is one segment.
     ///
     /// # Errors
     ///
@@ -181,34 +152,8 @@ impl ThermalPipeline {
         train_mask: &Mask,
         cache: &mut GramCache,
     ) -> Result<ReducedModel> {
-        if sensor_channels.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                reason: "pipeline needs at least one sensor channel".to_owned(),
-            });
-        }
-        let owned_names: Vec<String> = sensor_channels.iter().map(|s| (*s).to_owned()).collect();
-        let trajectories =
-            Trajectories::new(trajectory_matrix(dataset, sensor_channels, train_mask)?);
-        let clustering = self.cluster_stage(&trajectories)?;
-        let selection = self.select_stage(&trajectories, &clustering, &owned_names)?;
-        let selected: Vec<String> = selection
-            .sensors()
-            .into_iter()
-            .map(|i| owned_names[i].clone())
-            .collect();
-        let spec = ModelSpec::new(
-            selected.clone(),
-            input_channels.iter().map(|s| (*s).to_owned()).collect(),
-            self.order,
-        )?;
-        let model = identify_with_cache(dataset, &spec, train_mask, &self.fit, cache)?;
-        Ok(ReducedModel::new(
-            owned_names,
-            clustering,
-            selection,
-            selected,
-            model,
-        ))
+        let inputs = (dataset, sensor_channels, input_channels, train_mask);
+        self.run(inputs, Identify::Engine(cache), None)
     }
 
     /// Runs [`ThermalPipeline::fit`] with each of the three stages
@@ -237,79 +182,68 @@ impl ThermalPipeline {
         store: &mut CheckpointStore,
         prefix: &str,
     ) -> Result<(ReducedModel, FitResume)> {
+        let fingerprint =
+            checkpoint::fit_fingerprint(self, dataset, sensor_channels, input_channels, train_mask);
+        let mut resume = Resume {
+            store,
+            prefix,
+            fingerprint,
+            report: FitResume::default(),
+        };
+        let inputs = (dataset, sensor_channels, input_channels, train_mask);
+        let model = self.run(inputs, Identify::DesignMatrix, Some(&mut resume))?;
+        Ok((model, resume.report))
+    }
+
+    /// The three steps, each resumed from `resume` when one is given:
+    /// cluster the sensors, select representatives, and identify the
+    /// selected sensors on `backend`.
+    fn run(
+        &self,
+        inputs: FitInputs<'_>,
+        backend: Identify<'_>,
+        mut resume: Option<&mut Resume<'_>>,
+    ) -> Result<ReducedModel> {
+        let (dataset, sensor_channels, _, train_mask) = inputs;
         if sensor_channels.is_empty() {
             return Err(CoreError::InvalidConfig {
                 reason: "pipeline needs at least one sensor channel".to_owned(),
             });
         }
         let owned_names: Vec<String> = sensor_channels.iter().map(|s| (*s).to_owned()).collect();
-        let fp =
-            checkpoint::fit_fingerprint(self, dataset, sensor_channels, input_channels, train_mask);
-        let mut resume = FitResume::default();
+
+        // Step 1: cluster the dense deployment.
         let trajectories =
             Trajectories::new(trajectory_matrix(dataset, sensor_channels, train_mask)?);
+        let clustering = resume_stage(
+            resume.as_deref_mut(),
+            "cluster",
+            checkpoint::decode_clustering,
+            checkpoint::encode_clustering,
+            || self.cluster_stage(&trajectories),
+        )?;
 
-        let cluster_name = format!("{prefix}-cluster.ck");
-        let clustering = match store
-            .get(&cluster_name)?
-            .and_then(|b| checkpoint::decode_clustering(&b, fp))
-        {
-            Some(c) => {
-                resume.restored.push("cluster");
-                c
-            }
-            None => {
-                let c = self.cluster_stage(&trajectories)?;
-                store.put(&cluster_name, &checkpoint::encode_clustering(&c, fp))?;
-                resume.computed.push("cluster");
-                c
-            }
-        };
+        // Step 2: select representative sensors (with ranked backups).
+        let selection = resume_stage(
+            resume.as_deref_mut(),
+            "select",
+            checkpoint::decode_selection,
+            checkpoint::encode_selection,
+            || self.select_stage(&trajectories, &clustering, &owned_names),
+        )?;
 
-        let select_name = format!("{prefix}-select.ck");
-        let selection = match store
-            .get(&select_name)?
-            .and_then(|b| checkpoint::decode_selection(&b, fp))
-        {
-            Some(s) => {
-                resume.restored.push("select");
-                s
-            }
-            None => {
-                let s = self.select_stage(&trajectories, &clustering, &owned_names)?;
-                store.put(&select_name, &checkpoint::encode_selection(&s, fp))?;
-                resume.computed.push("select");
-                s
-            }
-        };
-
-        let model_name = format!("{prefix}-model.ck");
-        let (selected, model) = match store
-            .get(&model_name)?
-            .and_then(|b| checkpoint::decode_model(&b, fp))
-        {
-            Some(pair) => {
-                resume.restored.push("model");
-                pair
-            }
-            None => {
-                let pair = self.identify_stage(
-                    dataset,
-                    &selection,
-                    &owned_names,
-                    input_channels,
-                    train_mask,
-                )?;
-                store.put(&model_name, &checkpoint::encode_model(&pair.0, &pair.1, fp))?;
-                resume.computed.push("model");
-                pair
-            }
-        };
-
-        Ok((
-            ReducedModel::new(owned_names, clustering, selection, selected, model),
+        // Step 3: identify the simplified model on the selected
+        // sensors.
+        let (selected, model) = resume_stage(
             resume,
-        ))
+            "model",
+            checkpoint::decode_model,
+            |(selected, model), fp| checkpoint::encode_model(selected, model, fp),
+            || self.identify_stage(inputs, &selection, &owned_names, backend),
+        )?;
+
+        let reduced = ReducedModel::new(owned_names, clustering, selection, selected, model);
+        Ok(reduced)
     }
 
     /// Stage 1: spectral clustering of the trajectory matrix. The
@@ -356,12 +290,12 @@ impl ThermalPipeline {
     /// Stage 3: least-squares identification on the selected sensors.
     fn identify_stage(
         &self,
-        dataset: &Dataset,
+        inputs: FitInputs<'_>,
         selection: &Selection,
         owned_names: &[String],
-        input_channels: &[&str],
-        train_mask: &Mask,
+        backend: Identify<'_>,
     ) -> Result<(Vec<String>, ThermalModel)> {
+        let (dataset, _, input_channels, train_mask) = inputs;
         let selected: Vec<String> = selection
             .sensors()
             .into_iter()
@@ -372,9 +306,73 @@ impl ThermalPipeline {
             input_channels.iter().map(|s| (*s).to_owned()).collect(),
             self.order,
         )?;
-        let model = identify(dataset, &spec, train_mask, &self.fit)?;
+        let fit = identify_config();
+        let model = match backend {
+            Identify::DesignMatrix => identify(dataset, &spec, train_mask, &fit)?,
+            Identify::Engine(cache) => {
+                identify_with_cache(dataset, &spec, train_mask, &fit, cache)?
+            }
+        };
         Ok((selected, model))
     }
+}
+
+/// A fit's dataset, sensor channels, input channels and training mask.
+type FitInputs<'a> = (&'a Dataset, &'a [&'a str], &'a [&'a str], &'a Mask);
+
+/// The least-squares configuration of the identify stage. It is not
+/// a pipeline field, so [`checkpoint::fit_fingerprint`] hashes its
+/// ridge on its own.
+pub(crate) fn identify_config() -> FitConfig {
+    FitConfig::default()
+}
+
+/// Where the identify stage solves for the coefficients. The two
+/// backends agree bit for bit only on one gap-free segment, so each
+/// fit method keeps its own.
+enum Identify<'c> {
+    /// The assembled design matrix ([`identify`]).
+    DesignMatrix,
+    /// The sweep engine over a caller's Gram cache
+    /// ([`identify_with_cache`]).
+    Engine(&'c mut GramCache),
+}
+
+/// A checkpointed fit: the store and name prefix of its stage
+/// records, the fingerprint they are stamped with, and what each
+/// stage did.
+struct Resume<'s> {
+    store: &'s mut CheckpointStore,
+    prefix: &'s str,
+    fingerprint: u64,
+    report: FitResume,
+}
+
+/// Runs one stage. Without `resume` it computes. With it, the stage
+/// is restored from `{prefix}-{label}.ck` when that record decodes
+/// under the fingerprint, and is otherwise computed, committed and
+/// reported as computed.
+fn resume_stage<T>(
+    resume: Option<&mut Resume<'_>>,
+    label: &'static str,
+    decode: fn(&[u8], u64) -> Option<T>,
+    encode: fn(&T, u64) -> Vec<u8>,
+    compute: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    let Some(resume) = resume else {
+        return compute();
+    };
+    let name = format!("{}-{label}.ck", resume.prefix);
+    let stored = resume.store.get(&name)?;
+    if let Some(restored) = stored.and_then(|bytes| decode(&bytes, resume.fingerprint)) {
+        resume.report.restored.push(label);
+        return Ok(restored);
+    }
+    let computed = compute()?;
+    let record = encode(&computed, resume.fingerprint);
+    resume.store.put(&name, &record)?;
+    resume.report.computed.push(label);
+    Ok(computed)
 }
 
 /// One fit's trajectory matrix and its centred Gram
@@ -407,7 +405,6 @@ pub struct ThermalPipelineBuilder {
     selector: SelectorKind,
     per_cluster: usize,
     order: ModelOrder,
-    fit: FitConfig,
     seed: u64,
     restarts: usize,
 }
@@ -420,7 +417,6 @@ impl Default for ThermalPipelineBuilder {
             selector: SelectorKind::NearMean,
             per_cluster: 1,
             order: ModelOrder::Second,
-            fit: FitConfig::default(),
             seed: 7,
             restarts: 8,
         }
@@ -455,12 +451,6 @@ impl ThermalPipelineBuilder {
     /// Sets the dynamic order of the identified model.
     pub fn model_order(&mut self, order: ModelOrder) -> &mut Self {
         self.order = order;
-        self
-    }
-
-    /// Sets the least-squares configuration.
-    pub fn fit_config(&mut self, fit: FitConfig) -> &mut Self {
-        self.fit = fit;
         self
     }
 
@@ -499,7 +489,6 @@ impl ThermalPipelineBuilder {
             selector: self.selector.clone(),
             per_cluster: self.per_cluster,
             order: self.order,
-            fit: self.fit,
             seed: self.seed,
             restarts: self.restarts,
         })
@@ -698,62 +687,124 @@ mod tests {
         }
     }
 
+    /// The public stages up to selection, as the pipeline with 2 fixed
+    /// clusters and seed 3 runs them: `trajectory_matrix` →
+    /// `weight_matrix` → `cluster_graph` → `Selector::select` →
+    /// `rank_backups`.
+    fn staged_selection(
+        ds: &Dataset,
+        sensors: &[&str],
+        mask: &Mask,
+        similarity: Similarity,
+        selector: &SelectorKind,
+    ) -> (Clustering, Selection) {
+        let traj = trajectory_matrix(ds, sensors, mask).unwrap();
+        let weights = weight_matrix(&traj, similarity).unwrap();
+        let clustering = cluster_graph(&weights, ClusterCount::Fixed(2), 8, 3).unwrap();
+        let input = SelectionInput {
+            trajectories: &traj,
+            clustering: &clustering,
+            per_cluster: 1,
+            seed: 3,
+        };
+        let chosen = match selector {
+            SelectorKind::GpMutualInformation => GpSelector.select(&input),
+            _ => NearMeanSelector.select(&input),
+        }
+        .unwrap();
+        let selection = rank_backups(&input, &chosen).unwrap();
+        (clustering, selection)
+    }
+
     /// `fit` shares one centred Gram between correlation clustering and
-    /// GP selection; the public stages compute their own. Both routes
-    /// give the same model bit for bit (`{:?}` prints every float
-    /// exactly, signed zeros included) for SMS and GP under both
-    /// similarities, through `fit` and `fit_with_cache` alike.
+    /// GP selection; the public stages compute their own. Each fit
+    /// method gives its staged route's model bit for bit (`{:?}` prints
+    /// every float exactly, signed zeros included) for SMS and GP under
+    /// both similarities, at first and second order, on a gap-free
+    /// mask and on one with two gaps: `fit` and a cold
+    /// `fit_checkpointed` end in `identify` (the design matrix),
+    /// `fit_with_cache` in `identify_with_cache` (the engine). The two
+    /// references agree on one segment and differ on three, where the
+    /// engine sums one Gram block per segment.
     #[test]
     fn pipeline_equals_public_stages() {
         let ds = synth_dataset();
         let sensors = ["s0", "s1", "s2", "s3", "s4"];
         let names: Vec<String> = sensors.iter().map(|s| (*s).to_owned()).collect();
-        let mask = Mask::all(ds.grid());
-        for similarity in [Similarity::correlation(), Similarity::euclidean()] {
-            for selector in &SELECTORS {
-                let pipeline = ThermalPipeline::builder()
-                    .similarity(similarity)
-                    .cluster_count(ClusterCount::Fixed(2))
-                    .selector(selector.clone())
-                    .seed(3)
-                    .build()
-                    .unwrap();
-                let fitted = pipeline.fit(&ds, &sensors, &["u"], &mask).unwrap();
-
-                let traj = trajectory_matrix(&ds, &sensors, &mask).unwrap();
-                let weights = weight_matrix(&traj, similarity).unwrap();
-                let clustering = cluster_graph(&weights, ClusterCount::Fixed(2), 8, 3).unwrap();
-                let input = SelectionInput {
-                    trajectories: &traj,
-                    clustering: &clustering,
-                    per_cluster: 1,
-                    seed: 3,
-                };
-                let chosen = match selector {
-                    SelectorKind::GpMutualInformation => GpSelector.select(&input),
-                    _ => NearMeanSelector.select(&input),
+        let mut gappy = Mask::all(ds.grid());
+        for slot in (80..90).chain(150..155) {
+            gappy.set(slot, false).unwrap();
+        }
+        let root = std::env::temp_dir().join(format!("core-fit-stages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
+        let mut cases = Vec::new();
+        for (gaps, mask) in [(false, Mask::all(ds.grid())), (true, gappy)] {
+            for order in [ModelOrder::First, ModelOrder::Second] {
+                for similarity in [Similarity::correlation(), Similarity::euclidean()] {
+                    for selector in &SELECTORS {
+                        cases.push((gaps, mask.clone(), order, similarity, selector));
+                    }
                 }
-                .unwrap();
-                let selection = rank_backups(&input, &chosen).unwrap();
-                let selected: Vec<String> = selection
-                    .sensors()
-                    .into_iter()
-                    .map(|i| names[i].clone())
-                    .collect();
-                let spec =
-                    ModelSpec::new(selected.clone(), vec!["u".to_owned()], ModelOrder::Second)
-                        .unwrap();
-                let model = identify(&ds, &spec, &mask, &FitConfig::default()).unwrap();
-                let staged =
-                    ReducedModel::new(names.clone(), clustering, selection, selected, model);
-                let case = format!("{similarity} {selector:?}");
-                assert_eq!(format!("{fitted:?}"), format!("{staged:?}"), "{case}");
-                let cached = pipeline
-                    .fit_with_cache(&ds, &sensors, &["u"], &mask, &mut GramCache::new())
-                    .unwrap();
-                assert_eq!(format!("{cached:?}"), format!("{staged:?}"), "{case}");
             }
         }
+        for (n, (gaps, mask, order, similarity, selector)) in cases.into_iter().enumerate() {
+            let case = format!("{similarity} {selector:?} {order:?} gaps={gaps}");
+            let pipeline = ThermalPipeline::builder()
+                .similarity(similarity)
+                .cluster_count(ClusterCount::Fixed(2))
+                .selector(selector.clone())
+                .model_order(order)
+                .seed(3)
+                .build()
+                .unwrap();
+            let (clustering, selection) =
+                staged_selection(&ds, &sensors, &mask, similarity, selector);
+            let selected: Vec<String> = selection
+                .sensors()
+                .into_iter()
+                .map(|i| names[i].clone())
+                .collect();
+            let spec = ModelSpec::new(selected.clone(), vec!["u".to_owned()], order).unwrap();
+            let fit = FitConfig::default();
+            let matrix = identify(&ds, &spec, &mask, &fit).unwrap();
+            let engine =
+                identify_with_cache(&ds, &spec, &mask, &fit, &mut GramCache::new()).unwrap();
+            assert_eq!(
+                format!("{:?}", matrix.coefficients()) != format!("{:?}", engine.coefficients()),
+                gaps,
+                "{case}: the design matrix and the engine differ exactly across gaps"
+            );
+            let staged = |model| {
+                let (clustering, selection) = (clustering.clone(), selection.clone());
+                let reduced = ReducedModel::new(
+                    names.clone(),
+                    clustering,
+                    selection,
+                    selected.clone(),
+                    model,
+                );
+                format!("{reduced:?}")
+            };
+            let (matrix, engine) = (staged(matrix), staged(engine));
+
+            let fitted = pipeline.fit(&ds, &sensors, &["u"], &mask).unwrap();
+            assert_eq!(format!("{fitted:?}"), matrix, "{case}");
+            let (cold, resume) = pipeline
+                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, &format!("c{n}"))
+                .unwrap();
+            assert_eq!(
+                resume.computed,
+                vec!["cluster", "select", "model"],
+                "{case}"
+            );
+            assert_eq!(format!("{cold:?}"), matrix, "{case}");
+            let cached = pipeline
+                .fit_with_cache(&ds, &sensors, &["u"], &mask, &mut GramCache::new())
+                .unwrap();
+            assert_eq!(format!("{cached:?}"), engine, "{case}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -227,7 +227,10 @@ pub fn sweep_training_horizon_full(
 /// `train_mask`) evaluated at each horizon of `horizons_samples`.
 ///
 /// Reproduces the bottom panel of Fig. 5 (error grows monotonically
-/// with prediction length).
+/// with prediction length). The one fit goes through
+/// [`identify_with_cache`] on a fresh [`GramCache`], so a
+/// ridge-regularised fit takes the engine's numerics, as the
+/// training-horizon sweep does.
 ///
 /// # Errors
 ///
@@ -240,38 +243,9 @@ pub fn sweep_prediction_length(
     horizons_samples: &[usize],
     fit: &FitConfig,
 ) -> Result<Vec<SweepPoint>> {
-    sweep_prediction_length_with_cache(
-        dataset,
-        spec,
-        train_mask,
-        validation_mask,
-        horizons_samples,
-        fit,
-        &mut GramCache::new(),
-    )
-}
-
-/// [`sweep_prediction_length`] with a caller-owned [`GramCache`]: the
-/// single shared fit goes through [`identify_with_cache`], so a sweep
-/// over a training mask whose Gram blocks are already memoized (e.g.
-/// by a preceding training-horizon sweep over the same data) skips
-/// the regressor assembly.
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_prediction_length`].
-pub fn sweep_prediction_length_with_cache(
-    dataset: &Dataset,
-    spec: &ModelSpec,
-    train_mask: &Mask,
-    validation_mask: &Mask,
-    horizons_samples: &[usize],
-    fit: &FitConfig,
-    cache: &mut GramCache,
-) -> Result<Vec<SweepPoint>> {
     // One shared fit, then each horizon is an independent open-loop
     // evaluation — the cells fan out over the configured thread count.
-    let model = identify_with_cache(dataset, spec, train_mask, fit, cache)?;
+    let model = identify_with_cache(dataset, spec, train_mask, fit, &mut GramCache::new())?;
     thermal_par::try_parallel_map(horizons_samples, |&h| {
         let cfg = EvalConfig::with_horizon(h.max(1));
         let report = evaluate(&model, dataset, validation_mask, &cfg)?;

@@ -74,14 +74,6 @@ pub enum TimeSeriesError {
         /// Explanation of the problem.
         reason: &'static str,
     },
-    /// Two events mapped to the same grid slot under
-    /// [`crate::DuplicatePolicy::Reject`].
-    DuplicateTimestamp {
-        /// Channel the collision happened in.
-        channel: String,
-        /// The duplicated instant, minutes since the epoch.
-        minutes: i64,
-    },
 }
 
 impl fmt::Display for TimeSeriesError {
@@ -123,10 +115,6 @@ impl fmt::Display for TimeSeriesError {
             TimeSeriesError::InvalidPolicy { reason } => {
                 write!(f, "invalid validation policy: {reason}")
             }
-            TimeSeriesError::DuplicateTimestamp { channel, minutes } => write!(
-                f,
-                "duplicate timestamp in channel {channel:?}: two events at minute {minutes}"
-            ),
         }
     }
 }

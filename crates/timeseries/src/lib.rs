@@ -18,11 +18,7 @@
 //!   (daily occupancy windows, day subsets, joint presence),
 //! * [`Segment`] / [`segments_from_mask`] — maximal contiguous runs
 //!   usable as the intervals `i = 1..K` of the paper's Eq. (4),
-//! * [`channel_from_events`] — grid channels built from timestamped
-//!   event streams, with typed duplicate-timestamp handling
-//!   ([`DuplicatePolicy`]),
 //! * [`split`] — day-based train/validation splitting,
-//! * [`resample`] — moving datasets between sampling rates,
 //! * [`csv`] — plain-text round-tripping of datasets,
 //! * [`validate`] — quality flags, outlier quarantine, and gap
 //!   healing for raw, possibly faulty telemetry.
@@ -49,20 +45,17 @@
 mod channel;
 mod dataset;
 mod error;
-mod events;
 mod mask;
 mod segment;
 mod time;
 
 pub mod csv;
-pub mod resample;
 pub mod split;
 pub mod validate;
 
 pub use channel::Channel;
 pub use dataset::Dataset;
 pub use error::TimeSeriesError;
-pub use events::{channel_from_events, DuplicatePolicy, EventIngestReport};
 pub use mask::Mask;
 pub use segment::{segments_from_mask, Segment};
 pub use time::{Date, TimeGrid, Timestamp, MINUTES_PER_DAY, MINUTES_PER_HOUR};

@@ -3,8 +3,7 @@
 //! The paper trains on the first half of the usable days and
 //! validates on the second half ("We use the half of the data set (32
 //! days) to train the models and the other half to validate").
-//! [`halves`] reproduces that rule; [`first_n`] supports the
-//! training-horizon sweep of Fig. 5 (13/27/34/44/58-day models).
+//! [`halves`] reproduces that rule.
 
 use crate::{Dataset, Mask, Result, TimeSeriesError};
 
@@ -65,53 +64,6 @@ pub fn halves(days: &[i64]) -> Result<DaySplit> {
     })
 }
 
-/// Takes the first `n` of the sorted days for training and the rest
-/// for validation (training-horizon sweeps).
-///
-/// # Errors
-///
-/// Returns [`TimeSeriesError::Empty`] when `n` is zero or no
-/// validation day remains.
-pub fn first_n(days: &[i64], n: usize) -> Result<DaySplit> {
-    if n == 0 || n >= days.len() {
-        return Err(TimeSeriesError::Empty {
-            op: "first_n split",
-        });
-    }
-    let mut sorted = days.to_vec();
-    sorted.sort_unstable();
-    Ok(DaySplit {
-        train: sorted[..n].to_vec(),
-        validation: sorted[n..].to_vec(),
-    })
-}
-
-/// Alternating split: even-positioned days train, odd-positioned days
-/// validate. Useful to balance seasonal drift across the halves.
-///
-/// # Errors
-///
-/// Returns [`TimeSeriesError::Empty`] when fewer than two days are
-/// supplied.
-pub fn interleaved(days: &[i64]) -> Result<DaySplit> {
-    if days.len() < 2 {
-        return Err(TimeSeriesError::Empty {
-            op: "interleaved split",
-        });
-    }
-    let mut sorted = days.to_vec();
-    sorted.sort_unstable();
-    let (mut train, mut validation) = (Vec::new(), Vec::new());
-    for (i, d) in sorted.into_iter().enumerate() {
-        if i % 2 == 0 {
-            train.push(d);
-        } else {
-            validation.push(d);
-        }
-    }
-    Ok(DaySplit { train, validation })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,24 +79,6 @@ mod tests {
         assert_eq!(s.validation, vec![3]);
         assert!(halves(&[1]).is_err());
         assert!(halves(&[]).is_err());
-    }
-
-    #[test]
-    fn first_n_split() {
-        let days = [10, 11, 12, 13];
-        let s = first_n(&days, 1).unwrap();
-        assert_eq!(s.train, vec![10]);
-        assert_eq!(s.validation, vec![11, 12, 13]);
-        assert!(first_n(&days, 0).is_err());
-        assert!(first_n(&days, 4).is_err());
-    }
-
-    #[test]
-    fn interleaved_split() {
-        let s = interleaved(&[4, 1, 2, 3]).unwrap();
-        assert_eq!(s.train, vec![1, 3]);
-        assert_eq!(s.validation, vec![2, 4]);
-        assert!(interleaved(&[9]).is_err());
     }
 
     #[test]

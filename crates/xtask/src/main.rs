@@ -10,7 +10,8 @@
 //! - `cargo xtask fmt` — `cargo fmt --all`.
 //! - `cargo xtask ci` — fmt-check → clippy → lint → doc → build →
 //!   test → allocation-budget gate → determinism smoke → soak smokes
-//!   (one per scenario row, plain and `--kill`).
+//!   (one per scenario row, plain and `--kill`) → perfbench smoke
+//!   (every workload, untraced and traced).
 //! - `cargo xtask soak <scenario> [--smoke] [--kill]` / `--list` —
 //!   the table-driven robustness runner (see `xtask::soak`): byte
 //!   determinism across repeats and thread counts, the fleet blast
@@ -64,7 +65,8 @@ fn print_help() {
          \x20                      (ratcheted: per-rule counts may only shrink)\n\
          \x20 fmt                  format the workspace (cargo fmt --all)\n\
          \x20 ci                   fmt-check, clippy, lint, doc, build, test,\n\
-         \x20                      alloc-free, determinism and soak smokes\n\
+         \x20                      alloc-free, determinism, soak and perfbench\n\
+         \x20                      smokes\n\
          \x20 soak <scenario>      robustness runner: determinism, blast radius\n\
          \x20      [--smoke]       (short sweep / boundary kill points)\n\
          \x20      [--kill]        kill-point crash/resume sweep + corruption cases\n\
@@ -316,7 +318,42 @@ fn ci() -> ExitCode {
             return code;
         }
     }
-    ExitCode::SUCCESS
+    perfbench_smoke()
+}
+
+/// One 1 s perfbench run per workload, untraced and traced.
+/// `perfbench/` is a Cargo workspace of its own, so no step above
+/// builds it: this one catches a crate API change that breaks the
+/// benchmark. Each run's exit code carries its output checks (0
+/// correct, 1 a failed operation or check, 2 bad arguments); there
+/// are no timing thresholds.
+fn perfbench_smoke() -> ExitCode {
+    let mut steps = Vec::new();
+    for workload in ["fleet-onboard", "paper-fit", "serve"] {
+        for trace in ["0", "1"] {
+            steps.push(step(
+                "perfbench",
+                &[
+                    "run",
+                    "--release",
+                    "--offline",
+                    "--locked",
+                    "--manifest-path",
+                    "perfbench/Cargo.toml",
+                    "--",
+                    "--workload",
+                    workload,
+                    "--seed",
+                    "1",
+                    "--seconds",
+                    "1",
+                    "--trace",
+                    trace,
+                ],
+            ));
+        }
+    }
+    run_steps(&steps)
 }
 
 /// Runs the repro pipeline twice — `THERMAL_THREADS=1` and `=4` — and
