@@ -13,9 +13,9 @@
 //! All artifacts (CSV outputs and checkpoints alike) are committed
 //! atomically — a crash mid-write never leaves a torn file behind.
 
-// Designated clock module (CLOCK_MODULES in xtask): the repro binary
-// times wall-clock phases for progress reporting only.
-#![allow(clippy::disallowed_methods)]
+// Designated clock module (AMBIENT_READ_MODULES in xtask): the repro
+// binary times wall-clock phases for progress reporting only.
+#![expect(clippy::disallowed_methods, reason = "times its progress output")]
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -195,17 +195,15 @@ fn run_experiment(
             save(&args.out, "fig4.csv", &csv);
         }
         "fig5" => {
-            let r = if let Some(store) = store {
-                let (r, resume) = model::fig5_checkpointed(protocol, store)?;
+            let checkpointed = store.is_some();
+            let (r, resume) = model::fig5(protocol, store)?;
+            if checkpointed {
                 println!(
                     "(checkpointed: {} cells restored, {} computed)",
                     resume.restored.len(),
                     resume.computed.len()
                 );
-                r
-            } else {
-                model::fig5(protocol)?
-            };
+            }
             print!("{}", model::render_fig5(&r));
         }
         "fig6" => {

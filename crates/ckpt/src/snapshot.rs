@@ -36,8 +36,8 @@
 //! Capture must be a pure function of logical state: insertion-ordered
 //! fields, hex-of-bits floats, and **no wall-clock timestamps** — any
 //! notion of "when" inside a snapshot comes from the simulated clock
-//! that is itself part of the captured state. (The `ambient-authority`
-//! lint keeps `SystemTime`/`Instant` out of this crate.) That is what
+//! that is itself part of the captured state. (clippy.toml's
+//! `disallowed-methods` keep the wall clocks out of this crate.) That is what
 //! lets the chaos harness assert that a killed-and-resumed soak writes
 //! a report byte-identical to an uninterrupted one.
 

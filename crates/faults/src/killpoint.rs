@@ -82,9 +82,9 @@ pub fn seeded_kill_point(seed: u64, range: u64) -> u64 {
     rng.gen_range(1..=range)
 }
 
-// Designated config surface (CONFIG_MODULES in xtask): the one place
-// the kill-point spec may be read from the environment.
-#[allow(clippy::disallowed_methods)]
+// Designated config surface (AMBIENT_READ_MODULES in xtask): the one
+// place the kill-point spec may be read from the environment.
+#[expect(clippy::disallowed_methods, reason = "reads THERMAL_KILL_AT/SEED")]
 fn target() -> Option<u64> {
     *TARGET.get_or_init(|| {
         parse_kill_spec(

@@ -1,11 +1,11 @@
 //! Checked float→integer conversions.
 //!
-//! The workspace bans raw `as` float→int casts in numerical code
-//! (`cargo xtask lint`, rule `float-int-cast`): they silently
-//! truncate, saturate, and map NaN to zero, which turns numerical
-//! bugs into wrong-but-plausible indices. These helpers make the
-//! clamping explicit and centralize the two sanctioned raw casts
-//! behind documented bounds checks (see `xtask/lint-allow.toml`).
+//! The workspace bans lossy `as` float→int casts (clippy's
+//! `cast_possible_truncation`/`cast_sign_loss`, denied workspace-wide):
+//! they silently truncate, saturate, and map NaN to zero, which turns
+//! numerical bugs into wrong-but-plausible indices. These helpers make
+//! the clamping explicit and centralize the two sanctioned raw casts
+//! behind documented bounds checks and per-site `#[allow]`s.
 
 /// Floors `x` and converts to an index clamped to `[0, max]`.
 ///

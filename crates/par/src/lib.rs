@@ -126,9 +126,9 @@ pub(crate) fn resolve_thread_count(raw: Option<&str>) -> (usize, Option<ThreadsP
 /// reported once per process on stderr and the fallback is used — a
 /// typo in the environment degrades parallelism, never correctness or
 /// the run itself.
-// Designated config surface (CONFIG_MODULES in xtask): the one place
-// the thread count may be read from the environment.
-#[allow(clippy::disallowed_methods)]
+// Designated config surface (AMBIENT_READ_MODULES in xtask): the one
+// place the thread count may be read from the environment.
+#[expect(clippy::disallowed_methods, reason = "reads THERMAL_THREADS")]
 pub fn thread_count() -> usize {
     let raw = env::var(THREADS_ENV).ok();
     let (threads, rejection) = resolve_thread_count(raw.as_deref());

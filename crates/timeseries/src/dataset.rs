@@ -467,7 +467,7 @@ mod tests {
         // aggregation is backed by a BTreeMap, so the output is the
         // ascending day order on every run of every process — a
         // HashMap here would only be saved by the trailing sort, and
-        // the lint gate (`unordered-container`) forbids it outright.
+        // clippy's `disallowed-types` wall forbids it outright.
         let grid = TimeGrid::new(Timestamp::from_minutes(0), 60, 24 * 5).unwrap();
         let values: Vec<Option<f64>> = (0..24 * 5).map(|_| Some(21.0)).collect();
         let ds = Dataset::new(grid, vec![Channel::new("t", values).unwrap()]).unwrap();

@@ -12,9 +12,8 @@
 //! file from the current findings, but refuses when any rule's entry
 //! count would *grow* — the baseline may only shrink (or first
 //! appear, when bootstrapping a new rule). Entries that no longer
-//! match anything are reported under `stale-allow`, same as stale
-//! allowlist entries, so a remediated finding must be removed from
-//! the baseline in the same change.
+//! match anything are reported under `stale-allow`, so a remediated
+//! finding must be removed from the baseline in the same change.
 //!
 //! Matching is deliberately brittle: editing a baselined file shifts
 //! lines, invalidates the entries, and forces a re-audit via
@@ -238,7 +237,7 @@ mod tests {
             entries: vec![
                 entry("hot-path-index", "crates/a/src/lib.rs", 3, 9, "x[i]"),
                 entry("hot-path-index", "crates/a/src/lib.rs", 7, 5, "y[j]"),
-                entry("unordered-container", "crates/b/src/lib.rs", 1, 1, "use x;"),
+                entry("module-doc", "crates/b/src/lib.rs", 1, 1, "use x;"),
             ],
         }
     }
@@ -271,7 +270,7 @@ mod tests {
             counts,
             vec![
                 ("hot-path-index".to_owned(), 2),
-                ("unordered-container".to_owned(), 1)
+                ("module-doc".to_owned(), 1)
             ]
         );
     }

@@ -5,7 +5,6 @@
 //! synthetic sources and a seeded on-disk fixture — the acceptance
 //! gate requires `cargo xtask lint` to fail on a seeded violation.
 
-pub mod allowlist;
 pub mod baseline;
 pub mod checks;
 pub mod json;

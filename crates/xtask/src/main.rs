@@ -5,8 +5,8 @@
 //! Commands:
 //!
 //! - `cargo xtask lint [--json] [--report <p>] [--update-baseline]` —
-//!   token-level static-analysis gate with a ratcheted baseline (see
-//!   DESIGN.md § static analysis v2).
+//!   the token-level rules clippy cannot express, with the ratcheted
+//!   baseline as their one exception path (see DESIGN.md § 10).
 //! - `cargo xtask fmt` — `cargo fmt --all`.
 //! - `cargo xtask ci` — fmt-check → clippy → lint → doc → build →
 //!   test → allocation-budget gate → determinism smoke → soak smokes
@@ -58,11 +58,11 @@ fn print_help() {
     eprintln!(
         "usage: cargo xtask <command>\n\n\
          commands:\n\
-         \x20 lint [--root <dir>]  run the token-level static-analysis gate\n\
+         \x20 lint [--root <dir>]  run the token-level rules clippy cannot express\n\
          \x20      [--json]        print the canonical JSON report to stdout\n\
          \x20      [--report <p>]  write the JSON report to <p> (atomic)\n\
-         \x20      [--update-baseline]  rewrite xtask/lint-baseline.json\n\
-         \x20                      (ratcheted: per-rule counts may only shrink)\n\
+         \x20      [--update-baseline]  rewrite xtask/lint-baseline.json, the one\n\
+         \x20                      exception path (per-rule counts may only shrink)\n\
          \x20 fmt                  format the workspace (cargo fmt --all)\n\
          \x20 ci                   fmt-check, clippy, lint, doc, build, test,\n\
          \x20                      alloc-free, determinism, soak and perfbench\n\
@@ -151,16 +151,16 @@ fn lint(args: &[String]) -> ExitCode {
             }
             let active: Vec<_> = lint_report.active().collect();
             if active.is_empty() {
-                let (_, allowlisted, baselined) = lint_report.counts();
-                eprintln!("xtask lint: clean ({allowlisted} allowlisted, {baselined} baselined)");
+                let (_, baselined) = lint_report.counts();
+                eprintln!("xtask lint: clean ({baselined} baselined)");
                 ExitCode::SUCCESS
             } else {
                 for v in &active {
                     eprintln!("{v}");
                 }
                 eprintln!(
-                    "xtask lint: {} violation(s); see xtask/lint-allow.toml and \
-                     xtask/lint-baseline.json for the exception policy",
+                    "xtask lint: {} violation(s); see xtask/lint-baseline.json and \
+                     DESIGN.md § 10 for the exception policy",
                     active.len()
                 );
                 ExitCode::FAILURE

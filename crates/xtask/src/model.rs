@@ -90,6 +90,38 @@ fn attr_is_cfg_test(tokens: &[Token]) -> bool {
     })
 }
 
+/// Index of the `]` matching the `[` at `open` (the last token when
+/// unbalanced).
+pub(crate) fn matching_bracket(toks: &[Token], open: usize) -> usize {
+    let mut depth = 0_usize;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct("[") {
+            depth += 1;
+        } else if t.is_punct("]") {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    toks.len().saturating_sub(1)
+}
+
+/// Whether the run of outer attributes starting at the `#` at `start`
+/// gates its item on `cfg(test)`.
+fn outer_run_is_cfg_test(toks: &[Token], mut start: usize) -> bool {
+    while toks.get(start).is_some_and(|t| t.is_punct("#"))
+        && toks.get(start + 1).is_some_and(|t| t.is_punct("["))
+    {
+        let end = matching_bracket(toks, start + 1);
+        if attr_is_cfg_test(&toks[start + 1..=end]) {
+            return true;
+        }
+        start = end + 1;
+    }
+    false
+}
+
 /// Rust keywords that can precede `[` without it being an index
 /// expression (`for x in [..]`, `let [a, b] = ..`, `&mut [T]`).
 pub const KEYWORDS: &[&str] = &[
@@ -141,20 +173,13 @@ pub fn build(src: &str) -> FileModel {
                 None
             };
             if let Some(open) = open {
-                let mut depth = 0_usize;
-                let mut j = open;
-                while j < n {
-                    if toks[j].is_punct("[") {
-                        depth += 1;
-                    } else if toks[j].is_punct("]") {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
+                let end = matching_bracket(toks, open);
+                // An outer attribute belongs to its item, so a
+                // `cfg(test)` anywhere in the item's attribute run
+                // gates the attributes before it too.
+                if open == i + 1 && outer_run_is_cfg_test(toks, i) {
+                    pending_test = true;
                 }
-                let end = j.min(n - 1);
                 for c in ctx.iter_mut().take(end + 1).skip(i) {
                     *c = TokenCtx {
                         in_test: top.test || pending_test,
@@ -273,6 +298,17 @@ mod tests {
         let m = model("#[cfg(test)]\nfn helper(x: [u8; 4]) { b(); }\nfn live() { a(); }\n");
         assert!(ctx_of(&m, "b").1.in_test, "helper body stays test");
         assert!(!ctx_of(&m, "a").1.in_test, "next item is live again");
+    }
+
+    #[test]
+    fn cfg_test_anywhere_in_an_attribute_run_gates_the_item() {
+        let m = model(
+            "#[allow(a)]\n#[cfg(test)]\nfn helper() { b(); }\n#[allow(d)]\nfn live() { c(); }\n",
+        );
+        assert!(ctx_of(&m, "a").1.in_test, "attribute before cfg(test)");
+        assert!(ctx_of(&m, "b").1.in_test);
+        assert!(!ctx_of(&m, "d").1.in_test, "the next item's run is live");
+        assert!(!ctx_of(&m, "c").1.in_test);
     }
 
     #[test]
