@@ -66,7 +66,7 @@ fn fig4_aligns_measured_and_predicted() {
 
 #[test]
 fn fig5_sweeps_have_expected_axes() {
-    let (r, _) = model::fig5(tiny_protocol(), None).unwrap();
+    let r = model::fig5(tiny_protocol()).unwrap();
     assert!(!r.training.is_empty());
     assert_eq!(r.prediction.len(), 5);
     assert_eq!(r.prediction[0].0, 2.5);
@@ -78,14 +78,13 @@ fn fig5_sweeps_have_expected_axes() {
 #[test]
 fn fig5_checkpointed_matches_plain_cold_and_warm() {
     let p = tiny_protocol();
-    let (plain, resume) = model::fig5(p, None).unwrap();
-    assert!(resume.restored.is_empty() && resume.computed.is_empty());
+    let plain = model::fig5(p).unwrap();
     let root = std::env::temp_dir().join(format!("bench-fig5-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
     // Cold run: every cell computed, result bitwise equal to plain.
     let mut store = thermal_ckpt::CheckpointStore::open(&root, 9, "test").unwrap();
-    let (cold, resume) = model::fig5(p, Some(&mut store)).unwrap();
+    let (cold, resume) = model::fig5_checkpointed(p, &mut store).unwrap();
     assert!(resume.restored.is_empty());
     assert!(!resume.computed.is_empty());
     assert_eq!(cold.training, plain.training);
@@ -94,7 +93,7 @@ fn fig5_checkpointed_matches_plain_cold_and_warm() {
 
     // Warm run: every cell restored, still bitwise equal.
     let mut store = thermal_ckpt::CheckpointStore::open(&root, 9, "test").unwrap();
-    let (warm, resume) = model::fig5(p, Some(&mut store)).unwrap();
+    let (warm, resume) = model::fig5_checkpointed(p, &mut store).unwrap();
     assert!(
         resume.computed.is_empty(),
         "warm run recomputed {:?}",
@@ -119,7 +118,7 @@ fn fig5_checkpointed_matches_plain_cold_and_warm() {
     std::fs::write(&victim, b"definitely not a checkpoint").unwrap();
     let mut store = thermal_ckpt::CheckpointStore::open(&root, 9, "test").unwrap();
     assert_eq!(store.open_report().quarantined.len(), 1);
-    let (healed, resume) = model::fig5(p, Some(&mut store)).unwrap();
+    let (healed, resume) = model::fig5_checkpointed(p, &mut store).unwrap();
     assert_eq!(resume.computed.len(), 1);
     assert_eq!(healed.training, plain.training);
     assert_eq!(healed.prediction, plain.prediction);

@@ -2,10 +2,11 @@
 //!
 //! The engine holds the rules clippy cannot express. Clippy's deny
 //! wall (`[workspace.lints.clippy]` in the root `Cargo.toml` plus
-//! `clippy.toml`, the `clippy` step of `cargo xtask ci`) is the one
-//! enforcer of "no panics, no lossy casts, no unordered containers,
-//! no ambient clock/env/thread reads"; DESIGN.md § 10 maps every rule
-//! to its enforcer. The rules here run over the token stream produced by
+//! `clippy.toml`, the `clippy` step of `cargo xtask ci`) enforces "no
+//! panics, no lossy casts, no unordered containers, no ambient
+//! clock/env/thread reads", except for panics inside `macro_rules!`
+//! bodies, which it does not lint; DESIGN.md § 10 maps every rule to
+//! its enforcer. The rules here run over the token stream produced by
 //! [`crate::lexer`] with the scope annotations of [`crate::model`] —
 //! string/comment contents can never false-match, `#[cfg(test)]`
 //! regions are exempt, and every finding carries an exact line/column
@@ -17,10 +18,15 @@
 //! - `lints-opt-in` — every member crate opts into the workspace lint
 //!   wall.
 //! - `wall-exception` — no `allow`/`expect` attribute lets library
-//!   code opt out of clippy's wall: naming a panic lint or the
-//!   `restriction`/`all` groups is a finding everywhere, and naming
-//!   `disallowed_methods`/`disallowed_types` or the `style` group is
-//!   one outside [`AMBIENT_READ_MODULES`].
+//!   code opt out of clippy's wall: naming a panic, lossy-cast or
+//!   `disallowed_*` lint, or a group holding one (`restriction`,
+//!   `pedantic`, `style`, `all`), is a finding. The sanctioned casts
+//!   are baselined; a module in [`AMBIENT_READ_MODULES`] may put an
+//!   item-level `#[expect(clippy::disallowed_methods, reason = "…")]`
+//!   on the item that reads a clock or the environment.
+//! - `macro-panic` — no `.unwrap()`/`.expect(..)` or `panic!`-family
+//!   macro inside a `macro_rules!` body, the one place clippy's
+//!   panic-free lints do not reach.
 //! - `float-reduction-order` — no `.values()`/`.keys()`-style
 //!   iteration flowing into a float reduction (`sum`/`product`/
 //!   `fold`) in one method chain; float addition is non-associative,
@@ -66,7 +72,7 @@ use crate::model::{build, matching_bracket, TokenCtx, KEYWORDS};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Path prefixes whose `allow`/`expect` of clippy's
+/// Path prefixes whose item-level, reasoned `expect` of clippy's
 /// `disallowed_methods` is sanctioned (rule `wall-exception`): the
 /// repro binary, which times its experiments, and the two
 /// configuration surfaces read from the environment — the
@@ -147,7 +153,9 @@ impl fmt::Display for Finding {
 }
 
 /// Clippy lints (and the groups holding them) that no library file
-/// may `allow` or `expect`: the panic-free wall.
+/// may `allow` or `expect`: the panic-free, lossy-cast and
+/// determinism wall. Its audited exceptions are baselined, apart from
+/// the ambient reads of the [`AMBIENT_READ_MODULES`].
 const WALLED_LINTS: &[&str] = &[
     "unwrap_used",
     "expect_used",
@@ -156,13 +164,22 @@ const WALLED_LINTS: &[&str] = &[
     "todo",
     "unimplemented",
     "dbg_macro",
+    "cast_possible_truncation",
+    "cast_sign_loss",
+    "disallowed_methods",
+    "disallowed_types",
     "restriction",
+    "pedantic",
+    "style",
     "all",
 ];
 
-/// Clippy lints (and the group holding them) that only the
-/// [`AMBIENT_READ_MODULES`] may `allow` or `expect`.
-const AMBIENT_LINTS: &[&str] = &["disallowed_methods", "disallowed_types", "style"];
+/// Methods of the panic family (clippy's `unwrap_used`/`expect_used`).
+const PANIC_METHODS: &[&str] = &["unwrap", "unwrap_err", "expect", "expect_err"];
+
+/// Macros of the panic family (clippy's `panic`, `unreachable`, `todo`,
+/// `unimplemented` and `dbg_macro`).
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "dbg"];
 
 /// Chain heads that iterate a container in storage order.
 const REDUCTION_SOURCES: &[&str] = &["values", "into_values", "keys", "into_keys"];
@@ -180,23 +197,6 @@ fn is_indexable(prev: &Token) -> bool {
         TokenKind::Punct => matches!(prev.text.as_str(), ")" | "]" | "?"),
         _ => false,
     }
-}
-
-/// Index just past the `)` matching the `(` at `open` (or end of
-/// stream when unbalanced).
-fn skip_parens(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0_usize;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct("(") {
-            depth += 1;
-        } else if t.is_punct(")") {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-    }
-    toks.len()
 }
 
 /// Index just past a turbofish generic list starting at the `<` at
@@ -266,6 +266,8 @@ pub fn check_source(rel_path: &str, content: &str, out: &mut Vec<Finding>) {
 
     let toks = &model.lexed.tokens;
     let n = toks.len();
+    // One past the last token of the `macro_rules!` bodies seen so far.
+    let mut macro_end = 0_usize;
 
     // Snapshot codec fns are cold path: `capture`/`restore` run once
     // per snapshot boundary (tens of slots apart), never per event,
@@ -295,38 +297,56 @@ pub fn check_source(rel_path: &str, content: &str, out: &mut Vec<Finding>) {
         let next = |k: usize| toks.get(i + k);
 
         if ctx.in_attr {
-            // wall-exception: an `allow(..)`/`expect(..)` anywhere in
-            // an outer or inner attribute (`cfg_attr` included) that
-            // names a walled `clippy::` lint.
-            if (t.is_ident("allow") || t.is_ident("expect"))
-                && next(1).is_some_and(|p| p.is_punct("("))
-            {
-                let args = toks.get(i + 2..skip_parens(toks, i + 1)).unwrap_or(&[]);
-                for w in args.windows(3) {
-                    let [tool, sep, lint] = w else { continue };
-                    if !(tool.is_ident("clippy") && sep.is_punct("::")) {
+            // wall-exception: an outer or inner attribute (`cfg_attr`
+            // included) whose `allow(..)`/`expect(..)` names a walled
+            // `clippy::` lint. The one form a designated module may
+            // use is an item-level, reasoned
+            // `#[expect(clippy::disallowed_methods, reason = "…")]`,
+            // which covers that item alone and fails clippy once stale.
+            if t.is_punct("#") {
+                let inner = next(1).is_some_and(|p| p.is_punct("!"));
+                let open = if inner { i + 2 } else { i + 1 };
+                let attr = toks.get(open..=matching_bracket(toks, open)).unwrap_or(&[]);
+                for (k, level) in attr.iter().enumerate() {
+                    if !(level.is_ident("allow") || level.is_ident("expect"))
+                        || !attr.get(k + 1).is_some_and(|p| p.is_punct("("))
+                    {
                         continue;
                     }
-                    let name = lint.text.as_str();
-                    let message = if WALLED_LINTS.contains(&name) {
-                        format!(
-                            "`{}(clippy::{name})` opts library code out of the workspace lint wall; fix the code instead (DESIGN.md § 10)",
-                            t.text
-                        )
-                    } else if !ambient && AMBIENT_LINTS.contains(&name) {
-                        format!(
-                            "`{}(clippy::{name})` outside a designated ambient-read module (see AMBIENT_READ_MODULES in xtask); pass the clock or configuration in as an argument",
-                            t.text
-                        )
-                    } else {
-                        continue;
-                    };
-                    let len = if lint.line == tool.line {
-                        lint.col + lint.text.len() - tool.col
-                    } else {
-                        tool.text.len()
-                    };
-                    push(tool.line, tool.col, len, "wall-exception", message);
+                    let args = attr
+                        .get(k + 2..matching_bracket(attr, k + 1))
+                        .unwrap_or(&[]);
+                    let sanctioned_read = ambient
+                        && !inner
+                        && level.is_ident("expect")
+                        && args.iter().any(|a| a.is_ident("reason"));
+                    for w in args.windows(3) {
+                        let [tool, sep, lint] = w else { continue };
+                        let name = lint.text.as_str();
+                        let walled = tool.is_ident("clippy")
+                            && sep.is_punct("::")
+                            && WALLED_LINTS.contains(&name);
+                        if !walled || (sanctioned_read && name == "disallowed_methods") {
+                            continue;
+                        }
+                        let message = if name == "disallowed_methods" {
+                            format!(
+                                "`{}(clippy::disallowed_methods)`: only a designated ambient-read module (see AMBIENT_READ_MODULES in xtask) may read a clock or the environment, under an item-level `#[expect(.., reason = \"…\")]`; pass the clock or configuration in as an argument",
+                                level.text
+                            )
+                        } else {
+                            format!(
+                                "`{}(clippy::{name})` opts library code out of the workspace lint wall; fix the code instead (DESIGN.md § 10)",
+                                level.text
+                            )
+                        };
+                        let len = if lint.line == tool.line {
+                            lint.col + lint.text.len() - tool.col
+                        } else {
+                            tool.text.len()
+                        };
+                        push(tool.line, tool.col, len, "wall-exception", message);
+                    }
                 }
             }
             continue;
@@ -339,6 +359,40 @@ pub fn check_source(rel_path: &str, content: &str, out: &mut Vec<Finding>) {
                     && next(1).is_some_and(|p| p.is_punct("::"))
                     && next(2).is_some_and(|p| p.is_ident(b))
             };
+
+            // macro-panic: clippy reports none of the panic family in a
+            // `macro_rules!` body (`unwrap_used`/`expect_used` skip
+            // expanded code, and the macro lints resolve to the
+            // outermost macro call), so the rule is held here.
+            if name == "macro_rules"
+                && next(1).is_some_and(|p| p.is_punct("!"))
+                && next(3).is_some_and(|p| p.is_punct("{") || p.is_punct("(") || p.is_punct("["))
+            {
+                macro_end = macro_end.max(matching_bracket(toks, i + 3) + 1);
+            } else if i < macro_end {
+                let call = if PANIC_METHODS.contains(&name)
+                    && prev.is_some_and(|p| p.is_punct("."))
+                    && next(1).is_some_and(|p| p.is_punct("("))
+                {
+                    Some(format!(".{name}(..)"))
+                } else if PANIC_MACROS.contains(&name) && next(1).is_some_and(|p| p.is_punct("!")) {
+                    Some(format!("{name}!"))
+                } else {
+                    None
+                };
+                if let Some(call) = call {
+                    let (line, col, len) = at(name.len());
+                    push(
+                        line,
+                        col,
+                        len,
+                        "macro-panic",
+                        format!(
+                            "`{call}` in a `macro_rules!` body, where clippy's panic-free wall does not reach; return a typed error instead (DESIGN.md § 10)"
+                        ),
+                    );
+                }
+            }
 
             // hot-path-alloc: allocation acquisition in a
             // steady-state stream module. Constructor-time and
@@ -436,7 +490,7 @@ pub fn check_source(rel_path: &str, content: &str, out: &mut Vec<Finding>) {
                         );
                         break;
                     }
-                    j = skip_parens(toks, k);
+                    j = matching_bracket(toks, k) + 1;
                 }
             }
         }
@@ -857,6 +911,10 @@ mod tests {
             "todo",
             "unimplemented",
             "dbg_macro",
+            "cast_possible_truncation",
+            "cast_sign_loss",
+            "disallowed_methods",
+            "disallowed_types",
         ] {
             let v = scan(&format!("//! doc\n#[allow(clippy::{lint})]\nfn f() {{}}\n"));
             assert_eq!(v.len(), 1, "{lint}: {v:?}");
@@ -877,7 +935,7 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         for attr in [
             "#[allow(clippy::too_many_arguments)]",
-            "#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]",
+            "#[allow(clippy::cast_precision_loss)]",
             "#[allow(dead_code)]",
             "#[deny(clippy::unwrap_used)]",
         ] {
@@ -888,7 +946,7 @@ mod tests {
 
     #[test]
     fn wall_exception_flags_the_groups() {
-        for group in ["restriction", "all", "style"] {
+        for group in ["restriction", "pedantic", "style", "all"] {
             let v = scan(&format!("//! doc\n#![allow(clippy::{group})]\n"));
             assert_eq!(v.len(), 1, "{group}: {v:?}");
             assert_eq!(v[0].rule, "wall-exception");
@@ -916,36 +974,78 @@ mod tests {
 
     #[test]
     fn wall_exception_designations_exempt_only_disallowed_lints() {
+        let sanctioned = "#[expect(clippy::disallowed_methods, reason = \"r\")]";
         for file in AMBIENT_READ_MODULES {
-            for lint in AMBIENT_LINTS {
-                let v = scan_at(
-                    file,
-                    &format!("//! doc\n#[allow(clippy::{lint})]\nfn f() {{}}\n"),
-                );
-                assert!(v.is_empty(), "{file} {lint}: {v:?}");
-            }
-            for lint in ["unwrap_used", "restriction"] {
-                let v = scan_at(
-                    file,
-                    &format!("//! doc\n#[allow(clippy::{lint})]\nfn f() {{}}\n"),
-                );
-                assert_eq!(v.len(), 1, "{file} {lint}: {v:?}");
+            let v = scan_at(file, &format!("//! doc\n{sanctioned}\nfn f() {{}}\n"));
+            assert!(v.is_empty(), "{file}: {v:?}");
+            // Only that form: no `allow`, no module-wide inner
+            // attribute, no missing reason, no other walled lint.
+            for attr in [
+                "#[allow(clippy::disallowed_methods)]",
+                "#![expect(clippy::disallowed_methods, reason = \"r\")]",
+                "#[expect(clippy::disallowed_methods)]",
+                "#[expect(clippy::disallowed_types, reason = \"r\")]",
+                "#[expect(clippy::style, reason = \"r\")]",
+                "#[expect(clippy::unwrap_used, reason = \"r\")]",
+                "#[allow(clippy::restriction)]",
+            ] {
+                let v = scan_at(file, &format!("//! doc\n{attr}\nfn f() {{}}\n"));
+                assert_eq!(v.len(), 1, "{file} {attr}: {v:?}");
             }
         }
-        for lint in AMBIENT_LINTS {
-            let v = scan(&format!("//! doc\n#[allow(clippy::{lint})]\nfn f() {{}}\n"));
-            assert_eq!(v.len(), 1, "{lint}: {v:?}");
+        let v = scan(&format!("//! doc\n{sanctioned}\nfn f() {{}}\n"));
+        assert_eq!(v.len(), 1, "undesignated file: {v:?}");
+    }
+
+    #[test]
+    fn flags_float_int_casts() {
+        // Clippy denies the lossy casts themselves; opting a library
+        // item out of that denial is the token engine's finding.
+        for attr in [
+            "#[allow(clippy::cast_possible_truncation)]",
+            "#[expect(clippy::cast_sign_loss, reason = \"r\")]",
+            "#[allow(clippy::pedantic)]",
+        ] {
+            let v = scan(&format!(
+                "//! doc\n{attr}\nfn f(x: f64) -> usize {{ x.floor() as usize }}\n"
+            ));
+            assert_eq!(v.len(), 1, "{attr}: {v:?}");
+            assert_eq!(v[0].rule, "wall-exception");
         }
+        let v = scan("//! doc\nfn f(x: f64) -> usize { x.floor() as usize }\n");
+        assert!(v.is_empty(), "the cast is clippy's to report: {v:?}");
+    }
+
+    #[test]
+    fn unordered_container_flagged_outside_tests() {
+        let v = scan(
+            "//! doc\n\
+             #[allow(clippy::disallowed_types)]\n\
+             fn live() -> std::collections::HashSet<u8> { Default::default() }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 #[allow(clippy::disallowed_types)]\n\
+                 fn t() -> std::collections::HashSet<u8> { Default::default() }\n\
+             }\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), ("wall-exception", 2));
     }
 
     #[test]
     fn ambient_authority_respects_designations() {
-        // The repro binary is the designated clock module.
+        // The repro binary is the designated clock module; its
+        // exception sits on the item that reads the clock.
         let v = scan_at(
             "crates/bench/src/bin/repro.rs",
-            "//! doc\n#![allow(clippy::disallowed_methods)]\nfn f() { let _ = std::time::Instant::now(); }\n",
+            "//! doc\n#[expect(clippy::disallowed_methods, reason = \"r\")]\nfn main() { let _ = std::time::Instant::now(); }\n",
         );
         assert!(v.is_empty(), "{v:?}");
+        let v = scan_at(
+            "crates/bench/src/bin/repro.rs",
+            "//! doc\n#![expect(clippy::disallowed_methods, reason = \"r\")]\nfn main() { let _ = std::time::Instant::now(); }\n",
+        );
+        assert_eq!(v.len(), 1, "a module-wide exception is a finding: {v:?}");
         // par/lib.rs is a designated config module.
         let v = scan_at(
             "crates/par/src/lib.rs",
@@ -967,13 +1067,88 @@ mod tests {
         // snapshots, so opting any of its files out of clippy's
         // clock/env wall is a finding; the repro binary beside it
         // keeps its designation.
-        let src = "//! doc\n#[allow(clippy::disallowed_methods)]\nfn f() { let _ = std::time::Instant::now(); }\n";
+        let src = "//! doc\n#[expect(clippy::disallowed_methods, reason = \"r\")]\nfn f() { let _ = std::time::Instant::now(); }\n";
         for file in ["main.rs", "grid.rs", "stream.rs", "recovery.rs", "fleet.rs"] {
             let v = scan_at(&format!("crates/bench/src/bin/harness/{file}"), src);
             assert_eq!(v.len(), 1, "{file}: {v:?}");
             assert_eq!(v[0].rule, "wall-exception");
         }
         let v = scan_at("crates/bench/src/bin/repro.rs", src);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn flags_unwrap_in_library_code_with_span() {
+        // Inside a `macro_rules!` body, the one place clippy's
+        // `unwrap_used` does not look.
+        let v = scan("//! doc\nmacro_rules! first { ($xs:expr) => { $xs.first().unwrap() }; }\n");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "macro-panic");
+        assert_eq!((v[0].line, v[0].column, v[0].len), (2, 50, 6));
+        assert_eq!(
+            v[0].snippet,
+            "macro_rules! first { ($xs:expr) => { $xs.first().unwrap() }; }"
+        );
+    }
+
+    #[test]
+    fn flags_every_forbidden_pattern() {
+        let v = scan(
+            "//! doc\n\
+             macro_rules! m {\n\
+                 ($x:expr) => {{\n\
+                     let a = $x.unwrap(); let b = $x.expect(\"e\"); $x.unwrap_err();\n\
+                     if a { ::core::panic!(\"p\") } else { unreachable!() }\n\
+                     todo!(); unimplemented!(); dbg!(b);\n\
+                 }};\n\
+             }\n",
+        );
+        let got: Vec<_> = v
+            .iter()
+            .map(|f| (f.rule, f.line, f.column, f.len))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("macro-panic", 4, 12, 6),
+                ("macro-panic", 4, 33, 6),
+                ("macro-panic", 4, 49, 10),
+                ("macro-panic", 5, 16, 5),
+                ("macro-panic", 5, 37, 11),
+                ("macro-panic", 6, 1, 4),
+                ("macro-panic", 6, 10, 13),
+                ("macro-panic", 6, 28, 3),
+            ],
+            "{v:?}"
+        );
+        assert!(v[0].message.contains("`.unwrap(..)`"), "{v:?}");
+        assert!(v[3].message.contains("`panic!`"), "{v:?}");
+    }
+
+    #[test]
+    fn unwrap_or_is_not_a_forbidden_call() {
+        let v = scan(
+            "//! doc\n\
+             macro_rules! m { ($x:expr) => {\n\
+                 $x.unwrap_or(0) + $x.unwrap_or_default() + $x.expect_count + $x.panic\n\
+                 + std::panic::catch_unwind(|| 0).map_or(0, |n| n)\n\
+             }; }\n",
+        );
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn macro_panic_is_scoped_to_live_macro_bodies() {
+        // The same calls outside a macro body are clippy's to report,
+        // and a test module's macros are exempt like its code.
+        let v = scan(
+            "//! doc\n\
+             fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
+             macro_rules! ok [ ($x:expr) => { $x.unwrap_or(0) } ];\n\
+             fn g() { panic!() }\n\
+             #[cfg(test)]\n\
+             mod tests { macro_rules! t { () => { x.unwrap() } } }\n",
+        );
         assert!(v.is_empty(), "{v:?}");
     }
 

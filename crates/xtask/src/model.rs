@@ -90,14 +90,19 @@ fn attr_is_cfg_test(tokens: &[Token]) -> bool {
     })
 }
 
-/// Index of the `]` matching the `[` at `open` (the last token when
-/// unbalanced).
+/// Index of the delimiter closing the `(`, `[` or `{` at `open` (the
+/// last token when unbalanced).
 pub(crate) fn matching_bracket(toks: &[Token], open: usize) -> usize {
+    let (opener, closer) = match toks.get(open).map(|t| t.text.as_str()) {
+        Some("(") => ("(", ")"),
+        Some("{") => ("{", "}"),
+        _ => ("[", "]"),
+    };
     let mut depth = 0_usize;
     for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct("[") {
+        if t.is_punct(opener) {
             depth += 1;
-        } else if t.is_punct("]") {
+        } else if t.is_punct(closer) {
             depth -= 1;
             if depth == 0 {
                 return j;
@@ -309,6 +314,16 @@ mod tests {
         assert!(ctx_of(&m, "b").1.in_test);
         assert!(!ctx_of(&m, "d").1.in_test, "the next item's run is live");
         assert!(!ctx_of(&m, "c").1.in_test);
+    }
+
+    #[test]
+    fn matching_bracket_pairs_each_delimiter() {
+        let toks = lex("f(a, (b)) [c[d]] { e { g } } h").tokens;
+        let close =
+            |open: &str| matching_bracket(&toks, toks.iter().position(|t| t.text == open).unwrap());
+        assert_eq!(toks[close("(")].col, 9);
+        assert_eq!(toks[close("[")].col, 16);
+        assert_eq!(toks[close("{")].col, 28);
     }
 
     #[test]

@@ -125,6 +125,12 @@ fn each_new_rule_fires_with_an_accurate_span() {
             "lib.rs:4:16",
         ),
         (
+            "crates/demo/src/lib.rs",
+            "//! Demo.\nmacro_rules! first {\n    ($xs:expr) => {\n        $xs.first().unwrap()\n    };\n}\n",
+            "macro-panic",
+            "lib.rs:4:21",
+        ),
+        (
             "crates/stream/src/service.rs",
             "//! Demo hot path.\n/// D.\npub fn f(xs: &[f64], i: usize) -> f64 {\n    xs[i]\n}\n",
             "hot-path-index",
@@ -161,7 +167,8 @@ fn each_new_rule_fires_with_an_accurate_span() {
 }
 
 /// The same hot-path code outside a designated module passes, and a
-/// designated clock module may expect `clippy::disallowed_methods`.
+/// designated clock module may expect `clippy::disallowed_methods` on
+/// the item that reads the clock.
 #[test]
 fn designations_scope_the_new_rules() {
     let fx = Fixture::new("designations");
@@ -172,7 +179,7 @@ fn designations_scope_the_new_rules() {
     let fx = Fixture::new("clock");
     fx.write_file(
         "crates/bench/src/bin/repro.rs",
-        "//! Demo clock module.\n#![expect(clippy::disallowed_methods, reason = \"r\")]\nfn main() {\n    let _ = std::time::Instant::now();\n}\n",
+        "//! Demo clock module.\n#[expect(clippy::disallowed_methods, reason = \"r\")]\nfn main() {\n    let _ = std::time::Instant::now();\n}\n",
     );
     let (ok, stderr) = fx.lint();
     assert!(
