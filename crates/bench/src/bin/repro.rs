@@ -194,17 +194,15 @@ fn run_experiment(
             save(&args.out, "fig4.csv", &csv);
         }
         "fig5" => {
-            let r = if let Some(store) = store {
-                let (r, resume) = model::fig5_checkpointed(protocol, store)?;
+            let checkpointed = store.is_some();
+            let (r, resume) = model::fig5(protocol, store)?;
+            if checkpointed {
                 println!(
                     "(checkpointed: {} cells restored, {} computed)",
                     resume.restored.len(),
                     resume.computed.len()
                 );
-                r
-            } else {
-                model::fig5(protocol)?
-            };
+            }
             print!("{}", model::render_fig5(&r));
         }
         "fig6" => {

@@ -26,8 +26,7 @@ use thermal_ckpt::codec::Record;
 use thermal_ckpt::{run_cell, CellOutcome, CellPolicy, CheckpointStore, Fnv64};
 use thermal_cluster::ClusterCount;
 use thermal_core::{
-    dataset_fingerprint, DegradationPolicy, FitResume, ModelOrder, ReducedModel, SelectorKind,
-    ThermalPipeline,
+    dataset_fingerprint, DegradationPolicy, ModelOrder, ReducedModel, SelectorKind, ThermalPipeline,
 };
 use thermal_faults::{FaultDirective, FaultKind, FaultPlan};
 use thermal_timeseries::validate::{validate_channel, ValidationConfig};
@@ -88,38 +87,24 @@ fn sweep_pipeline() -> Result<ThermalPipeline> {
         .build()?)
 }
 
-/// Fits the reduced model the sweep evaluates, on clean data.
-fn fit_clean(p: &Protocol) -> Result<ReducedModel> {
+/// Fits the reduced model the sweep evaluates, on clean data. With a
+/// `store`, the three pipeline stages are checkpointed in it under
+/// `fm-fit-*` names.
+fn fit_clean(p: &Protocol, store: Option<&mut CheckpointStore>) -> Result<ReducedModel> {
     let temps = p.temperature_channels();
     let temp_refs: Vec<&str> = temps.iter().map(String::as_str).collect();
     let inputs = p.input_channels();
     let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-    Ok(sweep_pipeline()?.fit(
-        &p.output.dataset,
-        &temp_refs,
-        &input_refs,
-        &p.train_occupied,
-    )?)
-}
-
-/// Fits the sweep's reduced model with the three pipeline stages
-/// checkpointed under `fm-fit-*` names in `store`.
-fn fit_clean_checkpointed(
-    p: &Protocol,
-    store: &mut CheckpointStore,
-) -> Result<(ReducedModel, FitResume)> {
-    let temps = p.temperature_channels();
-    let temp_refs: Vec<&str> = temps.iter().map(String::as_str).collect();
-    let inputs = p.input_channels();
-    let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-    Ok(sweep_pipeline()?.fit_checkpointed(
-        &p.output.dataset,
-        &temp_refs,
-        &input_refs,
-        &p.train_occupied,
-        store,
-        "fm-fit",
-    )?)
+    let pipeline = sweep_pipeline()?;
+    let (dataset, mask) = (&p.output.dataset, &p.train_occupied);
+    Ok(match store {
+        Some(store) => {
+            pipeline
+                .fit_checkpointed(dataset, &temp_refs, &input_refs, mask, store, "fm-fit")?
+                .0
+        }
+        None => pipeline.fit(dataset, &temp_refs, &input_refs, mask)?,
+    })
 }
 
 /// Runs the validation/quarantine layer over the temperature channels
@@ -224,7 +209,7 @@ fn run_sweep_cell(
 /// Degraded or blacked-out evaluation is *not* an error — it lands in
 /// the cell as `degraded_reps` / `rmse: None`.
 pub fn fault_matrix(p: &Protocol, intensities: &[f64]) -> Result<Vec<FaultMatrixCell>> {
-    let ctx = SweepContext::build(p, fit_clean(p)?);
+    let ctx = SweepContext::build(p, fit_clean(p, None)?);
     let mut grid = Vec::with_capacity(FAULT_CLASSES.len() * intensities.len());
     for &class in FAULT_CLASSES {
         for &intensity in intensities {
@@ -344,8 +329,7 @@ pub fn fault_matrix_checkpointed(
     store: &mut CheckpointStore,
     policy: &CellPolicy,
 ) -> Result<Vec<FaultCellOutcome>> {
-    let (reduced, _resume) = fit_clean_checkpointed(p, store)?;
-    let ctx = SweepContext::build(p, reduced);
+    let ctx = SweepContext::build(p, fit_clean(p, Some(store))?);
     let inputs = p.input_channels();
     let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
     let fp = cell_fingerprint(&ctx, &input_refs);

@@ -1,5 +1,7 @@
 //! Model-identification experiments: Table I and Figures 3–5.
 
+use thermal_ckpt::codec::Record;
+use thermal_ckpt::CheckpointStore;
 use thermal_linalg::cast;
 use thermal_sysid::{
     evaluate, identify, predict_segment, regressors, EvalConfig, FitConfig, ModelOrder, ModelSpec,
@@ -273,105 +275,12 @@ pub struct Fig5Result {
     pub prediction: Vec<(f64, f64, f64)>,
 }
 
-/// Computes Fig. 5. Training-day counts follow the paper
-/// (13/27/34/44/58) clipped to the available training half;
-/// prediction lengths are 2.5/5/7.5/10/13.5 hours.
-///
-/// # Errors
-///
-/// Propagates sweep failures.
-pub fn fig5(p: &Protocol) -> Result<Fig5Result> {
-    let dataset = &p.output.dataset;
-    let sph = steps_per_hour(&p.output);
-    let one_day = cast::floor_to_index(13.5 * sph as f64, usize::MAX - 1);
-
-    // Top panel: sweep training horizon, predict one day ahead.
-    let candidate_counts = [13usize, 27, 34, 44, 58];
-    let max_train = p.split.train.len();
-    let counts: Vec<usize> = candidate_counts
-        .into_iter()
-        .filter(|&c| c <= max_train)
-        .collect();
-    let counts = if counts.is_empty() {
-        vec![max_train.saturating_sub(1).max(1)]
-    } else {
-        counts
-    };
-    let mut training = Vec::with_capacity(counts.len());
-    for &count in &counts {
-        let mut row = (count as f64, 0.0, 0.0);
-        for (slot, order) in [ModelOrder::First, ModelOrder::Second]
-            .into_iter()
-            .enumerate()
-        {
-            let spec = ModelSpec::new(p.temperature_channels(), p.input_channels(), order)?;
-            let points = thermal_sysid::sweep::sweep_training_horizon(
-                dataset,
-                &spec,
-                &p.occupied,
-                &p.split.train,
-                &[count],
-                &p.split.validation,
-                &FitConfig::default(),
-                &EvalConfig::with_horizon(one_day),
-            )?;
-            let point = points.first().ok_or(BenchError::Protocol {
-                context: "training sweep returned no points",
-            })?;
-            let v = point.report.rms_percentile(90.0)?;
-            if slot == 0 {
-                row.1 = v;
-            } else {
-                row.2 = v;
-            }
-        }
-        training.push(row);
-    }
-
-    // Bottom panel: one model per order, sweep the horizon.
-    let horizons: Vec<usize> = [2.5_f64, 5.0, 7.5, 10.0, 13.5]
-        .into_iter()
-        .map(|h| cast::floor_to_index(h * sph as f64, usize::MAX - 1))
-        .collect();
-    let mut prediction: Vec<(f64, f64, f64)> = horizons
-        .iter()
-        .map(|&h| (h as f64 / sph as f64, 0.0, 0.0))
-        .collect();
-    for (slot, order) in [ModelOrder::First, ModelOrder::Second]
-        .into_iter()
-        .enumerate()
-    {
-        let spec = ModelSpec::new(p.temperature_channels(), p.input_channels(), order)?;
-        let points = thermal_sysid::sweep::sweep_prediction_length(
-            dataset,
-            &spec,
-            &p.train_occupied,
-            &p.val_occupied,
-            &horizons,
-            &FitConfig::default(),
-        )?;
-        for (row, point) in prediction.iter_mut().zip(&points) {
-            let v = point.report.rms_percentile(90.0)?;
-            if slot == 0 {
-                row.1 = v;
-            } else {
-                row.2 = v;
-            }
-        }
-    }
-
-    Ok(Fig5Result {
-        training,
-        prediction,
-    })
-}
-
 /// Tags guarding the checkpoint payloads of the two Fig. 5 sweeps.
 const FIG5_TRAIN_TAG: &str = "bench-fig5-train-v1";
 const FIG5_PRED_TAG: &str = "bench-fig5-pred-v1";
 
 /// Which Fig. 5 cells were restored from checkpoints versus
-/// recomputed.
+/// recomputed (both empty without a store).
 #[derive(Debug, Clone, Default)]
 pub struct Fig5Resume {
     /// Checkpoint names restored without recomputation.
@@ -410,60 +319,74 @@ fn fig5_fingerprint(p: &Protocol) -> u64 {
     h.finish()
 }
 
-/// Restores the named cell's f64 values from the store, or computes,
-/// persists, and returns them. Returns `(values, restored)`.
+/// The checkpoint side of a [`fig5`] run: the store, the fingerprint
+/// every cell name carries, and which cells took which path.
+struct Fig5Cells<'s> {
+    store: &'s mut CheckpointStore,
+    fingerprint: u64,
+    resume: Fig5Resume,
+}
+
+/// Computes one Fig. 5 cell's f64 values. With a store, the cell
+/// named `{stem}-{fingerprint}.ck` is restored instead when present,
+/// and persisted after computing when not.
 fn fig5_cell<F>(
-    store: &mut thermal_ckpt::CheckpointStore,
-    name: &str,
+    cells: Option<&mut Fig5Cells<'_>>,
+    stem: &str,
     tag: &'static str,
     compute: F,
-) -> Result<(Vec<f64>, bool)>
+) -> Result<Vec<f64>>
 where
     F: FnOnce() -> Result<Vec<f64>>,
 {
-    if let Some(bytes) = store.get(name)? {
+    let Some(cells) = cells else {
+        return compute();
+    };
+    let name = format!("{stem}-{:016x}.ck", cells.fingerprint);
+    if let Some(bytes) = cells.store.get(&name)? {
         // A verified payload that fails to decode is an invariant
         // violation, not a cache miss.
-        let record = thermal_ckpt::codec::Record::decode(&bytes, tag).map_err(BenchError::from)?;
+        let record = Record::decode(&bytes, tag).map_err(BenchError::from)?;
         let values = record.get_f64_slice("values").map_err(BenchError::from)?;
-        return Ok((values, true));
+        cells.resume.restored.push(name);
+        return Ok(values);
     }
     let values = compute()?;
-    let mut record = thermal_ckpt::codec::Record::new(tag);
+    let mut record = Record::new(tag);
     record.put_f64_slice("values", &values);
-    store.put(name, &record.encode())?;
-    Ok((values, false))
+    cells.store.put(&name, &record.encode())?;
+    cells.resume.computed.push(name);
+    Ok(values)
 }
 
-/// Checkpointed Fig. 5: every `(training-day count, order)` point of
-/// the top panel and each per-order horizon sweep of the bottom panel is
-/// a resumable cell. Produces bitwise the same [`Fig5Result`] as
-/// [`fig5`] whether cold, resumed, or fully restored.
+/// Computes Fig. 5. Training-day counts follow the paper
+/// (13/27/34/44/58) clipped to the available training half;
+/// prediction lengths are 2.5/5/7.5/10/13.5 hours.
+///
+/// With a `store`, every `(training-day count, order)` point of the
+/// top panel and each per-order horizon sweep of the bottom panel is
+/// a resumable cell, and the returned [`Fig5Resume`] says which were
+/// restored. The [`Fig5Result`] is bitwise the same with or without a
+/// store, whether cold, resumed, or fully restored.
 ///
 /// # Errors
 ///
 /// Propagates sweep and checkpoint-store failures.
-pub fn fig5_checkpointed(
-    p: &Protocol,
-    store: &mut thermal_ckpt::CheckpointStore,
-) -> Result<(Fig5Result, Fig5Resume)> {
+pub fn fig5(p: &Protocol, store: Option<&mut CheckpointStore>) -> Result<(Fig5Result, Fig5Resume)> {
     let dataset = &p.output.dataset;
     let sph = steps_per_hour(&p.output);
     let one_day = cast::floor_to_index(13.5 * sph as f64, usize::MAX - 1);
-    let fp = fig5_fingerprint(p);
-    let mut resume = Fig5Resume::default();
-    let track = |name: String, restored: bool, resume: &mut Fig5Resume| {
-        if restored {
-            resume.restored.push(name);
-        } else {
-            resume.computed.push(name);
-        }
-    };
+    let mut cells = store.map(|store| Fig5Cells {
+        store,
+        fingerprint: fig5_fingerprint(p),
+        resume: Fig5Resume::default(),
+    });
     let order_key = |order: ModelOrder| match order {
         ModelOrder::First => "o1",
         ModelOrder::Second => "o2",
     };
 
+    // Top panel: sweep training horizon, predict one day ahead.
     let candidate_counts = [13usize, 27, 34, 44, 58];
     let max_train = p.split.train.len();
     let counts: Vec<usize> = candidate_counts
@@ -482,8 +405,8 @@ pub fn fig5_checkpointed(
             .into_iter()
             .enumerate()
         {
-            let name = format!("fig5-train-{count}-{}-{fp:016x}.ck", order_key(order));
-            let (values, restored) = fig5_cell(store, &name, FIG5_TRAIN_TAG, || {
+            let stem = format!("fig5-train-{count}-{}", order_key(order));
+            let values = fig5_cell(cells.as_mut(), &stem, FIG5_TRAIN_TAG, || {
                 let spec = ModelSpec::new(p.temperature_channels(), p.input_channels(), order)?;
                 let points = thermal_sysid::sweep::sweep_training_horizon(
                     dataset,
@@ -500,7 +423,6 @@ pub fn fig5_checkpointed(
                 })?;
                 Ok(vec![point.report.rms_percentile(90.0)?])
             })?;
-            track(name, restored, &mut resume);
             let v = *values.first().ok_or(BenchError::Protocol {
                 context: "Fig. 5 training cell payload is empty",
             })?;
@@ -513,6 +435,7 @@ pub fn fig5_checkpointed(
         training.push(row);
     }
 
+    // Bottom panel: one model per order, sweep the horizon.
     let horizons: Vec<usize> = [2.5_f64, 5.0, 7.5, 10.0, 13.5]
         .into_iter()
         .map(|h| cast::floor_to_index(h * sph as f64, usize::MAX - 1))
@@ -525,16 +448,15 @@ pub fn fig5_checkpointed(
         .into_iter()
         .enumerate()
     {
-        let name = format!("fig5-pred-{}-{fp:016x}.ck", order_key(order));
-        let horizons_ref = &horizons;
-        let (values, restored) = fig5_cell(store, &name, FIG5_PRED_TAG, || {
+        let stem = format!("fig5-pred-{}", order_key(order));
+        let values = fig5_cell(cells.as_mut(), &stem, FIG5_PRED_TAG, || {
             let spec = ModelSpec::new(p.temperature_channels(), p.input_channels(), order)?;
             let points = thermal_sysid::sweep::sweep_prediction_length(
                 dataset,
                 &spec,
                 &p.train_occupied,
                 &p.val_occupied,
-                horizons_ref,
+                &horizons,
                 &FitConfig::default(),
             )?;
             points
@@ -542,7 +464,6 @@ pub fn fig5_checkpointed(
                 .map(|point| Ok(point.report.rms_percentile(90.0)?))
                 .collect()
         })?;
-        track(name, restored, &mut resume);
         if values.len() != prediction.len() {
             return Err(BenchError::Protocol {
                 context: "Fig. 5 prediction cell has the wrong number of horizons",
@@ -557,13 +478,11 @@ pub fn fig5_checkpointed(
         }
     }
 
-    Ok((
-        Fig5Result {
-            training,
-            prediction,
-        },
-        resume,
-    ))
+    let result = Fig5Result {
+        training,
+        prediction,
+    };
+    Ok((result, cells.map(|c| c.resume).unwrap_or_default()))
 }
 
 /// Renders Fig. 5 as two tables.

@@ -109,8 +109,9 @@ impl ThermalPipeline {
     /// Runs the three steps on `dataset`: cluster `sensor_channels`
     /// over `train_mask`, select representatives, and identify a
     /// reduced model of the selected sensors driven by
-    /// `input_channels` on the assembled design matrix
-    /// ([`thermal_sysid::identify`]).
+    /// `input_channels` by batch ridge least squares over every
+    /// regressor row ([`thermal_sysid::identify`], which folds the rows
+    /// into the normal equations panel by panel).
     ///
     /// # Errors
     ///
@@ -124,7 +125,7 @@ impl ThermalPipeline {
         train_mask: &Mask,
     ) -> Result<ReducedModel> {
         let inputs = (dataset, sensor_channels, input_channels, train_mask);
-        self.run(inputs, Identify::DesignMatrix, None)
+        self.run(inputs, Identify::Batch, None)
     }
 
     /// Runs the steps of [`ThermalPipeline::fit`] with the
@@ -191,7 +192,7 @@ impl ThermalPipeline {
             report: FitResume::default(),
         };
         let inputs = (dataset, sensor_channels, input_channels, train_mask);
-        let model = self.run(inputs, Identify::DesignMatrix, Some(&mut resume))?;
+        let model = self.run(inputs, Identify::Batch, Some(&mut resume))?;
         Ok((model, resume.report))
     }
 
@@ -213,8 +214,7 @@ impl ThermalPipeline {
         let owned_names: Vec<String> = sensor_channels.iter().map(|s| (*s).to_owned()).collect();
 
         // Step 1: cluster the dense deployment.
-        let trajectories =
-            Trajectories::new(trajectory_matrix(dataset, sensor_channels, train_mask)?);
+        let trajectories = Trajectories::new(dataset, sensor_channels, train_mask);
         let clustering = resume_stage(
             resume.as_deref_mut(),
             "cluster",
@@ -248,10 +248,10 @@ impl ThermalPipeline {
 
     /// Stage 1: spectral clustering of the trajectory matrix. The
     /// correlation weights read the shared centred Gram.
-    fn cluster_stage(&self, trajectories: &Trajectories) -> Result<Clustering> {
+    fn cluster_stage(&self, trajectories: &Trajectories<'_>) -> Result<Clustering> {
         let weights = match self.similarity {
-            Similarity::Correlation => correlation_weights(trajectories.gram())?,
-            Similarity::Euclidean { .. } => weight_matrix(&trajectories.matrix, self.similarity)?,
+            Similarity::Correlation => correlation_weights(trajectories.gram()?)?,
+            Similarity::Euclidean { .. } => weight_matrix(trajectories.matrix()?, self.similarity)?,
         };
         Ok(cluster_graph(
             &weights,
@@ -268,19 +268,19 @@ impl ThermalPipeline {
     /// shared centred Gram.
     fn select_stage(
         &self,
-        trajectories: &Trajectories,
+        trajectories: &Trajectories<'_>,
         clustering: &Clustering,
         owned_names: &[String],
     ) -> Result<Selection> {
         let selection_input = SelectionInput {
-            trajectories: &trajectories.matrix,
+            trajectories: trajectories.matrix()?,
             clustering,
             per_cluster: self.per_cluster,
             seed: self.seed,
         };
         let selection = match &self.selector {
             SelectorKind::GpMutualInformation => {
-                GpSelector.select_with_gram(&selection_input, trajectories.gram())?
+                GpSelector.select_with_gram(&selection_input, trajectories.gram()?)?
             }
             kind => kind.build(owned_names)?.select(&selection_input)?,
         };
@@ -308,7 +308,7 @@ impl ThermalPipeline {
         )?;
         let fit = identify_config();
         let model = match backend {
-            Identify::DesignMatrix => identify(dataset, &spec, train_mask, &fit)?,
+            Identify::Batch => identify(dataset, &spec, train_mask, &fit)?,
             Identify::Engine(cache) => {
                 identify_with_cache(dataset, &spec, train_mask, &fit, cache)?
             }
@@ -331,8 +331,8 @@ pub(crate) fn identify_config() -> FitConfig {
 /// backends agree bit for bit only on one gap-free segment, so each
 /// fit method keeps its own.
 enum Identify<'c> {
-    /// The assembled design matrix ([`identify`]).
-    DesignMatrix,
+    /// Batch least squares over every regressor row ([`identify`]).
+    Batch,
     /// The sweep engine over a caller's Gram cache
     /// ([`identify_with_cache`]).
     Engine(&'c mut GramCache),
@@ -375,25 +375,46 @@ fn resume_stage<T>(
     Ok(computed)
 }
 
-/// One fit's trajectory matrix and its centred Gram
-/// ([`stats::centred_gram`]), computed on first use. Correlation
-/// clustering and GP selection both read the Gram, so a fit that runs
-/// either computes it once, and a fit that runs neither never does.
-struct Trajectories {
-    matrix: Matrix,
+/// One fit's trajectory matrix ([`trajectory_matrix`]) and its
+/// centred Gram ([`stats::centred_gram`]), each built on first use. A
+/// fit whose cluster and select stages are both restored from
+/// checkpoints builds neither; a fit that computes either stage builds
+/// the matrix once. Correlation clustering and GP selection both read
+/// the Gram, so a fit that runs either computes it once, and a fit that
+/// runs neither never does.
+struct Trajectories<'a> {
+    dataset: &'a Dataset,
+    channels: &'a [&'a str],
+    mask: &'a Mask,
+    matrix: OnceCell<Matrix>,
     gram: OnceCell<Matrix>,
 }
 
-impl Trajectories {
-    fn new(matrix: Matrix) -> Self {
+impl<'a> Trajectories<'a> {
+    fn new(dataset: &'a Dataset, channels: &'a [&'a str], mask: &'a Mask) -> Self {
         Trajectories {
-            matrix,
+            dataset,
+            channels,
+            mask,
+            matrix: OnceCell::new(),
             gram: OnceCell::new(),
         }
     }
 
-    fn gram(&self) -> &Matrix {
-        self.gram.get_or_init(|| stats::centred_gram(&self.matrix))
+    fn matrix(&self) -> Result<&Matrix> {
+        if let Some(matrix) = self.matrix.get() {
+            return Ok(matrix);
+        }
+        let built = trajectory_matrix(self.dataset, self.channels, self.mask)?;
+        Ok(self.matrix.get_or_init(|| built))
+    }
+
+    fn gram(&self) -> Result<&Matrix> {
+        if let Some(gram) = self.gram.get() {
+            return Ok(gram);
+        }
+        let gram = stats::centred_gram(self.matrix()?);
+        Ok(self.gram.get_or_init(|| gram))
     }
 }
 

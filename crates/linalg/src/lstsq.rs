@@ -8,8 +8,11 @@
 //! A ridge-regularised variant ([`solve_ridge`] /
 //! [`solve_ridge_matrix`]) is provided for the rank-deficient regimes
 //! the paper's over-fitting discussion (Fig. 5, top) brushes against
-//! with short training horizons.
+//! with short training horizons; [`RidgeNormalEquations`] accumulates
+//! its normal equations from rows folded in piece by piece, so a caller
+//! that produces the rows in panels never stacks them.
 
+use crate::matrix::{fold_panels, mirror_upper, NormalChains, PanelScratch};
 use crate::{CholeskyDecomposition, LinalgError, Matrix, QrDecomposition, Result, Vector};
 
 /// Solves `min_x ‖A x − b‖₂` via Householder QR.
@@ -92,20 +95,21 @@ pub fn solve_ridge(a: &Matrix, b: &Vector, lambda: f64) -> Result<Vector> {
 ///
 /// Factors the regularised Gram matrix once and reuses it across all
 /// columns of `B`, which is what makes the per-sensor identification
-/// loop of the paper cheap.
+/// loop of the paper cheap. For `λ > 0` the normal equations are those
+/// of [`RidgeNormalEquations`] with every row of `A` and `B` folded in
+/// at once: entry `(i, j ≥ i)` of `AᵀA` and every entry of `AᵀB` is one
+/// [`kernels`](crate::kernels) chain from `+0.0` over the rows in
+/// order, run in 128-row panels on the calling thread, so the result
+/// is bitwise that of any split of the rows into folds.
 ///
 /// # Errors
 ///
 /// Same conditions as [`solve_ridge`].
 pub fn solve_ridge_matrix(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix> {
-    if !(lambda.is_finite() && lambda >= 0.0) {
-        return Err(LinalgError::InvalidData {
-            reason: "ridge parameter must be finite and non-negative",
-        });
-    }
     if lambda == 0.0 {
         return solve_matrix(a, b);
     }
+    let mut normal = RidgeNormalEquations::new(a.cols(), b.cols(), lambda)?;
     if b.rows() != a.rows() {
         return Err(LinalgError::ShapeMismatch {
             op: "ridge",
@@ -113,15 +117,154 @@ pub fn solve_ridge_matrix(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix>
             rhs: b.shape(),
         });
     }
-    if !a.is_finite() || !b.is_finite() {
-        return Err(LinalgError::NonFinite { op: "ridge" });
+    normal.fold(a.as_slice(), b.as_slice())?;
+    normal.solve()
+}
+
+/// The ridge normal equations `(XᵀX + λI) Θ = XᵀY`, accumulated from
+/// sample rows folded in piece by piece, for a caller that produces
+/// its rows in panels and never stacks `X` or `Y`.
+///
+/// Every fold runs the 128-row panel loop of [`Matrix::gram`] and
+/// [`Matrix::transpose_matmul`] on the calling thread: entry
+/// `(i, j ≥ i)` of `XᵀX` and every entry of `XᵀY` is one
+/// [`kernels`](crate::kernels) chain from `+0.0` over the folded rows
+/// in fold order, continued across panels and folds. Any split of the
+/// rows into folds (empty ones included) therefore yields the same
+/// bits, and [`RidgeNormalEquations::solve`] equals
+/// [`solve_ridge_matrix`] on the stacked rows.
+///
+/// # Example
+///
+/// ```
+/// use thermal_linalg::lstsq::{solve_ridge_matrix, RidgeNormalEquations};
+/// use thermal_linalg::Matrix;
+///
+/// # fn main() -> Result<(), thermal_linalg::LinalgError> {
+/// let x = Matrix::from_fn(5, 2, |r, c| (r + 2 * c) as f64);
+/// let y = Matrix::from_fn(5, 1, |r, _| r as f64 * 0.5);
+/// let mut normal = RidgeNormalEquations::new(2, 1, 1e-3)?;
+/// normal.fold(&x.as_slice()[..4], &y.as_slice()[..2])?;
+/// normal.fold(&x.as_slice()[4..], &y.as_slice()[2..])?;
+/// assert_eq!(normal.rows(), 5);
+/// assert_eq!(normal.solve()?, solve_ridge_matrix(&x, &y, 1e-3)?);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct RidgeNormalEquations {
+    cols: usize,
+    rhs: usize,
+    lambda: f64,
+    rows: usize,
+    /// `cols × cols`: the upper triangle's chains.
+    gram: Vec<f64>,
+    /// `rhs × cols`: row `j` holds the chains of column `j` of `XᵀY`.
+    cross: Vec<f64>,
+    scratch: PanelScratch,
+}
+
+impl RidgeNormalEquations {
+    /// Empty normal equations for rows of `cols` regressors and `rhs`
+    /// targets, regularised by `lambda`. At `lambda == 0` they are the
+    /// plain normal equations, which [`solve_ridge_matrix`] does not
+    /// use: it solves by QR there.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::InvalidData`] when `lambda` is negative or not
+    /// finite.
+    pub fn new(cols: usize, rhs: usize, lambda: f64) -> Result<Self> {
+        if !(lambda.is_finite() && lambda >= 0.0) {
+            return Err(LinalgError::InvalidData {
+                reason: "ridge parameter must be finite and non-negative",
+            });
+        }
+        Ok(RidgeNormalEquations {
+            cols,
+            rhs,
+            lambda,
+            rows: 0,
+            gram: vec![0.0; cols * cols],
+            cross: vec![0.0; rhs * cols],
+            scratch: PanelScratch::for_columns(cols, rhs),
+        })
     }
-    let mut gram = a.gram();
-    for i in 0..gram.rows() {
-        gram[(i, i)] += lambda;
+
+    /// Rows folded in so far.
+    pub fn rows(&self) -> usize {
+        self.rows
     }
-    let atb = a.transpose_matmul(b)?;
-    CholeskyDecomposition::new(&gram)?.solve_matrix(&atb)
+
+    /// Folds in the row-major rows `x` (`cols` wide) and their targets
+    /// `y` (`rhs` wide), after every row folded before.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::ShapeMismatch`] when `x` and `y` are not whole
+    ///   rows of one common count,
+    /// * [`LinalgError::NonFinite`] when an entry of either is NaN or
+    ///   ±∞; nothing is folded then.
+    pub fn fold(&mut self, x: &[f64], y: &[f64]) -> Result<()> {
+        let (p, q) = (self.cols, self.rhs);
+        let rows = x
+            .len()
+            .checked_div(p)
+            .or_else(|| y.len().checked_div(q))
+            .unwrap_or(0);
+        if x.len() != rows * p || y.len() != rows * q {
+            return Err(LinalgError::ShapeMismatch {
+                op: "ridge fold",
+                lhs: (x.len().checked_div(p).unwrap_or(0), p),
+                rhs: (y.len().checked_div(q).unwrap_or(0), q),
+            });
+        }
+        if !x.iter().chain(y).all(|v| v.is_finite()) {
+            return Err(LinalgError::NonFinite { op: "ridge" });
+        }
+        let chains = NormalChains {
+            first: 0,
+            gram: &mut self.gram,
+            cross: &mut self.cross,
+        };
+        fold_panels(x, p, y, q, chains, &mut self.scratch);
+        self.rows += rows;
+        Ok(())
+    }
+
+    /// `XᵀX` over the rows folded so far, without `λ`: the upper
+    /// triangle's chains, mirrored. Bitwise [`Matrix::gram`] of the
+    /// stacked rows.
+    pub fn gram(&self) -> Matrix {
+        let mut gram = Matrix::zeros(self.cols, self.cols);
+        gram.as_mut_slice().copy_from_slice(&self.gram);
+        mirror_upper(gram.as_mut_slice(), self.cols);
+        gram
+    }
+
+    /// `XᵀY` (`cols × rhs`) over the rows folded so far: bitwise
+    /// [`Matrix::transpose_matmul`] of the stacked rows.
+    pub fn cross(&self) -> Matrix {
+        let p = self.cols;
+        Matrix::from_fn(p, self.rhs, |i, j| self.cross[j * p + i])
+    }
+
+    /// Solves `(XᵀX + λI) Θ = XᵀY` for the `cols × rhs` coefficients
+    /// `Θ` by Cholesky, over every row folded so far: `λ` added to the
+    /// diagonal of [`RidgeNormalEquations::gram`], the factor applied to
+    /// each column of [`RidgeNormalEquations::cross`].
+    ///
+    /// # Errors
+    ///
+    /// The Cholesky error conditions (a Gram that is not positive
+    /// definite).
+    pub fn solve(&self) -> Result<Matrix> {
+        let mut gram = self.gram();
+        for i in 0..self.cols {
+            gram[(i, i)] += self.lambda;
+        }
+        CholeskyDecomposition::new(&gram)?.solve_matrix(&self.cross())
+    }
 }
 
 /// Residual vector `b − A x`.

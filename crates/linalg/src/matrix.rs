@@ -384,16 +384,19 @@ impl Matrix {
                 // block's columns of `self` (IEEE products commute), so
                 // the lanes stay four wide even for a single output.
                 let mut acc = vec![0.0; q * ni];
-                let (mut lhs, mut rcols) = (Vec::new(), Vec::new());
-                let panels = self.data.chunks(PANEL_ROWS * p);
-                for (panel, rpanel) in panels.zip(rhs.data.chunks(PANEL_ROWS * q)) {
-                    let n = panel.len() / p;
-                    columns_into(panel, p, first..first + ni, &mut lhs);
-                    columns_into(rpanel, q, 0..q, &mut rcols);
-                    for (arow, cj) in acc.chunks_exact_mut(ni).zip(rcols.chunks_exact(n)) {
-                        kernels::dot_rows_acc(cj, &lhs, n, arow);
-                    }
-                }
+                let chains = NormalChains {
+                    first,
+                    gram: &mut [],
+                    cross: &mut acc,
+                };
+                fold_panels(
+                    &self.data,
+                    p,
+                    &rhs.data,
+                    q,
+                    chains,
+                    &mut PanelScratch::default(),
+                );
                 for (j, arow) in acc.chunks_exact(ni).enumerate() {
                     for (o, v) in out_block.iter_mut().skip(j).step_by(q).zip(arow) {
                         *o = *v;
@@ -505,32 +508,15 @@ impl Matrix {
             &mut out.data,
             block_rows * p,
             |blk, out_block| {
-                let first = blk * block_rows;
-                let mut cols = Vec::new();
-                for panel in self.data.chunks(PANEL_ROWS * p) {
-                    let n = panel.len() / p;
-                    columns_into(panel, p, first..p, &mut cols);
-                    // Output row `i` continues the chains of column `i`
-                    // against columns `i..`, the front of `tail`.
-                    let mut tail = cols.as_slice();
-                    for (orow, i) in out_block.chunks_exact_mut(p).zip(first..) {
-                        let (_, upper) = orow.split_at_mut(i);
-                        let (column, rest) = tail.split_at(n);
-                        kernels::dot_rows_acc(column, tail, n, upper);
-                        tail = rest;
-                    }
-                }
+                let chains = NormalChains {
+                    first: blk * block_rows,
+                    gram: out_block,
+                    cross: &mut [],
+                };
+                fold_panels(&self.data, p, &[], 0, chains, &mut PanelScratch::default());
             },
         );
-        // Mirror the upper triangle: row `i` takes column `i` of the
-        // rows above it.
-        for i in 1..p {
-            let (above, from_i) = out.data.split_at_mut(i * p);
-            let column = above.iter().skip(i).step_by(p);
-            for (dst, src) in from_i.iter_mut().take(i).zip(column) {
-                *dst = *src;
-            }
-        }
+        mirror_upper(&mut out.data, p);
         out
     }
 
@@ -674,11 +660,115 @@ impl Matrix {
     }
 }
 
-/// Sample rows per panel of [`Matrix::gram`] and
-/// [`Matrix::transpose_matmul`]: a panel's columns, made contiguous,
-/// take at most `PANEL_ROWS × cols` scratch entries (61 KiB at 61
-/// columns) instead of a full transposed copy.
-const PANEL_ROWS: usize = 128;
+/// Sample rows per panel of [`Matrix::gram`],
+/// [`Matrix::transpose_matmul`] and the ridge normal equations
+/// ([`crate::lstsq::RidgeNormalEquations`]), and observations per
+/// centred panel of [`crate::stats::centred_gram`]: a panel's columns,
+/// made contiguous, take at most `PANEL_ROWS × cols` scratch entries
+/// (61 KiB at 61 columns) instead of a full transposed copy.
+pub(crate) const PANEL_ROWS: usize = 128;
+
+/// The normal-equation chains [`fold_panels`] continues: those of
+/// output rows `first..first + ni` of `XᵀX` and `XᵀY`.
+pub(crate) struct NormalChains<'a> {
+    /// First output row (a column of `X`).
+    pub(crate) first: usize,
+    /// `ni × p`: row `i − first` holds the Gram chains `(i, i..p)` in
+    /// its entries `i..p`. Empty to skip the Gram.
+    pub(crate) gram: &'a mut [f64],
+    /// `q × ni`: row `j` holds the cross chains `(first.., j)`. Empty
+    /// (or `q == 0`) to skip them.
+    pub(crate) cross: &'a mut [f64],
+}
+
+/// One panel's columns made contiguous: the scratch of
+/// [`fold_panels`], reused from panel to panel (and, by the ridge
+/// normal equations, from fold to fold).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PanelScratch {
+    lhs: Vec<f64>,
+    rhs: Vec<f64>,
+}
+
+impl PanelScratch {
+    /// Scratch for full panels of `lhs` and `rhs` columns, reserved
+    /// once so no panel grows it.
+    pub(crate) fn for_columns(lhs: usize, rhs: usize) -> Self {
+        PanelScratch {
+            lhs: Vec::with_capacity(PANEL_ROWS * lhs),
+            rhs: Vec::with_capacity(PANEL_ROWS * rhs),
+        }
+    }
+}
+
+/// The panel loop behind [`Matrix::gram`], [`Matrix::transpose_matmul`]
+/// and the ridge normal equations: folds the row-major sample rows of
+/// `x` (`p` wide) and `y` (`q` wide, as many rows), [`PANEL_ROWS`] at a
+/// time, into `chains`.
+///
+/// Per panel, the columns of `x` the chains read (and every column of
+/// `y`) are made contiguous; Gram row `i` then advances its chains
+/// against columns `i..p`, and cross row `j` its chains of column `j`
+/// of `y` against the block's columns of `x`, four lanes per pass
+/// ([`kernels`]). Every chain continues from its entry, in sample order,
+/// so folding the rows in any pieces equals one pass over all of them.
+pub(crate) fn fold_panels(
+    x: &[f64],
+    p: usize,
+    y: &[f64],
+    q: usize,
+    chains: NormalChains<'_>,
+    scratch: &mut PanelScratch,
+) {
+    let NormalChains { first, gram, cross } = chains;
+    let ni = if gram.is_empty() {
+        cross.len().checked_div(q).unwrap_or(0)
+    } else {
+        gram.len() / p.max(1)
+    };
+    if p == 0 || ni == 0 {
+        return;
+    }
+    // The Gram reads columns `first..p`; the cross products only the
+    // block's own `first..first + ni`, the front of that run.
+    let last = if gram.is_empty() { first + ni } else { p };
+    let (mut x_rest, mut y_rest) = (x, y);
+    while !x_rest.is_empty() {
+        let n = (x_rest.len() / p).min(PANEL_ROWS);
+        let (panel, x_next) = x_rest.split_at(n * p);
+        let (rpanel, y_next) = y_rest.split_at((n * q).min(y_rest.len()));
+        (x_rest, y_rest) = (x_next, y_next);
+        columns_into(panel, p, first..last, &mut scratch.lhs);
+        // Output row `i` continues the chains of column `i` against
+        // columns `i..`, the front of `tail`.
+        let mut tail = scratch.lhs.as_slice();
+        for (orow, i) in gram.chunks_exact_mut(p).zip(first..) {
+            let (_, upper) = orow.split_at_mut(i);
+            let (column, rest) = tail.split_at(n);
+            kernels::dot_rows_acc(column, tail, n, upper);
+            tail = rest;
+        }
+        if q > 0 && !cross.is_empty() {
+            columns_into(rpanel, q, 0..q, &mut scratch.rhs);
+            let (block, _) = scratch.lhs.split_at(ni * n);
+            for (arow, cj) in cross.chunks_exact_mut(ni).zip(scratch.rhs.chunks_exact(n)) {
+                kernels::dot_rows_acc(cj, block, n, arow);
+            }
+        }
+    }
+}
+
+/// Mirrors the upper triangle of the row-major `p × p` buffer `m`
+/// onto its lower one: row `i` takes column `i` of the rows above it.
+pub(crate) fn mirror_upper(m: &mut [f64], p: usize) {
+    for i in 1..p {
+        let (above, from_i) = m.split_at_mut(i * p);
+        let column = above.iter().skip(i).step_by(p);
+        for (dst, src) in from_i.iter_mut().take(i).zip(column) {
+            *dst = *src;
+        }
+    }
+}
 
 /// Appends columns `columns` of the row-major `rows` (each row `width`
 /// entries) to `out` after clearing it: column after column, each one

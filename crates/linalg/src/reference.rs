@@ -2,7 +2,8 @@
 //! module, kept as a test-only oracle: per-entry dots through the
 //! asserting `(i, j)` index, `Iterator::sum` zip-sums, the
 //! row-streaming Gram and `AᵀB` products that skip exact zeros, the
-//! observation-major covariance, the one-entry-at-a-time Cholesky and
+//! observation-major covariance, the centred Gram over a full centred
+//! copy with one chain per entry, the one-entry-at-a-time Cholesky and
 //! substitutions, the index-by-index Jacobi sweep with strided
 //! eigenvector columns, and the percentile that sorts a full copy.
 //!
@@ -112,6 +113,37 @@ pub(crate) fn covariance_matrix(data: &Matrix) -> Result<Matrix> {
         }
     }
     Ok(cov)
+}
+
+/// `data` with each row shifted by its mean, `x − (Σ row) / cols`,
+/// each `Σ` the row's `Iterator::sum`: the full centred copy
+/// `stats::centred_gram` made before it centred panel by panel.
+pub(crate) fn centre_rows(data: &Matrix) -> Matrix {
+    let n = data.cols();
+    let mut centred = data.clone();
+    for r in 0..data.rows() {
+        let mean = data.row(r).iter().sum::<f64>() / n as f64;
+        for x in centred.row_mut(r) {
+            *x -= mean;
+        }
+    }
+    centred
+}
+
+/// The centred Gram as one [`crate::kernels::dot`] chain per upper
+/// entry over the fully centred rows, mirrored below the diagonal.
+pub(crate) fn centred_gram(data: &Matrix) -> Matrix {
+    let z = centre_rows(data);
+    let p = z.rows();
+    let mut gram = Matrix::zeros(p, p);
+    for i in 0..p {
+        for j in i..p {
+            let g = crate::kernels::dot(z.row(i), z.row(j));
+            gram[(i, j)] = g;
+            gram[(j, i)] = g;
+        }
+    }
+    gram
 }
 
 /// Type-7 percentile read off a fully sorted copy.
@@ -399,6 +431,31 @@ mod tests {
             prop_assert_eq!(bits(stats::covariance_matrix(&data).unwrap().as_slice()), bits(want.as_slice()));
             let rows = stats::row_covariance_matrix(&data.transpose()).unwrap();
             prop_assert_eq!(bits(rows.as_slice()), bits(want.as_slice()));
+        }
+
+        /// The panel-centred Gram at 1–4 workers equals one chain per
+        /// entry over fully centred rows: 1, 127, 128, 129 and about
+        /// 300 observations (inside, at and across a panel boundary),
+        /// zero-variance and signed-zero rows, one variable to eleven.
+        #[test]
+        fn centred_gram_matches_reference(
+            p in 1usize..12,
+            width in 0usize..9,
+            threads in 1usize..5,
+            dead in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let cols = [1, 127, 128, 129, 255, 256, 257, 300, 301][width];
+            let mut data = random_matrix(p, cols, seed);
+            if dead {
+                for c in 0..cols {
+                    data[(p / 2, c)] = if c % 2 == 0 { 21.5 } else { -0.0 };
+                }
+            }
+            let want = centred_gram(&data);
+            let got = stats::centred_gram_with_threads(&data, threads);
+            prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+            prop_assert_eq!(bits(stats::centred_gram(&data).as_slice()), bits(want.as_slice()));
         }
 
         /// `new`, `refactor_principal`, `solve` and `solve_into` equal

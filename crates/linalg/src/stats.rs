@@ -5,6 +5,7 @@
 //! table and figure is a percentile, an RMS, a CDF or a correlation
 //! map over temperature series, all computed here.
 
+use crate::matrix::PANEL_ROWS;
 use crate::{kernels, LinalgError, Matrix, Result};
 
 /// Arithmetic mean of a slice.
@@ -287,30 +288,39 @@ pub fn row_covariance_matrix(data: &Matrix) -> Result<Matrix> {
 }
 
 /// The centred Gram of the rows of `data` (`rows` = variables, `cols`
-/// = observations): `G_ij = Σ_t z_i[t] · z_j[t]`, where `z` is
-/// [`centre_rows`]`(data)`.
+/// = observations): `G_ij = Σ_t z_i[t] · z_j[t]`, where `z` is `data`
+/// with each row shifted by its mean, `x − (Σ row) / cols` (each `Σ`
+/// the row's `Iterator::sum` chain from `-0.0`).
 ///
 /// Entry `(i, j ≥ i)` is one [`kernels::dot`] chain from `+0.0` over
-/// centred rows `i` and `j`, four columns `j` per pass over row `i`
-/// ([`kernels::dot_rows_from`]); the lower triangle is its mirror. The
-/// diagonal chain is [`kernels::dot_self_rows`]'s on the centred rows.
-/// Covariances ([`covariance_from_gram`]) and Pearson correlations
-/// both read off it, so a caller needing both computes it once. Runs
-/// on the calling thread.
+/// centred rows `i` and `j`, observations in order; the lower triangle
+/// is its mirror. The rows are centred one panel of at most 128
+/// observations at a time into one reused buffer, and every chain
+/// continues from panel to panel, four columns `j` per pass over row
+/// `i`, so no centred copy of `data` is made and the bits are those of
+/// one pass over fully centred rows. The diagonal chain is
+/// [`kernels::dot_self_rows`]'s on the centred rows. Covariances
+/// ([`covariance_from_gram`]) and Pearson correlations both read off
+/// it, so a caller needing both computes it once. Runs on the calling
+/// thread.
 pub fn centred_gram(data: &Matrix) -> Matrix {
     centred_gram_with_threads(data, 1)
 }
 
 /// [`centred_gram`] fanned out over `threads` workers, each owning a
-/// block of rows (`threads <= 1` is the sequential path). The result is
-/// bitwise identical at any worker count.
+/// block of rows and its own centred panel (`threads <= 1` is the
+/// sequential path). The result is bitwise identical at any worker
+/// count.
 pub fn centred_gram_with_threads(data: &Matrix, threads: usize) -> Matrix {
     let (p, n) = data.shape();
-    let centred = centre_rows(data);
-    let z = centred.as_slice();
     let mut gram = Matrix::zeros(p, p);
     if p == 0 {
         return gram;
+    }
+    let mut means = vec![0.0; p];
+    kernels::sum_rows_from(-0.0, data.as_slice(), n, &mut means);
+    for mean in &mut means {
+        *mean /= n as f64;
     }
     let block_rows = p.div_ceil(threads.max(1)).max(1);
     thermal_par::parallel_chunks_mut_with(
@@ -318,17 +328,29 @@ pub fn centred_gram_with_threads(data: &Matrix, threads: usize) -> Matrix {
         gram.as_mut_slice(),
         block_rows * p,
         |blk, block| {
-            for (grow, i) in block.chunks_exact_mut(p).zip(blk * block_rows..) {
-                let rows = &z[i * n..];
-                kernels::dot_rows_from(0.0, &rows[..n], rows, n, &mut grow[i..]);
+            // Rows `first..` of `data`, centred panel by panel: row `i`
+            // reads only rows `i..`.
+            let first = blk * block_rows;
+            let rows = data.as_slice().get(first * n..).unwrap_or_default();
+            let means = means.get(first..).unwrap_or_default();
+            let mut panel = Vec::with_capacity(means.len() * PANEL_ROWS.min(n));
+            for start in (0..n).step_by(PANEL_ROWS) {
+                let width = PANEL_ROWS.min(n - start);
+                panel.clear();
+                for (row, mean) in rows.chunks_exact(n).zip(means) {
+                    let columns = row.iter().skip(start).take(width);
+                    panel.extend(columns.map(|x| x - mean));
+                }
+                let mut tail = panel.as_slice();
+                for (grow, i) in block.chunks_exact_mut(p).zip(first..) {
+                    let (row, rest) = tail.split_at(width);
+                    kernels::dot_rows_acc(row, tail, width, &mut grow[i..]);
+                    tail = rest;
+                }
             }
         },
     );
-    for i in 1..p {
-        for j in 0..i {
-            gram[(i, j)] = gram[(j, i)];
-        }
-    }
+    crate::matrix::mirror_upper(gram.as_mut_slice(), p);
     gram
 }
 
@@ -360,25 +382,6 @@ pub fn covariance_from_gram(gram: &Matrix, observations: usize) -> Result<Matrix
         }
     }
     Ok(cov)
-}
-
-/// `data` with each row shifted by its mean, `x − (Σ row) / cols`.
-///
-/// Each mean's `Σ` is the row's `Iterator::sum` chain (from `-0.0`),
-/// four rows per pass (`kernels::sum_rows_from`). A matrix without
-/// columns comes back unchanged.
-pub fn centre_rows(data: &Matrix) -> Matrix {
-    let (p, n) = data.shape();
-    let mut centred = data.clone();
-    let mut sums = vec![0.0; p];
-    kernels::sum_rows_from(-0.0, data.as_slice(), n, &mut sums);
-    for (row, sum) in centred.as_mut_slice().chunks_exact_mut(n.max(1)).zip(sums) {
-        let mean = sum / n as f64;
-        for x in row.iter_mut() {
-            *x -= mean;
-        }
-    }
-    centred
 }
 
 /// Pearson correlation matrix of the columns of `data`.

@@ -3,8 +3,10 @@
 // Test fixtures: panicking on a broken fixture is the right failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
+use thermal_linalg::lstsq::RidgeNormalEquations;
 use thermal_linalg::{
-    lstsq, stats, CholeskyDecomposition, Matrix, QrDecomposition, SymmetricEigen, Vector,
+    lstsq, stats, CholeskyDecomposition, LinalgError, Matrix, QrDecomposition, SymmetricEigen,
+    Vector,
 };
 
 /// Strategy: a finite `rows × cols` matrix with entries in [-10, 10].
@@ -451,5 +453,120 @@ proptest! {
         let vtv = v.transpose().matmul(v).unwrap();
         let orth = (&vtv - &Matrix::identity(n)).norm_frobenius();
         prop_assert!(orth <= 32.0 * n as f64 * EPS, "‖VᵀV − I‖ = {orth:e}");
+    }
+}
+
+/// Bit patterns of a matrix's entries.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Splits the rows of `x` and `y` into consecutive pieces of `sizes`
+/// rows each (zero for an empty piece).
+fn pieces<'a>(
+    x: &'a Matrix,
+    y: &'a Matrix,
+    sizes: &'a [usize],
+) -> impl Iterator<Item = (&'a [f64], &'a [f64])> + 'a {
+    let (mut xs, mut ys) = (x.as_slice(), y.as_slice());
+    sizes.iter().map(move |&n| {
+        let (xp, xr) = xs.split_at(n * x.cols());
+        let (yp, yr) = ys.split_at(n * y.cols());
+        (xs, ys) = (xr, yr);
+        (xp, yp)
+    })
+}
+
+/// Ridge weights of the identification path's sweep.
+const RIDGES: [f64; 3] = [1e-9, 1e-6, 1.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Folding the rows in any split (empty pieces, pieces of 1–300
+    /// rows, panel boundaries anywhere) equals `gram`,
+    /// `transpose_matmul` and `solve_ridge_matrix` on the stacked rows,
+    /// and both solves equal a Cholesky solve of `gram + λI` against
+    /// `transpose_matmul`, bit for bit, signed zeros included.
+    #[test]
+    fn ridge_folds_equal_the_whole_matrix(
+        sizes in prop::collection::vec(0usize..301, 0..6),
+        cols in 1usize..10,
+        rhs in 1usize..4,
+        ridge in 0usize..3,
+        zeros in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let rows: usize = sizes.iter().sum();
+        let mut x = random_matrix(rows, cols, seed);
+        let y = random_matrix(rows, rhs, seed ^ 1);
+        if zeros {
+            for r in 0..rows {
+                x[(r, cols / 2)] = if r % 3 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        let lambda = RIDGES[ridge];
+        let mut normal = RidgeNormalEquations::new(cols, rhs, lambda).unwrap();
+        for (xp, yp) in pieces(&x, &y, &sizes) {
+            normal.fold(xp, yp).unwrap();
+        }
+        prop_assert_eq!(normal.rows(), rows);
+        prop_assert_eq!(bits(&normal.gram()), bits(&x.gram()));
+        prop_assert_eq!(bits(&normal.cross()), bits(&x.transpose_matmul(&y).unwrap()));
+        // `solve_ridge_matrix` as it was before the accumulator:
+        // `AᵀA + λI` factored, applied to `AᵀB`.
+        let mut regularised = x.gram();
+        for i in 0..cols {
+            regularised[(i, i)] += lambda;
+        }
+        let want = CholeskyDecomposition::new(&regularised)
+            .and_then(|c| c.solve_matrix(&x.transpose_matmul(&y).unwrap()));
+        for got in [normal.solve(), lstsq::solve_ridge_matrix(&x, &y, lambda)] {
+            match (got, &want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(bits(&got), bits(want)),
+                (got, want) => prop_assert_eq!(got.err(), want.clone().err()),
+            }
+        }
+    }
+
+    /// A NaN or ±∞ anywhere in a piece, regressor or target, fails that
+    /// piece's fold with `NonFinite` (the pieces before it fold), and
+    /// `solve_ridge_matrix` on the stacked rows fails alike.
+    #[test]
+    fn ridge_fold_rejects_a_non_finite_piece(
+        sizes in prop::collection::vec(1usize..301, 1..5),
+        cols in 1usize..6,
+        rhs in 1usize..3,
+        at in any::<u64>(),
+        kind in 0usize..3,
+        in_target in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let rows: usize = sizes.iter().sum();
+        let mut x = random_matrix(rows, cols, seed);
+        let mut y = random_matrix(rows, rhs, seed ^ 1);
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
+        let row = usize::try_from(at % rows as u64).unwrap();
+        if in_target {
+            y[(row, rhs - 1)] = bad;
+        } else {
+            x[(row, cols / 2)] = bad;
+        }
+        let mut normal = RidgeNormalEquations::new(cols, rhs, 1e-6).unwrap();
+        let mut start = 0;
+        for ((xp, yp), &n) in pieces(&x, &y, &sizes).zip(&sizes) {
+            let folded = normal.fold(xp, yp);
+            if (start..start + n).contains(&row) {
+                prop_assert_eq!(folded, Err(LinalgError::NonFinite { op: "ridge" }));
+                break;
+            }
+            prop_assert!(folded.is_ok());
+            start += n;
+        }
+        prop_assert_eq!(normal.rows(), start);
+        prop_assert_eq!(
+            lstsq::solve_ridge_matrix(&x, &y, 1e-6),
+            Err(LinalgError::NonFinite { op: "ridge" })
+        );
     }
 }

@@ -39,7 +39,7 @@ use thermal_ckpt::Fnv64;
 use thermal_linalg::{CholeskyDecomposition, Matrix};
 use thermal_timeseries::{segments_from_mask, Dataset, Mask};
 
-use crate::regressors::{resolve_spec, write_transitions};
+use crate::regressors::{resolve_spec, write_transitions, RunSlots};
 use crate::{FitConfig, ModelSpec, Result, SysidError, ThermalModel};
 
 /// The splitmix64 finalizer: spreads FNV's weak low bits before the
@@ -503,8 +503,8 @@ impl<'a> SweepEngine<'a> {
             &self.inputs,
             self.spec.order,
             (a, b),
-            &mut self.row_x,
-            &mut self.row_y,
+            (&mut self.row_x, &mut self.row_y),
+            &mut RunSlots::default(),
         )
     }
 

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use thermal_linalg::Matrix;
 use thermal_timeseries::{Dataset, Mask};
 
-use crate::regressors::{resolve_spec, usable_segments, write_transitions};
+use crate::regressors::{resolve_spec, usable_segments, write_transitions, RunSlots};
 use crate::{Result, SysidError, ThermalModel};
 
 /// One-step-ahead residuals of a model over the usable segments of a
@@ -149,13 +149,17 @@ pub fn residual_report(
     let total: usize = segments.iter().map(|s| s.transition_count(warmup)).sum();
     let mut residuals: Vec<Vec<f64>> = vec![Vec::with_capacity(total); p];
     let (mut x, mut y) = (Vec::new(), Vec::new());
+    let mut slots = RunSlots::default();
     let mut predicted = Vec::with_capacity(p);
     for seg in segments {
         let rows = seg.transition_count(warmup);
         x.resize(rows * width, 0.0);
         y.resize(rows * p, 0.0);
         let run = (seg.start + warmup - 1, seg.end - 1);
-        write_transitions(dataset, &outputs, &inputs, spec.order, run, &mut x, &mut y)?;
+        let rows = (x.as_mut_slice(), y.as_mut_slice());
+        write_transitions(
+            dataset, &outputs, &inputs, spec.order, run, rows, &mut slots,
+        )?;
         for (xr, actual) in x.chunks_exact(width).zip(y.chunks_exact(p)) {
             model.predict_regressor_into(xr, &mut predicted)?;
             for ((series, a), f) in residuals.iter_mut().zip(actual).zip(&predicted) {

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use thermal_linalg::lstsq;
 use thermal_timeseries::{Dataset, Mask};
 
-use crate::regressors::{assemble, RegressionData};
+use crate::regressors::{assemble, fold_transitions, RegressionData};
 use crate::{ModelSpec, Result, ThermalModel};
 
 /// Fitting configuration.
@@ -48,13 +48,30 @@ impl FitConfig {
 /// the trace (Eq. 4's intervals), stack the regressors, solve the
 /// least squares.
 ///
+/// With `ridge > 0` the regressors are never stacked: each transition's
+/// row is written through
+/// [`write_regressor`](crate::regressors::write_regressor) into one
+/// reused panel of at most 128 rows, and each panel is folded into the
+/// ridge normal equations
+/// ([`RidgeNormalEquations`](thermal_linalg::lstsq::RidgeNormalEquations))
+/// on the calling thread. Every chain of `XᵀX` and `XᵀY` runs over the
+/// rows in [`assemble`]'s order, so the coefficients equal
+/// [`identify_from_data`] on [`assemble`]'s output bit for bit, and
+/// nothing allocated grows with the number of transitions. With
+/// `ridge == 0` the stacked design matrix is assembled and solved by
+/// QR.
+///
 /// # Errors
+///
+/// In this order:
 ///
 /// * [`crate::SysidError::InvalidSpec`] for unknown channels,
 /// * [`crate::SysidError::InsufficientData`] when too few transitions
 ///   exist,
-/// * [`crate::SysidError::Linalg`] when the solve fails (e.g. an
-///   exactly collinear regressor with `ridge == 0`).
+/// * [`crate::SysidError::Linalg`] for a negative or non-finite ridge
+///   (`InvalidData`), a non-finite regressor or target (`NonFinite`),
+///   or a failed solve (e.g. an exactly collinear regressor with
+///   `ridge == 0`).
 ///
 /// # Example
 ///
@@ -91,8 +108,12 @@ pub fn identify(
     mask: &Mask,
     config: &FitConfig,
 ) -> Result<ThermalModel> {
-    let data = assemble(dataset, spec, mask)?;
-    identify_from_data(spec, &data, config)
+    if config.ridge == 0.0 {
+        let data = assemble(dataset, spec, mask)?;
+        return identify_from_data(spec, &data, config);
+    }
+    let theta_t = fold_transitions(dataset, spec, mask, config.ridge)?.solve()?;
+    ThermalModel::new(spec.clone(), theta_t.transpose())
 }
 
 /// Fits a model from an already-assembled regression problem (useful

@@ -8,7 +8,14 @@
 //! Rows never straddle segment boundaries, which is exactly what makes
 //! the objective *piece-wise*. [`write_regressor`] is the only place
 //! that layout is written down.
+//!
+//! [`assemble`] stacks every row into one `(X, Y)` pair;
+//! `fold_transitions` (behind [`crate::identify`] with a ridge) writes
+//! the same rows, in the same order, into one reused panel of at most
+//! 128 rows and folds each full panel into ridge normal equations, so
+//! nothing it allocates grows with the number of transitions.
 
+use thermal_linalg::lstsq::RidgeNormalEquations;
 use thermal_linalg::Matrix;
 use thermal_timeseries::{segments_from_mask, Dataset, Mask, Segment};
 
@@ -95,13 +102,33 @@ pub fn write_regressor(t_now: &[f64], t_prev: Option<&[f64]>, u: &[f64], x: &mut
     true
 }
 
+/// The slots a run of transitions reads, outputs and inputs row-major
+/// ([`Dataset::matrix_into`]): [`write_transitions`]' buffers, reused
+/// from run to run.
+#[derive(Debug, Default)]
+pub(crate) struct RunSlots {
+    t: Vec<f64>,
+    u: Vec<f64>,
+}
+
+impl RunSlots {
+    /// Buffers for runs of up to `rows` transitions, reserved once.
+    fn for_runs(rows: usize, order: ModelOrder, outputs: usize, inputs: usize) -> Self {
+        RunSlots {
+            t: Vec::with_capacity((rows + order.warmup()) * outputs),
+            u: Vec::with_capacity((rows + order.warmup()) * inputs),
+        }
+    }
+}
+
 /// Writes transitions `k ∈ [a, b)` of one gap-free run into `x`
 /// (`b − a` regressor rows, row-major) and `y` (their targets).
 ///
 /// The slots the run reads, `a + 1 − warmup ..= b`, are extracted
-/// column by column through [`Dataset::matrix`]; every row then goes
-/// through [`write_regressor`]. Allocation scales with the number of
-/// runs, not with their length in samples.
+/// column by column into `slots` ([`Dataset::matrix_into`]); every row
+/// then goes through [`write_regressor`]. Allocation scales with the
+/// number of runs (and not even that once `slots` holds the longest),
+/// not with their length in samples.
 ///
 /// # Errors
 ///
@@ -115,38 +142,90 @@ pub(crate) fn write_transitions(
     inputs: &[usize],
     order: ModelOrder,
     (a, b): (usize, usize),
-    x: &mut [f64],
-    y: &mut [f64],
+    (x, y): (&mut [f64], &mut [f64]),
+    slots: &mut RunSlots,
 ) -> Result<()> {
-    let mismatch = SysidError::Internal {
+    let mismatch = || SysidError::Internal {
         context: "transition buffers do not match the run",
     };
-    let p = outputs.len();
-    let width = order.state_blocks() * p + inputs.len();
+    let (p, m) = (outputs.len(), inputs.len());
+    let width = order.state_blocks() * p + m;
     let rows = b.saturating_sub(a);
     let Some(first) = (a + 1).checked_sub(order.warmup()) else {
-        return Err(mismatch);
+        return Err(mismatch());
     };
     if p == 0 || x.len() != rows * width || y.len() != rows * p {
-        return Err(mismatch);
+        return Err(mismatch());
     }
     if rows == 0 {
         return Ok(());
     }
-    let slots = Segment::new(first, b + 1);
-    let t = dataset.matrix(slots, outputs)?;
-    let u = dataset.matrix(slots, inputs)?;
+    let read = Segment::new(first, b + 1);
+    dataset.matrix_into(read, outputs, &mut slots.t)?;
+    dataset.matrix_into(read, inputs, &mut slots.u)?;
+    let (t, u) = (slots.t.as_slice(), slots.u.as_slice());
+    let t_row = |i: usize| t.get(i * p..(i + 1) * p);
     let rows = x.chunks_exact_mut(width).zip(y.chunks_exact_mut(p));
     for (r, (xr, yr)) in rows.enumerate() {
         // Row of T(k) within the extracted slots.
         let now = r + order.warmup() - 1;
-        let t_prev = (order == ModelOrder::Second).then(|| t.row(now - 1));
-        if !write_regressor(t.row(now), t_prev, u.row(now), xr) {
-            return Err(mismatch);
+        let t_prev = match order {
+            ModelOrder::First => None,
+            ModelOrder::Second => Some(t_row(now - 1).ok_or_else(mismatch)?),
+        };
+        let (Some(t_now), Some(t_next), Some(u_now)) =
+            (t_row(now), t_row(now + 1), u.get(now * m..(now + 1) * m))
+        else {
+            return Err(mismatch());
+        };
+        if !write_regressor(t_now, t_prev, u_now, xr) {
+            return Err(mismatch());
         }
-        yr.copy_from_slice(t.row(now + 1));
+        yr.copy_from_slice(t_next);
     }
     Ok(())
+}
+
+/// The usable segments of `mask` and the transitions they hold, for a
+/// spec whose channels resolve to `outputs` and `inputs`.
+struct Plan {
+    outputs: Vec<usize>,
+    inputs: Vec<usize>,
+    segments: Vec<Segment>,
+    /// Transitions over all segments: the rows of `X`.
+    total: usize,
+}
+
+impl Plan {
+    /// # Errors
+    ///
+    /// * [`SysidError::InvalidSpec`] for unknown channels,
+    /// * [`SysidError::InsufficientData`] when fewer transitions than
+    ///   regressor columns are available.
+    fn new(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<Self> {
+        let (outputs, inputs) = resolve_spec(dataset, spec)?;
+        let segments = usable_segments(dataset, spec, mask)?;
+        let warmup = spec.order.warmup();
+        let total: usize = segments.iter().map(|s| s.transition_count(warmup)).sum();
+        let width = spec.regressor_width();
+        if total < width {
+            return Err(SysidError::InsufficientData {
+                available: total,
+                required: width,
+            });
+        }
+        Ok(Plan {
+            outputs,
+            inputs,
+            segments,
+            total,
+        })
+    }
+
+    /// The transitions `k ∈ [a, b)` of `segment`.
+    fn run(segment: Segment, order: ModelOrder) -> (usize, usize) {
+        (segment.start + order.warmup() - 1, segment.end - 1)
+    }
 }
 
 /// Assembles the stacked regression problem over the usable segments
@@ -159,19 +238,14 @@ pub(crate) fn write_transitions(
 ///   regressor columns are available (the LS problem would be
 ///   under-determined).
 pub fn assemble(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<RegressionData> {
-    let (outputs, inputs) = resolve_spec(dataset, spec)?;
-    let segments = usable_segments(dataset, spec, mask)?;
+    let Plan {
+        outputs,
+        inputs,
+        segments,
+        total,
+    } = Plan::new(dataset, spec, mask)?;
     let warmup = spec.order.warmup();
-
-    let total: usize = segments.iter().map(|s| s.transition_count(warmup)).sum();
     let width = spec.regressor_width();
-    if total < width {
-        return Err(SysidError::InsufficientData {
-            available: total,
-            required: width,
-        });
-    }
-
     let p = outputs.len();
     let mut x = vec![0.0_f64; total * width];
     let mut y = vec![0.0_f64; total * p];
@@ -190,8 +264,17 @@ pub fn assemble(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<Regr
     }
     thermal_par::parallel_chunks_mut(&mut blocks, 1, |_, chunk| {
         for (seg, xb, yb, status) in chunk {
-            let run = (seg.start + warmup - 1, seg.end - 1);
-            *status = write_transitions(dataset, &outputs, &inputs, spec.order, run, xb, yb);
+            let run = Plan::run(*seg, spec.order);
+            let mut slots = RunSlots::default();
+            *status = write_transitions(
+                dataset,
+                &outputs,
+                &inputs,
+                spec.order,
+                run,
+                (xb, yb),
+                &mut slots,
+            );
         }
     });
     for (_, _, _, status) in blocks {
@@ -203,6 +286,74 @@ pub fn assemble(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<Regr
         y: Matrix::from_vec(total, p, y)?,
         segments,
     })
+}
+
+/// Regressor rows per panel of [`fold_transitions`].
+const PANEL_ROWS: usize = 128;
+
+/// The ridge normal equations of the stacked problem [`assemble`]
+/// would build, without building it: the transitions of every usable
+/// segment, in [`assemble`]'s row order, are written through
+/// [`write_regressor`] into one reused panel of at most
+/// [`PANEL_ROWS`] rows (a panel may span segments), and each full
+/// panel is folded into a [`RidgeNormalEquations`] on the calling
+/// thread. Every normal-equation chain therefore runs over the same
+/// rows in the same order as [`RidgeNormalEquations::fold`] of the
+/// stacked `(X, Y)`, and solves to the same bits.
+///
+/// What it allocates (the panel, the slot buffers, the normal
+/// equations) is sized by the regressor width, never by the number of
+/// transitions.
+///
+/// # Errors
+///
+/// In order: [`SysidError::InvalidSpec`] for unknown channels,
+/// [`SysidError::InsufficientData`] as [`assemble`], an invalid `ridge`
+/// (`InvalidData`), a non-finite regressor or target (`NonFinite`).
+pub(crate) fn fold_transitions(
+    dataset: &Dataset,
+    spec: &ModelSpec,
+    mask: &Mask,
+    ridge: f64,
+) -> Result<RidgeNormalEquations> {
+    let plan = Plan::new(dataset, spec, mask)?;
+    let width = spec.regressor_width();
+    let p = plan.outputs.len();
+    let mut normal = RidgeNormalEquations::new(width, p, ridge)?;
+    let capacity = PANEL_ROWS.min(plan.total);
+    let mut slots = RunSlots::for_runs(capacity, spec.order, p, plan.inputs.len());
+    let mut x = vec![0.0_f64; capacity * width];
+    let mut y = vec![0.0_f64; capacity * p];
+    let mut filled = 0;
+    for segment in &plan.segments {
+        let (mut a, end) = Plan::run(*segment, spec.order);
+        while a < end {
+            let rows = (end - a).min(capacity - filled);
+            let (_, x_free) = x.split_at_mut(filled * width);
+            let (_, y_free) = y.split_at_mut(filled * p);
+            let (xs, _) = x_free.split_at_mut(rows * width);
+            let (ys, _) = y_free.split_at_mut(rows * p);
+            let run = (a, a + rows);
+            write_transitions(
+                dataset,
+                &plan.outputs,
+                &plan.inputs,
+                spec.order,
+                run,
+                (xs, ys),
+                &mut slots,
+            )?;
+            (a, filled) = (a + rows, filled + rows);
+            if filled == capacity {
+                normal.fold(&x, &y)?;
+                filled = 0;
+            }
+        }
+    }
+    let (xs, _) = x.split_at(filled * width);
+    let (ys, _) = y.split_at(filled * p);
+    normal.fold(xs, ys)?;
+    Ok(normal)
 }
 
 #[cfg(test)]

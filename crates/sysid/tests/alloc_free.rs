@@ -1,9 +1,15 @@
 //! The batch identification path's allocation budget (see DESIGN.md
 //! § allocation budget): `assemble`, `predict_segment` and `simulate`
 //! may allocate per call and per gap-free segment, never per sample,
-//! row or step. A counting global allocator wraps `System`, and the
-//! single test in this file asserts each call allocates exactly as
-//! often over one 500-sample segment as over one 50-sample segment.
+//! row or step, and `identify` with a ridge also never allocates
+//! anything that grows with its transitions. A counting global
+//! allocator wraps `System`, and the single test in this file asserts
+//! each call allocates exactly as often over one 500-sample segment as
+//! over one 50-sample segment, and that a ridge `identify` makes the
+//! same largest allocation over one 500-slot segment, one 5,000-slot
+//! segment and ten 50-slot segments of one 5,000-slot trace, as often
+//! over the first two and at most once more per added segment over the
+//! third.
 //!
 //! This file must stay a one-test binary: a second test running on a
 //! sibling thread would allocate concurrently and poison the counter.
@@ -19,19 +25,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use thermal_linalg::Matrix;
 use thermal_sysid::regressors::assemble;
-use thermal_sysid::{predict_segment, ModelOrder, ModelSpec, ThermalModel};
+use thermal_sysid::{identify, predict_segment, FitConfig, ModelOrder, ModelSpec, ThermalModel};
 use thermal_timeseries::{Channel, Dataset, Mask, Segment, TimeGrid, Timestamp};
 
 /// Counts every allocation-side operation (`alloc`, `alloc_zeroed`,
-/// `realloc`) while delegating the actual work to [`System`].
+/// `realloc`) and tracks the largest single one (a `realloc` by its
+/// whole new size) while delegating the actual work to [`System`].
 /// Deallocations are not counted.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LARGEST: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    LARGEST.fetch_max(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -40,12 +53,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -88,18 +101,78 @@ fn model(order: ModelOrder) -> ThermalModel {
     ThermalModel::new(spec, coef).unwrap()
 }
 
-/// Fewest allocations `f` made over three calls: a stray one-time
-/// allocation from the test harness can only raise a count, while a
-/// per-sample allocation recurs on every call.
-fn allocations(mut f: impl FnMut()) -> u64 {
+/// Fewest allocations, and the smallest largest allocation (bytes),
+/// `f` made over three calls: a stray one-time allocation from the test
+/// harness can only raise either, while a per-sample allocation recurs
+/// on every call.
+fn spend(mut f: impl FnMut()) -> (u64, u64) {
     (0..3)
         .map(|_| {
+            LARGEST.store(0, Ordering::SeqCst);
             let before = ALLOCATIONS.load(Ordering::SeqCst);
             f();
-            ALLOCATIONS.load(Ordering::SeqCst) - before
+            (
+                ALLOCATIONS.load(Ordering::SeqCst) - before,
+                LARGEST.load(Ordering::SeqCst),
+            )
         })
-        .min()
+        .reduce(|a, b| (a.0.min(b.0), a.1.min(b.1)))
         .unwrap()
+}
+
+/// Fewest allocations `f` made over three calls.
+fn allocations(f: impl FnMut()) -> u64 {
+    spend(f).0
+}
+
+/// A mask over `n` slots selecting `runs` runs of `len` slots, run `r`
+/// starting at slot `r · 2 · len`.
+fn runs(n: usize, runs: usize, len: usize) -> Mask {
+    Mask::from_bits(
+        (0..n)
+            .map(|i| (i / len).is_multiple_of(2) && i / (2 * len) < runs)
+            .collect(),
+    )
+}
+
+/// `identify` with a ridge over one 5,000-slot trace: the largest
+/// allocation stays put whether the mask selects one 500-slot segment,
+/// one 5,000-slot segment or ten 50-slot segments; the count does too
+/// over the first two (nothing per row or per 128-row panel) and grows
+/// by at most one per added segment over the third.
+fn ridge_identify_allocations_do_not_grow_with_transitions(order: ModelOrder) {
+    let n = 5_000;
+    let ds = dataset(n);
+    let spec = model(order).spec().clone();
+    let config = FitConfig::default();
+    let masks = [runs(n, 1, 500), Mask::all(ds.grid()), runs(n, 10, 50)];
+    identify(&ds, &spec, &masks[0], &config).unwrap();
+    let spent: Vec<(u64, u64)> = masks
+        .iter()
+        .map(|mask| {
+            spend(|| {
+                let model = identify(&ds, &spec, mask, &config).unwrap();
+                assert_eq!(model.coefficients().shape(), (2, spec.regressor_width()));
+            })
+        })
+        .collect();
+    let [one, long, ten] = [spent[0], spent[1], spent[2]];
+    assert_eq!(
+        (one.1, ten.1),
+        (long.1, long.1),
+        "{order}: ridge identify's largest allocation (bytes) over one 500-slot, one \
+         5,000-slot and ten 50-slot segments"
+    );
+    assert_eq!(
+        one.0, long.0,
+        "{order}: ridge identify allocations over one 500-slot vs one 5,000-slot segment"
+    );
+    assert!(
+        ten.0 <= one.0 + 9,
+        "{order}: ridge identify allocations over ten 50-slot segments ({}) vs one ({})",
+        ten.0,
+        one.0
+    );
 }
 
 #[test]
@@ -142,5 +215,6 @@ fn batch_allocations_scale_with_segments_not_samples() {
             "{order}: [assemble, predict_segment, simulate] allocations over one \
              50-sample vs one 500-sample segment"
         );
+        ridge_identify_allocations_do_not_grow_with_transitions(order);
     }
 }

@@ -3,10 +3,11 @@
 // Test fixtures: panicking on a broken fixture is the right failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
-use thermal_linalg::Matrix;
+use thermal_linalg::{LinalgError, Matrix};
+use thermal_sysid::regressors::assemble;
 use thermal_sysid::{
     evaluate, identify, identify_from_data, EvalConfig, FitConfig, ModelOrder, ModelSpec,
-    ThermalModel,
+    SysidError, ThermalModel,
 };
 use thermal_timeseries::{Channel, Dataset, Mask, TimeGrid, Timestamp};
 
@@ -283,5 +284,153 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A trace of `n` slots: three room temperatures driven by two inputs
+/// (a stable first-order system plus a deterministic wiggle), every
+/// channel with its own gaps: `bursts` runs of 1–12 missing slots each,
+/// placed by `seed`.
+fn gappy_dataset(n: usize, bursts: usize, seed: u64) -> Dataset {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let u: Vec<[f64; 2]> = (0..n)
+        .map(|k| [(k as f64 * 0.31).sin(), rng.gen_range(-1.0..1.0)])
+        .collect();
+    let mut t = vec![[20.0, 21.0, 19.5]];
+    for k in 0..n - 1 {
+        let [a, b, c] = t[k];
+        let [u0, u1] = u[k];
+        let wiggle = 0.01 * (k % 13) as f64;
+        t.push([
+            0.8 * a + 0.1 * b + 0.5 * u0 + 2.0,
+            0.1 * a + 0.7 * b + 0.1 * c - 0.3 * u1 + 2.1 + wiggle,
+            0.05 * b + 0.9 * c + 0.2 * u0 + 0.2 * u1 + 1.0,
+        ]);
+    }
+    let mut channels = Vec::new();
+    for (column, name) in ["t0", "t1", "t2", "u0", "u1"].into_iter().enumerate() {
+        let mut values: Vec<Option<f64>> = (0..n)
+            .map(|k| {
+                Some(if column < 3 {
+                    t[k][column]
+                } else {
+                    u[k][column - 3]
+                })
+            })
+            .collect();
+        for _ in 0..bursts {
+            let start = rng.gen_range(0..n);
+            let len = rng.gen_range(1..13);
+            for v in values.iter_mut().skip(start).take(len) {
+                *v = None;
+            }
+        }
+        channels.push(Channel::new(name, values).unwrap());
+    }
+    let grid = TimeGrid::new(Timestamp::from_minutes(0), 5, n).unwrap();
+    Dataset::new(grid, channels).unwrap()
+}
+
+fn three_room_spec(order: ModelOrder) -> ModelSpec {
+    let outputs = vec!["t0".into(), "t1".into(), "t2".into()];
+    ModelSpec::new(outputs, vec!["u0".into(), "u1".into()], order).unwrap()
+}
+
+/// The stacked route: every transition in one `(X, Y)`, then the solve.
+fn stacked(
+    ds: &Dataset,
+    spec: &ModelSpec,
+    mask: &Mask,
+    config: &FitConfig,
+) -> Result<ThermalModel, SysidError> {
+    identify_from_data(spec, &assemble(ds, spec, mask)?, config)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `identify` with a ridge streams its rows through 128-row panels
+    /// and never stacks them, yet its coefficients equal
+    /// `identify_from_data` on `assemble`'s stacked rows bit for bit:
+    /// gappy channels and masks (segments from a few rows to several
+    /// panels), both orders, ridge 1e-9, 1e-6 and 1. Where one route
+    /// fails, the other fails alike.
+    #[test]
+    fn streamed_ridge_fit_equals_the_stacked_fit(
+        n in 30usize..900,
+        bursts in 0usize..8,
+        holes in prop::collection::vec((0usize..900, 1usize..40), 0..4),
+        second in any::<bool>(),
+        ridge in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let ds = gappy_dataset(n, bursts, seed);
+        let mut bits = vec![true; n];
+        for (start, len) in holes {
+            for b in bits.iter_mut().skip(start % n).take(len) {
+                *b = false;
+            }
+        }
+        let mask = Mask::from_bits(bits);
+        let order = if second { ModelOrder::Second } else { ModelOrder::First };
+        let spec = three_room_spec(order);
+        let config = FitConfig::with_ridge([1e-9, 1e-6, 1.0][ridge]);
+        match (identify(&ds, &spec, &mask, &config), stacked(&ds, &spec, &mask, &config)) {
+            (Ok(got), Ok(want)) => {
+                let bits = |m: &ThermalModel| -> Vec<u64> {
+                    m.coefficients().as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+            (got, want) => prop_assert_eq!(got.err(), want.err()),
+        }
+    }
+}
+
+/// The streamed ridge fit reports its failures in the stacked route's
+/// order: an unknown channel before too few transitions, before an
+/// invalid ridge, before a non-finite regressor (a second-order
+/// increment `T(k) − T(k−1)` that overflows).
+#[test]
+fn streamed_ridge_fit_keeps_the_error_order() {
+    let n = 60;
+    let huge: Vec<f64> = (0..n)
+        .map(|k| if k % 2 == 0 { 1.5e308 } else { -1.5e308 })
+        .collect();
+    let ds = Dataset::new(
+        TimeGrid::new(Timestamp::from_minutes(0), 5, n).unwrap(),
+        vec![
+            Channel::from_values("t", huge).unwrap(),
+            Channel::from_values("u", (0..n).map(|k| (k as f64).sin()).collect()).unwrap(),
+        ],
+    )
+    .unwrap();
+    let spec = ModelSpec::new(vec!["t".into()], vec!["u".into()], ModelOrder::Second).unwrap();
+    let unknown =
+        ModelSpec::new(vec!["t".into()], vec!["nope".into()], ModelOrder::Second).unwrap();
+    let all = Mask::all(ds.grid());
+    let mut few = Mask::none(ds.grid());
+    for i in 0..3 {
+        few.set(i, true).unwrap();
+    }
+    let (bad, good) = (FitConfig::with_ridge(-1.0), FitConfig::with_ridge(1e-6));
+    let cases = [
+        (&unknown, &few, &bad, "InvalidSpec"),
+        (&spec, &few, &bad, "InsufficientData"),
+        (&spec, &all, &bad, "InvalidData"),
+        (&spec, &all, &good, "NonFinite"),
+    ];
+    for (spec, mask, config, want) in cases {
+        let got = identify(&ds, spec, mask, config).unwrap_err();
+        let kind = match &got {
+            SysidError::InvalidSpec { .. } => "InvalidSpec",
+            SysidError::InsufficientData { .. } => "InsufficientData",
+            SysidError::Linalg(LinalgError::InvalidData { .. }) => "InvalidData",
+            SysidError::Linalg(LinalgError::NonFinite { .. }) => "NonFinite",
+            other => panic!("unexpected error {other:?}"),
+        };
+        assert_eq!(kind, want, "{got:?}");
+        assert_eq!(Some(got), stacked(&ds, spec, mask, config).err());
     }
 }

@@ -181,6 +181,29 @@ impl Dataset {
     ///   missing (call [`Dataset::presence_mask`] +
     ///   [`crate::segments_from_mask`] first to avoid this).
     pub fn matrix(&self, segment: Segment, channel_indices: &[usize]) -> Result<Matrix> {
+        let mut data = Vec::new();
+        self.matrix_into(segment, channel_indices, &mut data)?;
+        Matrix::from_vec(segment.len(), channel_indices.len(), data).map_err(|_| {
+            TimeSeriesError::Empty {
+                op: "matrix extraction",
+            }
+        })
+    }
+
+    /// [`Dataset::matrix`] into a caller-owned buffer: `out` is cleared
+    /// and refilled with the `segment.len() × channels` row-major
+    /// entries, keeping its capacity, so a caller extracting many
+    /// segments reuses one allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dataset::matrix`]; `out` holds no meaningful entries then.
+    pub fn matrix_into(
+        &self,
+        segment: Segment,
+        channel_indices: &[usize],
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         if segment.end > self.grid.len() {
             return Err(TimeSeriesError::OutOfRange {
                 op: "matrix",
@@ -190,22 +213,21 @@ impl Dataset {
         }
         self.check_channels("matrix", channel_indices)?;
         let width = channel_indices.len();
-        let mut data = vec![0.0; segment.len() * width];
+        out.clear();
+        out.resize(segment.len() * width, 0.0);
         for (j, channel) in channel_indices
             .iter()
             .filter_map(|&c| self.channels.get(c))
             .enumerate()
         {
-            let column = data.iter_mut().skip(j).step_by(width);
+            let column = out.iter_mut().skip(j).step_by(width);
             for (dst, v) in column.zip(&channel.values()[segment.start..segment.end]) {
                 *dst = v.ok_or(TimeSeriesError::Empty {
                     op: "matrix extraction over a gap",
                 })?;
             }
         }
-        Matrix::from_vec(segment.len(), width, data).map_err(|_| TimeSeriesError::Empty {
-            op: "matrix extraction",
-        })
+        Ok(())
     }
 
     /// Sub-dataset containing only the named channels (order

@@ -274,10 +274,16 @@ fn ci() -> ExitCode {
     // (clones share the schedule), that batch assembly, open-loop
     // prediction and the cluster-mean validation allocate per segment,
     // never per sample or slot, and that GP selection allocates per
-    // sensor, never per sample or per candidate evaluation (see
-    // DESIGN.md § allocation budget and § simulator design). The full
-    // test step above already ran them; this dedicated step keeps the
-    // budget visible — and individually bisectable — in the CI log.
+    // sensor, never per sample or per candidate evaluation. The
+    // batch-fit budget rides along: one `ThermalPipeline::fit` makes
+    // exactly one campaign-sized allocation (its trajectory matrix)
+    // and a fully restored `fit_checkpointed` none, the centred Gram
+    // allocates the same bytes at any number of observations, and a
+    // ridge `identify` the same largest allocation at any number of
+    // transitions (see DESIGN.md § allocation budget and § simulator
+    // design). The full test step above already ran them; this
+    // dedicated step keeps the budget visible — and individually
+    // bisectable — in the CI log.
     let code = run_steps(&[step(
         "alloc-free",
         &[
@@ -297,6 +303,8 @@ fn ci() -> ExitCode {
             "thermal-select",
             "-p",
             "thermal-core",
+            "-p",
+            "thermal-linalg",
             "--test",
             "alloc_free",
         ],
