@@ -29,7 +29,10 @@ pub fn unoccupied_horizon(output: &SimOutput) -> usize {
 /// Everything the experiments need about one campaign.
 #[derive(Debug, Clone)]
 pub struct Protocol {
-    /// The simulated campaign.
+    /// The simulated campaign, without its ground truth
+    /// ([`SimOutput::discard_truth`]): every experiment reads the
+    /// measured dataset, and a caller that needs the truth runs
+    /// [`thermal_sim::run`] itself.
     pub output: SimOutput,
     /// Days with sufficient joint coverage (the paper's 64-of-98).
     pub usable_days: Vec<i64>,
@@ -50,7 +53,8 @@ pub struct Protocol {
 }
 
 impl Protocol {
-    /// Runs the scenario and assembles the protocol around it.
+    /// Runs the scenario and assembles the protocol around it, then
+    /// discards the campaign's ground truth.
     ///
     /// # Errors
     ///
@@ -58,7 +62,7 @@ impl Protocol {
     /// fewer than two usable days — the experiment harness treats
     /// that as fatal mis-configuration.
     pub fn new(scenario: &Scenario) -> Result<Self> {
-        let output = run(scenario)?;
+        let mut output = run(scenario)?;
         let dataset = &output.dataset;
         let grid = dataset.grid();
 
@@ -75,6 +79,7 @@ impl Protocol {
         let unoccupied = occupied.not();
         let train_days = Mask::days(grid, &split.train);
         let val_days = Mask::days(grid, &split.validation);
+        output.discard_truth();
 
         Ok(Protocol {
             train_occupied: train_days.and(&occupied)?,
@@ -152,6 +157,10 @@ mod tests {
         assert_eq!(p.input_channels().len(), 7);
         assert!(occupied_horizon(&p.output) > 100);
         assert!(unoccupied_horizon(&p.output) < occupied_horizon(&p.output));
+        assert_eq!(
+            p.output.clean_dataset(),
+            Err(thermal_sim::SimError::TruthDiscarded)
+        );
     }
 
     #[test]

@@ -56,6 +56,11 @@ impl std::fmt::Display for Similarity {
 /// channels over the slots of `mask` where *every* channel is
 /// present.
 ///
+/// The jointly present runs come straight off the channels' presence
+/// words and the mask ([`Dataset::joint_presence`]), and each row is
+/// copied run by run; the matrix is the only allocation that grows
+/// with the samples.
+///
 /// # Errors
 ///
 /// * [`ClusterError::TimeSeries`] for unknown channels,
@@ -63,31 +68,36 @@ impl std::fmt::Display for Similarity {
 ///   samples survive.
 pub fn trajectory_matrix(dataset: &Dataset, channels: &[&str], mask: &Mask) -> Result<Matrix> {
     let idx = dataset.resolve(channels)?;
-    let present = dataset.presence_mask(&idx)?.and(mask)?;
-    let slots: Vec<usize> = present.iter_selected().collect();
-    if slots.len() < 2 {
+    let joint = dataset.joint_presence(&idx, mask)?;
+    let samples: usize = joint.segments(1).map(|run| run.len()).sum();
+    if samples < 2 {
         return Err(ClusterError::InsufficientData {
             reason: format!(
-                "only {} joint samples available for {} sensors",
-                slots.len(),
+                "only {samples} joint samples available for {} sensors",
                 channels.len()
             ),
         });
     }
-    let mut m = Matrix::zeros(channels.len(), slots.len());
+    let mut m = Matrix::zeros(channels.len(), samples);
     for (r, &ci) in idx.iter().enumerate() {
-        // Bulk row copy: grab the channel's sample buffer once and
-        // gather the selected slots straight into the output row. The
-        // joint-presence mask guarantees every slot is present, so the
-        // error branch is hoisted to a single per-row check instead of
-        // an early return inside the gather loop.
+        // Bulk row copy: grab the channel's sample buffer once and copy
+        // each jointly present run straight into the output row. Joint
+        // presence guarantees every slot is present, so the error
+        // branch is hoisted to a single per-row check instead of an
+        // early return inside the copy loop.
         let values = dataset.channel_at(ci)?.values();
-        let row = m.row_mut(r);
+        let mut row = m.row_mut(r).iter_mut();
         let mut missing = false;
-        for (dst, &slot) in row.iter_mut().zip(&slots) {
-            match values.get(slot).copied().flatten() {
-                Some(v) => *dst = v,
-                None => missing = true,
+        for run in joint.segments(1) {
+            let slots = values.get(run.start..run.end).unwrap_or_default();
+            missing |= slots.len() != run.len();
+            // `slots` leads the zip, so its end never consumes a slot
+            // of `row`.
+            for (v, dst) in slots.iter().zip(row.by_ref()) {
+                match v {
+                    Some(v) => *dst = *v,
+                    None => missing = true,
+                }
             }
         }
         if missing {
@@ -496,6 +506,62 @@ mod tests {
         assert!(trajectory_matrix(&ds, &["zz"], &Mask::all(ds.grid())).is_err());
         let narrow = Mask::from_bits(vec![true, false, false, false, false]);
         assert!(trajectory_matrix(&ds, &["a", "b"], &narrow).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The run-by-run copy equals a gather of every slot the joint
+        /// presence mask selects, bit for bit, on gappy channels of
+        /// 2–299 slots under random masks.
+        #[test]
+        fn trajectory_matrix_matches_slot_gather(
+            len in 2usize..300,
+            sensors in 1usize..5,
+            gap_rate in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed | 1;
+            let mut draw = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let names: Vec<String> = (0..sensors).map(|s| format!("s{s}")).collect();
+            let channels = names
+                .iter()
+                .map(|name| {
+                    let values = (0..len)
+                        .map(|k| (draw() % 8 >= gap_rate as u64).then_some(k as f64 * 0.5 - 20.0))
+                        .collect();
+                    Channel::new(name.as_str(), values).unwrap()
+                })
+                .collect();
+            let grid = TimeGrid::new(Timestamp::from_minutes(0), 5, len).unwrap();
+            let ds = Dataset::new(grid, channels).unwrap();
+            let mask = Mask::from_bits((0..len).map(|_| draw() % 5 != 0).collect());
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let idx: Vec<usize> = (0..sensors).collect();
+            let slots: Vec<usize> =
+                ds.presence_mask(&idx).unwrap().and(&mask).unwrap().iter_selected().collect();
+            match trajectory_matrix(&ds, &refs, &mask) {
+                Ok(m) => {
+                    prop_assert_eq!(m.shape(), (sensors, slots.len()));
+                    for (r, channel) in ds.channels().iter().enumerate() {
+                        let want: Vec<u64> =
+                            slots.iter().map(|&i| channel.value(i).unwrap().to_bits()).collect();
+                        let got: Vec<u64> = m.row(r).iter().map(|v| v.to_bits()).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                Err(e) => prop_assert!(
+                    slots.len() < 2 && matches!(e, ClusterError::InsufficientData { .. }),
+                    "{e:?} with {} joint slots",
+                    slots.len()
+                ),
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use thermal_cluster::Clustering;
 use thermal_linalg::stats::{self, EmpiricalCdf};
 use thermal_select::Selection;
-use thermal_sysid::{regressors, SegmentPredictor, ThermalModel};
+use thermal_sysid::{regressors, RolloutScratch, SegmentPredictor, ThermalModel};
 use thermal_timeseries::{Channel, Dataset, Mask};
 
 use crate::degradation::{
@@ -129,12 +129,16 @@ impl ReducedModel {
             });
         }
         // Usable segments need every channel the model consumes *and*
-        // every dense channel for ground truth: intersect the masks.
+        // every dense channel for ground truth: one presence pass over
+        // all of them, read straight off the presence words and the
+        // mask.
         let all_refs: Vec<&str> = self.all_channels.iter().map(String::as_str).collect();
         let dense_idx = dataset.resolve(&all_refs)?;
-        let dense_present = dataset.presence_mask(&dense_idx)?;
-        let joint = dense_present.and(mask)?;
-        let segments = regressors::usable_segments(dataset, self.model.spec(), &joint)?;
+        let (outputs, inputs) = regressors::resolve_spec(dataset, self.model.spec())?;
+        let mut read = dense_idx.clone();
+        read.extend(outputs.iter().chain(&inputs));
+        let warmup = self.model.spec().order.warmup();
+        let joint = dataset.joint_presence(&read, mask)?;
 
         // Column index of each selected channel within the model's
         // output ordering.
@@ -167,10 +171,10 @@ impl ReducedModel {
         // sums are built column by column: cluster `c`'s column adds its
         // members' values over the predicted slots, member by member, so
         // slot `s` holds `-0.0 + v₀[s] + v₁[s] + …` in member order — the
-        // `Iterator::sum` of that slot's member values.
-        let warmup = self.model.spec().order.warmup();
-        let lengths = segments
-            .iter()
+        // `Iterator::sum` of that slot's member values. The rollout,
+        // the truth sums and the errors each use one buffer per call.
+        let lengths = joint
+            .segments(warmup + 1)
             .map(|s| s.len().saturating_sub(warmup).min(horizon));
         let steps: usize = lengths.clone().sum();
         let longest = lengths.max().unwrap_or(0);
@@ -178,12 +182,14 @@ impl ReducedModel {
         let mut truth_sums: Vec<f64> = Vec::with_capacity(longest * clusters.len());
         let mut segments_used = 0usize;
         let predictor = SegmentPredictor::new(&self.model, dataset)?;
-        for seg in segments {
-            let Ok((first, predicted)) = predictor.predict_outputs(seg, Some(horizon)) else {
+        let mut rollout = RolloutScratch::default();
+        let width = spec_outputs.len().max(1);
+        for seg in joint.segments(warmup + 1) {
+            let Ok(first) = predictor.predict_into(seg, Some(horizon), &mut rollout) else {
                 continue;
             };
             segments_used += 1;
-            let len = predicted.rows();
+            let len = rollout.rows();
             truth_sums.clear();
             truth_sums.resize(len * clusters.len(), -0.0);
             for (sums, members) in truth_sums.chunks_exact_mut(len.max(1)).zip(&member_idx) {
@@ -198,7 +204,7 @@ impl ReducedModel {
                     }
                 }
             }
-            for (row, prow) in predicted.iter_rows().enumerate() {
+            for (row, prow) in rollout.predicted().chunks_exact(width).enumerate() {
                 let per_cluster = rep_cols.iter().zip(&member_idx);
                 for ((cols, members), sums) in per_cluster.zip(truth_sums.chunks_exact(len.max(1)))
                 {

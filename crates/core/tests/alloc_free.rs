@@ -5,12 +5,15 @@
 //! identification work in panels. A `fit_checkpointed` whose three
 //! stages are all restored makes none. The cluster-mean validation:
 //! `ReducedModel::evaluate_cluster_means` may allocate per call and per
-//! validation segment, never per predicted slot. A counting global
+//! validation segment, never per predicted slot, and in fact allocates
+//! per call only. A counting global
 //! allocator wraps `System`, and the single test in this file asserts
 //! both: the fit's campaign-sized allocations, and that a validation
 //! call allocates exactly as often over one 500-slot segment as over
-//! one 50-slot segment, for a model with fewer outputs than one rollout
-//! panel and for one with a full panel.
+//! one 50-slot segment, and as often over ten 50-slot segments as over
+//! one 500-slot segment (its rollout, truth sums and errors are one set
+//! of buffers per call), for a model with fewer outputs than one
+//! rollout panel and for one with a full panel.
 //!
 //! This file must stay a one-test binary: a second test running on a
 //! sibling thread would allocate concurrently and poison the counter.
@@ -113,6 +116,16 @@ fn reduced(sensors: usize, k: usize, order: ModelOrder) -> ReducedModel {
     let coef = Matrix::from_fn(k, width, |r, c| if r == c { 0.9 } else { 0.01 });
     let model = ThermalModel::new(spec, coef).unwrap();
     ReducedModel::new(names, clustering, selection, selected, model)
+}
+
+/// A mask over `n` slots selecting `runs` runs of `len` slots, run `r`
+/// starting at slot `r · 2 · len`.
+fn runs(n: usize, runs: usize, len: usize) -> Mask {
+    Mask::from_bits(
+        (0..n)
+            .map(|i| (i / len).is_multiple_of(2) && i / (2 * len) < runs)
+            .collect(),
+    )
 }
 
 /// Fewest allocations `f` made over three calls: a stray one-time
@@ -224,6 +237,27 @@ fn cluster_mean_validation_allocates_per_segment_not_per_slot() {
                 counts[0], counts[1],
                 "{order}, {k} clusters: evaluate_cluster_means allocations over one \
                  50-slot vs one 500-slot segment"
+            );
+            let n = 1_000;
+            let ds = dataset(sensors, 2, n);
+            let segments = [(1, 500), (10, 50)];
+            model
+                .evaluate_cluster_means(&ds, &runs(n, 1, 500), n)
+                .unwrap();
+            let counts: Vec<u64> = segments
+                .iter()
+                .map(|&(count, len)| {
+                    let mask = runs(n, count, len);
+                    allocations(|| {
+                        let report = model.evaluate_cluster_means(&ds, &mask, n).unwrap();
+                        assert_eq!(report.segments_used(), count);
+                    })
+                })
+                .collect();
+            assert_eq!(
+                counts[1], counts[0],
+                "{order}, {k} clusters: evaluate_cluster_means allocations over ten \
+                 50-slot segments vs one 500-slot segment"
             );
         }
     }

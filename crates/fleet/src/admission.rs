@@ -31,8 +31,9 @@ pub struct AdmissionPolicy {
     pub max_buildings: usize,
     /// Fleet-wide memory budget, in sensor-units (see module docs).
     pub memory_budget_units: u64,
-    /// log2 of each admitted building's Gram-cache slots; the cache
-    /// arena is therefore `admitted × 2^bits` slots, bounded by
+    /// log2 of each admitted building's Gram-cache capacity in blocks
+    /// ([`thermal_sysid::GramCache::with_slot_bits`]); the cache arena
+    /// therefore holds at most `admitted × 2^bits` blocks, bounded by
     /// construction.
     pub cache_slot_bits: u32,
 }

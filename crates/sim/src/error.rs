@@ -16,6 +16,9 @@ pub enum SimError {
     /// Assembling the output dataset failed (indicates an internal
     /// inconsistency).
     Dataset(TimeSeriesError),
+    /// The ground truth was asked for after
+    /// [`crate::SimOutput::discard_truth`] freed it.
+    TruthDiscarded,
 }
 
 impl fmt::Display for SimError {
@@ -23,6 +26,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::InvalidConfig { reason } => write!(f, "invalid scenario: {reason}"),
             SimError::Dataset(e) => write!(f, "dataset assembly failed: {e}"),
+            SimError::TruthDiscarded => write!(f, "the ground truth was discarded"),
         }
     }
 }

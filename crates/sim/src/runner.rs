@@ -26,8 +26,9 @@ pub struct SimOutput {
     pub dataset: Dataset,
     /// Ground truth (no measurement layer): the integrator's record of
     /// every sample, one column per channel of `dataset`, in its order.
-    /// [`SimOutput::clean_dataset`] builds a [`Dataset`] of it.
-    truth: Vec<Vec<f64>>,
+    /// [`SimOutput::clean_dataset`] builds a [`Dataset`] of it; `None`
+    /// once [`SimOutput::discard_truth`] has freed it.
+    truth: Option<Vec<Vec<f64>>>,
     /// Days wholly lost to server outages.
     pub outage_days: Vec<i64>,
     /// The layout the campaign ran on.
@@ -44,25 +45,34 @@ impl SimOutput {
     ///
     /// # Errors
     ///
-    /// [`SimError::Dataset`] when `dataset` no longer holds one channel
-    /// per truth column on the truth's grid, or a truth sample is not
-    /// finite.
+    /// * [`SimError::TruthDiscarded`] after [`SimOutput::discard_truth`],
+    /// * [`SimError::Dataset`] when `dataset` no longer holds one
+    ///   channel per truth column on the truth's grid, or a truth
+    ///   sample is not finite.
     pub fn clean_dataset(&self) -> Result<Dataset, SimError> {
+        let truth = self.truth.as_ref().ok_or(SimError::TruthDiscarded)?;
         let measured = self.dataset.channels();
-        if measured.len() != self.truth.len() {
+        if measured.len() != truth.len() {
             return Err(TimeSeriesError::LengthMismatch {
                 what: "truth columns".to_owned(),
-                expected: self.truth.len(),
+                expected: truth.len(),
                 actual: measured.len(),
             }
             .into());
         }
         let channels = measured
             .iter()
-            .zip(&self.truth)
+            .zip(truth)
             .map(|(channel, column)| Channel::from_values(channel.name(), column.clone()))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Dataset::new(*self.dataset.grid(), channels)?)
+    }
+
+    /// Frees the ground truth, one `f64` per sample per channel, for a
+    /// caller that reads only the measured `dataset`. Every later
+    /// [`SimOutput::clean_dataset`] returns [`SimError::TruthDiscarded`].
+    pub fn discard_truth(&mut self) {
+        self.truth = None;
     }
 
     /// Names of the temperature channels (wireless sensors then
@@ -359,7 +369,7 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
         .collect();
     Ok(SimOutput {
         dataset: Dataset::new(grid, channels)?,
-        truth,
+        truth: Some(truth),
         outage_days,
         layout,
         scenario: scenario.clone(),
@@ -512,6 +522,19 @@ mod tests {
         }
     }
 
+    /// After `discard_truth` the measured dataset is untouched and
+    /// `clean_dataset()` is a typed error, not a panic or a stale copy.
+    #[test]
+    fn discarded_truth_is_a_typed_error() {
+        let mut out = run(&tiny()).unwrap();
+        let measured = out.dataset.clone();
+        assert!(out.clean_dataset().is_ok());
+        out.discard_truth();
+        assert_eq!(out.clean_dataset(), Err(SimError::TruthDiscarded));
+        assert_eq!(out.dataset, measured);
+        assert!(out.clone().clean_dataset().is_err());
+    }
+
     /// `clean_dataset()` is `Channel::from_values` over each record,
     /// under the layout's channel names, on the measured grid. With
     /// ideal sensors every truth column reads back through its measured
@@ -526,10 +549,11 @@ mod tests {
             .chain(out.input_channels())
             .chain(["co2".to_owned()])
             .collect();
-        assert_eq!(names.len(), out.truth.len());
+        let records = out.truth.as_ref().unwrap();
+        assert_eq!(names.len(), records.len());
         let assembled: Vec<Channel> = names
             .iter()
-            .zip(&out.truth)
+            .zip(records)
             .map(|(name, record)| Channel::from_values(name, record.clone()).unwrap())
             .collect();
         let want = Dataset::new(*out.dataset.grid(), assembled).unwrap();

@@ -25,25 +25,28 @@
 //!
 //! Determinism contract: a cache hit returns exactly the bytes the
 //! miss path would have computed (blocks are accumulated in a fixed
-//! ascending-transition order), and eviction is deterministic
-//! replace-on-collision in a fixed-size direct-mapped table — so a
-//! sweep produces bit-identical results with a cold cache, a warm
-//! cache, or the cache disabled. See `DESIGN.md` § sweep memoization.
+//! ascending-transition order), and eviction is deterministic — the
+//! oldest insert goes first once a block count or byte budget is
+//! reached — so a sweep produces bit-identical results with a cold
+//! cache, a warm cache, or the cache disabled. See `DESIGN.md` § sweep
+//! memoization.
 //!
 //! Fallback rule: the incremental path solves the ridge normal
 //! equations and therefore requires `ridge > 0`; `ridge == 0` callers
 //! keep the numerically robust QR full-refit path of
 //! [`crate::identify`].
 
+use std::collections::BTreeMap;
+
 use thermal_ckpt::Fnv64;
 use thermal_linalg::{CholeskyDecomposition, Matrix};
-use thermal_timeseries::{segments_from_mask, Dataset, Mask};
+use thermal_timeseries::{Dataset, Mask};
 
 use crate::regressors::{resolve_spec, write_transitions, RunSlots};
 use crate::{FitConfig, ModelSpec, Result, SysidError, ThermalModel};
 
 /// The splitmix64 finalizer: spreads FNV's weak low bits before the
-/// hash picks a cache slot, and folds a channel's sample lanes.
+/// hash keys a cache block, and folds a channel's sample lanes.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -197,60 +200,94 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to recomputation.
     pub misses: u64,
-    /// Occupied slots overwritten by a colliding key
-    /// (deterministic replace-on-collision).
+    /// Resident blocks dropped to make room for an insert (the oldest
+    /// first), or replaced by a different key with the same 64-bit
+    /// slot hash.
     pub evictions: u64,
 }
 
-/// Direct-mapped slot index for a power-of-two table: mask the
-/// 64-bit hash down below `n` *before* narrowing, so the cast is
-/// exact on every pointer width.
-#[allow(clippy::cast_possible_truncation)] // masked to n - 1 < n ≤ usize::MAX first
-fn slot_index(hash: u64, n: usize) -> usize {
-    (hash & (n as u64 - 1)) as usize
+/// Bytes of block storage a cache may hold, whatever its block count.
+const BLOCK_BYTE_BUDGET: usize = 12 << 20;
+
+/// Most blocks a default cache holds: [`GramCache::new`]'s `2^12`.
+const DEFAULT_SLOT_BITS: u32 = 12;
+
+impl GramBlock {
+    /// Bytes of `f64` storage the block holds.
+    fn bytes(&self) -> usize {
+        (self.gram.len() + self.cross.len()) * std::mem::size_of::<f64>()
+    }
+}
+
+/// A resident block with its key and insertion number.
+#[derive(Debug, Clone)]
+struct Resident {
+    key: BlockKey,
+    block: GramBlock,
+    /// Inserts before this one: the eviction order, oldest first.
+    inserted: u64,
 }
 
 /// A bounded, deterministic memo table for [`GramBlock`]s.
 ///
-/// Direct-mapped: each key hashes to exactly one slot, and inserting
-/// over a different resident key replaces it (the transposition-table
-/// idiom). No clocks, no randomness, no growth — the same sequence of
-/// operations always leaves the same table, which keeps sweep results
-/// bit-identical whatever the cache history.
+/// Blocks are held by the full 64-bit slot hash of their key, so two
+/// keys share a place only when all 64 bits of their hashes agree (the
+/// newer then replaces the older). A cache holds at most its block
+/// count and at most 12 MiB of block storage; an insert that would
+/// exceed either first drops the oldest resident blocks, in insertion
+/// order, and a block larger than the whole byte budget is not kept.
+/// No clocks, no randomness: the same sequence of operations always
+/// leaves the same table, which keeps sweep results bit-identical
+/// whatever the cache history.
+///
+/// A cache costs nothing until its first insert. Resident bytes are at
+/// most the 12 MiB budget plus about 200 bytes of bookkeeping per
+/// block (map entry, key and two allocation headers): under 13 MiB for
+/// the default 4,096 blocks, whatever the model widths.
 #[derive(Debug, Clone)]
 pub struct GramCache {
-    /// `None` = empty slot. Length is a power of two (or zero when
-    /// the cache is disabled).
-    slots: Vec<Option<(BlockKey, GramBlock)>>,
+    /// Resident blocks by slot hash.
+    blocks: BTreeMap<u64, Resident>,
+    /// Most blocks resident at once; zero when disabled.
+    capacity: usize,
+    /// Sum of the resident blocks' [`GramBlock::bytes`].
+    bytes: usize,
+    /// Inserts so far: the next block's insertion number.
+    inserts: u64,
     /// Key namespace stamped onto every lookup and insert.
     namespace: u64,
     stats: CacheStats,
 }
 
 impl GramCache {
-    /// A cache with the default 128 slots. With the paper's 27 outputs
-    /// a block takes 12 KB at first order (width 34) and 28 KB at
-    /// second order (width 61), so a full table holds at most 3.5 MiB.
+    /// A cache of at most 4,096 blocks. A training-horizon sweep of the
+    /// paper's 27 outputs and 7 inputs looks up 84 blocks per model
+    /// order on a 30-day campaign, 12.1 KB each at first order (width
+    /// 34) and 28.3 KB at second order (width 61): both orders' 168
+    /// blocks, 3.4 MB, stay resident together.
     pub fn new() -> Self {
-        Self::with_slot_bits(7)
+        Self::with_slot_bits(DEFAULT_SLOT_BITS)
     }
 
-    /// A cache with `2^bits` slots (`bits` is clamped to 16).
+    /// A cache of at most `2^bits` blocks (`bits` is clamped to 16)
+    /// within the same byte budget as [`GramCache::new`].
     pub fn with_slot_bits(bits: u32) -> Self {
-        let n = 1_usize << bits.min(16);
         GramCache {
-            slots: vec![None; n],
-            namespace: 0,
-            stats: CacheStats::default(),
+            capacity: 1_usize << bits.min(16),
+            ..Self::disabled()
         }
     }
 
     /// A cache that never stores anything: every lookup misses, every
     /// insert is dropped. The differential tests use this to prove
-    /// memoization does not change results.
+    /// memoization does not change results, and one-shot sweeps, whose
+    /// blocks nobody would read again, pass it.
     pub fn disabled() -> Self {
         GramCache {
-            slots: Vec::new(),
+            blocks: BTreeMap::new(),
+            capacity: 0,
+            bytes: 0,
+            inserts: 0,
             namespace: 0,
             stats: CacheStats::default(),
         }
@@ -287,16 +324,10 @@ impl GramCache {
 
     /// Looks up a block, lending the resident copy on a hit.
     fn get(&mut self, key: &BlockKey) -> Option<&GramBlock> {
-        let n = self.slots.len();
-        if n == 0 {
-            self.stats.misses += 1;
-            return None;
-        }
-        let idx = slot_index(key.slot_hash(), n);
-        match self.slots.get(idx) {
-            Some(Some((resident, block))) if resident == key => {
+        match self.blocks.get(&key.slot_hash()) {
+            Some(resident) if resident.key == *key => {
                 self.stats.hits += 1;
-                Some(block)
+                Some(&resident.block)
             }
             _ => {
                 self.stats.misses += 1;
@@ -305,19 +336,45 @@ impl GramCache {
         }
     }
 
-    /// Inserts a block, replacing any different resident of the slot.
+    /// Inserts a block, replacing a different resident key with the
+    /// same slot hash and then dropping the oldest blocks until the
+    /// new one fits.
     fn insert(&mut self, key: BlockKey, block: GramBlock) {
-        let n = self.slots.len();
-        if n == 0 {
+        let bytes = block.bytes();
+        if self.capacity == 0 || bytes > BLOCK_BYTE_BUDGET {
             return;
         }
-        let idx = slot_index(key.slot_hash(), n);
-        if let Some(slot) = self.slots.get_mut(idx) {
-            if matches!(slot, Some((resident, _)) if *resident != key) {
+        let hash = key.slot_hash();
+        if let Some(old) = self.blocks.remove(&hash) {
+            self.bytes -= old.block.bytes();
+            if old.key != key {
                 self.stats.evictions += 1;
             }
-            *slot = Some((key, block));
         }
+        while self.blocks.len() >= self.capacity || self.bytes + bytes > BLOCK_BYTE_BUDGET {
+            let Some(oldest) = self
+                .blocks
+                .iter()
+                .min_by_key(|(_, r)| r.inserted)
+                .map(|(&h, _)| h)
+            else {
+                break;
+            };
+            if let Some(old) = self.blocks.remove(&oldest) {
+                self.bytes -= old.block.bytes();
+                self.stats.evictions += 1;
+            }
+        }
+        self.bytes += bytes;
+        self.blocks.insert(
+            hash,
+            Resident {
+                key,
+                block,
+                inserted: self.inserts,
+            },
+        );
+        self.inserts += 1;
     }
 }
 
@@ -395,8 +452,9 @@ pub(crate) struct SweepEngine<'a> {
     spec: &'a ModelSpec,
     outputs: Vec<usize>,
     inputs: Vec<usize>,
-    /// Joint presence of every spec channel.
-    present: Mask,
+    /// Every spec channel, outputs then inputs: the channels whose
+    /// joint presence bounds the transitions.
+    channels: Vec<usize>,
     warmup: usize,
     width: usize,
     p: usize,
@@ -439,20 +497,19 @@ impl<'a> SweepEngine<'a> {
             });
         }
         let (outputs, inputs) = resolve_spec(dataset, spec)?;
-        let mut all = outputs.clone();
-        all.extend(&inputs);
-        let present = dataset.presence_mask(&all)?;
+        let mut channels = outputs.clone();
+        channels.extend(&inputs);
         let warmup = spec.order.warmup();
         let width = spec.regressor_width();
         let p = outputs.len();
-        let dataset_fp = fingerprint_dataset(dataset, &all);
+        let dataset_fp = fingerprint_dataset(dataset, &channels);
         let spec_fp = fingerprint_spec(spec);
         Ok(SweepEngine {
             dataset,
             spec,
             outputs,
             inputs,
-            present,
+            channels,
             warmup,
             width,
             p,
@@ -483,9 +540,9 @@ impl<'a> SweepEngine<'a> {
     /// Admissible transition ranges of a mask: for every usable
     /// segment, `[start + warmup − 1, end − 1)`.
     fn transition_ranges(&self, mask: &Mask) -> Result<Vec<(usize, usize)>> {
-        let usable = self.present.and(mask)?;
-        Ok(segments_from_mask(&usable, self.warmup + 1)
-            .iter()
+        let joint = self.dataset.joint_presence(&self.channels, mask)?;
+        Ok(joint
+            .segments(self.warmup + 1)
             .map(|s| (s.start + self.warmup - 1, s.end - 1))
             .filter(|&(a, b)| a < b)
             .collect())
@@ -881,7 +938,7 @@ mod tests {
 
     #[test]
     fn cache_hits_return_inserted_blocks_and_evict_deterministically() {
-        let mut cache = GramCache::with_slot_bits(0); // single slot
+        let mut cache = GramCache::with_slot_bits(0); // one block
         let key_a = BlockKey {
             namespace: 0,
             dataset: 1,
@@ -906,7 +963,7 @@ mod tests {
         let got = cache.get(&key_a).unwrap();
         assert_eq!(got.gram, block.gram);
         assert_eq!(got.rows, 4);
-        // A different key lands in the same (only) slot: replace.
+        // A different key finds the cache full: the oldest block goes.
         cache.insert(key_b, block);
         assert!(cache.get(&key_a).is_none());
         assert!(cache.get(&key_b).is_some());
@@ -914,6 +971,36 @@ mod tests {
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.evictions, 1);
+    }
+
+    /// With 1 MiB blocks the 12 MiB byte budget binds long before the
+    /// 4,096-block count: the thirteenth insert drops the oldest block,
+    /// and a block larger than the whole budget is not kept.
+    #[test]
+    fn byte_budget_bounds_resident_blocks() {
+        let key = |start| BlockKey {
+            namespace: 0,
+            dataset: 1,
+            spec: 2,
+            start,
+            end: start + 1,
+        };
+        let block = |bytes: usize| GramBlock {
+            gram: vec![0.5; bytes / 8],
+            cross: vec![],
+            rows: 1,
+        };
+        let mut cache = GramCache::new();
+        for start in 0..13 {
+            cache.insert(key(start), block(1 << 20));
+        }
+        assert_eq!((cache.blocks.len(), cache.bytes), (12, BLOCK_BYTE_BUDGET));
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.get(&key(0)).is_none());
+        assert!(cache.get(&key(1)).is_some() && cache.get(&key(12)).is_some());
+        cache.insert(key(99), block(BLOCK_BYTE_BUDGET + 8));
+        assert!(cache.get(&key(99)).is_none());
+        assert_eq!((cache.blocks.len(), cache.stats().evictions), (12, 1));
     }
 
     #[test]
@@ -1112,6 +1199,79 @@ mod tests {
         );
         // Isolation is structural, not behavioural: results still agree.
         assert_eq!(bits(&first), bits(&other));
+    }
+
+    /// Both orders of a training-horizon sweep over 70 days, each day's
+    /// 06:00–21:00 a segment of its own: every cell adds one day, so a
+    /// sweep of 66 cells looks up 66 blocks per order, 132 in all.
+    #[test]
+    fn default_cache_holds_both_orders_of_a_sweep() {
+        use crate::sweep::{sweep_training_horizon_with_cache, SweepPoint};
+        use crate::EvalConfig;
+        let days = 70;
+        let ds = synth(days * 24);
+        let mode = Mask::daily_window(ds.grid(), 6 * 60, 21 * 60).unwrap();
+        let train: Vec<i64> = (0..66).collect();
+        let counts: Vec<usize> = (1..=66).collect();
+        let sweep = |order: ModelOrder, cache: &mut GramCache| -> Vec<(u64, Vec<u64>)> {
+            let spec = ModelSpec::new(vec!["t".into()], vec!["u".into()], order).unwrap();
+            let points = sweep_training_horizon_with_cache(
+                &ds,
+                &spec,
+                &mode,
+                &train,
+                &counts,
+                &[66, 67, 68, 69],
+                &FitConfig::default(),
+                &EvalConfig::with_horizon(12),
+                cache,
+            )
+            .unwrap();
+            let bits = |p: &SweepPoint| {
+                p.report
+                    .per_sensor_rms()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            points
+                .iter()
+                .map(|p| (p.parameter.to_bits(), bits(p)))
+                .collect()
+        };
+        let pair = |cache: &mut GramCache| {
+            [ModelOrder::First, ModelOrder::Second].map(|order| sweep(order, cache))
+        };
+        let mut cache = GramCache::new();
+        let first = pair(&mut cache);
+        let cold = cache.stats();
+        assert_eq!(cold.hits, 0, "{cold:?}");
+        assert!(
+            cold.misses > 128,
+            "the two orders need {} blocks",
+            cold.misses
+        );
+        for round in 2..=3 {
+            assert_eq!(pair(&mut cache), first, "pair {round}");
+            let warm = cache.stats();
+            assert_eq!(
+                (warm.hits, warm.misses, warm.evictions),
+                (cold.misses * (round - 1), cold.misses, 0),
+                "pair {round}: every lookup hits"
+            );
+        }
+        let mut disabled = GramCache::disabled();
+        let mut small = GramCache::with_slot_bits(7);
+        for _ in 0..2 {
+            assert_eq!(pair(&mut disabled), first);
+            assert_eq!(pair(&mut small), first);
+        }
+        assert_eq!(disabled.stats().hits, 0);
+        let small = small.stats();
+        assert!(
+            small.evictions > 0 && small.misses > cold.misses,
+            "{small:?}"
+        );
     }
 
     #[test]

@@ -78,7 +78,8 @@ pub use cache::{identify_with_cache, CacheStats, GramCache};
 pub use error::SysidError;
 pub use fit::{identify, identify_from_data, FitConfig};
 pub use metrics::{
-    evaluate, predict_segment, EvalConfig, EvalReport, SegmentPredictor, TracePrediction,
+    evaluate, predict_segment, EvalConfig, EvalReport, RolloutScratch, SegmentPredictor,
+    TracePrediction,
 };
 pub use model::{ModelOrder, ModelSpec, ThermalModel};
 pub use rls::{RlsConfig, RlsEstimator};

@@ -9,7 +9,8 @@ use thermal_linalg::stats::{self, EmpiricalCdf};
 use thermal_linalg::Matrix;
 use thermal_timeseries::{Dataset, Mask, Segment};
 
-use crate::regressors::{resolve_spec, usable_segments};
+use crate::model::StateRows;
+use crate::regressors::resolve_spec;
 use crate::{Result, SysidError, ThermalModel};
 
 /// Evaluation configuration.
@@ -132,8 +133,10 @@ impl<'a> SegmentPredictor<'a> {
     ///   than the warmup plus one step,
     /// * propagated extraction failures when the segment contains gaps.
     pub fn predict(&self, segment: Segment, horizon: Option<usize>) -> Result<TracePrediction> {
-        let (first, predicted) = self.predict_outputs(segment, horizon)?;
-        let steps = predicted.rows();
+        let mut scratch = RolloutScratch::default();
+        let first = self.predict_into(segment, horizon, &mut scratch)?;
+        let steps = scratch.rows;
+        let predicted = Matrix::from_vec(steps, self.outputs.len(), scratch.predicted)?;
         let measured = self
             .dataset
             .matrix(Segment::new(first, first + steps), &self.outputs)?;
@@ -145,20 +148,25 @@ impl<'a> SegmentPredictor<'a> {
     }
 
     /// The predictions of [`SegmentPredictor::predict`] alone, without
-    /// the measured matrix: the grid index of the first predicted
-    /// sample and one row per predicted sample.
+    /// the measured matrix, into caller-owned buffers: returns the grid
+    /// index of the first predicted sample and leaves one row per
+    /// predicted sample in [`RolloutScratch::predicted`], bit for bit
+    /// the rows of [`TracePrediction::predicted`]. The scratch keeps its
+    /// capacity, so a caller that predicts many segments through one
+    /// scratch allocates only while the longest segment so far grows it.
     ///
     /// # Errors
     ///
     /// * [`SysidError::InsufficientData`] when the segment is shorter
     ///   than the warmup plus one step,
     /// * propagated extraction failures when the warmup or input rows
-    ///   contain gaps.
-    pub fn predict_outputs(
+    ///   contain gaps; the scratch holds no meaningful rows then.
+    pub fn predict_into(
         &self,
         segment: Segment,
         horizon: Option<usize>,
-    ) -> Result<(usize, Matrix)> {
+        scratch: &mut RolloutScratch,
+    ) -> Result<usize> {
         let warmup = self.model.spec().order.warmup();
         if segment.len() < warmup + 1 {
             return Err(SysidError::InsufficientData {
@@ -167,19 +175,59 @@ impl<'a> SegmentPredictor<'a> {
             });
         }
         let steps = (segment.len() - warmup).min(horizon.unwrap_or(usize::MAX));
-        let init = self.dataset.matrix(
+        let RolloutScratch {
+            initial,
+            inputs,
+            predicted,
+            rows,
+            state,
+        } = scratch;
+        *rows = 0;
+        self.dataset.matrix_into(
             Segment::new(segment.start, segment.start + warmup),
             &self.outputs,
+            initial,
         )?;
-        let input_rows = self.dataset.matrix(
+        self.dataset.matrix_into(
             Segment::new(
                 segment.start + warmup - 1,
                 segment.start + warmup - 1 + steps,
             ),
             &self.inputs,
+            inputs,
         )?;
-        let predicted = self.model.simulate_with(&self.panels, &init, &input_rows)?;
-        Ok((segment.start + warmup, predicted))
+        self.model
+            .roll(&self.panels, (initial, inputs), steps, predicted, state)?;
+        *rows = steps;
+        Ok(segment.start + warmup)
+    }
+}
+
+/// Caller-owned buffers of one open-loop rollout
+/// ([`SegmentPredictor::predict_into`]): the initial rows, the input
+/// rows, the predicted rows and the state rows each step rotates
+/// through. Reused from segment to segment, they keep their capacity.
+#[derive(Debug, Clone, Default)]
+pub struct RolloutScratch {
+    initial: Vec<f64>,
+    inputs: Vec<f64>,
+    predicted: Vec<f64>,
+    /// Rows in `predicted`.
+    rows: usize,
+    state: StateRows,
+}
+
+impl RolloutScratch {
+    /// The predictions of the last successful
+    /// [`SegmentPredictor::predict_into`], row-major: one row of the
+    /// model's outputs, in spec order, per predicted sample.
+    pub fn predicted(&self) -> &[f64] {
+        &self.predicted
+    }
+
+    /// The number of rows in [`RolloutScratch::predicted`].
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 }
 
@@ -263,26 +311,37 @@ pub fn evaluate(
     config: &EvalConfig,
 ) -> Result<EvalReport> {
     let spec = model.spec();
-    let segments = usable_segments(dataset, spec, mask)?;
     let warmup = spec.order.warmup();
     let p = spec.output_count();
 
     let predictor = SegmentPredictor::new(model, dataset)?;
+    let mut channels = predictor.outputs.clone();
+    channels.extend(&predictor.inputs);
+    let joint = dataset.joint_presence(&channels, mask)?;
+    let mut scratch = RolloutScratch::default();
+    let mut measured = Vec::new();
     let mut sq_sum = vec![0.0_f64; p];
     let mut count = 0usize;
     let mut n_segments = 0usize;
-    for seg in segments {
-        if seg.len() < config.min_segment_len.max(warmup + 1) {
-            continue;
-        }
-        let pred = predictor.predict(seg, config.horizon)?;
-        for (measured, predicted) in pred.measured.iter_rows().zip(pred.predicted.iter_rows()) {
+    for seg in joint.segments(config.min_segment_len.max(warmup + 1)) {
+        let first = predictor.predict_into(seg, config.horizon, &mut scratch)?;
+        let steps = scratch.rows();
+        dataset.matrix_into(
+            Segment::new(first, first + steps),
+            &predictor.outputs,
+            &mut measured,
+        )?;
+        let width = p.max(1);
+        let rows = measured
+            .chunks_exact(width)
+            .zip(scratch.predicted().chunks_exact(width));
+        for (measured, predicted) in rows {
             for ((sq, m), f) in sq_sum.iter_mut().zip(measured).zip(predicted) {
                 let e = m - f;
                 *sq += e * e;
             }
         }
-        count += pred.measured.rows();
+        count += steps;
         n_segments += 1;
     }
     if count == 0 {

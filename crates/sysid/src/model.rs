@@ -111,6 +111,17 @@ impl ModelSpec {
     }
 }
 
+/// The rows one rollout rotates through: `T(k−1)`, `T(k)`, the
+/// prediction `T(k+1)` and the regressor `[T(k); (ΔT(k)); u(k)]`.
+/// Reused across rollouts, they keep their capacity.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StateRows {
+    prev: Vec<f64>,
+    cur: Vec<f64>,
+    next: Vec<f64>,
+    regressor: Vec<f64>,
+}
+
 /// An identified linear thermal model.
 ///
 /// Stores the compact coefficient matrix `Θ` (`p × regressor_width`)
@@ -296,19 +307,7 @@ impl ThermalModel {
     ///
     /// Returns [`SysidError::DimensionMismatch`] on shape problems.
     pub fn simulate(&self, initial: &Matrix, inputs: &Matrix) -> Result<Matrix> {
-        self.simulate_with(&RowPanels::new(&self.coef), initial, inputs)
-    }
-
-    /// [`ThermalModel::simulate`] with `Θ` already packed, so callers
-    /// that roll out many segments pack once.
-    pub(crate) fn simulate_with(
-        &self,
-        panels: &RowPanels,
-        initial: &Matrix,
-        inputs: &Matrix,
-    ) -> Result<Matrix> {
         let p = self.spec.output_count();
-        let m = self.spec.input_count();
         if initial.rows() != self.spec.order.warmup() || initial.cols() != p {
             return Err(SysidError::DimensionMismatch {
                 what: "initial condition rows",
@@ -316,35 +315,99 @@ impl ThermalModel {
                 actual: initial.rows() * initial.cols(),
             });
         }
-        if inputs.cols() != m {
+        if inputs.cols() != self.spec.input_count() {
             return Err(SysidError::DimensionMismatch {
                 what: "input columns",
-                expected: m,
+                expected: self.spec.input_count(),
                 actual: inputs.cols(),
             });
         }
+        let mut out = Vec::new();
+        self.roll(
+            &RowPanels::new(&self.coef),
+            (initial.as_slice(), inputs.as_slice()),
+            inputs.rows(),
+            &mut out,
+            &mut StateRows::default(),
+        )?;
+        Ok(Matrix::from_vec(inputs.rows(), p, out)?)
+    }
+
+    /// The rollout of [`ThermalModel::simulate`] over row-major slices,
+    /// with `Θ` already packed so callers that roll out many segments
+    /// pack once: `initial` holds `warmup` rows of `p` temperatures,
+    /// `inputs` `steps` rows of `m` inputs, and `out` is refilled with
+    /// `steps` rows of `p` predictions. `out` and `state` keep their
+    /// capacity, so a caller rolling many segments allocates only while
+    /// its longest segment grows them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SysidError::DimensionMismatch`] when `initial` is not
+    /// `warmup` rows or `inputs` not `steps` rows.
+    pub(crate) fn roll(
+        &self,
+        panels: &RowPanels,
+        (initial, inputs): (&[f64], &[f64]),
+        steps: usize,
+        out: &mut Vec<f64>,
+        state: &mut StateRows,
+    ) -> Result<()> {
+        let p = self.spec.output_count();
+        let m = self.spec.input_count();
+        let warmup = self.spec.order.warmup();
+        if initial.len() != warmup * p {
+            return Err(SysidError::DimensionMismatch {
+                what: "initial condition rows",
+                expected: warmup * p,
+                actual: initial.len(),
+            });
+        }
+        if inputs.len() != steps * m {
+            return Err(SysidError::DimensionMismatch {
+                what: "input rows",
+                expected: steps * m,
+                actual: inputs.len(),
+            });
+        }
         let second = self.spec.order == ModelOrder::Second;
-        let mut out = Matrix::zeros(inputs.rows(), p);
+        out.clear();
+        out.resize(steps * p, 0.0);
         // Three state rows rotate through one step: T(k−1), T(k) and
         // the prediction T(k+1), plus one regressor row — no step
         // allocates.
-        let mut prev: Vec<f64> = if second {
-            initial.row(0).to_vec()
+        let StateRows {
+            prev,
+            cur,
+            next,
+            regressor,
+        } = state;
+        let (first, last) = initial.split_at(initial.len() - p);
+        prev.clear();
+        if second {
+            prev.extend_from_slice(first);
         } else {
-            vec![0.0; p]
-        };
-        let mut cur: Vec<f64> = initial.row(initial.rows() - 1).to_vec();
-        let mut next = vec![0.0; p];
-        let mut regressor = Vec::with_capacity(self.spec.regressor_width());
-        for k in 0..inputs.rows() {
-            let t_prev = second.then_some(prev.as_slice());
-            self.write_step_regressor(&cur, t_prev, inputs.row(k), &mut regressor)?;
-            kernels::dot_panels_from(-0.0, &regressor, panels, &mut next);
-            out.row_mut(k).copy_from_slice(&next);
-            std::mem::swap(&mut prev, &mut cur);
-            std::mem::swap(&mut cur, &mut next);
+            prev.resize(p, 0.0);
         }
-        Ok(out)
+        cur.clear();
+        cur.extend_from_slice(last);
+        next.clear();
+        next.resize(p, 0.0);
+        for k in 0..steps {
+            let (Some(row), Some(u)) = (
+                out.get_mut(k * p..(k + 1) * p),
+                inputs.get(k * m..(k + 1) * m),
+            ) else {
+                break;
+            };
+            let t_prev = second.then_some(prev.as_slice());
+            self.write_step_regressor(cur, t_prev, u, regressor)?;
+            kernels::dot_panels_from(-0.0, regressor, panels, next);
+            row.copy_from_slice(next);
+            std::mem::swap(prev, cur);
+            std::mem::swap(cur, next);
+        }
+        Ok(())
     }
 
     /// Spectral radius proxy: the largest absolute eigenvalue of the

@@ -384,12 +384,16 @@ mod tests {
                 prop_assert_eq!(matrix_bits(&got.predicted), matrix_bits(&want.predicted));
             }
 
+            // One scratch across every segment, as the validation loops
+            // use it.
             let predictor = crate::SegmentPredictor::new(&model, &dataset).unwrap();
+            let mut scratch = crate::RolloutScratch::default();
             for &seg in &segments {
-                let (first, predicted) = predictor.predict_outputs(seg, horizon).unwrap();
+                let first = predictor.predict_into(seg, horizon, &mut scratch).unwrap();
                 let want = predict_segment(&model, &dataset, seg, horizon).unwrap();
                 prop_assert_eq!(Some(&first), want.indices.first());
-                prop_assert_eq!(matrix_bits(&predicted), matrix_bits(&want.predicted));
+                prop_assert_eq!(scratch.rows(), want.predicted.rows());
+                prop_assert_eq!(bits(scratch.predicted()), matrix_bits(&want.predicted));
             }
 
             match (residual_report(&model, &dataset, &mask), residuals(&model, &dataset, &mask)) {

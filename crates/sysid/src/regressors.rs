@@ -17,7 +17,7 @@
 
 use thermal_linalg::lstsq::RidgeNormalEquations;
 use thermal_linalg::Matrix;
-use thermal_timeseries::{segments_from_mask, Dataset, Mask, Segment};
+use thermal_timeseries::{Dataset, Mask, Segment};
 
 use crate::{ModelOrder, ModelSpec, Result, SysidError};
 
@@ -61,16 +61,17 @@ pub fn resolve_spec(dataset: &Dataset, spec: &ModelSpec) -> Result<(Vec<usize>, 
 /// Segments of `mask` on which *all* spec channels are present, long
 /// enough to contribute at least one transition.
 ///
+/// The segments come straight off the channels' presence words and the
+/// mask ([`Dataset::joint_presence`]); no grid-length mask is built.
+///
 /// # Errors
 ///
 /// Propagates channel-resolution failures.
 pub fn usable_segments(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<Vec<Segment>> {
-    let (outputs, inputs) = resolve_spec(dataset, spec)?;
-    let mut all = outputs.clone();
+    let (mut all, inputs) = resolve_spec(dataset, spec)?;
     all.extend(&inputs);
-    let present = dataset.presence_mask(&all)?;
-    let usable = present.and(mask)?;
-    Ok(segments_from_mask(&usable, spec.order.warmup() + 1))
+    let joint = dataset.joint_presence(&all, mask)?;
+    Ok(joint.segments(spec.order.warmup() + 1).collect())
 }
 
 /// Writes the regressor of one transition, `x = [T(k); (T(k) − T(k−1));

@@ -42,6 +42,12 @@ pub struct SweepPoint {
 /// in stale data from weeks earlier — different season, different
 /// load patterns — which biases the fit.
 ///
+/// The cells' windows are nested and fitted in ascending order, so one
+/// call looks each transition range up at most once: it memoizes
+/// nothing ([`GramCache::disabled`]). Sweeps that repeat over the same
+/// dataset and spec share a cache through
+/// [`sweep_training_horizon_with_cache`].
+///
 /// # Errors
 ///
 /// Propagates identification/evaluation failures; returns
@@ -67,7 +73,7 @@ pub fn sweep_training_horizon(
         validation_days,
         fit,
         eval_cfg,
-        &mut GramCache::new(),
+        &mut GramCache::disabled(),
     )
 }
 
@@ -228,9 +234,9 @@ pub fn sweep_training_horizon_full(
 ///
 /// Reproduces the bottom panel of Fig. 5 (error grows monotonically
 /// with prediction length). The one fit goes through
-/// [`identify_with_cache`] on a fresh [`GramCache`], so a
-/// ridge-regularised fit takes the engine's numerics, as the
-/// training-horizon sweep does.
+/// [`identify_with_cache`], so a ridge-regularised fit takes the
+/// engine's numerics, as the training-horizon sweep does; it fits
+/// once, so it memoizes nothing ([`GramCache::disabled`]).
 ///
 /// # Errors
 ///
@@ -245,7 +251,7 @@ pub fn sweep_prediction_length(
 ) -> Result<Vec<SweepPoint>> {
     // One shared fit, then each horizon is an independent open-loop
     // evaluation — the cells fan out over the configured thread count.
-    let model = identify_with_cache(dataset, spec, train_mask, fit, &mut GramCache::new())?;
+    let model = identify_with_cache(dataset, spec, train_mask, fit, &mut GramCache::disabled())?;
     thermal_par::try_parallel_map(horizons_samples, |&h| {
         let cfg = EvalConfig::with_horizon(h.max(1));
         let report = evaluate(&model, dataset, validation_mask, &cfg)?;
@@ -422,6 +428,59 @@ mod tests {
         assert_eq!(cold, warm, "warm-cache sweep must be bit-identical");
         assert_eq!(cold, disabled, "memoization must not change results");
         assert!(shared.stats().hits > 0, "{:?}", shared.stats());
+    }
+
+    /// The one-shot sweeps memoize nothing, and answer exactly as their
+    /// cached forms do over a fresh default cache: the training-horizon
+    /// sweep as `sweep_training_horizon_with_cache`, the
+    /// prediction-length sweep as its fit through `identify_with_cache`
+    /// evaluated at each horizon.
+    #[test]
+    fn one_shot_sweeps_equal_their_cached_forms() {
+        let ds = synth();
+        let mode = Mask::all(ds.grid());
+        let fit = FitConfig::default();
+        let eval = EvalConfig::with_horizon(9);
+        let args = (
+            &ds,
+            &spec(),
+            &mode,
+            [0_i64, 1, 2].as_slice(),
+            [2_usize, 1, 3, 2].as_slice(),
+        );
+        let one_shot =
+            sweep_training_horizon(args.0, args.1, args.2, args.3, args.4, &[3], &fit, &eval)
+                .unwrap();
+        let mut cache = GramCache::new();
+        let cached = sweep_training_horizon_with_cache(
+            args.0,
+            args.1,
+            args.2,
+            args.3,
+            args.4,
+            &[3],
+            &fit,
+            &eval,
+            &mut cache,
+        )
+        .unwrap();
+        assert_eq!(fingerprint(&one_shot), fingerprint(&cached));
+        assert!(cache.stats().misses > 0);
+
+        let train = Mask::days(ds.grid(), &[0, 1]);
+        let val = Mask::days(ds.grid(), &[2, 3]);
+        let horizons = [1, 6, 23];
+        let one_shot =
+            sweep_prediction_length(&ds, &spec(), &train, &val, &horizons, &fit).unwrap();
+        let model = identify_with_cache(&ds, &spec(), &train, &fit, &mut GramCache::new()).unwrap();
+        let cached: Vec<SweepPoint> = horizons
+            .iter()
+            .map(|&h| SweepPoint {
+                parameter: h as f64,
+                report: evaluate(&model, &ds, &val, &EvalConfig::with_horizon(h)).unwrap(),
+            })
+            .collect();
+        assert_eq!(fingerprint(&one_shot), fingerprint(&cached));
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! The batch identification path's allocation budget (see DESIGN.md
 //! § allocation budget): `assemble`, `predict_segment` and `simulate`
 //! may allocate per call and per gap-free segment, never per sample,
-//! row or step, and `identify` with a ridge also never allocates
-//! anything that grows with its transitions. A counting global
-//! allocator wraps `System`, and the single test in this file asserts
-//! each call allocates exactly as often over one 500-sample segment as
-//! over one 50-sample segment, and that a ridge `identify` makes the
-//! same largest allocation over one 500-slot segment, one 5,000-slot
-//! segment and ten 50-slot segments of one 5,000-slot trace, as often
-//! over the first two and at most once more per added segment over the
-//! third.
+//! row or step, `identify` with a ridge also never allocates anything
+//! that grows with its transitions, and validation (`evaluate`)
+//! allocates per call only. A counting global allocator wraps
+//! `System`, and the single test in this file asserts each call
+//! allocates exactly as often over one 500-sample segment as over one
+//! 50-sample segment, that a ridge `identify` makes the same largest
+//! allocation over one 500-slot segment, one 5,000-slot segment and ten
+//! 50-slot segments of one 5,000-slot trace, as often over the first
+//! two and at most once more per added segment over the third, and that
+//! `evaluate` allocates exactly as often over ten 50-slot segments as
+//! over one 500-slot segment.
 //!
 //! This file must stay a one-test binary: a second test running on a
 //! sibling thread would allocate concurrently and poison the counter.
@@ -25,7 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use thermal_linalg::Matrix;
 use thermal_sysid::regressors::assemble;
-use thermal_sysid::{identify, predict_segment, FitConfig, ModelOrder, ModelSpec, ThermalModel};
+use thermal_sysid::{
+    evaluate, identify, predict_segment, EvalConfig, FitConfig, ModelOrder, ModelSpec, ThermalModel,
+};
 use thermal_timeseries::{Channel, Dataset, Mask, Segment, TimeGrid, Timestamp};
 
 /// Counts every allocation-side operation (`alloc`, `alloc_zeroed`,
@@ -175,6 +179,32 @@ fn ridge_identify_allocations_do_not_grow_with_transitions(order: ModelOrder) {
     );
 }
 
+/// `evaluate` over one 5,000-slot trace allocates exactly as often
+/// when the mask selects ten 50-slot segments as when it selects one
+/// 500-slot segment: its rollout, its measured rows and its error sums
+/// are one set of buffers per call.
+fn evaluate_allocates_per_call(order: ModelOrder) {
+    let n = 5_000;
+    let ds = dataset(n);
+    let model = model(order);
+    let config = EvalConfig::default();
+    let masks = [runs(n, 1, 500), runs(n, 10, 50)];
+    evaluate(&model, &ds, &masks[0], &config).unwrap();
+    let counts: Vec<u64> = masks
+        .iter()
+        .map(|mask| {
+            allocations(|| {
+                let report = evaluate(&model, &ds, mask, &config).unwrap();
+                assert!(report.overall_rms().is_finite());
+            })
+        })
+        .collect();
+    assert_eq!(
+        counts[1], counts[0],
+        "{order}: evaluate allocations over ten 50-slot segments vs one 500-slot segment"
+    );
+}
+
 #[test]
 fn batch_allocations_scale_with_segments_not_samples() {
     // Let the libtest harness thread park itself: its first blocking
@@ -216,5 +246,6 @@ fn batch_allocations_scale_with_segments_not_samples() {
              50-sample vs one 500-sample segment"
         );
         ridge_identify_allocations_do_not_grow_with_transitions(order);
+        evaluate_allocates_per_call(order);
     }
 }

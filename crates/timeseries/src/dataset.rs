@@ -158,12 +158,53 @@ impl Dataset {
         self.check_channels("presence_mask", channel_indices)?;
         let len = self.grid.len();
         let mut words = vec![u64::MAX; len.div_ceil(64)];
+        self.and_presence_words(channel_indices, &mut words);
+        Ok(Mask::from_words(&words, len))
+    }
+
+    /// ANDs the presence words of every channel of `channel_indices`
+    /// into `words`, 64 slots per step.
+    fn and_presence_words(&self, channel_indices: &[usize], words: &mut [u64]) {
         for channel in channel_indices.iter().filter_map(|&c| self.channels.get(c)) {
             for (word, present) in words.iter_mut().zip(channel.presence_words()) {
                 *word &= present;
             }
         }
-        Ok(Mask::from_words(&words, len))
+    }
+
+    /// The slots where every channel of `channel_indices` is present
+    /// and `mask` is selected: the conjunction
+    /// `presence_mask(channel_indices)?.and(mask)?`, kept as 64-slot
+    /// words. One pass ANDs the channels' presence words into the
+    /// mask's bits, so neither grid-length mask is built; its
+    /// [`JointPresence::segments`] are the runs
+    /// [`crate::segments_from_mask`] would find in that conjunction.
+    ///
+    /// # Errors
+    ///
+    /// * [`TimeSeriesError::OutOfRange`] for a bad channel index,
+    /// * [`TimeSeriesError::GridMismatch`] when `mask` is not one slot
+    ///   per grid slot.
+    pub fn joint_presence(&self, channel_indices: &[usize], mask: &Mask) -> Result<JointPresence> {
+        self.check_channels("joint_presence", channel_indices)?;
+        if mask.len() != self.grid.len() {
+            return Err(TimeSeriesError::GridMismatch);
+        }
+        let mut words: Vec<u64> = mask
+            .bits()
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .rev()
+                    .fold(0, |word, &b| (word << 1) | u64::from(b))
+            })
+            .collect();
+        self.and_presence_words(channel_indices, &mut words);
+        Ok(JointPresence {
+            words,
+            len: mask.len(),
+        })
     }
 
     /// Extracts a dense `segment.len() × channels` matrix for the given
@@ -345,6 +386,78 @@ impl Dataset {
     /// Names of all channels, in order.
     pub fn channel_names(&self) -> Vec<&str> {
         self.channels.iter().map(|c| c.name()).collect()
+    }
+}
+
+/// Joint presence of some channels within a mask
+/// ([`Dataset::joint_presence`]): bit `i % 64` of word `i / 64` is set
+/// iff slot `i` is selected and present in every channel. Bits past
+/// the last slot are clear.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JointPresence {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl JointPresence {
+    /// The maximal runs of at least `min_len` jointly present slots (at
+    /// least one), in ascending order. Each step reads the words, 64
+    /// slots at a time, and allocates nothing.
+    pub fn segments(&self, min_len: usize) -> JointSegments<'_> {
+        JointSegments {
+            words: &self.words,
+            len: self.len,
+            min_len: min_len.max(1),
+            pos: 0,
+        }
+    }
+}
+
+/// The runs of [`JointPresence::segments`].
+#[derive(Debug, Clone)]
+pub struct JointSegments<'a> {
+    words: &'a [u64],
+    len: usize,
+    min_len: usize,
+    /// The first slot not yet examined.
+    pos: usize,
+}
+
+impl JointSegments<'_> {
+    /// The first slot at or after `from` whose joint bit is `set`, or
+    /// the slot count when there is none.
+    fn seek(&self, from: usize, set: bool) -> usize {
+        let (mut w, mut below) = (from / 64, from % 64);
+        while let Some(&word) = self.words.get(w) {
+            let word = if set { word } else { !word };
+            let rest = word & (u64::MAX << below);
+            if rest != 0 {
+                let bit = usize::try_from(rest.trailing_zeros()).unwrap_or(64);
+                return (w * 64 + bit).min(self.len);
+            }
+            (w, below) = (w + 1, 0);
+        }
+        self.len
+    }
+}
+
+impl Iterator for JointSegments<'_> {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        while self.pos < self.len {
+            let start = self.seek(self.pos, true);
+            if start >= self.len {
+                break;
+            }
+            let end = self.seek(start, false);
+            self.pos = end;
+            if end - start >= self.min_len {
+                return Some(Segment::new(start, end));
+            }
+        }
+        self.pos = self.len;
+        None
     }
 }
 
@@ -613,6 +726,44 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The segments of `joint_presence` equal `segments_from_mask`
+        /// over the presence mask ANDed with the mask, for masks of long
+        /// runs, single slots and everything, and every `min_len` up to
+        /// 9.
+        #[test]
+        fn joint_presence_segments_match_the_mask_path(
+            pick in 0usize..6,
+            odd in 1usize..300,
+            first in 0usize..5,
+            min_len in 0usize..10,
+            period in 1usize..90,
+            seed in any::<u64>(),
+        ) {
+            let len = [1, 63, 64, 65, 8_640, odd][pick];
+            let ds = gappy(len, seed);
+            let masks = [
+                Mask::from_bits((0..len).map(|i| (i / period) as u64 ^ seed).map(|v| v.is_multiple_of(3)).collect()),
+                Mask::from_bits((0..len).map(|i| !(i as u64 ^ seed).is_multiple_of(5)).collect()),
+                Mask::all(ds.grid()),
+            ];
+            let lists: [Vec<usize>; 4] = [vec![], vec![first], vec![first, first], (0..5).collect()];
+            for mask in &masks {
+                for list in &lists {
+                    let joint = Mask::from_bits(reference_presence(&ds, list)).and(mask).unwrap();
+                    let want = crate::segments_from_mask(&joint, min_len);
+                    let joint = ds.joint_presence(list, mask).unwrap();
+                    let got: Vec<Segment> = joint.segments(min_len).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert!(ds.joint_presence(&[5], &masks[2]).is_err());
+            let short = Mask::from_bits(vec![true; len + 1]);
+            prop_assert!(matches!(
+                ds.joint_presence(&[0], &short),
+                Err(TimeSeriesError::GridMismatch)
+            ));
         }
     }
 }

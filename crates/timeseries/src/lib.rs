@@ -17,7 +17,9 @@
 //! * [`Mask`] — composable boolean selections over the grid
 //!   (daily occupancy windows, day subsets, joint presence),
 //! * [`Segment`] / [`segments_from_mask`] — maximal contiguous runs
-//!   usable as the intervals `i = 1..K` of the paper's Eq. (4),
+//!   usable as the intervals `i = 1..K` of the paper's Eq. (4);
+//!   [`Dataset::joint_presence`] finds the jointly present runs of a
+//!   mask straight off the channels' presence words,
 //! * [`split`] — day-based train/validation splitting,
 //! * [`csv`] — plain-text round-tripping of datasets,
 //! * [`validate`] — quality flags, outlier quarantine, and gap
@@ -54,7 +56,7 @@ pub mod split;
 pub mod validate;
 
 pub use channel::Channel;
-pub use dataset::Dataset;
+pub use dataset::{Dataset, JointPresence, JointSegments};
 pub use error::TimeSeriesError;
 pub use mask::Mask;
 pub use segment::{segments_from_mask, Segment};

@@ -81,21 +81,38 @@ impl Mask {
                 end: end_minute,
             });
         }
-        let bits = grid
-            .iter()
-            .map(|(_, t)| {
-                let m = t.minute_of_day();
-                m >= i64::from(start_minute) && m < i64::from(end_minute)
-            })
-            .collect();
-        Ok(Mask { bits })
+        let mut mask = Mask::none(grid);
+        let days = (grid.start().day()..).zip(0..grid.day_count());
+        for (day, _) in days {
+            let midnight = i128::from(day) * i128::from(MINUTES_PER_DAY);
+            mask.fill_minutes(
+                grid,
+                midnight + i128::from(start_minute),
+                midnight + i128::from(end_minute),
+            );
+        }
+        Ok(mask)
     }
 
     /// Mask selecting slots whose (epoch-relative) day index is in
-    /// `days`.
+    /// `days`. Each listed day fills its run of slots; days off the
+    /// grid select nothing, and a repeated day changes nothing.
     pub fn days(grid: &TimeGrid, days: &[i64]) -> Self {
-        let bits = grid.iter().map(|(_, t)| days.contains(&t.day())).collect();
-        Mask { bits }
+        let mut mask = Mask::none(grid);
+        for &day in days {
+            let midnight = i128::from(day) * i128::from(MINUTES_PER_DAY);
+            mask.fill_minutes(grid, midnight, midnight + i128::from(MINUTES_PER_DAY));
+        }
+        mask
+    }
+
+    /// Selects the slots of `grid` whose instants lie in the epoch
+    /// minutes `[from, to)`: one contiguous run of slots.
+    fn fill_minutes(&mut self, grid: &TimeGrid, from: i128, to: i128) {
+        let run = first_slot_at(grid, from)..first_slot_at(grid, to);
+        if let Some(slots) = self.bits.get_mut(run) {
+            slots.fill(true);
+        }
     }
 
     /// Number of slots.
@@ -192,6 +209,18 @@ impl Mask {
             .enumerate()
             .filter_map(|(i, &b)| b.then_some(i))
     }
+}
+
+/// The first slot of `grid` whose instant is at or after epoch minute
+/// `minute`, clamped to `0..=grid.len()`. Slot `i` sits at minute
+/// `start + i·step`, so that slot is `⌈(minute − start) / step⌉`.
+fn first_slot_at(grid: &TimeGrid, minute: i128) -> usize {
+    let offset = minute - i128::from(grid.start().as_minutes());
+    if offset <= 0 {
+        return 0;
+    }
+    let step = i128::from(grid.step_minutes());
+    usize::try_from((offset + step - 1) / step).map_or(grid.len(), |slot| slot.min(grid.len()))
 }
 
 #[cfg(test)]

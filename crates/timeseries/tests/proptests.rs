@@ -69,6 +69,37 @@ proptest! {
         prop_assert_eq!(lhs, rhs);
     }
 
+    /// `Mask::days` and `Mask::daily_window` fill slot runs; they equal
+    /// the slot-wise definitions (slot `i` is selected iff its day is
+    /// listed, or its minute of day is in the window) on grids that
+    /// start before or after the epoch, with steps that do and do not
+    /// divide a day, and day lists that are unsorted, repeated or off
+    /// the grid.
+    #[test]
+    fn day_and_window_masks_match_slot_definitions(
+        start in -5_000i64..5_000,
+        step in (0usize..3, 1u32..4_000).prop_map(|(pick, s)| [s % 200 + 1, 1_440, s][pick]),
+        len in 1usize..700,
+        days in prop::collection::vec(
+            (0usize..4, -8i64..60, i64::MIN..=i64::MAX)
+                .prop_map(|(pick, near, far)| [near, i64::MIN, i64::MAX, far][pick]),
+            0..10,
+        ),
+        window in (0u32..1_440).prop_flat_map(|a| (Just(a), a + 1..=1_440)),
+    ) {
+        let grid = TimeGrid::new(Timestamp::from_minutes(start), step, len).unwrap();
+        let by_day: Vec<bool> = grid.iter().map(|(_, t)| days.contains(&t.day())).collect();
+        let got = Mask::days(&grid, &days);
+        prop_assert_eq!(got.bits(), &by_day[..]);
+        let (from, to) = window;
+        let in_window: Vec<bool> = grid
+            .iter()
+            .map(|(_, t)| (i64::from(from)..i64::from(to)).contains(&t.minute_of_day()))
+            .collect();
+        let got = Mask::daily_window(&grid, from, to).unwrap();
+        prop_assert_eq!(got.bits(), &in_window[..]);
+    }
+
     #[test]
     fn csv_roundtrip(
         step in 1u32..120,

@@ -271,10 +271,12 @@ fn ci() -> ExitCode {
     // simulated campaign allocates at most 25 bytes per sample per
     // channel (one record and one measured sample each), that cloning
     // a replay schedule or an unstaged flaky source allocates nothing
-    // (clones share the schedule), that batch assembly, open-loop
-    // prediction and the cluster-mean validation allocate per segment,
-    // never per sample or slot, and that GP selection allocates per
-    // sensor, never per sample or per candidate evaluation. The
+    // (clones share the schedule), that batch assembly and open-loop
+    // prediction allocate per segment, never per sample or slot, and
+    // that GP selection allocates per sensor, never per sample or per
+    // candidate evaluation. The validation budget: `evaluate` and the
+    // cluster-mean validation allocate per call, as often over ten
+    // 50-slot segments as over one 500-slot segment. The
     // batch-fit budget rides along: one `ThermalPipeline::fit` makes
     // exactly one campaign-sized allocation (its trajectory matrix)
     // and a fully restored `fit_checkpointed` none, the centred Gram
