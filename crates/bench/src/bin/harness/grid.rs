@@ -166,8 +166,8 @@ fn eval_cell(
             .ok_or_else(|| format!("channel {name} vanished"))?;
         let (cleaned, quality) = validate_channel(ch, &config).map_err(|e| e.to_string())?;
         quarantined += quality.quarantined();
-        let mut bits = Vec::with_capacity(cleaned.values().len() * 9);
-        for v in cleaned.values() {
+        let mut bits = Vec::with_capacity(cleaned.len() * 9);
+        for v in cleaned.iter_slots() {
             match v {
                 Some(x) => {
                     bits.push(1u8);

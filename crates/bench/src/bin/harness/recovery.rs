@@ -172,15 +172,11 @@ pub fn run(options: &Options) -> Result<(), String> {
             .iter()
             .zip(&mapping)
             .filter_map(|(ch, &channel)| {
-                ch.values()
-                    .get(slot)
-                    .copied()
-                    .flatten()
-                    .map(|value| Reading {
-                        channel,
-                        at: now,
-                        value,
-                    })
+                ch.value(slot).map(|value| Reading {
+                    channel,
+                    at: now,
+                    value,
+                })
             })
             .collect();
         service
@@ -195,11 +191,7 @@ pub fn run(options: &Options) -> Result<(), String> {
             let (Some(f), Some(column)) = (forecast, rep_columns[cluster]) else {
                 continue;
             };
-            if let Some(observed) = shifted
-                .channels()
-                .get(column)
-                .and_then(|ch| ch.values().get(slot).copied().flatten())
-            {
+            if let Some(observed) = shifted.channels().get(column).and_then(|ch| ch.value(slot)) {
                 sum_sq += (f - observed) * (f - observed);
                 count += 1;
             }

@@ -80,30 +80,24 @@ pub fn trajectory_matrix(dataset: &Dataset, channels: &[&str], mask: &Mask) -> R
     }
     let mut m = Matrix::zeros(channels.len(), samples);
     for (r, &ci) in idx.iter().enumerate() {
-        // Bulk row copy: grab the channel's sample buffer once and copy
-        // each jointly present run straight into the output row. Joint
-        // presence guarantees every slot is present, so the error
-        // branch is hoisted to a single per-row check instead of an
-        // early return inside the copy loop.
-        let values = dataset.channel_at(ci)?.values();
-        let mut row = m.row_mut(r).iter_mut();
-        let mut missing = false;
+        // Bulk row copy: each jointly present run is one slice of the
+        // channel's samples, copied straight into the output row.
+        // Joint presence guarantees every slot is present; the copy
+        // still checks each run's presence words.
+        let channel = dataset.channel_at(ci)?;
+        let row = m.row_mut(r);
+        let mut at = 0;
         for run in joint.segments(1) {
-            let slots = values.get(run.start..run.end).unwrap_or_default();
-            missing |= slots.len() != run.len();
-            // `slots` leads the zip, so its end never consumes a slot
-            // of `row`.
-            for (v, dst) in slots.iter().zip(row.by_ref()) {
-                match v {
-                    Some(v) => *dst = *v,
-                    None => missing = true,
+            let dst = row.get_mut(at..at + run.len());
+            match (dst, channel.present_samples(run.start..run.end)) {
+                (Some(dst), Some(slots)) => dst.copy_from_slice(slots),
+                _ => {
+                    return Err(ClusterError::Internal {
+                        context: "joint-presence mask admitted a missing sample",
+                    })
                 }
             }
-        }
-        if missing {
-            return Err(ClusterError::Internal {
-                context: "joint-presence mask admitted a missing sample",
-            });
+            at += run.len();
         }
     }
     Ok(m)

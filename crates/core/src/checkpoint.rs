@@ -49,7 +49,7 @@ pub fn dataset_fingerprint(
         h.update(name.as_bytes());
         h.update(&[0]);
         if let Some(channel) = dataset.channel(name) {
-            for v in channel.values() {
+            for v in channel.iter_slots() {
                 match v {
                     Some(x) => {
                         h.update(&[1]);
@@ -222,6 +222,37 @@ mod tests {
         let mut other = Mask::all(ds.grid());
         other.set(0, false).unwrap();
         assert_ne!(base, dataset_fingerprint(&ds, &["a"], &["u"], &other));
+    }
+
+    /// 131 slots (not a multiple of 64) over three channels with gaps,
+    /// `Some(0.0)` and `Some(-0.0)` beside gaps, and a gappy mask.
+    fn gappy_fixture() -> (Dataset, Mask) {
+        let n = 131;
+        let slot = |k: usize, c: usize| match (k * 7 + c * 3) % 11 {
+            0 | 5 => None,
+            1 => Some(0.0),
+            2 => Some(-0.0),
+            _ => Some(20.0 + ((k * (c + 1)) as f64 * 0.37).sin()),
+        };
+        let channels = (0..3)
+            .map(|c| Channel::new(format!("c{c}"), (0..n).map(|k| slot(k, c)).collect()).unwrap())
+            .collect();
+        let grid = TimeGrid::new(Timestamp::from_minutes(-45), 5, n).unwrap();
+        let mask = Mask::from_bits((0..n).map(|k| k % 13 != 4).collect());
+        (Dataset::new(grid, channels).unwrap(), mask)
+    }
+
+    /// Resumable stores key their records by this fingerprint, so its
+    /// bytes are pinned: a change of channel storage must hash each
+    /// slot exactly as before (tag `1` and the sample's bits, or tag
+    /// `2` for a gap).
+    #[test]
+    fn dataset_fingerprint_value_is_pinned() {
+        let (ds, mask) = gappy_fixture();
+        assert_eq!(
+            dataset_fingerprint(&ds, &["c0", "c2"], &["c1", "absent"], &mask),
+            0x85e1_6285_f0bb_f7fb
+        );
     }
 
     #[test]

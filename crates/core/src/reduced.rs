@@ -197,10 +197,10 @@ impl ReducedModel {
                     let values = dataset
                         .channels()
                         .get(m)
-                        .and_then(|ch| ch.values().get(first..first + len))
+                        .and_then(|ch| ch.present_samples(first..first + len))
                         .ok_or(MISSING_SAMPLE)?;
                     for (sum, v) in sums.iter_mut().zip(values) {
-                        *sum += v.ok_or(MISSING_SAMPLE)?;
+                        *sum += v;
                     }
                 }
             }
@@ -311,10 +311,7 @@ impl ReducedModel {
                 let mut action = None;
                 for &b in self.selection.backups(c) {
                     if coverage_of(dense_idx[b]) >= policy.min_rep_coverage {
-                        channels[rep_di] = Channel::new(
-                            rep_name.clone(),
-                            dataset.channels()[dense_idx[b]].values().to_vec(),
-                        )?;
+                        channels[rep_di] = dataset.channels()[dense_idx[b]].renamed(&rep_name);
                         action = Some(FallbackAction::Backup {
                             substitute: self.all_channels[b].clone(),
                         });
@@ -327,24 +324,24 @@ impl ReducedModel {
                     // Second choice: per-slot mean of whatever cluster
                     // members still report.
                     let member_di: Vec<usize> = members.iter().map(|&m| dense_idx[m]).collect();
-                    let mut col: Vec<Option<f64>> = vec![None; n];
-                    for (i, slot) in col.iter_mut().enumerate() {
-                        let mut sum = 0.0;
-                        let mut k = 0usize;
-                        for &mi in &member_di {
-                            if let Some(v) = dataset.channels()[mi].value(i) {
-                                sum += v;
-                                k += 1;
+                    let col = Channel::from_slots(
+                        rep_name.clone(),
+                        (0..n).map(|i| {
+                            let mut sum = 0.0;
+                            let mut k = 0usize;
+                            for &mi in &member_di {
+                                if let Some(v) = dataset.channels()[mi].value(i) {
+                                    sum += v;
+                                    k += 1;
+                                }
                             }
-                        }
-                        if k > 0 {
-                            *slot = Some(sum / k as f64);
-                        }
-                    }
+                            (k > 0).then(|| sum / k as f64)
+                        }),
+                    )?;
                     let col_cov =
-                        mask_slots.iter().filter(|&&i| col[i].is_some()).count() as f64 / denom;
+                        mask_slots.iter().filter(|&&i| col.is_present(i)).count() as f64 / denom;
                     if col_cov >= policy.min_rep_coverage {
-                        channels[rep_di] = Channel::new(rep_name.clone(), col)?;
+                        channels[rep_di] = col;
                         FallbackAction::ClusterMean {
                             members: members.len(),
                         }
@@ -353,12 +350,12 @@ impl ReducedModel {
                         // constant so the coupled model still rolls
                         // forward for the live clusters, and exclude
                         // this cluster from the pooled errors.
-                        let present: Vec<f64> = col.iter().flatten().copied().collect();
-                        let fill = if present.is_empty() {
+                        let present = col.present_count();
+                        let fill = if present == 0 {
                             let mut sum = 0.0;
                             let mut k = 0usize;
                             for &di in &dense_idx {
-                                for v in dataset.channels()[di].values().iter().flatten() {
+                                for (_, v) in dataset.channels()[di].iter_present() {
                                     sum += v;
                                     k += 1;
                                 }
@@ -369,9 +366,9 @@ impl ReducedModel {
                                 0.0
                             }
                         } else {
-                            present.iter().sum::<f64>() / present.len() as f64
+                            col.iter_present().map(|(_, v)| v).sum::<f64>() / present as f64
                         };
-                        channels[rep_di] = Channel::new(rep_name.clone(), vec![Some(fill); n])?;
+                        channels[rep_di] = Channel::from_values(rep_name.clone(), vec![fill; n])?;
                         cluster_evaluable[c] = false;
                         FallbackAction::Unavailable
                     }

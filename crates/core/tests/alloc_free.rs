@@ -13,7 +13,12 @@
 //! one 50-slot segment, and as often over ten 50-slot segments as over
 //! one 500-slot segment (its rollout, truth sums and errors are one set
 //! of buffers per call), for a model with fewer outputs than one
-//! rollout panel and for one with a full panel.
+//! rollout panel and for one with a full panel. The channels' `Option`
+//! view: over an N-slot dataset, `ThermalPipeline::fit`,
+//! `evaluate_cluster_means`, `fit_checkpointed` and a training-horizon
+//! sweep make no allocation of exactly N × 16 bytes, the size of a
+//! channel's `values()` view; the library reads samples and presence
+//! words instead.
 //!
 //! This file must stay a one-test binary: a second test running on a
 //! sibling thread would allocate concurrently and poison the counter.
@@ -30,16 +35,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use thermal_ckpt::CheckpointStore;
 use thermal_core::timeseries::{Channel, Dataset, Mask, TimeGrid, Timestamp};
 use thermal_core::{
-    ClusterCount, Clustering, ModelOrder, ModelSpec, ReducedModel, Selection, ThermalModel,
-    ThermalPipeline,
+    ClusterCount, Clustering, EvalConfig, FitConfig, GramCache, ModelOrder, ModelSpec,
+    ReducedModel, Selection, ThermalModel, ThermalPipeline,
 };
 use thermal_linalg::Matrix;
 
 /// Counts every allocation-side operation (`alloc`, `alloc_zeroed`,
-/// `realloc`), and separately those that acquire at least
-/// [`LARGE_BYTES`] (a `realloc` by its whole new size), while
-/// delegating the actual work to [`System`]. Deallocations are not
-/// counted.
+/// `realloc`), separately those that acquire at least [`LARGE_BYTES`]
+/// (a `realloc` by its whole new size), and those that acquire exactly
+/// [`EXACT_BYTES`], while delegating the actual work to [`System`].
+/// Deallocations are not counted.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -47,11 +52,18 @@ static LARGE: AtomicU64 = AtomicU64::new(0);
 /// Size from which an allocation counts as large; `u64::MAX` until a
 /// measurement sets it.
 static LARGE_BYTES: AtomicU64 = AtomicU64::new(u64::MAX);
+static EXACT: AtomicU64 = AtomicU64::new(0);
+/// Size an allocation must have to count in [`EXACT`]; `u64::MAX` until
+/// a measurement sets it.
+static EXACT_BYTES: AtomicU64 = AtomicU64::new(u64::MAX);
 
 fn count(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     if bytes as u64 >= LARGE_BYTES.load(Ordering::Relaxed) {
         LARGE.fetch_add(1, Ordering::Relaxed);
+    }
+    if bytes as u64 == EXACT_BYTES.load(Ordering::Relaxed) {
+        EXACT.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -206,6 +218,68 @@ fn batch_fit_makes_one_campaign_sized_allocation() {
     );
 }
 
+/// The library never builds a channel's `Option` view: over a fresh
+/// dataset of N = 2,017 slots (seven days and one slot; no other
+/// allocation of these calls is N × 16 bytes), a fit, its cluster-mean
+/// validation, a cold `fit_checkpointed` and a training-horizon sweep
+/// over the occupied window make no allocation of exactly N × 16 bytes.
+/// The first call on each channel would build its view, so nothing is
+/// warmed up first.
+fn no_call_builds_the_option_view() {
+    let (sensors, inputs, n) = (27, 6, 2_017);
+    let ds = dataset(sensors, inputs, n);
+    let mask = Mask::all(ds.grid());
+    let names: Vec<String> = (0..sensors).map(|s| format!("s{s}")).collect();
+    let temps: Vec<&str> = names.iter().map(String::as_str).collect();
+    let input_names: Vec<String> = (0..inputs).map(|i| format!("u{i}")).collect();
+    let input_refs: Vec<&str> = input_names.iter().map(String::as_str).collect();
+    let pipeline = ThermalPipeline::builder()
+        .cluster_count(ClusterCount::Fixed(4))
+        .build()
+        .unwrap();
+    let root = std::env::temp_dir().join(format!("core-view-free-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut store = CheckpointStore::open(&root, 9, "view-free").unwrap();
+    let occupied = Mask::daily_window(ds.grid(), 6 * 60, 21 * 60).unwrap();
+
+    EXACT_BYTES.store(n as u64 * 16, Ordering::SeqCst);
+    let before = EXACT.load(Ordering::SeqCst);
+    let model = pipeline.fit(&ds, &temps, &input_refs, &mask).unwrap();
+    let fit = EXACT.load(Ordering::SeqCst) - before;
+    let report = model.evaluate_cluster_means(&ds, &mask, 48).unwrap();
+    let evaluate = EXACT.load(Ordering::SeqCst) - before - fit;
+    let (cold, resume) = pipeline
+        .fit_checkpointed(&ds, &temps, &input_refs, &mask, &mut store, "fit")
+        .unwrap();
+    let checkpointed = EXACT.load(Ordering::SeqCst) - before - fit - evaluate;
+    let points = thermal_sysid::sweep::sweep_training_horizon_with_cache(
+        &ds,
+        model.model().spec(),
+        &occupied,
+        &[0, 1, 2, 3, 4, 5],
+        &[1, 3, 5],
+        &[6],
+        &FitConfig::default(),
+        &EvalConfig::with_horizon(12),
+        &mut GramCache::default(),
+    )
+    .unwrap();
+    let sweep = EXACT.load(Ordering::SeqCst) - before - fit - evaluate - checkpointed;
+    EXACT_BYTES.store(u64::MAX, Ordering::SeqCst);
+    std::fs::remove_dir_all(&root).unwrap();
+
+    assert!(!report.errors().is_empty());
+    assert_eq!(cold, model);
+    assert_eq!(resume.computed.len(), 3);
+    assert_eq!(points.len(), 3);
+    assert_eq!(
+        [fit, evaluate, checkpointed, sweep],
+        [0; 4],
+        "allocations of exactly {n} × 16 bytes (a channel's `Option` view) by fit, \
+         evaluate_cluster_means, fit_checkpointed and the sweep"
+    );
+}
+
 #[test]
 fn cluster_mean_validation_allocates_per_segment_not_per_slot() {
     // Let the libtest harness thread park itself: its first blocking
@@ -214,6 +288,7 @@ fn cluster_mean_validation_allocates_per_segment_not_per_slot() {
     std::thread::sleep(std::time::Duration::from_millis(10));
 
     batch_fit_makes_one_campaign_sized_allocation();
+    no_call_builds_the_option_view();
 
     // (sensors, clusters): a two-output model, whose packed `Θ` is all
     // tail, and a nine-output one with a full eight-row panel.

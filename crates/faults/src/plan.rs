@@ -393,7 +393,7 @@ impl FaultPlan {
         let mut columns: Vec<(String, Vec<Option<f64>>)> = dataset
             .channels()
             .iter()
-            .map(|ch| (ch.name().to_owned(), ch.values().to_vec()))
+            .map(|ch| (ch.name().to_owned(), ch.iter_slots().collect()))
             .collect();
         let mut log = FaultLog::new();
 

@@ -11,7 +11,7 @@ use crate::geometry::Layout;
 use crate::hvac::{Hvac, VAV_COUNT};
 use crate::occupancy::OccupancySchedule;
 use crate::scenario::Scenario;
-use crate::sensors::SensorLayer;
+use crate::sensors::{SensorConfig, SensorLayer};
 use crate::thermal::{Drive, Rk4Buffers, ZoneNetwork};
 use crate::weather::Weather;
 use crate::SimError;
@@ -280,86 +280,53 @@ pub fn run(scenario: &Scenario) -> Result<SimOutput, SimError> {
 
     let mut channels = Vec::new();
 
-    // Temperature channels.
+    // Temperature channels, each measured straight into its samples and
+    // presence words. Thermostats are wired into the HVAC portal:
+    // quantised and outage-prone but free of Bluetooth dropouts.
+    let thermostat_layer = SensorLayer::new(
+        SensorConfig {
+            dropout_start_prob: 0.0,
+            ..scenario.sensors.clone()
+        },
+        scenario.seed,
+    );
     for (z, site) in layout.sites().iter().enumerate() {
-        let name = site.id.channel_name();
-        let clean = &zone_records[z];
-        let measured = if site.id.is_thermostat() {
-            // Thermostats are wired into the HVAC portal: quantised
-            // and outage-prone but free of Bluetooth dropouts.
-            let mut cfg = scenario.sensors.clone();
-            cfg.dropout_start_prob = 0.0;
-            SensorLayer::new(cfg, scenario.seed).measure(clean, z, &outage_days, day_of)
+        let layer = if site.id.is_thermostat() {
+            &thermostat_layer
         } else {
-            sensor_layer.measure(clean, z, &outage_days, day_of)
+            &sensor_layer
         };
-        channels.push(Channel::new(&name, measured)?);
+        let measured = layer.measure(&zone_records[z], z, &outage_days, day_of);
+        channels.push(Channel::from_slots(site.id.channel_name(), measured)?);
     }
 
+    // The portal channels are lost on outage days.
+    let logged = |i: usize| !outage_days.contains(&day_of(i));
+
     // VAV flows: the portal logs at coarse intervals; emulate with a
-    // 15-minute zero-order hold, lost on outage days.
+    // 15-minute zero-order hold.
     let hold = (15 / scenario.sample_minutes.max(1)).max(1) as usize;
     for (v, rec) in vav_records.iter().enumerate() {
-        let name = format!("vav{}", v + 1);
-        let held: Vec<Option<f64>> = (0..samples)
-            .map(|i| {
-                if outage_days.contains(&day_of(i)) {
-                    None
-                } else {
-                    Some(rec[(i / hold) * hold])
-                }
-            })
-            .collect();
-        channels.push(Channel::new(&name, held)?);
+        let held = (0..samples).map(|i| logged(i).then(|| rec[(i / hold) * hold]));
+        channels.push(Channel::from_slots(format!("vav{}", v + 1), held)?);
     }
 
     // Occupancy: webcam counted every 15 minutes; hold in between.
-    let occ_held: Vec<Option<f64>> = (0..samples)
-        .map(|i| {
-            if outage_days.contains(&day_of(i)) {
-                None
-            } else {
-                Some(occ_record[(i / hold) * hold])
-            }
-        })
-        .collect();
-    channels.push(Channel::new("occupancy", occ_held)?);
+    let occ_held = (0..samples).map(|i| logged(i).then(|| occ_record[(i / hold) * hold]));
+    channels.push(Channel::from_slots("occupancy", occ_held)?);
 
-    // Lighting: exact binary signal, lost on outage days.
-    let light_held: Vec<Option<f64>> = (0..samples)
-        .map(|i| {
-            if outage_days.contains(&day_of(i)) {
-                None
-            } else {
-                Some(light_record[i])
-            }
-        })
-        .collect();
-    channels.push(Channel::new("lighting", light_held)?);
+    // Lighting: exact binary signal.
+    let light_held = (0..samples).map(|i| logged(i).then(|| light_record[i]));
+    channels.push(Channel::from_slots("lighting", light_held)?);
 
     // Ambient: portal weather feed.
-    let ambient_held: Vec<Option<f64>> = (0..samples)
-        .map(|i| {
-            if outage_days.contains(&day_of(i)) {
-                None
-            } else {
-                Some(ambient_record[i])
-            }
-        })
-        .collect();
-    channels.push(Channel::new("ambient", ambient_held)?);
+    let ambient_held = (0..samples).map(|i| logged(i).then(|| ambient_record[i]));
+    channels.push(Channel::from_slots("ambient", ambient_held)?);
 
     // CO2: the portal's air-quality feed, held at the portal rate.
-    let co2_held: Vec<Option<f64>> = (0..samples)
-        .map(|i| {
-            if outage_days.contains(&day_of(i)) {
-                None
-            } else {
-                Some((co2_record[(i / hold) * hold] / 5.0).round() * 5.0)
-            }
-        })
-        .collect();
-    channels.push(Channel::new("co2", co2_held)?);
+    let co2_held = (0..samples)
+        .map(|i| logged(i).then(|| (co2_record[(i / hold) * hold] / 5.0).round() * 5.0));
+    channels.push(Channel::from_slots("co2", co2_held)?);
 
     // The records become the truth as they are, in channel order.
     let truth = zone_records

@@ -112,16 +112,19 @@ impl SensorLayer {
     }
 
     /// Applies noise, bias, quantisation and dropouts to one clean
-    /// series, producing telemetry with gaps. `sensor_index`
-    /// individualises the randomness per channel; `day_of_sample`
-    /// maps sample indices to day indices for outage alignment.
-    pub fn measure(
-        &self,
-        clean: &[f64],
+    /// series, producing telemetry with gaps: one reading per clean
+    /// sample, `None` for a gap, drawn as the iterator advances in slot
+    /// order (`Channel::from_slots` writes them straight into a
+    /// channel). `sensor_index` individualises the randomness per channel;
+    /// `day_of_sample` maps sample indices to day indices for outage
+    /// alignment.
+    pub fn measure<'a>(
+        &'a self,
+        clean: &'a [f64],
         sensor_index: usize,
-        outage_days: &[i64],
-        day_of_sample: impl Fn(usize) -> i64,
-    ) -> Vec<Option<f64>> {
+        outage_days: &'a [i64],
+        day_of_sample: impl Fn(usize) -> i64 + 'a,
+    ) -> impl ExactSizeIterator<Item = Option<f64>> + 'a {
         let c = &self.config;
         let mut rng = StdRng::seed_from_u64(
             self.seed
@@ -130,21 +133,18 @@ impl SensorLayer {
         );
         let bias = c.bias_sigma * gaussian(&mut rng);
 
-        let mut out = Vec::with_capacity(clean.len());
         let mut dropout_left = 0usize;
-        for (i, &v) in clean.iter().enumerate() {
+        clean.iter().enumerate().map(move |(i, &v)| {
             // Server outage days are lost wholesale.
             if outage_days.contains(&day_of_sample(i)) {
-                out.push(None);
                 // keep the rng advancing identically regardless of outages
                 let _ = rng.gen::<f64>();
-                continue;
+                return None;
             }
             if dropout_left > 0 {
                 dropout_left -= 1;
-                out.push(None);
                 let _ = rng.gen::<f64>();
-                continue;
+                return None;
             }
             if c.dropout_start_prob > 0.0 && rng.gen::<f64>() < c.dropout_start_prob {
                 // Geometric burst length with the configured mean.
@@ -154,16 +154,14 @@ impl SensorLayer {
                     len += 1;
                 }
                 dropout_left = len.saturating_sub(1);
-                out.push(None);
-                continue;
+                return None;
             }
             let mut m = v + bias + c.noise_sigma * gaussian(&mut rng);
             if c.quantisation > 0.0 {
                 m = (m / c.quantisation).round() * c.quantisation;
             }
-            out.push(Some(m));
-        }
-        out
+            Some(m)
+        })
     }
 
     /// Draws the set of whole days lost to server outages within
@@ -208,7 +206,7 @@ mod tests {
     fn ideal_layer_is_transparent() {
         let layer = SensorLayer::new(SensorConfig::ideal(), 1);
         let clean = vec![20.0, 20.5, 21.0];
-        let m = layer.measure(&clean, 0, &[], |_| 0);
+        let m: Vec<_> = layer.measure(&clean, 0, &[], |_| 0).collect();
         assert_eq!(m, vec![Some(20.0), Some(20.5), Some(21.0)]);
     }
 
@@ -216,20 +214,20 @@ mod tests {
     fn deterministic_per_seed_and_sensor() {
         let layer = SensorLayer::new(SensorConfig::default(), 7);
         let clean = flat_signal(500);
-        let a = layer.measure(&clean, 3, &[], |_| 0);
-        let b = layer.measure(&clean, 3, &[], |_| 0);
+        let a = layer.measure(&clean, 3, &[], |_| 0).collect::<Vec<_>>();
+        let b = layer.measure(&clean, 3, &[], |_| 0).collect::<Vec<_>>();
         assert_eq!(a, b);
-        let c = layer.measure(&clean, 4, &[], |_| 0);
+        let c = layer.measure(&clean, 4, &[], |_| 0).collect::<Vec<_>>();
         assert_ne!(a, c, "different sensors get different noise streams");
         let other = SensorLayer::new(SensorConfig::default(), 8);
-        assert_ne!(a, other.measure(&clean, 3, &[], |_| 0));
+        assert_ne!(a, other.measure(&clean, 3, &[], |_| 0).collect::<Vec<_>>());
     }
 
     #[test]
     fn noise_is_bounded_and_quantised() {
         let layer = SensorLayer::new(SensorConfig::default(), 2);
         let clean = flat_signal(2000);
-        let m = layer.measure(&clean, 0, &[], |_| 0);
+        let m = layer.measure(&clean, 0, &[], |_| 0).collect::<Vec<_>>();
         let mut present = 0;
         for v in m.into_iter().flatten() {
             present += 1;
@@ -249,7 +247,7 @@ mod tests {
         };
         let layer = SensorLayer::new(config, 3);
         let clean = flat_signal(5000);
-        let m = layer.measure(&clean, 1, &[], |_| 0);
+        let m = layer.measure(&clean, 1, &[], |_| 0).collect::<Vec<_>>();
         // Count gap runs and their mean length.
         let mut runs = Vec::new();
         let mut cur = 0usize;
@@ -277,7 +275,9 @@ mod tests {
         let layer = SensorLayer::new(SensorConfig::default(), 4);
         // 3 days of 10 samples each.
         let clean = flat_signal(30);
-        let m = layer.measure(&clean, 0, &[1], |i| (i / 10) as i64);
+        let m = layer
+            .measure(&clean, 0, &[1], |i| (i / 10) as i64)
+            .collect::<Vec<_>>();
         for (i, v) in m.iter().enumerate() {
             if (10..20).contains(&i) {
                 assert!(v.is_none(), "sample {i} inside outage day must be lost");
@@ -310,7 +310,7 @@ mod tests {
         config.bias_sigma = 0.3;
         let layer = SensorLayer::new(config, 9);
         let clean = flat_signal(100);
-        let m = layer.measure(&clean, 0, &[], |_| 0);
+        let m = layer.measure(&clean, 0, &[], |_| 0).collect::<Vec<_>>();
         let vals: Vec<f64> = m.into_iter().flatten().collect();
         let first = vals[0];
         assert!(vals.iter().all(|&v| (v - first).abs() < 1e-12));

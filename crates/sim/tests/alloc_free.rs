@@ -3,8 +3,9 @@
 //! the occupant and lighting loads written into the drive, then one
 //! RK4 step — performs **zero** heap allocations, and a whole campaign
 //! (`thermal_sim::run`) allocates at most [`BYTES_PER_SAMPLE`] bytes
-//! per sample per channel: the integrator's record (8 B) and the
-//! measured `Option<f64>` (16 B), each once. A counting global
+//! per sample per channel: the integrator's record (8 B), the measured
+//! channel's dense sample (8 B) and its presence bit, each once; a
+//! transient `Option<f64>` per sample (16 B) breaks it. A counting global
 //! allocator wraps `System` and the single test in this file asserts
 //! the allocation counter does not move across hundreds of steps and
 //! that the byte counter grows by at most that budget per added day.
@@ -22,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use thermal_sim::{Drive, Layout, Rk4Buffers, Scenario, ThermalParams, ZoneNetwork};
 
 /// Bytes a campaign may allocate per added sample of each channel.
-const BYTES_PER_SAMPLE: f64 = 25.0;
+const BYTES_PER_SAMPLE: f64 = 17.0;
 
 /// Counts every allocation-side operation (`alloc`, `alloc_zeroed`,
 /// `realloc`) and the bytes each acquires (a `realloc` counts its whole

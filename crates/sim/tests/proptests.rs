@@ -124,7 +124,7 @@ proptest! {
     ) {
         let layer = SensorLayer::new(SensorConfig::default(), seed);
         let clean: Vec<f64> = (0..n).map(|k| level + (k as f64 * 0.1).sin()).collect();
-        let measured = layer.measure(&clean, 3, &[], |_| 0);
+        let measured = layer.measure(&clean, 3, &[], |_| 0).collect::<Vec<_>>();
         prop_assert_eq!(measured.len(), n);
         for v in measured.into_iter().flatten() {
             prop_assert!(v.is_finite());

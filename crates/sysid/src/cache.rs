@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 
 use thermal_ckpt::Fnv64;
 use thermal_linalg::{CholeskyDecomposition, Matrix};
-use thermal_timeseries::{Dataset, Mask};
+use thermal_timeseries::{Channel, Dataset, Mask};
 
 use crate::regressors::{resolve_spec, write_transitions, RunSlots};
 use crate::{FitConfig, ModelSpec, Result, SysidError, ThermalModel};
@@ -88,11 +88,17 @@ const LANE_MUL: u64 = 0x9fb2_1c65_1e98_df25;
 /// lane's final state. The lanes are independent chains, so four of
 /// them advance together. Each channel's lanes are folded through
 /// splitmix64 together with the sample count.
-fn fingerprint_samples(values: &[Option<f64>]) -> u64 {
-    let step = |s: u64, v: &Option<f64>| {
-        (s ^ v.map_or(GAP_WORD, f64::to_bits))
-            .wrapping_mul(LANE_MUL)
-            .rotate_left(23)
+///
+/// The samples are read 64 per presence word; 64 is a multiple of the
+/// four lanes, so slot `t` lands in lane `t % 4` in every word.
+fn fingerprint_samples(channel: &Channel) -> u64 {
+    let step = |s: u64, x: f64, present: u64| {
+        let w = if present & 1 == 1 {
+            x.to_bits()
+        } else {
+            GAP_WORD
+        };
+        (s ^ w).wrapping_mul(LANE_MUL).rotate_left(23)
     };
     // Distinct starting states (hex digits of π).
     let mut lanes = [
@@ -101,18 +107,24 @@ fn fingerprint_samples(values: &[Option<f64>]) -> u64 {
         0xa409_3822_299f_31d0,
         0x082e_fa98_ec4e_6c89,
     ];
-    let mut quads = values.chunks_exact(4);
-    for quad in &mut quads {
-        for (lane, v) in lanes.iter_mut().zip(quad) {
-            *lane = step(*lane, v);
+    let samples = channel.samples();
+    for (chunk, &word) in samples.chunks(64).zip(channel.presence_words()) {
+        let mut bits = word;
+        let mut quads = chunk.chunks_exact(4);
+        for quad in &mut quads {
+            for (lane, &x) in lanes.iter_mut().zip(quad) {
+                *lane = step(*lane, x, bits);
+                bits >>= 1;
+            }
         }
-    }
-    for (lane, v) in lanes.iter_mut().zip(quads.remainder()) {
-        *lane = step(*lane, v);
+        for (lane, &x) in lanes.iter_mut().zip(quads.remainder()) {
+            *lane = step(*lane, x, bits);
+            bits >>= 1;
+        }
     }
     lanes
         .iter()
-        .fold(splitmix64(values.len() as u64), |h, &lane| {
+        .fold(splitmix64(samples.len() as u64), |h, &lane| {
             splitmix64(h ^ lane)
         })
 }
@@ -135,7 +147,7 @@ fn fingerprint_dataset(dataset: &Dataset, channels: &[usize]) -> u64 {
         };
         h.update(channel.name().as_bytes());
         h.update(&[0xff]);
-        h.update(&fingerprint_samples(channel.values()).to_le_bytes());
+        h.update(&fingerprint_samples(channel).to_le_bytes());
     }
     splitmix64(h.finish())
 }
@@ -859,6 +871,30 @@ mod tests {
             end: 99,
         };
         assert_eq!(key.slot_hash(), 0x3b93_7e23_78d7_fb96);
+    }
+
+    /// The Gram cache's dataset fingerprint of a gappy 131-slot
+    /// fixture (gaps, `Some(0.0)` and `Some(-0.0)` beside gaps, and an
+    /// unresolvable index), pinned: a change of channel storage must
+    /// hash each slot exactly as before.
+    #[test]
+    fn dataset_fingerprint_value_is_pinned() {
+        let n = 131;
+        let slot = |k: usize, c: usize| match (k * 7 + c * 3) % 11 {
+            0 | 5 => None,
+            1 => Some(0.0),
+            2 => Some(-0.0),
+            _ => Some(20.0 + ((k * (c + 1)) as f64 * 0.37).sin()),
+        };
+        let channels = (0..3)
+            .map(|c| Channel::new(format!("c{c}"), (0..n).map(|k| slot(k, c)).collect()).unwrap())
+            .collect();
+        let grid = TimeGrid::new(Timestamp::from_minutes(-45), 5, n).unwrap();
+        let ds = Dataset::new(grid, channels).unwrap();
+        assert_eq!(
+            fingerprint_dataset(&ds, &[2, 0, 1, 7]),
+            0x1ef8_5044_4234_6350
+        );
     }
 
     /// Datasets that differ in exactly one of the things the dataset

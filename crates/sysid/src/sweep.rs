@@ -117,7 +117,7 @@ pub fn sweep_training_horizon_with_cache(
     }
     let mut sorted = usable_days.to_vec();
     sorted.sort_unstable();
-    let val_mask = Mask::days(dataset.grid(), validation_days).and(mode_mask)?;
+    let val_mask = Mask::days_within(dataset.grid(), validation_days, mode_mask)?;
     // Validate every requested horizon up front so the fit loop and
     // the parallel evaluation fan-out only see well-formed cells.
     for &n in train_day_counts {
@@ -137,7 +137,7 @@ pub fn sweep_training_horizon_with_cache(
     let mut engine = SweepEngine::new(dataset, spec, fit)?;
     let mut fits: BTreeMap<usize, Result<ThermalModel>> = BTreeMap::new();
     for &n in &distinct {
-        let train_mask = Mask::days(dataset.grid(), &sorted[sorted.len() - n..]).and(mode_mask);
+        let train_mask = Mask::days_within(dataset.grid(), &sorted[sorted.len() - n..], mode_mask);
         let result = train_mask.map_err(SysidError::from).and_then(|mask| {
             let fitted = engine.fit_mask(&mask, cache);
             if fitted.is_err() {
@@ -201,7 +201,7 @@ pub fn sweep_training_horizon_full(
 ) -> Result<Vec<SweepPoint>> {
     let mut sorted = usable_days.to_vec();
     sorted.sort_unstable();
-    let val_mask = Mask::days(dataset.grid(), validation_days).and(mode_mask)?;
+    let val_mask = Mask::days_within(dataset.grid(), validation_days, mode_mask)?;
     // Validate every requested horizon up front so the parallel fan-out
     // below only sees well-formed cells.
     for &n in train_day_counts {
@@ -219,7 +219,7 @@ pub fn sweep_training_horizon_full(
     // scheduling, matching the sequential loop.
     thermal_par::try_parallel_map(train_day_counts, |&n| {
         let recent = &sorted[sorted.len() - n..];
-        let train_mask = Mask::days(dataset.grid(), recent).and(mode_mask)?;
+        let train_mask = Mask::days_within(dataset.grid(), recent, mode_mask)?;
         let model = identify(dataset, spec, &train_mask, fit)?;
         let report = evaluate(&model, dataset, &val_mask, eval_cfg)?;
         Ok(SweepPoint {

@@ -190,16 +190,7 @@ impl Dataset {
         if mask.len() != self.grid.len() {
             return Err(TimeSeriesError::GridMismatch);
         }
-        let mut words: Vec<u64> = mask
-            .bits()
-            .chunks(64)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .rev()
-                    .fold(0, |word, &b| (word << 1) | u64::from(b))
-            })
-            .collect();
+        let mut words = mask_words(mask);
         self.and_presence_words(channel_indices, &mut words);
         Ok(JointPresence {
             words,
@@ -211,8 +202,8 @@ impl Dataset {
     /// channels over a segment.
     ///
     /// Channel indices are checked before any sample is read; each
-    /// channel's samples over the segment are then copied into its
-    /// column in one pass.
+    /// channel's presence over the segment is then checked a word per
+    /// 64 slots, and its samples copied into its column in one pass.
     ///
     /// # Errors
     ///
@@ -261,11 +252,13 @@ impl Dataset {
             .filter_map(|&c| self.channels.get(c))
             .enumerate()
         {
-            let column = out.iter_mut().skip(j).step_by(width);
-            for (dst, v) in column.zip(&channel.values()[segment.start..segment.end]) {
-                *dst = v.ok_or(TimeSeriesError::Empty {
+            let samples = channel.present_samples(segment.start..segment.end).ok_or(
+                TimeSeriesError::Empty {
                     op: "matrix extraction over a gap",
-                })?;
+                },
+            )?;
+            for (dst, &v) in out.iter_mut().skip(j).step_by(width).zip(samples) {
+                *dst = v;
             }
         }
         Ok(())
@@ -331,8 +324,9 @@ impl Dataset {
     }
 
     /// Returns a copy where samples *outside* `mask` are blanked to
-    /// `None` in every channel (used to restrict a dataset to a mode
-    /// or a train/validation day set).
+    /// gaps in every channel (used to restrict a dataset to a mode or
+    /// a train/validation day set): each channel's presence words are
+    /// ANDed with the mask's, 64 slots per step.
     ///
     /// # Errors
     ///
@@ -342,17 +336,12 @@ impl Dataset {
         if mask.len() != self.grid.len() {
             return Err(TimeSeriesError::GridMismatch);
         }
-        let mut channels = Vec::with_capacity(self.channels.len());
-        for ch in &self.channels {
-            let values = ch
-                .values()
-                .iter()
-                .enumerate()
-                .map(|(i, v)| if mask.get(i) { *v } else { None })
-                .collect();
-            channels.push(Channel::new(ch.name(), values)?);
-        }
-        Dataset::new(self.grid, channels)
+        let keep = mask_words(mask);
+        Ok(Dataset {
+            grid: self.grid,
+            channels: self.channels.iter().map(|ch| ch.keeping(&keep)).collect(),
+            index: self.index.clone(),
+        })
     }
 
     /// Day indices (epoch-relative) for which every listed channel has
@@ -387,6 +376,20 @@ impl Dataset {
     pub fn channel_names(&self) -> Vec<&str> {
         self.channels.iter().map(|c| c.name()).collect()
     }
+}
+
+/// The mask's slots as words: bit `i % 64` of word `i / 64` is set iff
+/// slot `i` is selected.
+fn mask_words(mask: &Mask) -> Vec<u64> {
+    mask.bits()
+        .chunks(64)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .rev()
+                .fold(0, |word, &b| (word << 1) | u64::from(b))
+        })
+        .collect()
 }
 
 /// Joint presence of some channels within a mask

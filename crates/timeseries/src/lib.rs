@@ -13,7 +13,8 @@
 //!
 //! * [`Timestamp`] / [`TimeGrid`] — a uniform sampling grid in minutes,
 //! * [`Channel`] / [`Dataset`] — named, aligned series with explicit
-//!   missing samples (`Option<f64>`),
+//!   missing samples: one `f64` per slot beside presence words that
+//!   mark the gaps,
 //! * [`Mask`] — composable boolean selections over the grid
 //!   (daily occupancy windows, day subsets, joint presence),
 //! * [`Segment`] / [`segments_from_mask`] — maximal contiguous runs
@@ -48,6 +49,8 @@ mod channel;
 mod dataset;
 mod error;
 mod mask;
+#[cfg(test)]
+mod reference;
 mod segment;
 mod time;
 

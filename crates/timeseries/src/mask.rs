@@ -100,10 +100,33 @@ impl Mask {
     pub fn days(grid: &TimeGrid, days: &[i64]) -> Self {
         let mut mask = Mask::none(grid);
         for &day in days {
-            let midnight = i128::from(day) * i128::from(MINUTES_PER_DAY);
-            mask.fill_minutes(grid, midnight, midnight + i128::from(MINUTES_PER_DAY));
+            if let Some(slots) = mask.bits.get_mut(day_run(grid, day)) {
+                slots.fill(true);
+            }
         }
         mask
+    }
+
+    /// The slots of `within` whose day index is in `days`:
+    /// `Mask::days(grid, days).and(within)` in one allocation. Each
+    /// listed day copies its run of `within`'s slots.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TimeSeriesError::GridMismatch`] when `within` is not
+    /// one slot per grid slot.
+    pub fn days_within(grid: &TimeGrid, days: &[i64], within: &Mask) -> Result<Self> {
+        if within.len() != grid.len() {
+            return Err(TimeSeriesError::GridMismatch);
+        }
+        let mut mask = Mask::none(grid);
+        for &day in days {
+            let run = day_run(grid, day);
+            if let (Some(dst), Some(src)) = (mask.bits.get_mut(run.clone()), within.bits.get(run)) {
+                dst.copy_from_slice(src);
+            }
+        }
+        Ok(mask)
     }
 
     /// Selects the slots of `grid` whose instants lie in the epoch
@@ -209,6 +232,12 @@ impl Mask {
             .enumerate()
             .filter_map(|(i, &b)| b.then_some(i))
     }
+}
+
+/// The run of slots of `grid` on (epoch-relative) day `day`.
+fn day_run(grid: &TimeGrid, day: i64) -> std::ops::Range<usize> {
+    let midnight = i128::from(day) * i128::from(MINUTES_PER_DAY);
+    first_slot_at(grid, midnight)..first_slot_at(grid, midnight + i128::from(MINUTES_PER_DAY))
 }
 
 /// The first slot of `grid` whose instant is at or after epoch minute

@@ -205,7 +205,7 @@ pub fn validate_channel(
     config: &ValidationConfig,
 ) -> Result<(Channel, ChannelQuality)> {
     config.validate()?;
-    let mut values: Vec<Option<f64>> = channel.values().to_vec();
+    let mut values: Vec<Option<f64>> = channel.iter_slots().collect();
     let n = values.len();
     let coverage_before = channel.coverage();
 

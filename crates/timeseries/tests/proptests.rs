@@ -69,12 +69,12 @@ proptest! {
         prop_assert_eq!(lhs, rhs);
     }
 
-    /// `Mask::days` and `Mask::daily_window` fill slot runs; they equal
-    /// the slot-wise definitions (slot `i` is selected iff its day is
-    /// listed, or its minute of day is in the window) on grids that
-    /// start before or after the epoch, with steps that do and do not
-    /// divide a day, and day lists that are unsorted, repeated or off
-    /// the grid.
+    /// `Mask::days`, `Mask::daily_window` and `Mask::days_within` fill
+    /// slot runs; they equal the slot-wise definitions (slot `i` is
+    /// selected iff its day is listed, or its minute of day is in the
+    /// window, or both) on grids that start before or after the epoch,
+    /// with steps that do and do not divide a day, and day lists that
+    /// are unsorted, repeated or off the grid.
     #[test]
     fn day_and_window_masks_match_slot_definitions(
         start in -5_000i64..5_000,
@@ -96,8 +96,16 @@ proptest! {
             .iter()
             .map(|(_, t)| (i64::from(from)..i64::from(to)).contains(&t.minute_of_day()))
             .collect();
-        let got = Mask::daily_window(&grid, from, to).unwrap();
-        prop_assert_eq!(got.bits(), &in_window[..]);
+        let window = Mask::daily_window(&grid, from, to).unwrap();
+        prop_assert_eq!(window.bits(), &in_window[..]);
+        let both: Vec<bool> = by_day.iter().zip(&in_window).map(|(&d, &w)| d && w).collect();
+        let got = Mask::days_within(&grid, &days, &window).unwrap();
+        prop_assert_eq!(got.bits(), &both[..]);
+        let short = Mask::from_bits(vec![true; len + 1]);
+        prop_assert!(matches!(
+            Mask::days_within(&grid, &days, &short),
+            Err(TimeSeriesError::GridMismatch)
+        ));
     }
 
     #[test]

@@ -268,8 +268,9 @@ fn ci() -> ExitCode {
     // Allocation-budget gate: the counting-allocator binaries prove a
     // warmed-up steady-state stream event, a warmed-up bulkhead slot
     // and a simulator step perform zero heap allocations, that a
-    // simulated campaign allocates at most 25 bytes per sample per
-    // channel (one record and one measured sample each), that cloning
+    // simulated campaign allocates at most 17 bytes per sample per
+    // channel (one record, one dense measured sample and its presence
+    // bit each), that cloning
     // a replay schedule or an unstaged flaky source allocates nothing
     // (clones share the schedule), that batch assembly and open-loop
     // prediction allocate per segment, never per sample or slot, and
@@ -282,8 +283,11 @@ fn ci() -> ExitCode {
     // and a fully restored `fit_checkpointed` none, the centred Gram
     // allocates the same bytes at any number of observations, and a
     // ridge `identify` the same largest allocation at any number of
-    // transitions (see DESIGN.md § allocation budget and § simulator
-    // design). The full test step above already ran them; this
+    // transitions. The dataset budget: a fit, its cluster-mean
+    // validation, a cold `fit_checkpointed` and a training-horizon
+    // sweep never build a channel's 16-byte-per-slot `Option` view
+    // (see DESIGN.md § allocation budget and § simulator design). The
+    // full test step above already ran them; this
     // dedicated step keeps the budget visible — and individually
     // bisectable — in the CI log.
     let code = run_steps(&[step(
