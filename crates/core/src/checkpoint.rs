@@ -88,7 +88,9 @@ pub(crate) fn fit_fingerprint(
 
 const CLUSTER_TAG: &str = "core-cluster-v1";
 const SELECT_TAG: &str = "core-select-v1";
-const MODEL_TAG: &str = "core-model-v1";
+/// `v2`: the ridge fit sums one block per gap-free segment; a `v1`
+/// model, one chain across all segments, is recomputed.
+const MODEL_TAG: &str = "core-model-v2";
 
 /// Decodes a `tag` record stamped with `fingerprint`; `None` when the
 /// framing, the tag or the fingerprint does not match.

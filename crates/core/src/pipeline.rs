@@ -17,7 +17,7 @@ use thermal_select::{
     SelectionInput, Selector, StratifiedRandomSelector,
 };
 use thermal_sysid::{
-    identify, identify_with_cache, FitConfig, GramCache, ModelOrder, ModelSpec, ThermalModel,
+    identify_with_cache, FitConfig, GramCache, ModelOrder, ModelSpec, ThermalModel,
 };
 use thermal_timeseries::{Dataset, Mask};
 
@@ -109,9 +109,9 @@ impl ThermalPipeline {
     /// Runs the three steps on `dataset`: cluster `sensor_channels`
     /// over `train_mask`, select representatives, and identify a
     /// reduced model of the selected sensors driven by
-    /// `input_channels` by batch ridge least squares over every
-    /// regressor row ([`thermal_sysid::identify`], which folds the rows
-    /// into the normal equations panel by panel).
+    /// `input_channels` by ridge least squares
+    /// ([`thermal_sysid::identify`]: the normal equations summed over
+    /// the gap-free pieces of `train_mask`, one block per piece).
     ///
     /// # Errors
     ///
@@ -125,22 +125,21 @@ impl ThermalPipeline {
         train_mask: &Mask,
     ) -> Result<ReducedModel> {
         let inputs = (dataset, sensor_channels, input_channels, train_mask);
-        self.run(inputs, Identify::Batch, None)
+        self.run(inputs, &mut GramCache::disabled(), None)
     }
 
     /// Runs the steps of [`ThermalPipeline::fit`] with the
-    /// identification stage routed through a caller-owned
+    /// identification stage memoizing its normal-equation blocks, one
+    /// per gap-free piece of `train_mask`, in a caller-owned
     /// [`GramCache`] ([`thermal_sysid::identify_with_cache`]), so
     /// repeated fits over the same dataset and spec (sweeps, refits,
-    /// fleet warm restarts) reuse memoized normal-equation blocks.
+    /// fleet warm restarts) reuse them. The model is bit-identical to
+    /// [`ThermalPipeline::fit`]'s whatever the cache holds.
     ///
     /// Callers sharing one cache across tenants (e.g. buildings of a
     /// fleet) must set a distinct [`GramCache::set_namespace`] per
     /// tenant before each fit; the namespace partitions keys
     /// structurally so tenants can never observe each other's blocks.
-    /// The cache sums one Gram block per gap-free segment of the mask
-    /// and [`ThermalPipeline::fit`] one chain over all rows, so their
-    /// models are bit-identical only when `train_mask` is one segment.
     ///
     /// # Errors
     ///
@@ -154,7 +153,7 @@ impl ThermalPipeline {
         cache: &mut GramCache,
     ) -> Result<ReducedModel> {
         let inputs = (dataset, sensor_channels, input_channels, train_mask);
-        self.run(inputs, Identify::Engine(cache), None)
+        self.run(inputs, cache, None)
     }
 
     /// Runs [`ThermalPipeline::fit`] with each of the three stages
@@ -192,17 +191,17 @@ impl ThermalPipeline {
             report: FitResume::default(),
         };
         let inputs = (dataset, sensor_channels, input_channels, train_mask);
-        let model = self.run(inputs, Identify::Batch, Some(&mut resume))?;
+        let model = self.run(inputs, &mut GramCache::disabled(), Some(&mut resume))?;
         Ok((model, resume.report))
     }
 
     /// The three steps, each resumed from `resume` when one is given:
     /// cluster the sensors, select representatives, and identify the
-    /// selected sensors on `backend`.
+    /// selected sensors over `cache`.
     fn run(
         &self,
         inputs: FitInputs<'_>,
-        backend: Identify<'_>,
+        cache: &mut GramCache,
         mut resume: Option<&mut Resume<'_>>,
     ) -> Result<ReducedModel> {
         let (dataset, sensor_channels, _, train_mask) = inputs;
@@ -239,7 +238,7 @@ impl ThermalPipeline {
             "model",
             checkpoint::decode_model,
             |(selected, model), fp| checkpoint::encode_model(selected, model, fp),
-            || self.identify_stage(inputs, &selection, &owned_names, backend),
+            || self.identify_stage(inputs, &selection, &owned_names, cache),
         )?;
 
         let reduced = ReducedModel::new(owned_names, clustering, selection, selected, model);
@@ -293,7 +292,7 @@ impl ThermalPipeline {
         inputs: FitInputs<'_>,
         selection: &Selection,
         owned_names: &[String],
-        backend: Identify<'_>,
+        cache: &mut GramCache,
     ) -> Result<(Vec<String>, ThermalModel)> {
         let (dataset, _, input_channels, train_mask) = inputs;
         let selected: Vec<String> = selection
@@ -306,13 +305,7 @@ impl ThermalPipeline {
             input_channels.iter().map(|s| (*s).to_owned()).collect(),
             self.order,
         )?;
-        let fit = identify_config();
-        let model = match backend {
-            Identify::Batch => identify(dataset, &spec, train_mask, &fit)?,
-            Identify::Engine(cache) => {
-                identify_with_cache(dataset, &spec, train_mask, &fit, cache)?
-            }
-        };
+        let model = identify_with_cache(dataset, &spec, train_mask, &identify_config(), cache)?;
         Ok((selected, model))
     }
 }
@@ -325,17 +318,6 @@ type FitInputs<'a> = (&'a Dataset, &'a [&'a str], &'a [&'a str], &'a Mask);
 /// ridge on its own.
 pub(crate) fn identify_config() -> FitConfig {
     FitConfig::default()
-}
-
-/// Where the identify stage solves for the coefficients. The two
-/// backends agree bit for bit only on one gap-free segment, so each
-/// fit method keeps its own.
-enum Identify<'c> {
-    /// Batch least squares over every regressor row ([`identify`]).
-    Batch,
-    /// The sweep engine over a caller's Gram cache
-    /// ([`identify_with_cache`]).
-    Engine(&'c mut GramCache),
 }
 
 /// A checkpointed fit: the store and name prefix of its stage
@@ -519,6 +501,7 @@ impl ThermalPipelineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thermal_sysid::identify;
     use thermal_timeseries::{Channel, TimeGrid, Timestamp};
 
     /// A small synthetic dataset with two sensor families driven by
@@ -708,6 +691,35 @@ mod tests {
         }
     }
 
+    /// A model record tagged `core-model-v1`, the tag of models whose
+    /// ridge fit ran one chain across every segment, is recomputed on
+    /// resume: a gappy mask would otherwise restore coefficients of the
+    /// old arithmetic. The cluster and select records are restored.
+    #[test]
+    fn checkpointed_fit_recomputes_a_model_of_the_old_tag() {
+        let ds = synth_dataset();
+        let sensors = ["s0", "s1", "s2", "s3", "s4"];
+        let mask = Mask::all(ds.grid());
+        let pipeline = two_cluster_pipeline(&SelectorKind::NearMean, ModelOrder::First);
+        let root = std::env::temp_dir().join(format!("core-fit-retag-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = CheckpointStore::open(&root, 3, "test").unwrap();
+        let (full, _) = pipeline
+            .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
+            .unwrap();
+        let record = String::from_utf8(store.get("fit-model.ck").unwrap().unwrap()).unwrap();
+        let old = record.replacen("record core-model-v2\n", "record core-model-v1\n", 1);
+        assert_ne!(old, record);
+        store.put("fit-model.ck", old.as_bytes()).unwrap();
+        let (resumed, resume) = pipeline
+            .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, "fit")
+            .unwrap();
+        assert_eq!(resumed, full);
+        assert_eq!(resume.restored, vec!["cluster", "select"]);
+        assert_eq!(resume.computed, vec!["model"]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// The public stages up to selection, as the pipeline with 2 fixed
     /// clusters and seed 3 runs them: `trajectory_matrix` →
     /// `weight_matrix` → `cluster_graph` → `Selector::select` →
@@ -738,15 +750,14 @@ mod tests {
     }
 
     /// `fit` shares one centred Gram between correlation clustering and
-    /// GP selection; the public stages compute their own. Each fit
-    /// method gives its staged route's model bit for bit (`{:?}` prints
+    /// GP selection; the public stages compute their own. Every fit
+    /// method gives the staged route's model bit for bit (`{:?}` prints
     /// every float exactly, signed zeros included) for SMS and GP under
     /// both similarities, at first and second order, on a gap-free
-    /// mask and on one with two gaps: `fit` and a cold
-    /// `fit_checkpointed` end in `identify` (the design matrix),
-    /// `fit_with_cache` in `identify_with_cache` (the engine). The two
-    /// references agree on one segment and differ on three, where the
-    /// engine sums one Gram block per segment.
+    /// mask and on one with two gaps: `fit`, a cold and a warm
+    /// `fit_checkpointed` and `fit_with_cache` all equal the one
+    /// reference ending in `identify`, which `identify_with_cache` over
+    /// a fresh cache equals too.
     #[test]
     fn pipeline_equals_public_stages() {
         let ds = synth_dataset();
@@ -769,6 +780,7 @@ mod tests {
                 }
             }
         }
+        let stages = vec!["cluster", "select", "model"];
         for (n, (gaps, mask, order, similarity, selector)) in cases.into_iter().enumerate() {
             let case = format!("{similarity} {selector:?} {order:?} gaps={gaps}");
             let pipeline = ThermalPipeline::builder()
@@ -788,42 +800,34 @@ mod tests {
                 .collect();
             let spec = ModelSpec::new(selected.clone(), vec!["u".to_owned()], order).unwrap();
             let fit = FitConfig::default();
-            let matrix = identify(&ds, &spec, &mask, &fit).unwrap();
+            let model = identify(&ds, &spec, &mask, &fit).unwrap();
             let engine =
                 identify_with_cache(&ds, &spec, &mask, &fit, &mut GramCache::new()).unwrap();
             assert_eq!(
-                format!("{:?}", matrix.coefficients()) != format!("{:?}", engine.coefficients()),
-                gaps,
-                "{case}: the design matrix and the engine differ exactly across gaps"
+                format!("{:?}", model.coefficients()),
+                format!("{:?}", engine.coefficients()),
+                "{case}: one arithmetic with and without a cache"
             );
-            let staged = |model| {
-                let (clustering, selection) = (clustering.clone(), selection.clone());
-                let reduced = ReducedModel::new(
-                    names.clone(),
-                    clustering,
-                    selection,
-                    selected.clone(),
-                    model,
-                );
-                format!("{reduced:?}")
-            };
-            let (matrix, engine) = (staged(matrix), staged(engine));
+            let reduced = ReducedModel::new(names.clone(), clustering, selection, selected, model);
+            let staged = format!("{reduced:?}");
 
             let fitted = pipeline.fit(&ds, &sensors, &["u"], &mask).unwrap();
-            assert_eq!(format!("{fitted:?}"), matrix, "{case}");
+            assert_eq!(format!("{fitted:?}"), staged, "{case}");
+            let prefix = format!("c{n}");
             let (cold, resume) = pipeline
-                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, &format!("c{n}"))
+                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, &prefix)
                 .unwrap();
-            assert_eq!(
-                resume.computed,
-                vec!["cluster", "select", "model"],
-                "{case}"
-            );
-            assert_eq!(format!("{cold:?}"), matrix, "{case}");
+            assert_eq!(resume.computed, stages, "{case}");
+            assert_eq!(format!("{cold:?}"), staged, "{case}");
+            let (warm, resume) = pipeline
+                .fit_checkpointed(&ds, &sensors, &["u"], &mask, &mut store, &prefix)
+                .unwrap();
+            assert_eq!(resume.restored, stages, "{case}");
+            assert_eq!(format!("{warm:?}"), staged, "{case}");
             let cached = pipeline
                 .fit_with_cache(&ds, &sensors, &["u"], &mask, &mut GramCache::new())
                 .unwrap();
-            assert_eq!(format!("{cached:?}"), engine, "{case}");
+            assert_eq!(format!("{cached:?}"), staged, "{case}");
         }
         let _ = std::fs::remove_dir_all(&root);
     }

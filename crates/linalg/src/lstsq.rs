@@ -249,6 +249,65 @@ impl RidgeNormalEquations {
         Matrix::from_fn(p, self.rhs, |i, j| self.cross[j * p + i])
     }
 
+    /// Adds the rows folded so far into running totals and restarts:
+    /// `gram` takes the upper triangle of `XᵀX` packed row by row (row
+    /// `i` holds columns `i..cols`, `cols·(cols+1)/2` entries), `cross`
+    /// takes `XᵀY` row-major (`cols × rhs`), one addition per entry;
+    /// then every chain starts again from `+0.0` with no rows folded,
+    /// in the same buffers.
+    ///
+    /// A fold and a drain per row set sum the normal equations of
+    /// several sets, each its own chain, in the order they are drained:
+    /// the piece-wise sum over the gap-free pieces of a trace.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] when `gram` or `cross` has the
+    /// wrong length; nothing is added or restarted then.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use thermal_linalg::lstsq::RidgeNormalEquations;
+    ///
+    /// # fn main() -> Result<(), thermal_linalg::LinalgError> {
+    /// let mut piece = RidgeNormalEquations::new(2, 1, 0.0)?;
+    /// let (mut gram, mut cross) = ([0.0; 3], [0.0; 2]);
+    /// piece.fold(&[1.0, 2.0], &[3.0])?;
+    /// piece.drain_into(&mut gram, &mut cross)?;
+    /// piece.fold(&[0.5, 1.0], &[2.0])?;
+    /// piece.drain_into(&mut gram, &mut cross)?;
+    /// assert_eq!((gram, cross), ([1.25, 2.5, 5.0], [4.0, 8.0]));
+    /// assert_eq!(piece.rows(), 0);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn drain_into(&mut self, gram: &mut [f64], cross: &mut [f64]) -> Result<()> {
+        let (p, q) = (self.cols, self.rhs);
+        if gram.len() != p * (p + 1) / 2 || cross.len() != p * q {
+            return Err(LinalgError::ShapeMismatch {
+                op: "ridge drain",
+                lhs: (gram.len(), cross.len()),
+                rhs: (p * (p + 1) / 2, p * q),
+            });
+        }
+        let mut packed = gram.iter_mut();
+        for (i, row) in self.gram.chunks_exact(p.max(1)).enumerate() {
+            for (v, g) in row.iter().skip(i).zip(packed.by_ref()) {
+                *g += v;
+            }
+        }
+        for (i, row) in cross.chunks_exact_mut(q.max(1)).enumerate() {
+            for (c, v) in row.iter_mut().zip(self.cross.iter().skip(i).step_by(p)) {
+                *c += v;
+            }
+        }
+        self.gram.fill(0.0);
+        self.cross.fill(0.0);
+        self.rows = 0;
+        Ok(())
+    }
+
     /// Solves `(XᵀX + λI) Θ = XᵀY` for the `cols × rhs` coefficients
     /// `Θ` by Cholesky, over every row folded so far: `λ` added to the
     /// diagonal of [`RidgeNormalEquations::gram`], the factor applied to
@@ -355,6 +414,35 @@ mod tests {
         let a = Matrix::identity(2);
         assert!(solve_ridge(&a, &Vector::zeros(3), 1.0).is_err());
         assert!(solve_ridge_matrix(&a, &Matrix::zeros(3, 1), 1.0).is_err());
+    }
+
+    /// A drain adds the packed upper triangle of `gram()` and the
+    /// row-major `cross()` into the totals, one addition per entry, and
+    /// the next fold starts fresh chains; a wrong total length adds and
+    /// restarts nothing.
+    #[test]
+    fn drain_adds_packed_chains_and_restarts() {
+        let x = Matrix::from_fn(7, 3, |r, c| ((r * 3 + c) as f64 * 0.7).sin());
+        let y = Matrix::from_fn(7, 2, |r, c| ((r + 5 * c) as f64).cos());
+        let mut piece = RidgeNormalEquations::new(3, 2, 0.5).unwrap();
+        piece.fold(x.as_slice(), y.as_slice()).unwrap();
+        let (gram, cross) = (piece.gram(), piece.cross());
+        assert!(piece.drain_into(&mut [0.0; 5], &mut [0.0; 6]).is_err());
+        assert_eq!(piece.rows(), 7);
+        let (mut totals, mut totals_cross) = (vec![1.0; 6], vec![-1.0; 6]);
+        piece.drain_into(&mut totals, &mut totals_cross).unwrap();
+        let packed = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
+        for (t, (i, j)) in totals.iter().zip(packed) {
+            assert_eq!(t.to_bits(), (1.0 + gram[(i, j)]).to_bits());
+        }
+        for (k, t) in totals_cross.iter().enumerate() {
+            assert_eq!(t.to_bits(), (-1.0 + cross[(k / 2, k % 2)]).to_bits());
+        }
+        assert_eq!(piece.rows(), 0);
+        piece.fold(x.row(2), y.row(2)).unwrap();
+        let mut fresh = RidgeNormalEquations::new(3, 2, 0.5).unwrap();
+        fresh.fold(x.row(2), y.row(2)).unwrap();
+        assert_eq!(piece.solve().unwrap(), fresh.solve().unwrap());
     }
 
     #[test]

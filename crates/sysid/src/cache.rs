@@ -13,37 +13,41 @@
 //!   ever selects more slots — so each cell's regression problem is
 //!   the previous cell's plus a *delta* of transition ranges;
 //! * the normal equations are additive — `G = Σ xxᵀ` and `B = Σ xyᵀ`
-//!   over transitions — so the delta is ingested by accumulation, and
-//!   a small delta (≤ `width` rows) is applied directly to the
-//!   existing Cholesky factor as a chain of rank-1 updates
-//!   ([`thermal_linalg::CholeskyDecomposition::rank_one_update_with`])
-//!   instead of refactoring;
+//!   over transitions — so the delta is ingested by adding one block
+//!   per range, and each cell factors `λI + G` once;
 //! * per-range `(G, B)` blocks are memoized in a [`GramCache`] keyed
 //!   by dataset/spec fingerprints and the transition range, so
 //!   repeated sweeps over the same data (both Fig. 5 panels, bench
 //!   reruns) skip the row assembly entirely.
 //!
+//! A block is Problem (4)'s sum over one gap-free piece: its rows, in
+//! ascending transition order, fold into chains that start from `+0.0`
+//! ([`crate::regressors`]' 128-row panel), and a fit adds its ranges'
+//! blocks in ascending order to totals that start from `+0.0`. This is
+//! the one ridge arithmetic: [`crate::identify`] is this engine over
+//! [`GramCache::disabled`], and [`crate::identify_from_data`] sums the
+//! stacked rows of each segment the same way.
+//!
 //! Determinism contract: a cache hit returns exactly the bytes the
-//! miss path would have computed (blocks are accumulated in a fixed
-//! ascending-transition order), and eviction is deterministic — the
+//! miss path would have computed, and eviction is deterministic — the
 //! oldest insert goes first once a block count or byte budget is
-//! reached — so a sweep produces bit-identical results with a cold
+//! reached — so a fit produces bit-identical results with a cold
 //! cache, a warm cache, or the cache disabled. See `DESIGN.md` § sweep
 //! memoization.
 //!
-//! Fallback rule: the incremental path solves the ridge normal
-//! equations and therefore requires `ridge > 0`; `ridge == 0` callers
-//! keep the numerically robust QR full-refit path of
-//! [`crate::identify`].
+//! The engine solves the ridge normal equations, so `ridge == 0`
+//! callers keep the QR solve of [`crate::identify_from_data`] over
+//! [`crate::regressors::assemble`]d rows.
 
 use std::collections::BTreeMap;
 
 use thermal_ckpt::Fnv64;
-use thermal_linalg::{CholeskyDecomposition, Matrix};
+use thermal_linalg::lstsq::RidgeNormalEquations;
+use thermal_linalg::{CholeskyDecomposition, LinalgError, Matrix};
 use thermal_timeseries::{Channel, Dataset, Mask};
 
-use crate::regressors::{resolve_spec, write_transitions, RunSlots};
-use crate::{FitConfig, ModelSpec, Result, SysidError, ThermalModel};
+use crate::regressors::{assemble, resolve_spec, RangeFold};
+use crate::{identify_from_data, FitConfig, ModelSpec, Result, SysidError, ThermalModel};
 
 /// The splitmix64 finalizer: spreads FNV's weak low bits before the
 /// hash keys a cache block, and folds a channel's sample lanes.
@@ -190,9 +194,11 @@ impl BlockKey {
     }
 }
 
-/// One memoized normal-equation block over a transition range:
-/// `gram = Σ x xᵀ` as a packed upper triangle and `cross = Σ x yᵀ`
-/// (row-major `width × p`), accumulated in ascending transition order.
+/// Normal equations over a set of transitions: `gram = Σ x xᵀ` as a
+/// packed upper triangle and `cross = Σ x yᵀ` (row-major `width × p`).
+/// A memoized block covers one transition range, each entry one chain
+/// from `+0.0` in ascending transition order; a fit's totals add its
+/// ranges' blocks in ascending order.
 #[derive(Debug, Clone)]
 pub struct GramBlock {
     /// Upper triangle of the symmetric `width × width` Gram
@@ -225,9 +231,59 @@ const BLOCK_BYTE_BUDGET: usize = 12 << 20;
 const DEFAULT_SLOT_BITS: u32 = 12;
 
 impl GramBlock {
+    /// The empty sums of `width` regressors and `p` targets.
+    pub(crate) fn zeros(width: usize, p: usize) -> Self {
+        GramBlock {
+            gram: vec![0.0; width * (width + 1) / 2],
+            cross: vec![0.0; width * p],
+            rows: 0,
+        }
+    }
+
     /// Bytes of `f64` storage the block holds.
     fn bytes(&self) -> usize {
         (self.gram.len() + self.cross.len()) * std::mem::size_of::<f64>()
+    }
+
+    /// Adds `block` entry by entry.
+    fn add(&mut self, block: &GramBlock) {
+        for (acc, v) in self.gram.iter_mut().zip(&block.gram) {
+            *acc += v;
+        }
+        for (acc, v) in self.cross.iter_mut().zip(&block.cross) {
+            *acc += v;
+        }
+        self.rows += block.rows;
+    }
+
+    /// Adds the rows `piece` folded, then restarts its chains
+    /// ([`RidgeNormalEquations::drain_into`]).
+    pub(crate) fn drain(&mut self, piece: &mut RidgeNormalEquations) -> Result<()> {
+        let rows = piece.rows();
+        piece.drain_into(&mut self.gram, &mut self.cross)?;
+        self.rows += rows;
+        Ok(())
+    }
+
+    /// Solves `(λI + G) Θᵀ = B` by Cholesky for the model of `spec`,
+    /// whose width and output count the sums must have: the packed
+    /// triangle is mirrored into the dense `λI + G` once.
+    pub(crate) fn solve(&self, spec: &ModelSpec, ridge: f64) -> Result<ThermalModel> {
+        let (width, p) = (spec.regressor_width(), spec.output_count());
+        let mut gram = Matrix::zeros(width, width);
+        let mut rest = self.gram.as_slice();
+        for i in 0..width {
+            let (row, tail) = rest.split_at(width - i);
+            gram.row_mut(i)[i..].copy_from_slice(row);
+            for (j, &v) in row.iter().enumerate().skip(1) {
+                gram[(i + j, i)] = v;
+            }
+            gram[(i, i)] += ridge;
+            rest = tail;
+        }
+        let cross = Matrix::from_vec(width, p, self.cross.clone())?;
+        let theta_t = CholeskyDecomposition::new(&gram)?.solve_matrix(&cross)?;
+        ThermalModel::new(spec.clone(), theta_t.transpose())
     }
 }
 
@@ -424,35 +480,8 @@ fn range_difference(new: &[(usize, usize)], old: &[(usize, usize)]) -> Option<Ve
     Some(out)
 }
 
-/// Entries of a packed upper triangle of a `width × width` matrix.
-fn packed_len(width: usize) -> usize {
-    width * (width + 1) / 2
-}
-
-/// Accumulates one transition into normal-equation storage:
-/// `cross += x yᵀ`, and `gram += x xᵀ` on the packed `j ≥ i` half.
-/// Entry `(j, i)` would have summed `x_j·x_i`, the same IEEE product as
-/// `x_i·x_j`, in the same order, so on finite rows the half mirrored
-/// ([`SweepEngine::symmetric_gram`]) equals full rank-1 accumulation
-/// bit for bit.
-fn accumulate(gram: &mut [f64], cross: &mut [f64], x: &[f64], y: &[f64]) {
-    let p = y.len();
-    let mut rest = gram;
-    for (i, &xi) in x.iter().enumerate() {
-        let (grow, tail) = rest.split_at_mut(x.len() - i);
-        for (g, &xj) in grow.iter_mut().zip(&x[i..]) {
-            *g += xi * xj;
-        }
-        rest = tail;
-        let crow = &mut cross[i * p..(i + 1) * p];
-        for (c, &yj) in crow.iter_mut().zip(y) {
-            *c += xi * yj;
-        }
-    }
-}
-
-/// The incremental fitting engine: accumulated normal equations plus
-/// a maintained Cholesky factor over a growing family of masks.
+/// The incremental fitting engine: normal equations summed over a
+/// growing family of masks.
 ///
 /// Feed it masks from smallest to largest ([`SweepEngine::fit_mask`]);
 /// each fit ingests only the transitions the previous mask did not
@@ -462,32 +491,20 @@ fn accumulate(gram: &mut [f64], cross: &mut [f64], x: &[f64], y: &[f64]) {
 pub(crate) struct SweepEngine<'a> {
     dataset: &'a Dataset,
     spec: &'a ModelSpec,
-    outputs: Vec<usize>,
-    inputs: Vec<usize>,
     /// Every spec channel, outputs then inputs: the channels whose
     /// joint presence bounds the transitions.
     channels: Vec<usize>,
     warmup: usize,
-    width: usize,
-    p: usize,
     ridge: f64,
-    dataset_fp: u64,
-    spec_fp: u64,
-    /// Accumulated `Σ x xᵀ`, packed upper triangle (as
-    /// [`GramBlock::gram`]).
-    gram: Vec<f64>,
-    /// Accumulated `Σ x yᵀ`, row-major `width × p`.
-    cross: Vec<f64>,
-    /// Cholesky factor of `λI + gram`, when current.
-    chol: Option<CholeskyDecomposition>,
-    /// Transition ranges already accumulated (sorted, disjoint).
+    /// Dataset and spec fingerprints of the cache keys, computed by the
+    /// first lookup in a cache that keeps blocks.
+    fingerprints: Option<(u64, u64)>,
+    /// The normal equations of every range ingested so far.
+    totals: GramBlock,
+    /// Transition ranges already ingested (sorted, disjoint).
     ingested: Vec<(usize, usize)>,
-    /// Scratch for the rank-1 Givens sweeps.
-    workspace: Vec<f64>,
-    /// Scratch regressor rows of the range being ingested.
-    row_x: Vec<f64>,
-    /// Scratch target rows, aligned with `row_x`.
-    row_y: Vec<f64>,
+    /// One range's rows, folded into a block of its own.
+    fold: RangeFold,
 }
 
 impl<'a> SweepEngine<'a> {
@@ -495,13 +512,11 @@ impl<'a> SweepEngine<'a> {
     ///
     /// # Errors
     ///
-    /// * [`SysidError::InvalidSpec`] for unknown channels or a
-    ///   non-positive/non-finite ridge (the incremental path solves
-    ///   the ridge normal equations; `ridge == 0` callers must use
-    ///   the QR path of [`crate::identify`]),
-    /// * propagated presence-mask failures.
+    /// * [`SysidError::InvalidSpec`] for `ridge == 0` (plain least
+    ///   squares takes the QR path of [`crate::identify_from_data`]) or
+    ///   unknown channels.
     pub fn new(dataset: &'a Dataset, spec: &'a ModelSpec, fit: &FitConfig) -> Result<Self> {
-        if !(fit.ridge.is_finite() && fit.ridge > 0.0) {
+        if fit.ridge == 0.0 {
             return Err(SysidError::InvalidSpec {
                 reason: "incremental sweep engine requires ridge > 0; \
                          use the QR full-refit path for plain least squares"
@@ -509,43 +524,27 @@ impl<'a> SweepEngine<'a> {
             });
         }
         let (outputs, inputs) = resolve_spec(dataset, spec)?;
-        let mut channels = outputs.clone();
-        channels.extend(&inputs);
-        let warmup = spec.order.warmup();
-        let width = spec.regressor_width();
-        let p = outputs.len();
-        let dataset_fp = fingerprint_dataset(dataset, &channels);
-        let spec_fp = fingerprint_spec(spec);
+        let channels = outputs.iter().chain(&inputs).copied().collect();
         Ok(SweepEngine {
             dataset,
             spec,
-            outputs,
-            inputs,
             channels,
-            warmup,
-            width,
-            p,
+            warmup: spec.order.warmup(),
             ridge: fit.ridge,
-            dataset_fp,
-            spec_fp,
-            gram: vec![0.0; packed_len(width)],
-            cross: vec![0.0; width * p],
-            chol: None,
+            fingerprints: None,
+            totals: GramBlock::zeros(spec.regressor_width(), spec.output_count()),
             ingested: Vec::new(),
-            workspace: Vec::with_capacity(width),
-            row_x: Vec::new(),
-            row_y: Vec::new(),
+            fold: RangeFold::new(outputs, inputs, spec.order)?,
         })
     }
 
     /// Discards all accumulated state. Also the sweep driver's
-    /// recovery hatch: after a failed `fit_mask` the accumulators may
-    /// hold a partial delta, so the next cell must re-ingest from
-    /// scratch.
+    /// recovery hatch: after a failed `fit_mask` the totals may hold a
+    /// partial delta, so the next cell must re-ingest from scratch.
     pub(crate) fn reset(&mut self) {
-        self.gram.fill(0.0);
-        self.cross.fill(0.0);
-        self.chol = None;
+        self.totals.gram.fill(0.0);
+        self.totals.cross.fill(0.0);
+        self.totals.rows = 0;
         self.ingested.clear();
     }
 
@@ -560,110 +559,44 @@ impl<'a> SweepEngine<'a> {
             .collect())
     }
 
-    /// Writes the regressor and target rows of transitions `[a, b)`
-    /// into the engine's scratch rows.
-    fn write_rows(&mut self, a: usize, b: usize) -> Result<()> {
-        let rows = b.saturating_sub(a);
-        self.row_x.resize(rows * self.width, 0.0);
-        self.row_y.resize(rows * self.p, 0.0);
-        write_transitions(
-            self.dataset,
-            &self.outputs,
-            &self.inputs,
-            self.spec.order,
-            (a, b),
-            (&mut self.row_x, &mut self.row_y),
-            &mut RunSlots::default(),
-        )
-    }
-
-    /// Ingests `[a, b)` row by row, rank-1-updating the live Cholesky
-    /// factor alongside the normal-equation accumulation.
-    fn ingest_rows_rank_one(&mut self, a: usize, b: usize) -> Result<()> {
-        self.write_rows(a, b)?;
-        let rows = self.row_x.chunks_exact(self.width);
-        for (x, y) in rows.zip(self.row_y.chunks_exact(self.p)) {
-            accumulate(&mut self.gram, &mut self.cross, x, y);
-            if let Some(chol) = self.chol.as_mut() {
-                chol.rank_one_update_with(x, &mut self.workspace)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Computes the memoizable block of `[a, b)` from scratch: the
-    /// packed half of `Σ x xᵀ`, row by row.
-    fn compute_block(&mut self, a: usize, b: usize) -> Result<GramBlock> {
-        self.write_rows(a, b)?;
-        let mut gram = vec![0.0; packed_len(self.width)];
-        let mut cross = vec![0.0; self.width * self.p];
-        let rows = self.row_x.chunks_exact(self.width);
-        for (x, y) in rows.zip(self.row_y.chunks_exact(self.p)) {
-            accumulate(&mut gram, &mut cross, x, y);
-        }
-        Ok(GramBlock {
-            gram,
-            cross,
-            rows: b - a,
-        })
-    }
-
-    /// Ingests `[a, b)` through the cache (hit or recompute+insert),
-    /// adding the block into the accumulated normal equations.
-    fn ingest_block(&mut self, a: usize, b: usize, cache: &mut GramCache) -> Result<()> {
-        let key = BlockKey {
-            namespace: cache.namespace(),
-            dataset: self.dataset_fp,
-            spec: self.spec_fp,
+    /// The cache key of transitions `[a, b)`.
+    fn key(&mut self, (a, b): (usize, usize), namespace: u64) -> BlockKey {
+        let (dataset, spec) = *self.fingerprints.get_or_insert_with(|| {
+            let dataset = fingerprint_dataset(self.dataset, &self.channels);
+            (dataset, fingerprint_spec(self.spec))
+        });
+        BlockKey {
+            namespace,
+            dataset,
+            spec,
             start: a as u64,
             end: b as u64,
-        };
-        match cache.get(&key) {
-            Some(bl) if bl.gram.len() == self.gram.len() && bl.cross.len() == self.cross.len() => {
-                self.add_block(bl);
-            }
-            _ => {
-                let bl = self.compute_block(a, b)?;
-                self.add_block(&bl);
-                cache.insert(key, bl);
-            }
         }
+    }
+
+    /// Adds the normal equations of transitions `[a, b)` into the
+    /// totals: the cached block on a hit, else the range folded afresh
+    /// and stored. A cache that keeps nothing misses without a key, and
+    /// the range then folds straight into the totals.
+    fn ingest(&mut self, range: (usize, usize), cache: &mut GramCache) -> Result<()> {
+        if cache.capacity == 0 {
+            cache.stats.misses += 1;
+            return self.fold.add_run(self.dataset, range, &mut self.totals);
+        }
+        let key = self.key(range, cache.namespace());
+        let shape = (self.totals.gram.len(), self.totals.cross.len());
+        if let Some(block) = cache
+            .get(&key)
+            .filter(|bl| (bl.gram.len(), bl.cross.len()) == shape)
+        {
+            self.totals.add(block);
+            return Ok(());
+        }
+        let mut block = GramBlock::zeros(self.spec.regressor_width(), self.spec.output_count());
+        self.fold.add_run(self.dataset, range, &mut block)?;
+        self.totals.add(&block);
+        cache.insert(key, block);
         Ok(())
-    }
-
-    /// Adds a block into the accumulated normal equations.
-    fn add_block(&mut self, block: &GramBlock) {
-        for (acc, v) in self.gram.iter_mut().zip(&block.gram) {
-            *acc += v;
-        }
-        for (acc, v) in self.cross.iter_mut().zip(&block.cross) {
-            *acc += v;
-        }
-    }
-
-    /// The accumulated `Σ x xᵀ` as a dense symmetric matrix: each
-    /// packed row fills its upper row and is mirrored down its column.
-    fn symmetric_gram(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.width, self.width);
-        let mut rest = self.gram.as_slice();
-        for i in 0..self.width {
-            let (row, tail) = rest.split_at(self.width - i);
-            m.row_mut(i)[i..].copy_from_slice(row);
-            for (j, &v) in row.iter().enumerate().skip(1) {
-                m[(i + j, i)] = v;
-            }
-            rest = tail;
-        }
-        m
-    }
-
-    /// `λI + gram` as a dense matrix, ready to factor.
-    fn regularized_gram(&self) -> Matrix {
-        let mut m = self.symmetric_gram();
-        for i in 0..self.width {
-            m[(i, i)] += self.ridge;
-        }
-        m
     }
 
     /// Fits the model for `mask`, reusing everything already ingested
@@ -672,17 +605,30 @@ impl<'a> SweepEngine<'a> {
     ///
     /// # Errors
     ///
+    /// In the order of [`crate::identify`]:
+    ///
     /// * [`SysidError::InsufficientData`] when the mask admits fewer
     ///   transitions than regressor columns,
+    /// * a negative or non-finite ridge (`InvalidData`), a non-finite
+    ///   regressor or target (`NonFinite`),
     /// * propagated numerical failures of the Cholesky factor/solve.
     pub fn fit_mask(&mut self, mask: &Mask, cache: &mut GramCache) -> Result<ThermalModel> {
         let ranges = self.transition_ranges(mask)?;
         let total: usize = ranges.iter().map(|&(a, b)| b - a).sum();
-        if total < self.width {
+        let width = self.spec.regressor_width();
+        if total < width {
             return Err(SysidError::InsufficientData {
                 available: total,
-                required: self.width,
+                required: width,
             });
+        }
+        // Where the stacked route's `RidgeNormalEquations::new` checks
+        // it: after the data, before any row.
+        if !(self.ridge.is_finite() && self.ridge >= 0.0) {
+            return Err(LinalgError::InvalidData {
+                reason: "ridge parameter must be finite and non-negative",
+            }
+            .into());
         }
         let delta = match range_difference(&ranges, &self.ingested) {
             Some(d) => d,
@@ -691,48 +637,24 @@ impl<'a> SweepEngine<'a> {
                 ranges.clone()
             }
         };
-        let delta_rows: usize = delta.iter().map(|&(a, b)| b - a).sum();
-        if delta_rows > 0 {
-            if self.chol.is_some() && delta_rows <= self.width {
-                // Small growth: cheaper to rotate the new rows into
-                // the existing factor than to refactor O(width³).
-                for &(a, b) in &delta {
-                    self.ingest_rows_rank_one(a, b)?;
-                }
-            } else {
-                self.chol = None;
-                for &(a, b) in &delta {
-                    self.ingest_block(a, b, cache)?;
-                }
-            }
+        for &range in &delta {
+            self.ingest(range, cache)?;
         }
         self.ingested = ranges;
-        if self.chol.is_none() {
-            self.chol = Some(CholeskyDecomposition::new(&self.regularized_gram())?);
-        }
-        let chol = self.chol.as_ref().ok_or(SysidError::Internal {
-            context: "cholesky factor missing after refactor",
-        })?;
-        let mut b = Matrix::zeros(self.width, self.p);
-        for i in 0..self.width {
-            b.row_mut(i)
-                .copy_from_slice(&self.cross[i * self.p..(i + 1) * self.p]);
-        }
-        let theta_t = chol.solve_matrix(&b)?;
-        ThermalModel::new(self.spec.clone(), theta_t.transpose())
+        self.totals.solve(self.spec, self.ridge)
     }
 }
 
-/// [`crate::identify`] through the incremental engine and a caller's
-/// [`GramCache`]: same model family, with per-range blocks memoized
-/// for reuse across calls over the same dataset and spec.
+/// [`crate::identify`] over a caller's [`GramCache`]: the same
+/// arithmetic, with each gap-free range's block memoized for later fits
+/// over the same dataset and spec.
 ///
-/// Falls back to the plain [`crate::identify`] QR path when
-/// `fit.ridge == 0` (see the module docs for the fallback rule).
+/// `fit.ridge == 0` solves the [`assemble`]d rows by QR instead
+/// ([`identify_from_data`]).
 ///
 /// # Errors
 ///
-/// Same conditions as [`crate::identify`].
+/// Same conditions, in the same order, as [`crate::identify`].
 pub fn identify_with_cache(
     dataset: &Dataset,
     spec: &ModelSpec,
@@ -741,7 +663,7 @@ pub fn identify_with_cache(
     cache: &mut GramCache,
 ) -> Result<ThermalModel> {
     if fit.ridge == 0.0 {
-        return crate::identify(dataset, spec, mask, fit);
+        return identify_from_data(spec, &assemble(dataset, spec, mask)?, fit);
     }
     SweepEngine::new(dataset, spec, fit)?.fit_mask(mask, cache)
 }
@@ -789,10 +711,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The engine's transition ranges, memoizable blocks and
-        /// row-by-row ingest match the reference rows bit for bit: each
-        /// packed block is the upper triangle of the reference's full
-        /// block, and the Gram the engine factors is the full one.
+        /// The engine's transition ranges, and the block of each range
+        /// folded through the 128-row panel, match the reference rows
+        /// bit for bit: each packed block is the upper triangle of the
+        /// reference's full block, the totals are those blocks added in
+        /// range order, and the solve factors their mirrored sum.
         #[test]
         fn engine_blocks_match_reference(
             shape in (1usize..=3, 1usize..=2, 12usize..90),
@@ -817,40 +740,37 @@ mod tests {
             let upper = |full: &[f64]| -> Vec<u64> {
                 (0..w).flat_map(|i| reference::bits(&full[i * w + i..(i + 1) * w])).collect()
             };
-            let dense = |m: &Matrix| -> Vec<u64> {
-                (0..w).flat_map(|i| reference::bits(&m.row(i)[..w])).collect()
-            };
             let (mut gram, mut cross) = (vec![0.0; w * w], vec![0.0; w * p]);
-            // A second engine adds each range's block, as the cache path
-            // does; the reference adds the full blocks entry by entry.
-            let mut summed = SweepEngine::new(&dataset, &spec, &FitConfig::default()).unwrap();
-            let mut block_sum = vec![0.0; w * w];
             for &(a, b) in &ranges {
-                let block = engine.compute_block(a, b).unwrap();
-                summed.ingest_block(a, b, &mut GramCache::disabled()).unwrap();
-                prop_assert_eq!(block.gram.len(), w * (w + 1) / 2);
+                let mut block = GramBlock::zeros(w, p);
+                engine.fold.add_run(&dataset, (a, b), &mut block).unwrap();
+                engine.ingest((a, b), &mut GramCache::disabled()).unwrap();
                 let (mut g, mut c) = (vec![0.0; w * w], vec![0.0; w * p]);
                 reference::accumulate_rows(&dataset, &spec, (a, b), &mut g, &mut c).unwrap();
-                for (acc, v) in block_sum.iter_mut().zip(&g) {
-                    *acc += v;
-                }
+                prop_assert_eq!(block.rows, b - a);
                 prop_assert_eq!(reference::bits(&block.gram), upper(&g));
                 prop_assert_eq!(reference::bits(&block.cross), reference::bits(&c));
-                // The same against the full rank-1 block over the same
-                // written rows.
-                let (full_g, full_c) = reference::full_block(&engine.row_x, &engine.row_y, w, p);
-                prop_assert_eq!(reference::bits(&block.gram), upper(&full_g));
-                prop_assert_eq!(reference::bits(&block.cross), reference::bits(&full_c));
-                reference::accumulate_rows(&dataset, &spec, (a, b), &mut gram, &mut cross)
-                    .unwrap();
-                engine.ingest_rows_rank_one(a, b).unwrap();
-                // The factor-ready Gram is the full reference, both
-                // triangles, bit for bit.
-                prop_assert_eq!(dense(&engine.symmetric_gram()), reference::bits(&gram));
-                prop_assert_eq!(dense(&summed.symmetric_gram()), reference::bits(&block_sum));
+                for (acc, v) in gram.iter_mut().zip(&g).chain(cross.iter_mut().zip(&c)) {
+                    *acc += v;
+                }
+                prop_assert_eq!(reference::bits(&engine.totals.gram), upper(&gram));
+                prop_assert_eq!(reference::bits(&engine.totals.cross), reference::bits(&cross));
             }
-            prop_assert_eq!(reference::bits(&engine.gram), upper(&gram));
-            prop_assert_eq!(reference::bits(&engine.cross), reference::bits(&cross));
+            // The factored Gram is the full reference sum, both triangles.
+            let ridge = FitConfig::default().ridge;
+            let mut dense = Matrix::from_vec(w, w, gram).unwrap();
+            for i in 0..w {
+                dense[(i, i)] += ridge;
+            }
+            let cross = Matrix::from_vec(w, p, cross).unwrap();
+            let want = CholeskyDecomposition::new(&dense).and_then(|c| c.solve_matrix(&cross));
+            match (engine.totals.solve(&spec, ridge), want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(
+                    reference::bits(got.coefficients().as_slice()),
+                    reference::bits(want.transpose().as_slice())
+                ),
+                (got, want) => prop_assert_eq!(got.err(), want.err().map(SysidError::from)),
+            }
         }
     }
 
@@ -1103,10 +1023,9 @@ mod tests {
             .map(|m| bits(&engine.fit_mask(m, &mut cache).unwrap()))
             .collect();
         // Each cell of the chain must equal a fresh engine fitting
-        // that mask alone — the increments add up to the whole.
-        // Bitwise equality holds only for the refactored cells (the
-        // rank-1 chain is mathematically, not bitwise, the same), so
-        // compare values at solver tolerance here...
+        // that mask alone — the increments add up to the whole. A
+        // chained cell adds its blocks in ingest order, not in range
+        // order, so compare values at solver tolerance here...
         for (i, mask) in masks.iter().enumerate() {
             let fresh = SweepEngine::new(&ds, &spec, &fit)
                 .unwrap()

@@ -1,17 +1,21 @@
 //! Model fitting: the least-squares solve behind the paper's Eq. (4).
 //!
 //! The original work solved the convex objective with CVX + SeDuMi;
-//! here the (identical) global optimum is reached directly with a
-//! Householder-QR least-squares solve, optionally ridge-regularised
-//! for the short-training-horizon regimes of the Fig. 5 sweep.
+//! here the (identical) global optimum is reached directly. A fit with
+//! a ridge (the default, `1e-6`, for the short-training-horizon regimes
+//! of the Fig. 5 sweep) sums the normal equations of the trace's
+//! gap-free pieces, one per piece as Problem (4) sums them, and solves
+//! them by Cholesky; plain least squares solves the stacked rows by
+//! Householder QR.
 
 use serde::{Deserialize, Serialize};
 
-use thermal_linalg::lstsq;
+use thermal_linalg::lstsq::{self, RidgeNormalEquations};
 use thermal_timeseries::{Dataset, Mask};
 
-use crate::regressors::{assemble, fold_transitions, RegressionData};
-use crate::{ModelSpec, Result, ThermalModel};
+use crate::cache::GramBlock;
+use crate::regressors::RegressionData;
+use crate::{identify_with_cache, GramCache, ModelSpec, Result, SysidError, ThermalModel};
 
 /// Fitting configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,21 +49,21 @@ impl FitConfig {
 /// Identifies a thermal model on the masked portion of a dataset.
 ///
 /// This is the paper's three-ingredient recipe in one call: segment
-/// the trace (Eq. 4's intervals), stack the regressors, solve the
+/// the trace (Eq. 4's intervals), write the regressors, solve the
 /// least squares.
 ///
-/// With `ridge > 0` the regressors are never stacked: each transition's
-/// row is written through
+/// With `ridge > 0` this is [`identify_with_cache`] over
+/// [`GramCache::disabled`]: the regressors are never stacked. Each
+/// gap-free range of transitions is written through
 /// [`write_regressor`](crate::regressors::write_regressor) into one
-/// reused panel of at most 128 rows, and each panel is folded into the
-/// ridge normal equations
-/// ([`RidgeNormalEquations`](thermal_linalg::lstsq::RidgeNormalEquations))
-/// on the calling thread. Every chain of `XᵀX` and `XᵀY` runs over the
-/// rows in [`assemble`]'s order, so the coefficients equal
-/// [`identify_from_data`] on [`assemble`]'s output bit for bit, and
-/// nothing allocated grows with the number of transitions. With
-/// `ridge == 0` the stacked design matrix is assembled and solved by
-/// QR.
+/// reused panel of at most 128 rows and folded into normal equations
+/// of its own, each entry one chain from `+0.0`; the ranges' sums are
+/// added in ascending order and `λI + XᵀX` is solved by Cholesky.
+/// Nothing allocated grows with the number of transitions, and the
+/// coefficients equal [`identify_with_cache`] in any cache
+/// state and [`identify_from_data`] on [`assemble`](crate::regressors::assemble)'s
+/// output bit for bit. With `ridge == 0` the stacked design matrix is
+/// assembled and solved by QR.
 ///
 /// # Errors
 ///
@@ -108,29 +112,68 @@ pub fn identify(
     mask: &Mask,
     config: &FitConfig,
 ) -> Result<ThermalModel> {
-    if config.ridge == 0.0 {
-        let data = assemble(dataset, spec, mask)?;
-        return identify_from_data(spec, &data, config);
-    }
-    let theta_t = fold_transitions(dataset, spec, mask, config.ridge)?.solve()?;
-    ThermalModel::new(spec.clone(), theta_t.transpose())
+    identify_with_cache(dataset, spec, mask, config, &mut GramCache::disabled())
 }
 
 /// Fits a model from an already-assembled regression problem (useful
 /// when the same `(X, Y)` feeds several solver configurations).
 ///
+/// With `ridge > 0` the rows of each of `data.segments`, in order, fold
+/// into normal equations of their own and the segments' sums are added
+/// as [`identify`] adds its ranges', so on [`assemble`](crate::regressors::assemble)'s
+/// output the two agree bit for bit. With `ridge == 0` the stacked
+/// rows are solved by QR.
+///
 /// # Errors
 ///
-/// Same numerical conditions as [`identify`].
+/// Same numerical conditions as [`identify`], and
+/// [`SysidError::DimensionMismatch`] when the columns of `data` do not
+/// match `spec` or, with a ridge, its segments do not add up to its
+/// rows.
 pub fn identify_from_data(
     spec: &ModelSpec,
     data: &RegressionData,
     config: &FitConfig,
 ) -> Result<ThermalModel> {
-    // Solve min ||X Θᵀ − Y||: coefficient layout is Θ (p × width), the
-    // solver returns width × p.
-    let theta_t = lstsq::solve_ridge_matrix(&data.x, &data.y, config.ridge)?;
-    ThermalModel::new(spec.clone(), theta_t.transpose())
+    let (x, y) = (&data.x, &data.y);
+    if config.ridge == 0.0 {
+        // Solve min ||X Θᵀ − Y||: coefficient layout is Θ (p × width),
+        // the solver returns width × p.
+        let theta_t = lstsq::solve_matrix(x, y)?;
+        return ThermalModel::new(spec.clone(), theta_t.transpose());
+    }
+    let (width, p) = (spec.regressor_width(), spec.output_count());
+    let mut piece = RidgeNormalEquations::new(width, p, config.ridge)?;
+    let warmup = spec.order.warmup();
+    let rows: usize = data
+        .segments
+        .iter()
+        .map(|s| s.transition_count(warmup))
+        .sum();
+    let shapes = [
+        ("regressor columns", width, x.cols()),
+        ("target columns", p, y.cols()),
+        ("regressor rows of the segments", rows, x.rows()),
+        ("target rows of the segments", rows, y.rows()),
+    ];
+    if let Some(&(what, expected, actual)) = shapes.iter().find(|(_, want, got)| want != got) {
+        return Err(SysidError::DimensionMismatch {
+            what,
+            expected,
+            actual,
+        });
+    }
+    let mut sums = GramBlock::zeros(width, p);
+    let (mut x, mut y) = (x.as_slice(), y.as_slice());
+    for segment in &data.segments {
+        let n = segment.transition_count(warmup);
+        let (xs, x_rest) = x.split_at(n * width);
+        let (ys, y_rest) = y.split_at(n * p);
+        (x, y) = (x_rest, y_rest);
+        piece.fold(xs, ys)?;
+        sums.drain(&mut piece)?;
+    }
+    sums.solve(spec, config.ridge)
 }
 
 #[cfg(test)]
@@ -274,6 +317,31 @@ mod tests {
         // The two collinear coefficients share the true effect.
         let c = model.coefficients();
         assert!((c[(0, 1)] + c[(0, 2)] - 1.0).abs() < 1e-3);
+    }
+
+    /// With a ridge, segments that do not add up to the stacked rows are
+    /// a typed error, not a panic; plain least squares never reads them.
+    #[test]
+    fn ridge_fit_from_data_needs_segments_that_cover_the_rows() {
+        let (ds, _) = synth_first_order(120, Some(60));
+        let spec = ModelSpec::new(
+            vec!["t0".into(), "t1".into()],
+            vec!["u".into()],
+            ModelOrder::First,
+        )
+        .unwrap();
+        let mut data = crate::regressors::assemble(&ds, &spec, &Mask::all(ds.grid())).unwrap();
+        let fit = FitConfig::default();
+        assert!(identify_from_data(&spec, &data, &fit).is_ok());
+        data.segments.pop();
+        assert!(matches!(
+            identify_from_data(&spec, &data, &fit),
+            Err(SysidError::DimensionMismatch {
+                what: "regressor rows of the segments",
+                ..
+            })
+        ));
+        assert!(identify_from_data(&spec, &data, &FitConfig::plain()).is_ok());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! kept as a test-only oracle: per-slot gathers into fresh `Vec`s,
 //! regressor rows built by pushing, a slot-major presence walk and
 //! matrix extraction, and an open-loop rollout that allocates its
-//! prediction every step. Two later forms are kept beside them: the
-//! sweep block accumulated as full rank-1 updates, and the rollout whose
-//! every step is one [`Matrix::matvec_into`].
+//! prediction every step. A later form is kept beside them: the rollout
+//! whose every step is one [`Matrix::matvec_into`].
 //!
 //! The production path must match it bit for bit: the proptests below
 //! (and the engine proptest in `cache.rs`) compare `to_bits` on random
@@ -137,29 +136,6 @@ pub(crate) fn accumulate_rows(
         }
     }
     Ok(())
-}
-
-/// The sweep engine's block over written rows as full rank-1 updates:
-/// `gram += x xᵀ` on every entry and `cross += x yᵀ`, row by row.
-pub(crate) fn full_block(
-    row_x: &[f64],
-    row_y: &[f64],
-    width: usize,
-    p: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut gram = vec![0.0; width * width];
-    let mut cross = vec![0.0; width * p];
-    for (x, y) in row_x.chunks_exact(width).zip(row_y.chunks_exact(p)) {
-        for (i, &xi) in x.iter().enumerate() {
-            for (g, &xj) in gram[i * width..(i + 1) * width].iter_mut().zip(x) {
-                *g += xi * xj;
-            }
-            for (c, &yj) in cross[i * p..(i + 1) * p].iter_mut().zip(y) {
-                *c += xi * yj;
-            }
-        }
-    }
-    (gram, cross)
 }
 
 /// Open-loop rollout whose every step is `predict_next_into`, i.e. one

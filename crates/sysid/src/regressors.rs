@@ -9,16 +9,17 @@
 //! the objective *piece-wise*. [`write_regressor`] is the only place
 //! that layout is written down.
 //!
-//! [`assemble`] stacks every row into one `(X, Y)` pair;
-//! `fold_transitions` (behind [`crate::identify`] with a ridge) writes
-//! the same rows, in the same order, into one reused panel of at most
-//! 128 rows and folds each full panel into ridge normal equations, so
-//! nothing it allocates grows with the number of transitions.
+//! [`assemble`] stacks every row into one `(X, Y)` pair; a ridge fit
+//! ([`crate::identify`]) never stacks them: `RangeFold` writes one
+//! segment's rows at a time into one reused panel of at most 128 rows
+//! and sums each segment's normal equations, so nothing it allocates
+//! grows with the number of transitions.
 
 use thermal_linalg::lstsq::RidgeNormalEquations;
 use thermal_linalg::Matrix;
 use thermal_timeseries::{Dataset, Mask, Segment};
 
+use crate::cache::GramBlock;
 use crate::{ModelOrder, ModelSpec, Result, SysidError};
 
 /// The assembled regression problem.
@@ -187,48 +188,6 @@ pub(crate) fn write_transitions(
     Ok(())
 }
 
-/// The usable segments of `mask` and the transitions they hold, for a
-/// spec whose channels resolve to `outputs` and `inputs`.
-struct Plan {
-    outputs: Vec<usize>,
-    inputs: Vec<usize>,
-    segments: Vec<Segment>,
-    /// Transitions over all segments: the rows of `X`.
-    total: usize,
-}
-
-impl Plan {
-    /// # Errors
-    ///
-    /// * [`SysidError::InvalidSpec`] for unknown channels,
-    /// * [`SysidError::InsufficientData`] when fewer transitions than
-    ///   regressor columns are available.
-    fn new(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<Self> {
-        let (outputs, inputs) = resolve_spec(dataset, spec)?;
-        let segments = usable_segments(dataset, spec, mask)?;
-        let warmup = spec.order.warmup();
-        let total: usize = segments.iter().map(|s| s.transition_count(warmup)).sum();
-        let width = spec.regressor_width();
-        if total < width {
-            return Err(SysidError::InsufficientData {
-                available: total,
-                required: width,
-            });
-        }
-        Ok(Plan {
-            outputs,
-            inputs,
-            segments,
-            total,
-        })
-    }
-
-    /// The transitions `k ∈ [a, b)` of `segment`.
-    fn run(segment: Segment, order: ModelOrder) -> (usize, usize) {
-        (segment.start + order.warmup() - 1, segment.end - 1)
-    }
-}
-
 /// Assembles the stacked regression problem over the usable segments
 /// of `mask`.
 ///
@@ -239,14 +198,17 @@ impl Plan {
 ///   regressor columns are available (the LS problem would be
 ///   under-determined).
 pub fn assemble(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<RegressionData> {
-    let Plan {
-        outputs,
-        inputs,
-        segments,
-        total,
-    } = Plan::new(dataset, spec, mask)?;
+    let (outputs, inputs) = resolve_spec(dataset, spec)?;
+    let segments = usable_segments(dataset, spec, mask)?;
     let warmup = spec.order.warmup();
     let width = spec.regressor_width();
+    let total: usize = segments.iter().map(|s| s.transition_count(warmup)).sum();
+    if total < width {
+        return Err(SysidError::InsufficientData {
+            available: total,
+            required: width,
+        });
+    }
     let p = outputs.len();
     let mut x = vec![0.0_f64; total * width];
     let mut y = vec![0.0_f64; total * p];
@@ -265,7 +227,8 @@ pub fn assemble(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<Regr
     }
     thermal_par::parallel_chunks_mut(&mut blocks, 1, |_, chunk| {
         for (seg, xb, yb, status) in chunk {
-            let run = Plan::run(*seg, spec.order);
+            // The transitions `k ∈ [a, b)` of the segment.
+            let run = (seg.start + warmup - 1, seg.end - 1);
             let mut slots = RunSlots::default();
             *status = write_transitions(
                 dataset,
@@ -289,72 +252,90 @@ pub fn assemble(dataset: &Dataset, spec: &ModelSpec, mask: &Mask) -> Result<Regr
     })
 }
 
-/// Regressor rows per panel of [`fold_transitions`].
+/// Regressor rows per panel of a [`RangeFold`].
 const PANEL_ROWS: usize = 128;
 
-/// The ridge normal equations of the stacked problem [`assemble`]
-/// would build, without building it: the transitions of every usable
-/// segment, in [`assemble`]'s row order, are written through
-/// [`write_regressor`] into one reused panel of at most
-/// [`PANEL_ROWS`] rows (a panel may span segments), and each full
-/// panel is folded into a [`RidgeNormalEquations`] on the calling
-/// thread. Every normal-equation chain therefore runs over the same
-/// rows in the same order as [`RidgeNormalEquations::fold`] of the
-/// stacked `(X, Y)`, and solves to the same bits.
-///
-/// What it allocates (the panel, the slot buffers, the normal
-/// equations) is sized by the regressor width, never by the number of
-/// transitions.
-///
-/// # Errors
-///
-/// In order: [`SysidError::InvalidSpec`] for unknown channels,
-/// [`SysidError::InsufficientData`] as [`assemble`], an invalid `ridge`
-/// (`InvalidData`), a non-finite regressor or target (`NonFinite`).
-pub(crate) fn fold_transitions(
-    dataset: &Dataset,
-    spec: &ModelSpec,
-    mask: &Mask,
-    ridge: f64,
-) -> Result<RidgeNormalEquations> {
-    let plan = Plan::new(dataset, spec, mask)?;
-    let width = spec.regressor_width();
-    let p = plan.outputs.len();
-    let mut normal = RidgeNormalEquations::new(width, p, ridge)?;
-    let capacity = PANEL_ROWS.min(plan.total);
-    let mut slots = RunSlots::for_runs(capacity, spec.order, p, plan.inputs.len());
-    let mut x = vec![0.0_f64; capacity * width];
-    let mut y = vec![0.0_f64; capacity * p];
-    let mut filled = 0;
-    for segment in &plan.segments {
-        let (mut a, end) = Plan::run(*segment, spec.order);
-        while a < end {
-            let rows = (end - a).min(capacity - filled);
-            let (_, x_free) = x.split_at_mut(filled * width);
-            let (_, y_free) = y.split_at_mut(filled * p);
-            let (xs, _) = x_free.split_at_mut(rows * width);
-            let (ys, _) = y_free.split_at_mut(rows * p);
-            let run = (a, a + rows);
+/// The normal equations of one gap-free run of transitions at a time,
+/// the pieces of Problem (4)'s sum: the run's rows go through
+/// [`write_transitions`] into one reused panel of at most
+/// [`PANEL_ROWS`] rows, and each panel folds into chains that start
+/// from `+0.0` at the run's first row ([`RidgeNormalEquations`]).
+/// Nothing it holds grows with the run.
+#[derive(Debug)]
+pub(crate) struct RangeFold {
+    outputs: Vec<usize>,
+    inputs: Vec<usize>,
+    order: ModelOrder,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    slots: RunSlots,
+    piece: RidgeNormalEquations,
+}
+
+impl RangeFold {
+    /// A fold for runs of a spec whose channels resolve to `outputs`
+    /// and `inputs`.
+    pub(crate) fn new(outputs: Vec<usize>, inputs: Vec<usize>, order: ModelOrder) -> Result<Self> {
+        let (p, m) = (outputs.len(), inputs.len());
+        let width = order.state_blocks() * p + m;
+        Ok(RangeFold {
+            x: vec![0.0; PANEL_ROWS * width],
+            y: vec![0.0; PANEL_ROWS * p],
+            slots: RunSlots::for_runs(PANEL_ROWS, order, p, m),
+            piece: RidgeNormalEquations::new(width, p, 0.0)?,
+            outputs,
+            inputs,
+            order,
+        })
+    }
+
+    /// Adds the normal equations of transitions `[a, b)` of one gap-free
+    /// run into `sums`.
+    ///
+    /// The chains are drained into `sums` even when a row fails, so the
+    /// next run starts from `+0.0`; `sums` then holds part of this run,
+    /// and the caller discards it.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_transitions`], plus a non-finite regressor or target
+    /// (`NonFinite`).
+    pub(crate) fn add_run(
+        &mut self,
+        dataset: &Dataset,
+        (a, b): (usize, usize),
+        sums: &mut GramBlock,
+    ) -> Result<()> {
+        let folded = self.fold_run(dataset, (a, b));
+        sums.drain(&mut self.piece)?;
+        folded
+    }
+
+    /// Folds the run's rows into the piece, one panel at a time.
+    fn fold_run(&mut self, dataset: &Dataset, (a, b): (usize, usize)) -> Result<()> {
+        let p = self.outputs.len();
+        let width = self.order.state_blocks() * p + self.inputs.len();
+        let mut start = a;
+        while start < b {
+            let rows = (b - start).min(PANEL_ROWS);
+            let (x, _) = self.x.split_at_mut(rows * width);
+            let (y, _) = self.y.split_at_mut(rows * p);
+            let run = (start, start + rows);
+            let (outputs, inputs) = (&self.outputs, &self.inputs);
             write_transitions(
                 dataset,
-                &plan.outputs,
-                &plan.inputs,
-                spec.order,
+                outputs,
+                inputs,
+                self.order,
                 run,
-                (xs, ys),
-                &mut slots,
+                (x, y),
+                &mut self.slots,
             )?;
-            (a, filled) = (a + rows, filled + rows);
-            if filled == capacity {
-                normal.fold(&x, &y)?;
-                filled = 0;
-            }
+            self.piece.fold(x, y)?;
+            start += rows;
         }
+        Ok(())
     }
-    let (xs, _) = x.split_at(filled * width);
-    let (ys, _) = y.split_at(filled * p);
-    normal.fold(xs, ys)?;
-    Ok(normal)
 }
 
 #[cfg(test)]

@@ -1,17 +1,19 @@
 //! The batch identification path's allocation budget (see DESIGN.md
 //! § allocation budget): `assemble`, `predict_segment` and `simulate`
 //! may allocate per call and per gap-free segment, never per sample,
-//! row or step, `identify` with a ridge also never allocates anything
-//! that grows with its transitions, and validation (`evaluate`)
-//! allocates per call only. A counting global allocator wraps
-//! `System`, and the single test in this file asserts each call
-//! allocates exactly as often over one 500-sample segment as over one
-//! 50-sample segment, that a ridge `identify` makes the same largest
-//! allocation over one 500-slot segment, one 5,000-slot segment and ten
-//! 50-slot segments of one 5,000-slot trace, as often over the first
-//! two and at most once more per added segment over the third, and that
-//! `evaluate` allocates exactly as often over ten 50-slot segments as
-//! over one 500-slot segment.
+//! row or step, `identify` with a ridge and `identify_with_cache` also
+//! never allocate anything that grows with their transitions, and
+//! validation (`evaluate`) allocates per call only. A counting global
+//! allocator wraps `System`, and the single test in this file asserts
+//! each call allocates exactly as often over one 500-sample segment as
+//! over one 50-sample segment, that a ridge `identify`, and
+//! `identify_with_cache` over a disabled and over a fresh default
+//! cache, make the same largest allocation over one 500-slot segment,
+//! one 5,000-slot segment and ten 50-slot segments of one 5,000-slot
+//! trace, and that `identify` and the disabled cache allocate as often
+//! over the first two and at most once more per added segment over the
+//! third, and that `evaluate` allocates exactly as often over ten
+//! 50-slot segments as over one 500-slot segment.
 //!
 //! This file must stay a one-test binary: a second test running on a
 //! sibling thread would allocate concurrently and poison the counter.
@@ -28,7 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use thermal_linalg::Matrix;
 use thermal_sysid::regressors::assemble;
 use thermal_sysid::{
-    evaluate, identify, predict_segment, EvalConfig, FitConfig, ModelOrder, ModelSpec, ThermalModel,
+    evaluate, identify, identify_with_cache, predict_segment, EvalConfig, FitConfig, GramCache,
+    ModelOrder, ModelSpec, ThermalModel,
 };
 use thermal_timeseries::{Channel, Dataset, Mask, Segment, TimeGrid, Timestamp};
 
@@ -139,11 +142,14 @@ fn runs(n: usize, runs: usize, len: usize) -> Mask {
     )
 }
 
-/// `identify` with a ridge over one 5,000-slot trace: the largest
-/// allocation stays put whether the mask selects one 500-slot segment,
-/// one 5,000-slot segment or ten 50-slot segments; the count does too
-/// over the first two (nothing per row or per 128-row panel) and grows
-/// by at most one per added segment over the third.
+/// A ridge fit over one 5,000-slot trace, through `identify`, and
+/// through `identify_with_cache` over a disabled and over a fresh
+/// default cache: the largest allocation stays put whether the mask
+/// selects one 500-slot segment, one 5,000-slot segment or ten 50-slot
+/// segments. Without a cache the count does too over the first two
+/// (nothing per row or per 128-row panel) and grows by at most one per
+/// added segment over the third; a default cache adds each range's
+/// block to it.
 fn ridge_identify_allocations_do_not_grow_with_transitions(order: ModelOrder) {
     let n = 5_000;
     let ds = dataset(n);
@@ -151,32 +157,50 @@ fn ridge_identify_allocations_do_not_grow_with_transitions(order: ModelOrder) {
     let config = FitConfig::default();
     let masks = [runs(n, 1, 500), Mask::all(ds.grid()), runs(n, 10, 50)];
     identify(&ds, &spec, &masks[0], &config).unwrap();
-    let spent: Vec<(u64, u64)> = masks
-        .iter()
-        .map(|mask| {
-            spend(|| {
-                let model = identify(&ds, &spec, mask, &config).unwrap();
-                assert_eq!(model.coefficients().shape(), (2, spec.regressor_width()));
+    // Each route, and whether its cache stores a block per range.
+    let routes = [
+        ("identify", false),
+        ("identify_with_cache, disabled", false),
+        ("identify_with_cache, default", true),
+    ];
+    for (route, stores_blocks) in routes {
+        let fit = |mask: &Mask| match route {
+            "identify" => identify(&ds, &spec, mask, &config),
+            _ if stores_blocks => {
+                identify_with_cache(&ds, &spec, mask, &config, &mut GramCache::new())
+            }
+            _ => identify_with_cache(&ds, &spec, mask, &config, &mut GramCache::disabled()),
+        };
+        let spent: Vec<(u64, u64)> = masks
+            .iter()
+            .map(|mask| {
+                spend(|| {
+                    let model = fit(mask).unwrap();
+                    assert_eq!(model.coefficients().shape(), (2, spec.regressor_width()));
+                })
             })
-        })
-        .collect();
-    let [one, long, ten] = [spent[0], spent[1], spent[2]];
-    assert_eq!(
-        (one.1, ten.1),
-        (long.1, long.1),
-        "{order}: ridge identify's largest allocation (bytes) over one 500-slot, one \
-         5,000-slot and ten 50-slot segments"
-    );
-    assert_eq!(
-        one.0, long.0,
-        "{order}: ridge identify allocations over one 500-slot vs one 5,000-slot segment"
-    );
-    assert!(
-        ten.0 <= one.0 + 9,
-        "{order}: ridge identify allocations over ten 50-slot segments ({}) vs one ({})",
-        ten.0,
-        one.0
-    );
+            .collect();
+        let [one, long, ten] = [spent[0], spent[1], spent[2]];
+        assert_eq!(
+            (one.1, ten.1),
+            (long.1, long.1),
+            "{order}, {route}: largest allocation (bytes) over one 500-slot, one 5,000-slot \
+             and ten 50-slot segments"
+        );
+        if stores_blocks {
+            continue;
+        }
+        assert_eq!(
+            one.0, long.0,
+            "{order}, {route}: allocations over one 500-slot vs one 5,000-slot segment"
+        );
+        assert!(
+            ten.0 <= one.0 + 9,
+            "{order}, {route}: allocations over ten 50-slot segments ({}) vs one ({})",
+            ten.0,
+            one.0
+        );
+    }
 }
 
 /// `evaluate` over one 5,000-slot trace allocates exactly as often

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use thermal_linalg::{LinalgError, Matrix};
 use thermal_sysid::regressors::assemble;
 use thermal_sysid::{
-    evaluate, identify, identify_from_data, EvalConfig, FitConfig, ModelOrder, ModelSpec,
-    SysidError, ThermalModel,
+    evaluate, identify, identify_from_data, identify_with_cache, EvalConfig, FitConfig, GramCache,
+    ModelOrder, ModelSpec, SysidError, ThermalModel,
 };
 use thermal_timeseries::{Channel, Dataset, Mask, TimeGrid, Timestamp};
 
@@ -352,10 +352,11 @@ proptest! {
 
     /// `identify` with a ridge streams its rows through 128-row panels
     /// and never stacks them, yet its coefficients equal
-    /// `identify_from_data` on `assemble`'s stacked rows bit for bit:
-    /// gappy channels and masks (segments from a few rows to several
-    /// panels), both orders, ridge 1e-9, 1e-6 and 1. Where one route
-    /// fails, the other fails alike.
+    /// `identify_from_data` on `assemble`'s stacked rows bit for bit,
+    /// and so do `identify_with_cache`'s over a fresh default cache, the
+    /// same cache warm and a disabled cache: gappy channels and masks
+    /// (segments from a few rows to several panels), both orders, ridge
+    /// 1e-9, 1e-6 and 1. Where one route fails, every route fails alike.
     #[test]
     fn streamed_ridge_fit_equals_the_stacked_fit(
         n in 30usize..900,
@@ -376,14 +377,26 @@ proptest! {
         let order = if second { ModelOrder::Second } else { ModelOrder::First };
         let spec = three_room_spec(order);
         let config = FitConfig::with_ridge([1e-9, 1e-6, 1.0][ridge]);
-        match (identify(&ds, &spec, &mask, &config), stacked(&ds, &spec, &mask, &config)) {
-            (Ok(got), Ok(want)) => {
-                let bits = |m: &ThermalModel| -> Vec<u64> {
-                    m.coefficients().as_slice().iter().map(|v| v.to_bits()).collect()
-                };
-                prop_assert_eq!(bits(&got), bits(&want));
+        let want = stacked(&ds, &spec, &mask, &config);
+        let mut cache = GramCache::new();
+        let routes = [
+            identify(&ds, &spec, &mask, &config),
+            identify_with_cache(&ds, &spec, &mask, &config, &mut cache),
+            identify_with_cache(&ds, &spec, &mask, &config, &mut cache),
+            identify_with_cache(&ds, &spec, &mask, &config, &mut GramCache::disabled()),
+        ];
+        let bits = |m: &ThermalModel| -> Vec<u64> {
+            m.coefficients().as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        for got in routes {
+            match (got, &want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(bits(&got), bits(want)),
+                (got, want) => prop_assert_eq!(got.err(), want.clone().err()),
             }
-            (got, want) => prop_assert_eq!(got.err(), want.err()),
+        }
+        if want.is_ok() {
+            let stats = cache.stats();
+            prop_assert!(stats.hits > 0 && stats.hits == stats.misses, "{:?}", stats);
         }
     }
 }
@@ -433,4 +446,45 @@ fn streamed_ridge_fit_keeps_the_error_order() {
         assert_eq!(kind, want, "{got:?}");
         assert_eq!(Some(got), stacked(&ds, spec, mask, config).err());
     }
+}
+
+/// `identify_with_cache` reports its failures in `identify`'s order
+/// (pinned to the stacked route's above) over a default and a disabled
+/// cache: an unknown channel, too few transitions, an invalid ridge, a
+/// non-finite regressor.
+#[test]
+fn cached_ridge_fit_keeps_the_error_order() {
+    let n = 60;
+    let huge = (0..n).map(|k| if k % 2 == 0 { 1.5e308 } else { -1.5e308 });
+    let ds = Dataset::new(
+        TimeGrid::new(Timestamp::from_minutes(0), 5, n).unwrap(),
+        vec![
+            Channel::from_values("t", huge.collect()).unwrap(),
+            Channel::from_values("u", (0..n).map(|k| (k as f64).sin()).collect()).unwrap(),
+        ],
+    )
+    .unwrap();
+    let spec = ModelSpec::new(vec!["t".into()], vec!["u".into()], ModelOrder::Second).unwrap();
+    let unknown =
+        ModelSpec::new(vec!["t".into()], vec!["nope".into()], ModelOrder::Second).unwrap();
+    let all = Mask::all(ds.grid());
+    let few = Mask::from_bits((0..n).map(|k| k < 3).collect());
+    let (bad, good) = (FitConfig::with_ridge(-1.0), FitConfig::with_ridge(1e-6));
+    let cases = [
+        (&unknown, &few, &bad),
+        (&spec, &few, &bad),
+        (&spec, &all, &bad),
+        (&spec, &all, &good),
+    ];
+    let mut seen = Vec::new();
+    for (spec, mask, config) in cases {
+        let want = identify(&ds, spec, mask, config).unwrap_err();
+        for mut cache in [GramCache::new(), GramCache::disabled()] {
+            let got = identify_with_cache(&ds, spec, mask, config, &mut cache).unwrap_err();
+            assert_eq!(got, want);
+        }
+        seen.push(want);
+    }
+    seen.dedup();
+    assert_eq!(seen.len(), 4, "{seen:?}");
 }

@@ -282,7 +282,8 @@ fn ci() -> ExitCode {
     // exactly one campaign-sized allocation (its trajectory matrix)
     // and a fully restored `fit_checkpointed` none, the centred Gram
     // allocates the same bytes at any number of observations, and a
-    // ridge `identify` the same largest allocation at any number of
+    // ridge `identify`, and `identify_with_cache` over a disabled or a
+    // default cache, the same largest allocation at any number of
     // transitions. The dataset budget: a fit, its cluster-mean
     // validation, a cold `fit_checkpointed` and a training-horizon
     // sweep never build a channel's 16-byte-per-slot `Option` view
